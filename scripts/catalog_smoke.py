@@ -1,82 +1,27 @@
 #!/usr/bin/env python
-"""CI smoke for the SQLite catalog: migration path + bounded multi-process stress.
+"""CI smoke for the SQLite catalog: bounded multi-process stress + integrity check.
 
-Two rounds, both bounded by hard deadlines (no sleeps, no polling loops):
-
-1. **Migration.** Build a legacy JSON-catalog workspace, capture
-   ``repro store ls``, migrate it in place (``repro store migrate``), and
-   require the listing to be byte-identical afterwards, the catalog format
-   to read ``sqlite``, and the JSON files to have moved aside as ``*.bak``.
-
-2. **Stress.** Launch concurrent worker subprocesses
-   (``python -m repro.storage.harness worker``) against one fresh store
-   root, join them with ``communicate(timeout=...)``, and require zero
-   ``database is locked`` errors plus a catalog that exactly equals the
-   ground truth reconstructed from the workers' own reports.
+Bounded by a hard deadline (no sleeps, no polling loops): launch concurrent
+worker subprocesses (``python -m repro.storage.harness worker``) against one
+fresh store root, join them with ``communicate(timeout=...)``, and require
+zero ``database is locked`` errors plus a catalog that passes SQLite's
+integrity check and exactly equals the ground truth reconstructed from the
+workers' own reports.
 
 Exit code 0 on success; any assertion prints a diagnostic and exits 1.
 """
 
 import argparse
-import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
-from repro.cli import main as cli_main  # noqa: E402
-from repro.execution.store import ArtifactStore  # noqa: E402
 from repro.storage.catalog import CatalogDB, sqlite_catalog_path  # noqa: E402
-
-
-def capture_ls(workspace: str, limit: int) -> str:
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        rc = cli_main(["store", "ls", "--workspace", workspace, "--limit", str(limit)])
-    assert rc == 0, f"store ls failed with exit code {rc}"
-    return buffer.getvalue()
-
-
-def smoke_migration(workspace: str) -> None:
-    root = os.path.join(workspace, "artifacts")
-    store = ArtifactStore(root, catalog="json")
-    try:
-        for index in range(48):
-            store.put_bytes(
-                f"mig-{index:04d}", f"node{index % 5}",
-                (b"payload-%d" % index) * (index + 1),
-            )
-        store.flush()
-        assert store.catalog_format == "json"
-    finally:
-        store.close()
-
-    before = capture_ls(workspace, limit=60)
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        rc = cli_main(["store", "migrate", "--workspace", workspace])
-    assert rc == 0, f"store migrate failed:\n{buffer.getvalue()}"
-    after = capture_ls(workspace, limit=60)
-
-    assert before == after, (
-        "store ls changed across migration\n--- before ---\n%s\n--- after ---\n%s"
-        % (before, after)
-    )
-    assert os.path.exists(sqlite_catalog_path(root)), "migration produced no catalog.sqlite"
-    assert not os.path.exists(os.path.join(root, "catalog.json")), "catalog.json left behind"
-    assert os.path.exists(os.path.join(root, "catalog.json.bak")), "no catalog.json.bak backup"
-    store = ArtifactStore(root)
-    try:
-        assert store.catalog_format == "sqlite"
-        assert len(store.catalog()) == 48
-    finally:
-        store.close()
-    print("migration smoke: ok (48 artifacts, identical ls before/after)")
 
 
 def smoke_stress(workspace: str, workers: int, ops: int, deadline: float) -> None:
@@ -135,8 +80,6 @@ def main(argv=None) -> int:
     parser.add_argument("--deadline", type=float, default=120.0,
                         help="per-worker join timeout in seconds")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as workspace:
-        smoke_migration(workspace)
     with tempfile.TemporaryDirectory() as workspace:
         smoke_stress(workspace, args.workers, args.ops, args.deadline)
     print("catalog smoke: all checks passed")

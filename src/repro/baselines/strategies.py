@@ -18,7 +18,7 @@ A strategy is purely declarative; :meth:`ExecutionStrategy.simulator` and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Mapping, Tuple
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.dsl.operators import ChangeCategory
 from repro.errors import OptimizerError

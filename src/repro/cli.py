@@ -58,6 +58,19 @@ from repro.workloads.ie_workload import IEVariant, build_ie_workflow, ie_workloa
 from repro.workloads.simulated import census_sim_workload, ie_sim_workload, sim_defaults
 
 
+def _positive(number_type):
+    """An argparse ``type=`` that accepts only values above zero."""
+
+    def parse(text: str):
+        value = number_type(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = number_type.__name__  # argparse prints it for unparsable text
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description="HELIX reproduction command line")
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -170,18 +183,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store = subparsers.add_parser(
         "store",
-        help="inspect, evict from, or migrate a workspace's materialized artifact store",
+        help="inspect, evict from, or compact a workspace's materialized artifact store",
     )
-    store.add_argument(
-        "action", choices=["stats", "ls", "evict", "migrate", "vacuum"], help="what to do"
-    )
+    store.add_argument("action", choices=["stats", "ls", "evict", "vacuum"], help="what to do")
     store.add_argument("--workspace", required=True, help="session workspace, service root, or store directory")
-    store.add_argument("--bytes", type=float, default=None, help="bytes to free (evict)")
+    store.add_argument("--bytes", type=_positive(float), default=None, help="bytes to free (evict)")
     store.add_argument(
         "--policy", default="lru", choices=["lru", "largest", "oldest"],
         help="eviction victim order (evict; default: lru)",
     )
-    store.add_argument("--limit", type=int, default=30, help="max rows to list (ls; default: 30)")
+    store.add_argument(
+        "--limit", type=_positive(int), default=30, help="max rows to list (ls; default: 30)"
+    )
 
     metrics = subparsers.add_parser(
         "metrics", help="dump the runtime metrics snapshot a run/serve left in the workspace"
@@ -592,17 +605,14 @@ def _command_explain(
 
 
 def _open_catalog_db(workspace: str):
-    """The workspace's SQLite catalog handle, or ``None`` (JSON workspace,
-    or no store at all).  Opens the database directly — listing verbs must
-    not pay an :class:`ArtifactStore` open (which reconciles every catalog
-    row against the byte store) just to read metadata."""
+    """The workspace's catalog handle, or ``None`` (no store at all).  Opens
+    the database directly — listing verbs must not pay an
+    :class:`ArtifactStore` open (which reconciles every catalog row against
+    the byte store) just to read metadata."""
     from repro.storage.catalog import CatalogDB, sqlite_catalog_path
 
     root = resolve_store_root(workspace)
-    if root is None:
-        return None
-    path = sqlite_catalog_path(root)
-    return CatalogDB(path) if os.path.exists(path) else None
+    return CatalogDB(sqlite_catalog_path(root)) if root is not None else None
 
 
 def _command_trace(
@@ -662,7 +672,7 @@ def _command_store(
     limit: int = 30,
     out=None,
 ) -> int:
-    """Inspect (stats / ls), evict from, or migrate a workspace's artifact store.
+    """Inspect (stats / ls), evict from, or vacuum a workspace's artifact store.
 
     The store opens with the flat disk backend regardless of how it was
     written — catalog keys are backend-relative paths, so sharded and flat
@@ -672,21 +682,6 @@ def _command_store(
     out = out or sys.stdout
     from repro.execution.store import ArtifactStore, parse_chunk_signature
 
-    if action == "migrate":
-        from repro.core.migrate import migrate_workspace
-
-        summary = migrate_workspace(workspace)
-        print(
-            f"migrated {summary['root']} to catalog.sqlite: "
-            f"{summary['artifacts']} artifacts, {summary['owners']} owners, "
-            f"{summary['compute_costs']} compute costs, "
-            f"{summary['trace_runs']} trace runs indexed",
-            file=out,
-        )
-        for backup in summary["backups"]:
-            print(f"  kept backup: {backup}", file=out)
-        return 0
-
     if action == "vacuum":
         # Compacts the SQLite catalog in place: checkpoint the WAL into the
         # main database, VACUUM, and report the bytes handed back to the
@@ -694,11 +689,7 @@ def _command_store(
         # pure catalog maintenance and must not trigger a store reconcile.
         db = _open_catalog_db(workspace)
         if db is None:
-            print(
-                f"error: no SQLite catalog under {workspace} (JSON workspaces have "
-                "nothing to vacuum; run `repro store migrate` first)",
-                file=sys.stderr,
-            )
+            print(f"error: no artifact catalog found under {workspace}", file=sys.stderr)
             return 2
         try:
             stats = db.vacuum()
@@ -733,22 +724,14 @@ def _command_store(
         return 0
 
     if action == "ls":
-        # Largest-first with deterministic ties (size desc, then signature) —
-        # identical ordering on both catalog formats, which is what makes
-        # `store ls` output stable across a JSON→SQLite migration.  On a
-        # SQLite catalog this is one indexed query; metadata only on both
-        # paths — listing never reads artifact payloads.
+        # Largest-first with deterministic ties (size desc, then signature):
+        # one indexed query, metadata only — listing never reads payloads.
         db = store.catalog_db
-        if db is not None:
-            listed = [(meta.signature, meta) for meta in db.top_artifacts_by_size(limit)]
-            total = db.artifact_count()
-        else:
-            catalog = store.catalog()
-            ordered = sorted(catalog.items(), key=lambda item: (-item[1].size, item[0]))
-            listed = ordered[:limit]
-            total = len(catalog)
+        listed = db.top_artifacts_by_size(limit)
+        total = db.artifact_count()
         rows = []
-        for signature, meta in listed:
+        for meta in listed:
+            signature = meta.signature
             chunk = parse_chunk_signature(signature)
             rows.append(
                 {

@@ -8,7 +8,6 @@ recomputation optimizer, executes the plan, materializes selected
 intermediates under the storage budget, and records a new version.
 """
 
-from repro.core.migrate import migrate_store, migrate_workspace
 from repro.core.session import HelixSession, SessionRunResult
 from repro.core.suggestions import SuggestedEdit, SuggestionConfig, suggest_modifications
 from repro.core.trace_index import register_trace, trace_summaries
@@ -35,8 +34,6 @@ __all__ = [
     "trace_directory",
     "trace_path",
     "list_trace_runs",
-    "migrate_store",
-    "migrate_workspace",
     "register_trace",
     "trace_summaries",
 ]

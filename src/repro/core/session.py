@@ -59,7 +59,7 @@ from repro.obs.registry import MetricsRegistry, get_registry, resolve_registry
 from repro.optimizer.cost_model import CostDefaults, CostEstimator, NodeCosts
 from repro.optimizer.recomputation import PlanExplanation, optimal_plan_explained, plan_cost
 from repro.versioning.metrics_tracker import MetricsTracker
-from repro.versioning.version_store import VersionStore, WorkflowVersion
+from repro.versioning.version_store import WorkflowVersion
 
 
 @dataclass
@@ -155,9 +155,8 @@ class HelixSession:
         downstream partition-wise nodes are served from the previous run's
         chunk artifacts and only dirty chunks recompute — the optimizer
         prices delta-vs-full per node (see :mod:`repro.incremental`).
-        Requires a SQLite-catalog workspace and a strategy with
-        cross-iteration reuse; ``False`` disables detection entirely and
-        reproduces non-incremental behavior exactly.
+        Requires a strategy with cross-iteration reuse; ``False`` disables
+        detection entirely and reproduces non-incremental behavior exactly.
     metrics:
         Runtime metrics destination (see :mod:`repro.obs`).  ``None``/``True``
         use the process-default :func:`~repro.obs.registry.get_registry`
@@ -314,11 +313,8 @@ class HelixSession:
             self.tracker.observe_signature(signature)
 
     def _catalog_health(self) -> Tuple[bool, str]:
-        """/healthz check: the store's catalog (when SQLite) must answer."""
-        catalog_db = getattr(self.store, "catalog_db", None)
-        if catalog_db is None:
-            return True, "no sqlite catalog (nothing to probe)"
-        catalog_db.ping()  # raises StorageError when closed/unreachable
+        """/healthz check: the store's catalog must answer."""
+        self.store.catalog_db.ping()  # raises StorageError when closed/unreachable
         return True, "catalog answering"
 
     def close(self) -> None:
@@ -339,15 +335,13 @@ class HelixSession:
     @property
     def incremental_active(self) -> bool:
         """Whether delta detection engages for this session's runs."""
-        if self.incremental is False:
-            return False
-        if self.partitions <= 1 or not self.strategy.cross_iteration_reuse:
-            # Delta reuse is defined over chunked artifacts; without
-            # partitioning (or with reuse forbidden) there is nothing to do.
-            return False
-        if self.incremental is None:
-            return getattr(self.store, "catalog_db", None) is not None
-        return True
+        # Delta reuse is defined over chunked artifacts; without partitioning
+        # (or with reuse forbidden) there is nothing to do.
+        return (
+            self.incremental is not False
+            and self.partitions > 1
+            and self.strategy.cross_iteration_reuse
+        )
 
     def _plan_deltas(self, compiled: CompiledWorkflow, iteration_index: int):
         """Fingerprint changed inputs and plan chunk reuse (None = inactive)."""
@@ -582,10 +576,10 @@ class HelixSession:
             self.last_trace = trace
             trace.save(trace_path(self.workspace, iteration_index))
             # Index the persisted trace's header summary in the store's
-            # catalog database (best-effort; None on JSON workspaces) so
-            # `repro trace ls` lists without re-parsing trace bodies.
+            # catalog database (best-effort) so `repro trace ls` lists
+            # without re-parsing trace bodies.
             register_trace(
-                getattr(self.store, "catalog_db", None),
+                self.store.catalog_db,
                 trace_directory(self.workspace),
                 iteration_index,
                 trace,

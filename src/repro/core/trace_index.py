@@ -52,18 +52,12 @@ def trace_run_row(trace_dir: str, iteration: int, trace: RunTrace) -> Dict[str, 
     }
 
 
-def register_trace(
-    db: Optional[CatalogDB], trace_dir: str, iteration: int, trace: RunTrace
-) -> bool:
+def register_trace(db: CatalogDB, trace_dir: str, iteration: int, trace: RunTrace) -> bool:
     """Index one persisted trace; returns whether a row was written.
 
-    Best-effort by design: ``db`` is ``None`` on un-migrated JSON workspaces
-    (nothing to index — listings parse the JSONL as they always have), and a
-    storage error here must not fail the run whose trace was already safely
-    persisted.
+    Best-effort by design: a storage error here must not fail the run whose
+    trace was already safely persisted.
     """
-    if db is None:
-        return False
     try:
         db.upsert_trace_run(trace_run_row(trace_dir, iteration, trace))
         return True
@@ -96,6 +90,8 @@ def trace_summaries(
     Runs present in the catalog index are served without touching their
     JSONL files; the rest are parsed (the only correct source) and
     backfilled into the index so subsequent listings skip the parse too.
+    ``db`` is ``None`` when the trace directory has no store beside it
+    (nothing to index — every run is parsed).
     """
     indexed: Dict[int, Dict[str, Any]] = {}
     if db is not None:
@@ -108,7 +104,8 @@ def trace_summaries(
         row = indexed.get(run)
         if row is None:
             trace = RunTrace.load(os.path.join(trace_dir, f"run-{run:04d}.jsonl"))
-            register_trace(db, trace_dir, run, trace)
+            if db is not None:
+                register_trace(db, trace_dir, run, trace)
             row = trace_run_row(trace_dir, run, trace)
         summaries.append(summary_from_row(run, row))
     return summaries

@@ -7,8 +7,8 @@ workspace" must resolve them identically:
   ``<ws>/traces`` (run traces) plus version/cost records;
 * a **service root** — ``<root>/cache`` (the shared artifact cache) plus
   ``<root>/tenants/<tenant>/`` (one session workspace per tenant);
-* a **bare store directory** — holds the catalog (``catalog.sqlite`` or the
-  legacy ``catalog.json``) directly.
+* a **bare store directory** — holds the catalog (``catalog.sqlite``)
+  directly.
 
 :func:`resolve_store_root` (used by ``repro store``) and
 :func:`resolve_trace_dir` (used by ``repro explain`` / ``repro trace``) walk
@@ -24,6 +24,7 @@ import re
 from typing import Dict, List, Optional
 
 from repro.errors import HelixError
+from repro.storage.catalog import refuse_legacy_root, sqlite_catalog_path
 
 #: Directory (under a session workspace) that holds persisted run traces.
 TRACE_DIRNAME = "traces"
@@ -40,9 +41,9 @@ def resolve_store_root(workspace: str) -> Optional[str]:
 
     Accepts a session workspace (``<ws>/artifacts``), a service root
     (``<ws>/cache``), or the store directory itself — recognized by its
-    catalog file, either format (``catalog.sqlite`` wins over a leftover
-    ``catalog.json``, mirroring the store's dual-read rule).  Returns
-    ``None`` when no catalog is found.
+    catalog file.  Returns ``None`` when no catalog is found; raises
+    :class:`~repro.errors.StorageError` when a candidate is a store in the
+    retired JSON catalog format.
     """
     candidates = [
         os.path.join(workspace, "artifacts"),
@@ -50,9 +51,9 @@ def resolve_store_root(workspace: str) -> Optional[str]:
         workspace,
     ]
     for candidate in candidates:
-        for catalog_name in ("catalog.sqlite", "catalog.json"):
-            if os.path.exists(os.path.join(candidate, catalog_name)):
-                return candidate
+        if os.path.exists(sqlite_catalog_path(candidate)):
+            return candidate
+        refuse_legacy_root(candidate)
     return None
 
 

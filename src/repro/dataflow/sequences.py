@@ -9,7 +9,7 @@ than flat records.  These types are the sequence counterparts of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DataError
 

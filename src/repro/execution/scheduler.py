@@ -292,7 +292,7 @@ def backend_by_name(name: str, parallelism: Optional[int] = None) -> WorkerBacke
 class AsyncMaterializer:
     """Background writer that overlaps artifact persistence with computation.
 
-    Payloads are already pickled when they arrive (serialization happens
+    Payloads are already encoded when they arrive (serialization happens
     synchronously so budget accounting stays deterministic); the writer thread
     only pays the disk write.  The queue is *bounded*: when it fills, the
     producing thread blocks instead of dropping the write, so every accepted
@@ -329,13 +329,11 @@ class AsyncMaterializer:
 
     def submit(
         self, signature: str, node_name: str, payload: bytes, stats: NodeRunStats,
-        codec: Optional[str] = None,
+        codec: str,
     ) -> None:
         """Enqueue one encoded artifact for persistence (blocks when the queue is full).
 
-        ``codec=None`` means the payload came from a codec-oblivious store's
-        ``serialize`` — the write then omits the keyword entirely, so custom
-        stores with the legacy 3-argument ``put_bytes`` keep working.
+        ``payload`` and ``codec`` are what the store's ``encode`` returned.
         """
         self._ensure_started()
         # The submitting thread's correlation ID rides along so journal
@@ -355,10 +353,7 @@ class AsyncMaterializer:
             try:
                 with correlation_scope(cid):
                     started = time.perf_counter()
-                    if codec is None:
-                        meta = self.store.put_bytes(signature, node_name, payload)
-                    else:
-                        meta = self.store.put_bytes(signature, node_name, payload, codec=codec)
+                    meta = self.store.put_bytes(signature, node_name, payload, codec=codec)
                     stats.materialize_time += time.perf_counter() - started
                     # A store may decline a write (the shared service cache
                     # enforces size limits against exact payload sizes here);
@@ -1290,19 +1285,6 @@ class WavefrontScheduler:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
-    def _encode_value(self, name: str, value: Any) -> "Tuple[bytes, Optional[str]]":
-        """Serialize through the store's codec policy.
-
-        A codec-oblivious custom store (no ``encode``) falls back to its
-        ``serialize`` and a ``None`` codec, which the materializer forwards
-        as a plain 3-argument ``put_bytes`` — the pre-storage-layer calling
-        convention.
-        """
-        encode = getattr(self.store, "encode", None)
-        if callable(encode):
-            return encode(name, value)
-        return self.store.serialize(name, value), None
-
     def _decide_and_enqueue(
         self,
         name: str,
@@ -1325,7 +1307,7 @@ class WavefrontScheduler:
         already = signature in pending_signatures or self.store.has(signature)
         if decision.materialize and not already:
             serialize_started = time.perf_counter()
-            payload, codec = self._encode_value(name, value)
+            payload, codec = self.store.encode(name, value)
             stats.materialize_time += time.perf_counter() - serialize_started
             size = float(len(payload))
             if size > logical_budget:
@@ -1382,7 +1364,7 @@ class WavefrontScheduler:
             already = monolithic or chunk_key in pending_signatures or self.store.has(chunk_key)
             if decision.materialize and not already:
                 serialize_started = time.perf_counter()
-                payload, codec = self._encode_value(f"{name}[{index}]", chunk)
+                payload, codec = self.store.encode(f"{name}[{index}]", chunk)
                 stats.materialize_time += time.perf_counter() - serialize_started
                 size = float(len(payload))
                 if size > logical_budget:

@@ -12,17 +12,13 @@ reads fine under any other.
 
 The store itself owns the *policy* surface — signatures, budgets, pins,
 eviction — while the :mod:`repro.storage` layer owns bytes (``disk``,
-``sharded``, ``memory``, ``tiered``) and metadata persistence
-(:mod:`repro.storage.catalog`).  The catalog has two formats, resolved per
-workspace by :func:`~repro.storage.catalog.open_catalog_state`:
-
-* **SQLite** (``catalog.sqlite``, the default for new workspaces) — a
-  WAL-mode database with row-level transactional mutations, so many
-  processes share one store root with concurrent readers, writers that
-  queue instead of failing, and crash safety per committed put;
-* **JSON** (``catalog.json``, legacy) — the batched ``os.replace`` file
-  that pre-migration workspaces still use; ``repro store migrate`` converts
-  in place.
+``sharded``, ``memory``, ``tiered``) and metadata persistence: the store
+drives one :class:`~repro.storage.catalog.CatalogDB` per root
+(``catalog.sqlite``, a WAL-mode database with row-level transactional
+mutations), so many processes share one store root with concurrent readers,
+writers that queue instead of failing, and crash safety per committed put.
+There is one write path: :meth:`ArtifactStore.encode` picks the codec and
+:meth:`ArtifactStore.put_bytes` persists the payload with the codec id.
 
 On a tiered backend the store additionally keeps a *decoded* hot-value cache
 pinned to the memory tier's residency, so a hot iterative loop skips
@@ -48,10 +44,16 @@ from repro.storage.catalog import (  # noqa: F401  (re-exported schema surface)
     ArtifactMeta,
     CatalogDB,
     chunk_signature,
-    open_catalog_state,
     parse_chunk_signature,
+    refuse_legacy_root,
+    sqlite_catalog_path,
 )
 from repro.storage.codecs import DEFAULT_CODEC_ID, CodecRegistry, default_registry
+
+#: Buffered access-metadata touches are written to the catalog in batches of
+#: this many.  A crash between flushes loses only recency hints, never an
+#: acknowledged artifact (puts and deletes always commit before returning).
+_TOUCH_FLUSH_EVERY = 8
 
 #: An eviction policy: either a registered name or a callable scoring one
 #: :class:`ArtifactMeta` — artifacts with the *lowest* score are evicted first.
@@ -87,20 +89,11 @@ class ChunkStoreOps:
 
     One logical artifact (a partitioned node's output) is stored as ``count``
     chunk entries keyed by :func:`chunk_signature`.  The methods here only
-    call ``self.has`` / ``self.get`` / ``self.put_bytes`` / ``self.catalog``,
+    call ``self.has`` / ``self.get`` / ``self.delete`` / ``self.catalog``,
     so both :class:`ArtifactStore` and the service's tenant store views
     inherit them — a tenant's chunk reads and writes stay attributed for
     quota accounting without any extra plumbing.
     """
-
-    def put_chunk_bytes(
-        self, signature: str, node_name: str, index: int, count: int, payload: bytes,
-        started_at: Optional[float] = None,
-    ) -> Optional["ArtifactMeta"]:
-        """Persist one partition chunk of ``signature``."""
-        return self.put_bytes(
-            chunk_signature(signature, index, count), node_name, payload, started_at=started_at
-        )
 
     def get_chunk(self, signature: str, index: int, count: int) -> Tuple[Any, float]:
         """Load one chunk; returns ``(value, elapsed_seconds)``."""
@@ -178,7 +171,9 @@ class ArtifactStore(ChunkStoreOps):
     Parameters
     ----------
     root:
-        Directory that holds the artifacts and the catalog.
+        Directory that holds the artifacts and the catalog.  A root still in
+        the retired ``catalog.json`` format is refused with a
+        :class:`~repro.errors.StorageError`.
     budget_bytes:
         Maximum total bytes of materialized artifacts (``None`` = unlimited).
         The store *enforces* the budget; the materialization policy normally
@@ -196,16 +191,12 @@ class ArtifactStore(ChunkStoreOps):
     memory_tier_bytes:
         Capacity of the ``tiered`` backend's memory tier (ignored by the
         other backends; ``None`` = the tiered default of 256 MB).
-    flush_every:
-        Batch size for deferred catalog metadata.  Under the JSON catalog
-        this is the legacy batched-put rewrite cadence; under SQLite, puts
-        and deletes always commit immediately (the multi-process durability
-        contract) and only access-metadata touches batch.  A crash between
-        flushes loses only reuse hints, never an acknowledged artifact.
-    catalog:
-        Metadata format: ``"auto"`` (default — an existing ``catalog.sqlite``
-        wins, an existing ``catalog.json`` keeps the legacy format, fresh
-        workspaces get SQLite), or ``"sqlite"`` / ``"json"`` to force one.
+
+    The catalog database is the source of truth — there is no in-memory
+    mirror, so concurrent processes sharing one root see each other's
+    committed rows immediately.  Puts and deletes commit before returning;
+    access-metadata touches batch in memory (overlaid on reads) and flush
+    every ``_TOUCH_FLUSH_EVERY`` updates or on :meth:`flush`.
     """
 
     def __init__(
@@ -215,9 +206,7 @@ class ArtifactStore(ChunkStoreOps):
         backend: "Union[str, StorageBackend, None]" = None,
         codec: str = "auto",
         memory_tier_bytes: Optional[float] = None,
-        flush_every: int = 8,
         registry: Optional[CodecRegistry] = None,
-        catalog: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.root = root
@@ -225,6 +214,7 @@ class ArtifactStore(ChunkStoreOps):
         self.codec = codec
         self.registry = registry if registry is not None else default_registry()
         self.metrics = metrics if metrics is not None else get_registry()
+        refuse_legacy_root(root)
         os.makedirs(root, exist_ok=True)
         self._backend = backend_from_spec(
             backend,
@@ -247,10 +237,10 @@ class ArtifactStore(ChunkStoreOps):
         # the tier's job and a hot loop skips deserialization entirely.
         self._hot_values: Dict[str, Any] = {}
         self._attach_demotion_hook()
-        self._state = open_catalog_state(
-            root, catalog=catalog, flush_every=flush_every, registry=self.metrics
-        )
-        self._state.load(self._backend.contains)
+        self._db = CatalogDB(sqlite_catalog_path(root), registry=self.metrics)
+        #: signature → (last_access_at, last_load_time or None), not yet in the DB.
+        self._touches: Dict[str, Tuple[float, Optional[float]]] = {}
+        self._reconcile()
 
     # ------------------------------------------------------------------
     # Backend plumbing
@@ -260,19 +250,14 @@ class ArtifactStore(ChunkStoreOps):
         return self._backend
 
     @property
-    def catalog_format(self) -> str:
-        """``"sqlite"`` or ``"json"`` — which metadata plane this store opened."""
-        return self._state.format
+    def catalog_db(self) -> CatalogDB:
+        """The catalog handle.
 
-    @property
-    def catalog_db(self) -> Optional[CatalogDB]:
-        """The SQLite catalog handle (``None`` on un-migrated JSON workspaces).
-
-        The trace index, the shared cache's ownership tables, and the
-        indexed CLI listings all ride on this handle — one database file
-        per store root covers all three metadata planes.
+        The trace index, the shared cache's ownership tables, the input
+        fingerprints, and the indexed CLI listings all ride on this handle —
+        one database file per store root covers every metadata plane.
         """
-        return self._state.db
+        return self._db
 
     def _memory_tier(self) -> Optional[MemoryBackend]:
         if isinstance(self._backend, MemoryBackend):
@@ -300,7 +285,7 @@ class ArtifactStore(ChunkStoreOps):
     def tier_of(self, signature: str) -> Optional[str]:
         """Which tier would serve ``signature``: ``"memory"``, ``"disk"``, or ``None``."""
         with self._lock:
-            meta = self._state.get(signature)
+            meta = self._get_meta(signature)
         if meta is None:
             return None
         tier_probe = getattr(self._backend, "tier_of", None)
@@ -316,21 +301,19 @@ class ArtifactStore(ChunkStoreOps):
         with self._lock:
             return {
                 signature
-                for signature, meta in self._state.snapshot().items()
+                for signature, meta in self._snapshot().items()
                 if memory.contains(meta.filename)
             }
 
     def codecs_by_signature(self) -> Dict[str, str]:
         """Signature → catalog codec id, for the cost model's throughput table."""
         with self._lock:
-            return {
-                signature: meta.codec for signature, meta in self._state.snapshot().items()
-            }
+            return {signature: meta.codec for signature, meta in self._snapshot().items()}
 
     def storage_info(self) -> Dict[str, Any]:
         """Backend, per-tier, and per-codec breakdown (the ``repro store`` verb)."""
         with self._lock:
-            catalog = list(self._state.snapshot().values())
+            catalog = list(self._snapshot().values())
         by_codec: Dict[str, Dict[str, float]] = {}
         for meta in catalog:
             entry = by_codec.setdefault(meta.codec, {"artifacts": 0, "bytes": 0.0})
@@ -338,7 +321,6 @@ class ArtifactStore(ChunkStoreOps):
             entry["bytes"] += meta.size
         info: Dict[str, Any] = {
             "backend": self._backend.name,
-            "catalog": self._state.format,
             "artifacts": len(catalog),
             "used_bytes": sum(meta.size for meta in catalog),
             "budget_bytes": self.budget_bytes,
@@ -354,42 +336,73 @@ class ArtifactStore(ChunkStoreOps):
     # ------------------------------------------------------------------
     # Catalog persistence
     # ------------------------------------------------------------------
+    def _reconcile(self) -> None:
+        """Purge rows whose payload is gone (wiped directory, memory backend
+        from a previous process, a crash between a backend delete and its
+        catalog delete) so the planner never plans a LOAD that cannot succeed."""
+        stale = [
+            meta.signature
+            for meta in self._db.all_artifacts()
+            if not self._backend.contains(meta.filename)
+        ]
+        if stale:
+            self._db.delete_artifacts(stale)
+
+    def _overlay(self, meta: ArtifactMeta) -> ArtifactMeta:
+        """Apply this process's not-yet-flushed access touch to a catalog row."""
+        pending = self._touches.get(meta.signature)
+        if pending is not None:
+            access_at, load_time = pending
+            meta.last_access_at = access_at
+            if load_time is not None:
+                meta.last_load_time = load_time
+        return meta
+
+    def _get_meta(self, signature: str) -> Optional[ArtifactMeta]:
+        meta = self._db.get_artifact(signature)
+        return self._overlay(meta) if meta is not None else None
+
+    def _snapshot(self) -> Dict[str, ArtifactMeta]:
+        return {meta.signature: self._overlay(meta) for meta in self._db.all_artifacts()}
+
     def flush(self) -> None:
-        """Persist any deferred catalog metadata (batched puts under JSON,
-        buffered access touches under SQLite)."""
+        """Persist the buffered access touches."""
         with self._lock:
-            self._state.flush()
+            if self._touches:
+                self._db.apply_touches(self._touches)
+                self._touches = {}
 
     def close(self) -> None:
         """Flush deferred metadata and release the catalog handle."""
         with self._lock:
-            self._state.close()
+            self.flush()
+            self._db.close()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def has(self, signature: str) -> bool:
         with self._lock:
-            return self._state.contains(signature)
+            return self._db.has_artifact(signature)
 
     def meta(self, signature: str) -> ArtifactMeta:
         with self._lock:
-            meta = self._state.get(signature)
+            meta = self._get_meta(signature)
             if meta is None:
                 raise StorageError(f"no artifact for signature {signature[:12]}...")
             return meta
 
     def catalog(self) -> Dict[str, ArtifactMeta]:
         with self._lock:
-            return self._state.snapshot()
+            return self._snapshot()
 
     def signatures(self) -> List[str]:
         with self._lock:
-            return list(self._state.snapshot())
+            return list(self._snapshot())
 
     def used_bytes(self) -> float:
         with self._lock:
-            return self._state.used_bytes()
+            return self._db.artifact_total_bytes()
 
     def remaining_budget(self) -> float:
         if self.budget_bytes is None:
@@ -399,47 +412,27 @@ class ArtifactStore(ChunkStoreOps):
     def sizes_by_signature(self) -> Dict[str, float]:
         """Signature → size map consumed by the cost estimator."""
         with self._lock:
-            return {
-                signature: meta.size for signature, meta in self._state.snapshot().items()
-            }
+            return {signature: meta.size for signature, meta in self._snapshot().items()}
 
     def load_costs_by_signature(self) -> Dict[str, float]:
         """Signature → last measured load time, where available."""
         with self._lock:
             return {
                 signature: meta.last_load_time
-                for signature, meta in self._state.snapshot().items()
+                for signature, meta in self._snapshot().items()
                 if meta.last_load_time is not None
             }
 
     def chunk_families(self, signature: str) -> Dict[int, List[int]]:
-        """``count -> sorted present chunk indices``, indexed under SQLite.
-
-        The generic :class:`ChunkStoreOps` implementation scans the whole
-        catalog per call; with a SQLite catalog the chunk table answers from
-        its parent-signature index instead.
-        """
-        db = self._state.db
-        if db is not None:
-            with self._lock:
-                return db.chunk_families(signature)
-        return super().chunk_families(signature)
+        """``count -> sorted present chunk indices``, from the chunk table's
+        parent-signature index (the generic :class:`ChunkStoreOps`
+        implementation scans the whole catalog per call)."""
+        with self._lock:
+            return self._db.chunk_families(signature)
 
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    @staticmethod
-    def serialize(node_name: str, value: Any) -> bytes:
-        """Pickle ``value`` for storage, mapping failures to :class:`StorageError`.
-
-        The codec-oblivious legacy form (always pickle); new code should call
-        :meth:`encode`, which also returns the codec id to record.
-        """
-        try:
-            return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise StorageError(f"cannot serialize artifact for node {node_name!r}: {exc}") from exc
-
     def encode(self, node_name: str, value: Any) -> Tuple[bytes, str]:
         """Serialize ``value`` under the store's codec policy.
 
@@ -497,8 +490,8 @@ class ArtifactStore(ChunkStoreOps):
         started = started_at if started_at is not None else time.perf_counter()
         size = float(len(payload))
         with self._lock:
-            existing = self._state.get(signature)
-            projected = self._state.used_bytes() - (existing.size if existing else 0.0) + size
+            existing = self._get_meta(signature)
+            projected = self._db.artifact_total_bytes() - (existing.size if existing else 0.0) + size
             if self.budget_bytes is not None and projected > self.budget_bytes:
                 raise BudgetExceededError(
                     f"materializing {node_name!r} ({size:.0f} B) would exceed the budget "
@@ -525,7 +518,8 @@ class ArtifactStore(ChunkStoreOps):
             codec=codec,
         )
         with self._lock:
-            self._state.put(meta)
+            self._touches.pop(signature, None)
+            self._db.upsert_artifact(meta)
         self.metrics.histogram(
             "repro_store_write_seconds",
             help="Artifact write latency (serialize time included when the caller folds it in).",
@@ -548,8 +542,8 @@ class ArtifactStore(ChunkStoreOps):
         updates access recency (``last_access_at``) under the lock,
         re-checking that the entry still exists — a concurrent eviction
         between the read and the bookkeeping must not resurrect a deleted
-        entry.  Updates are deferred to the next catalog write (or
-        :meth:`flush`) rather than hitting the catalog per read.
+        entry.  Updates are buffered (see :meth:`flush`) rather than hitting
+        the catalog per read.
         """
         meta = self.meta(signature)
         started = time.perf_counter()
@@ -602,7 +596,15 @@ class ArtifactStore(ChunkStoreOps):
     def _touch(self, signature: str, measured_load: Optional[float]) -> None:
         """Record one read's access metadata (deferred to the next flush)."""
         with self._lock:
-            self._state.touch(signature, time.time(), measured_load)
+            if not self._db.has_artifact(signature):
+                return
+            previous_load = self._touches.get(signature, (0.0, None))[1]
+            self._touches[signature] = (
+                time.time(),
+                measured_load if measured_load is not None else previous_load,
+            )
+            if len(self._touches) >= _TOUCH_FLUSH_EVERY:
+                self.flush()
 
     def delete(self, signature: str) -> None:
         """Remove one artifact and its catalog entry (persisted immediately)."""
@@ -610,7 +612,8 @@ class ArtifactStore(ChunkStoreOps):
             meta = self.meta(signature)
             self._forget_hot_value(meta.filename)
             self._backend.delete(meta.filename)
-            self._state.delete(signature)
+            self._touches.pop(signature, None)
+            self._db.delete_artifact(signature)
 
     def clear(self) -> None:
         """Remove every artifact (used by tests and by `--fresh` benchmark runs)."""
@@ -678,9 +681,9 @@ class ArtifactStore(ChunkStoreOps):
         stamps from one catalog flush, constant custom scorers) break on the
         signature, so repeated runs over the same catalog evict the same
         artifacts — reproducibility the cost-aware service benchmarks rely
-        on.  Under a SQLite catalog two processes evicting concurrently may
-        pick the same victim; the loser's backend delete is a no-op and the
-        batched row delete is idempotent, so accounting stays consistent.
+        on.  Two processes evicting concurrently may pick the same victim;
+        the loser's backend delete is a no-op and the batched row delete is
+        idempotent, so accounting stays consistent.
         """
         evicted: List[ArtifactMeta] = []
         if bytes_needed <= 0:
@@ -688,7 +691,7 @@ class ArtifactStore(ChunkStoreOps):
         with self._lock:
             candidates = [
                 meta
-                for signature, meta in self._state.snapshot().items()
+                for signature, meta in self._snapshot().items()
                 if signature not in self._pins
             ]
             candidates.sort(key=lambda meta: (self._eviction_score(meta, policy), meta.signature))
@@ -702,10 +705,12 @@ class ArtifactStore(ChunkStoreOps):
                 evicted.append(meta)
                 freed += meta.size
             if evicted:
-                # One catalog transaction (or JSON rewrite) for the whole
-                # batch — per-victim persistence would block concurrent
-                # loads k times over.
-                self._state.delete_many([meta.signature for meta in evicted])
+                # One catalog transaction for the whole batch — per-victim
+                # persistence would block concurrent loads k times over.
+                signatures = [meta.signature for meta in evicted]
+                for signature in signatures:
+                    self._touches.pop(signature, None)
+                self._db.delete_artifacts(signatures)
         if evicted:
             self.metrics.counter(
                 "repro_store_evictions_total",

@@ -143,11 +143,9 @@ class DeltaPlanner:
         run_iteration: int = 0,
         recorded_at: float = 0.0,
     ) -> Optional[DeltaPlan]:
-        """Detect input deltas and plan chunk reuse; ``None`` when the store
-        has no SQLite catalog (JSON workspaces) or no root changed."""
-        db = getattr(store, "catalog_db", None)
-        if db is None:
-            return None
+        """Detect input deltas and plan chunk reuse; ``None`` when no root
+        changed."""
+        db = store.catalog_db
         plan = DeltaPlan(n_partitions=self.n_partitions)
         for root in compiled.dag.topological_order():
             if compiled.dag.parents(root):

@@ -15,9 +15,10 @@ bug report, and prints a triage summary of detected anomalies:
 Anomaly checks are heuristics over the collected data, not judgments: a
 growing dispatcher queue (enqueue-depth trend), a collapsed cache hit rate,
 catalog busy-retry spikes, recorded slow ops, and error events each produce
-one line with the evidence, so triage starts from symptoms instead of file
-spelunking.  Every check runs even when its data source is missing — absent
-evidence is reported, never silently skipped.
+one line with the evidence, and a store root still in the retired
+``catalog.json`` format is reported as ``legacy_catalog`` — so triage starts
+from symptoms instead of file spelunking.  Every check runs even when its
+data source is missing — absent evidence is reported, never silently skipped.
 """
 
 from __future__ import annotations
@@ -69,38 +70,36 @@ def _series_value(snapshot: List[Dict[str, Any]], name: str) -> float:
 
 def _collect_store(workspace: str) -> Dict[str, Any]:
     from repro.core.workspace import resolve_store_root
-    from repro.storage.catalog import json_catalog_path, sqlite_catalog_path
+    from repro.errors import StorageError
+    from repro.storage.catalog import CatalogDB, sqlite_catalog_path
 
     info: Dict[str, Any] = {
         "root": None,
-        "catalog_format": None,
+        "legacy_catalog": None,
         "integrity_ok": None,
         "artifacts": None,
         "artifact_bytes": None,
         "db_bytes": None,
         "wal_bytes": None,
     }
-    root = resolve_store_root(workspace)
+    try:
+        root = resolve_store_root(workspace)
+    except StorageError as exc:
+        info["legacy_catalog"] = str(exc)
+        return info
     if root is None:
         return info
     info["root"] = root
     sqlite_path = sqlite_catalog_path(root)
-    if os.path.exists(sqlite_path):
-        info["catalog_format"] = "sqlite"
-        from repro.storage.catalog import CatalogDB
-
-        db = CatalogDB(sqlite_path)
-        try:
-            info["integrity_ok"] = db.integrity_ok()
-            info["artifacts"] = db.artifact_count()
-            info["artifact_bytes"] = db.artifact_total_bytes()
-        finally:
-            db.close()
-        info["db_bytes"] = _size_of(sqlite_path)
-        info["wal_bytes"] = _size_of(sqlite_path + "-wal")
-    elif os.path.exists(json_catalog_path(root)):
-        info["catalog_format"] = "json"
-        info["db_bytes"] = _size_of(json_catalog_path(root))
+    db = CatalogDB(sqlite_path)
+    try:
+        info["integrity_ok"] = db.integrity_ok()
+        info["artifacts"] = db.artifact_count()
+        info["artifact_bytes"] = db.artifact_total_bytes()
+    finally:
+        db.close()
+    info["db_bytes"] = _size_of(sqlite_path)
+    info["wal_bytes"] = _size_of(sqlite_path + "-wal")
     return info
 
 
@@ -174,6 +173,13 @@ def collect_report(
         },
     }
     report["anomalies"] = detect_anomalies(snapshot, events)
+    legacy = report["store"]["legacy_catalog"]
+    report["anomalies"].append({
+        "check": "legacy_catalog",
+        "triggered": legacy is not None,
+        "severity": "error",
+        "detail": legacy or "no store root in the retired catalog.json format",
+    })
     report["_events"] = events  # consumed by write_bundle, stripped from JSON
     return report
 
@@ -319,7 +325,9 @@ def render_triage(report: Dict[str, Any]) -> str:
     lines: List[str] = []
     store = report["store"]
     lines.append(f"workspace: {report['workspace']}")
-    if store["root"] is None:
+    if store["legacy_catalog"] is not None:
+        lines.append("store: unreadable (retired catalog.json format)")
+    elif store["root"] is None:
         lines.append("store: none found")
     else:
         integrity = (
@@ -329,7 +337,7 @@ def render_triage(report: Dict[str, Any]) -> str:
         )
         wal = store["wal_bytes"] or 0
         lines.append(
-            f"store: {store['catalog_format']} catalog, integrity {integrity}, "
+            f"store: sqlite catalog, integrity {integrity}, "
             f"{store['artifacts'] or 0} artifacts, wal {wal} bytes"
         )
     lines.append(

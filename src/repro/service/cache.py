@@ -29,9 +29,6 @@ write to its tenant for quota accounting and hit telemetry.
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -43,7 +40,7 @@ from repro.obs.events import events_for
 from repro.obs.registry import MetricsRegistry
 from repro.optimizer.cost_model import NodeCosts
 from repro.optimizer.materialization import MaterializationDecision, MaterializationPolicy
-from repro.storage.catalog import JSON_SIDECAR_FILENAME as _SIDECAR_FILENAME
+from repro.storage.catalog import CatalogDB
 
 
 @dataclass(frozen=True)
@@ -155,85 +152,14 @@ class SharedArtifactCache(ArtifactStore):
         # Signature → tenant whose run first materialized the artifact (the
         # tenant whose quota the bytes are charged to), and signature →
         # measured compute seconds (the recompute cost the artifact saves).
-        self._owners: Dict[str, str] = {}
-        self._compute_costs: Dict[str, float] = {}
+        # Both mirror the catalog's `owners` / `compute_costs` tables, which
+        # live in the same database as the artifact rows, so attribution
+        # survives restarts and mutations are row-level deltas.
+        self._owners: Dict[str, str] = self.catalog_db.owners(known_only=True)
+        self._compute_costs: Dict[str, float] = self.catalog_db.compute_costs()
         # Serializes the evict-then-write sequence so concurrent tenants
         # cannot both conclude there is room for their artifact.
         self._admission_lock = threading.Lock()
-        self._load_sidecar()
-
-    # ------------------------------------------------------------------
-    # Sidecar persistence (ownership + recompute costs survive restarts)
-    #
-    # Under a SQLite catalog the attribution tables (`owners`,
-    # `compute_costs`) live in the same database as the artifact rows, so
-    # mutations are row-level deltas; un-migrated JSON workspaces keep the
-    # legacy whole-file `cache_meta.json` rewrite.
-    # ------------------------------------------------------------------
-    def _sidecar_path(self) -> str:
-        return os.path.join(self.root, _SIDECAR_FILENAME)
-
-    def _load_sidecar(self) -> None:
-        db = self.catalog_db
-        if db is not None:
-            with self._lock:
-                self._owners = db.owners(known_only=True)
-                self._compute_costs = db.compute_costs()
-            return
-        path = self._sidecar_path()
-        if not os.path.exists(path):
-            return
-        try:
-            with open(path, "r") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return  # best-effort: a torn sidecar only loses attribution hints
-        with self._lock:
-            known = set(self.signatures())
-            self._owners = {
-                sig: tenant for sig, tenant in payload.get("owners", {}).items() if sig in known
-            }
-            self._compute_costs = {
-                sig: float(cost) for sig, cost in payload.get("compute_costs", {}).items()
-            }
-
-    def _save_sidecar(self) -> None:
-        path = self._sidecar_path()
-        temp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        payload = {"owners": self._owners, "compute_costs": self._compute_costs}
-        try:
-            with open(temp_path, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            os.replace(temp_path, path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.remove(temp_path)
-
-    def _persist_owner(self, signature: str, tenant: str) -> None:
-        """Persist one new ownership attribution (called under ``self._lock``)."""
-        db = self.catalog_db
-        if db is not None:
-            db.set_owner(signature, tenant)
-        else:
-            self._save_sidecar()
-
-    def _persist_costs(self, costs_by_signature: Dict[str, float]) -> None:
-        """Persist a batch of recompute costs (called under ``self._lock``)."""
-        db = self.catalog_db
-        if db is not None:
-            db.set_compute_costs(
-                {sig: self._compute_costs[sig] for sig in costs_by_signature}
-            )
-        else:
-            self._save_sidecar()
-
-    def _persist_removed_owners(self, signatures: List[str]) -> None:
-        """Drop evicted signatures' attribution (called under ``self._lock``)."""
-        db = self.catalog_db
-        if db is not None:
-            db.delete_owners(signatures)
-        else:
-            self._save_sidecar()
 
     # ------------------------------------------------------------------
     # Budget surface seen by the planner
@@ -250,7 +176,7 @@ class SharedArtifactCache(ArtifactStore):
         self.note_compute_costs({signature: seconds})
 
     def note_compute_costs(self, costs_by_signature: Dict[str, float]) -> None:
-        """Batch form of :meth:`note_compute_cost` — one sidecar write.
+        """Batch form of :meth:`note_compute_cost` — one catalog transaction.
 
         The service feeds this once per finished run from the run's node
         stats, so the eviction scorer ranks artifacts by *measured*
@@ -263,7 +189,9 @@ class SharedArtifactCache(ArtifactStore):
                 self._compute_costs[signature] = max(
                     float(seconds), self._compute_costs.get(signature, 0.0)
                 )
-            self._persist_costs(costs_by_signature)
+            self.catalog_db.set_compute_costs(
+                {sig: self._compute_costs[sig] for sig in costs_by_signature}
+            )
 
     def compute_cost(self, signature: str) -> Optional[float]:
         with self._lock:
@@ -353,7 +281,7 @@ class SharedArtifactCache(ArtifactStore):
             # owner: the bytes were first paid for by that tenant's quota.
             owner = self._owners.setdefault(signature, tenant)
             self.stats.puts += 1
-            self._persist_owner(signature, owner)
+            self.catalog_db.set_owner(signature, owner)
         if self.metrics.enabled:
             self.metrics.counter(
                 "repro_cache_puts_total", help="Artifacts admitted into the shared cache.",
@@ -403,7 +331,7 @@ class SharedArtifactCache(ArtifactStore):
                 self.stats.evictions += 1
                 self.stats.evicted_bytes += meta.size
                 self._owners.pop(meta.signature, None)
-            self._persist_removed_owners([meta.signature for meta in evicted])
+            self.catalog_db.delete_owners([meta.signature for meta in evicted])
         if self.metrics.enabled:
             self._evictions_total.inc(len(evicted))
             self._evicted_bytes_total.inc(sum(meta.size for meta in evicted))
@@ -492,13 +420,9 @@ class TenantStoreView(ChunkStoreOps):
         return self.cache.config.budget_bytes
 
     @property
-    def catalog_format(self) -> str:
-        return self.cache.catalog_format
-
-    @property
-    def catalog_db(self):
-        """The shared cache's SQLite catalog handle (``None`` on JSON roots) —
-        sessions running over a tenant view index their run traces here."""
+    def catalog_db(self) -> CatalogDB:
+        """The shared cache's catalog handle — sessions running over a tenant
+        view index their run traces and input fingerprints here."""
         return self.cache.catalog_db
 
     @property
@@ -550,10 +474,6 @@ class TenantStoreView(ChunkStoreOps):
         self.cache.flush()
 
     # -- attributed mutations ------------------------------------------
-    @staticmethod
-    def serialize(node_name: str, value: Any) -> bytes:
-        return ArtifactStore.serialize(node_name, value)
-
     def encode(self, node_name: str, value: Any) -> Tuple[bytes, str]:
         return self.cache.encode(node_name, value)
 

@@ -175,13 +175,10 @@ class WorkflowService:
             ).start()
 
     def _catalog_health(self):
-        """/healthz check: the shared cache's catalog (when SQLite) answers."""
+        """/healthz check: the shared cache's catalog answers."""
         if self.cache is None:
             return True, "no shared cache (isolated stores)"
-        catalog_db = getattr(self.cache, "catalog_db", None)
-        if catalog_db is None:
-            return True, "no sqlite catalog (nothing to probe)"
-        catalog_db.ping()  # raises StorageError when closed/unreachable
+        self.cache.catalog_db.ping()  # raises StorageError when closed/unreachable
         return True, "catalog answering"
 
     # ------------------------------------------------------------------

@@ -19,9 +19,9 @@ here:
   reads self-describe;
 * :class:`CatalogDB` — the workspace metadata plane: one WAL-mode SQLite
   database holding the artifact catalog, chunk inventory, cache-ownership
-  tables, and trace-run index, shared safely by concurrent processes
-  (:mod:`repro.storage.catalog` also keeps the legacy JSON catalog format
-  alive behind :func:`open_catalog_state`'s dual-read rule).
+  tables, trace-run index, and input fingerprints, shared safely by
+  concurrent processes.  It is the only catalog format; the artifact store
+  drives it directly (``ArtifactStore`` → ``CatalogDB``).
 """
 
 from repro.storage.backends import (
@@ -36,7 +36,6 @@ from repro.storage.catalog import (
     ArtifactMeta,
     CatalogDB,
     chunk_signature,
-    open_catalog_state,
     parse_chunk_signature,
 )
 from repro.storage.codecs import (
@@ -68,6 +67,5 @@ __all__ = [
     "backend_from_spec",
     "chunk_signature",
     "default_registry",
-    "open_catalog_state",
     "parse_chunk_signature",
 ]

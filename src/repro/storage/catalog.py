@@ -1,17 +1,11 @@
 """The workspace metadata plane: one WAL-mode SQLite catalog per store root.
 
-Before this module existed, a workspace's metadata lived in three JSON files
-— the artifact catalog (``catalog.json``), the shared cache's ownership
-sidecar (``cache_meta.json``), and the trace "index" (no index at all:
-``repro trace ls`` re-parsed every run's full JSONL body).  Batched
-``os.replace`` rewrites made each file crash-safe for one process, but a
-rewrite-the-world file is a race and a bottleneck the moment several service
-processes share one store: every writer serializes the entire catalog per
-flush, and readers re-parse it whole.
-
-:class:`CatalogDB` replaces all three with one SQLite database
-(``catalog.sqlite``) next to the artifacts, configured for exactly this
-sharing pattern:
+:class:`CatalogDB` holds everything a store root knows about itself — the
+artifact catalog, the chunk inventory, the shared cache's tenant ownership
+and measured recompute costs, the trace index behind ``repro trace ls``, and
+the per-chunk input fingerprints of incremental runs — in one SQLite database
+(``catalog.sqlite``) next to the artifacts, configured for many processes
+sharing one root:
 
 ==================  =========  ====================================
 pragma              value      why
@@ -25,26 +19,24 @@ pragma              value      why
 Mutations are row-level and transactional, so concurrent processes
 interleave at the row rather than the file, a SIGKILLed writer loses at most
 its uncommitted transaction (WAL recovery discards the torn tail on the next
-open), and ``repro store ls`` / ``repro trace ls`` become indexed SQL queries
+open), and ``repro store ls`` / ``repro trace ls`` are indexed SQL queries
 that stay fast at millions of artifacts.
 
-The module also owns the metadata *schema* shared by both catalog formats:
-:class:`ArtifactMeta` (one catalog entry) and the chunk-key helpers
-(:func:`chunk_signature` / :func:`parse_chunk_signature`), which the
-execution store re-exports for backward compatibility.  JSON workspaces keep
-working untouched — :class:`~repro.execution.store.ArtifactStore` dual-reads
-both formats and ``repro store migrate`` converts in place.
+The module also owns the metadata *schema*: :class:`ArtifactMeta` (one
+catalog entry) and the chunk-key helpers (:func:`chunk_signature` /
+:func:`parse_chunk_signature`), which the execution store re-exports.  It is
+the only module that knows the catalog's on-disk format; roots still in the
+retired ``catalog.json`` format are refused by :func:`refuse_legacy_root`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sqlite3
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StorageError
@@ -53,12 +45,11 @@ from repro.obs.registry import get_registry
 
 #: Filename of the SQLite catalog, next to the artifacts in the store root.
 SQLITE_CATALOG_FILENAME = "catalog.sqlite"
-#: Filename of the legacy JSON artifact catalog (pre-migration workspaces).
-JSON_CATALOG_FILENAME = "catalog.json"
-#: Filename of the legacy JSON cache-ownership sidecar.
-JSON_SIDECAR_FILENAME = "cache_meta.json"
+#: Filename of the retired JSON artifact catalog; a root holding one without
+#: a ``catalog.sqlite`` is refused (see :func:`refuse_legacy_root`).
+LEGACY_CATALOG_FILENAME = "catalog.json"
 
-#: Default codec recorded for catalogs written before the storage layer.
+#: Codec of a row written without one (the ``artifacts.codec`` column default).
 DEFAULT_CODEC_ID = "pickle"
 
 #: Bump when the schema changes shape; newer files refuse to open under
@@ -74,8 +65,7 @@ def chunk_signature(signature: str, index: int, count: int) -> str:
     """Catalog key of chunk ``index`` of ``count`` for ``signature``.
 
     Chunked artifacts store one catalog entry per partition chunk; the chunk
-    family is recovered by parsing keys, so old catalogs (and the shared
-    service cache) need no schema change.
+    family is recovered by parsing keys.
     """
     return f"{signature}{_CHUNK_MARKER}{index}.{count}"
 
@@ -106,7 +96,7 @@ class ArtifactMeta:
     is the wall clock *instant* of the most recent read or write, which is
     what LRU eviction orders by.  Both are updated under the store lock.
     ``codec`` names the :mod:`repro.storage.codecs` codec that encoded the
-    payload; catalogs written before the storage layer default to pickle.
+    payload.
     """
 
     signature: str
@@ -122,13 +112,6 @@ class ArtifactMeta:
     def accessed_at(self) -> float:
         """Timestamp for recency ordering (creation time until first access)."""
         return self.last_access_at if self.last_access_at is not None else self.created_at
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ArtifactMeta":
-        return cls(**payload)
 
 
 #: Column order shared by every artifact statement below.
@@ -228,9 +211,22 @@ def sqlite_catalog_path(root: str) -> str:
     return os.path.join(root, SQLITE_CATALOG_FILENAME)
 
 
-def json_catalog_path(root: str) -> str:
-    """Where a legacy store root keeps its JSON catalog."""
-    return os.path.join(root, JSON_CATALOG_FILENAME)
+def refuse_legacy_root(root: str) -> None:
+    """Raise :class:`~repro.errors.StorageError` when ``root`` is in the
+    retired JSON catalog format (``catalog.json`` without ``catalog.sqlite``).
+
+    Starting a fresh SQLite catalog there would orphan every payload the JSON
+    catalog names, so the root is refused instead of silently emptied.
+    """
+    legacy = os.path.join(root, LEGACY_CATALOG_FILENAME)
+    if os.path.exists(legacy) and not os.path.exists(sqlite_catalog_path(root)):
+        raise StorageError(
+            f"store root {root} holds {LEGACY_CATALOG_FILENAME} but no "
+            f"{SQLITE_CATALOG_FILENAME}: the JSON catalog format was retired. Every "
+            "artifact is a cache entry, so deleting the root is safe; to keep the "
+            "artifacts, convert the root with the last commit that shipped "
+            "`repro store migrate`."
+        )
 
 
 class CatalogDB:
@@ -517,8 +513,8 @@ class CatalogDB:
 
     def owners(self, known_only: bool = True) -> Dict[str, str]:
         """Signature → owning tenant; ``known_only`` filters to signatures
-        still present in the artifact catalog (mirrors the JSON sidecar's
-        load-time filtering of stale attribution hints)."""
+        still present in the artifact catalog (stale attribution hints of
+        evicted artifacts are dropped at load time)."""
         if known_only:
             sql = (
                 "SELECT o.signature AS signature, o.tenant AS tenant FROM owners o "
@@ -692,242 +688,3 @@ class CatalogDB:
         first assertion after reopening a killed writer's catalog."""
         row = self._execute("PRAGMA integrity_check").fetchone()
         return row is not None and row[0] == "ok"
-
-
-# ----------------------------------------------------------------------
-# Catalog states: the dual-read layer the artifact store drives
-# ----------------------------------------------------------------------
-class JsonCatalogState:
-    """The legacy metadata plane: an in-memory dict flushed to ``catalog.json``.
-
-    Exactly the pre-SQLite behavior, preserved so un-migrated workspaces keep
-    working: puts batch up to ``flush_every`` entries per crash-safe
-    ``os.replace`` rewrite, access-metadata touches mark the catalog dirty
-    without forcing a rewrite, deletes and evictions flush immediately.  All
-    methods are called under the artifact store's lock.
-    """
-
-    format = "json"
-    #: JSON catalogs have no SQLite handle; callers probe this for the
-    #: indexed fast paths.
-    db: Optional[CatalogDB] = None
-
-    def __init__(self, root: str, flush_every: int = 8) -> None:
-        self.root = root
-        self._entries: Dict[str, ArtifactMeta] = {}
-        self._dirty = False
-        self._mutations = 0
-        self._flush_every = max(1, int(flush_every))
-
-    def path(self) -> str:
-        return json_catalog_path(self.root)
-
-    def load(self, contains: Callable[[str], bool]) -> None:
-        path = self.path()
-        if not os.path.exists(path):
-            return
-        try:
-            with open(path, "r") as handle:
-                entries = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise StorageError(f"cannot read artifact catalog at {path}: {exc}") from exc
-        for entry in entries:
-            meta = ArtifactMeta.from_dict(entry)
-            if contains(meta.filename):
-                self._entries[meta.signature] = meta
-
-    def _save(self) -> None:
-        """Persist the catalog crash-safely: write a temp file, then rename.
-
-        ``os.replace`` is atomic on POSIX and Windows, so a reader (another
-        session sharing this root, or a crashed writer's successor) always
-        sees either the previous complete catalog or the new complete catalog
-        — never a torn write.  The JSON is compact: on a catalog of thousands
-        of artifacts, pretty-printing tripled the bytes rewritten per flush.
-        """
-        entries = [meta.to_dict() for meta in self._entries.values()]
-        path = self.path()
-        temp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        try:
-            with open(temp_path, "w") as handle:
-                json.dump(entries, handle, separators=(",", ":"))
-            os.replace(temp_path, path)
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                os.remove(temp_path)
-            raise StorageError(f"cannot write artifact catalog at {path}: {exc}") from exc
-        self._dirty = False
-        self._mutations = 0
-
-    # -- queries --------------------------------------------------------
-    def get(self, signature: str) -> Optional[ArtifactMeta]:
-        return self._entries.get(signature)
-
-    def contains(self, signature: str) -> bool:
-        return signature in self._entries
-
-    def snapshot(self) -> Dict[str, ArtifactMeta]:
-        return dict(self._entries)
-
-    def count(self) -> int:
-        return len(self._entries)
-
-    def used_bytes(self) -> float:
-        return sum(meta.size for meta in self._entries.values())
-
-    # -- mutations ------------------------------------------------------
-    def put(self, meta: ArtifactMeta) -> None:
-        """Record one artifact; batched flush accounting (one rewrite per
-        ``flush_every`` puts)."""
-        self._entries[meta.signature] = meta
-        self._dirty = True
-        self._mutations += 1
-        if self._mutations >= self._flush_every:
-            self._save()
-
-    def touch(
-        self, signature: str, last_access_at: float, last_load_time: Optional[float]
-    ) -> None:
-        current = self._entries.get(signature)
-        if current is None:
-            return
-        if last_load_time is not None:
-            current.last_load_time = last_load_time
-        current.last_access_at = last_access_at
-        self._dirty = True
-
-    def delete(self, signature: str) -> None:
-        del self._entries[signature]
-        self._save()
-
-    def delete_many(self, signatures: Iterable[str]) -> None:
-        for signature in signatures:
-            self._entries.pop(signature, None)
-        self._save()
-
-    def flush(self) -> None:
-        if self._dirty:
-            self._save()
-
-    def close(self) -> None:
-        self.flush()
-
-
-class SqliteCatalogState:
-    """The WAL-mode metadata plane: the database is the source of truth.
-
-    No in-memory mirror — every query reads through to SQLite, so concurrent
-    processes sharing one store root see each other's committed rows
-    immediately.  Puts and deletes commit before returning (an acknowledged
-    artifact survives a SIGKILL); access-metadata touches batch in memory
-    (overlaid on reads) and flush every ``flush_every`` updates — a crash
-    between flushes loses only recency metadata, never an artifact.
-    """
-
-    format = "sqlite"
-
-    def __init__(self, root: str, flush_every: int = 8, registry=None) -> None:
-        self.root = root
-        self.db = CatalogDB(sqlite_catalog_path(root), registry=registry)
-        self._flush_every = max(1, int(flush_every))
-        #: signature → (last_access_at, last_load_time or None), not yet in the DB.
-        self._touches: Dict[str, Tuple[float, Optional[float]]] = {}
-
-    def load(self, contains: Callable[[str], bool]) -> None:
-        """Reconcile rows against the byte store: entries whose payload is
-        gone (wiped directory, memory backend from a previous process, a
-        crash between a backend delete and its catalog delete) are purged so
-        the planner never plans a LOAD that cannot succeed."""
-        stale = [
-            meta.signature for meta in self.db.all_artifacts() if not contains(meta.filename)
-        ]
-        if stale:
-            self.db.delete_artifacts(stale)
-
-    def _overlay(self, meta: ArtifactMeta) -> ArtifactMeta:
-        pending = self._touches.get(meta.signature)
-        if pending is not None:
-            access_at, load_time = pending
-            meta.last_access_at = access_at
-            if load_time is not None:
-                meta.last_load_time = load_time
-        return meta
-
-    # -- queries --------------------------------------------------------
-    def get(self, signature: str) -> Optional[ArtifactMeta]:
-        meta = self.db.get_artifact(signature)
-        return self._overlay(meta) if meta is not None else None
-
-    def contains(self, signature: str) -> bool:
-        return self.db.has_artifact(signature)
-
-    def snapshot(self) -> Dict[str, ArtifactMeta]:
-        return {meta.signature: self._overlay(meta) for meta in self.db.all_artifacts()}
-
-    def count(self) -> int:
-        return self.db.artifact_count()
-
-    def used_bytes(self) -> float:
-        return self.db.artifact_total_bytes()
-
-    # -- mutations ------------------------------------------------------
-    def put(self, meta: ArtifactMeta) -> None:
-        self._touches.pop(meta.signature, None)
-        self.db.upsert_artifact(meta)
-
-    def touch(
-        self, signature: str, last_access_at: float, last_load_time: Optional[float]
-    ) -> None:
-        if not self.db.has_artifact(signature):
-            return
-        previous_load = self._touches.get(signature, (0.0, None))[1]
-        self._touches[signature] = (
-            last_access_at,
-            last_load_time if last_load_time is not None else previous_load,
-        )
-        if len(self._touches) >= self._flush_every:
-            self.flush()
-
-    def delete(self, signature: str) -> None:
-        self._touches.pop(signature, None)
-        self.db.delete_artifact(signature)
-
-    def delete_many(self, signatures: Iterable[str]) -> None:
-        signatures = list(signatures)
-        for signature in signatures:
-            self._touches.pop(signature, None)
-        self.db.delete_artifacts(signatures)
-
-    def flush(self) -> None:
-        if self._touches:
-            self.db.apply_touches(self._touches)
-            self._touches = {}
-
-    def close(self) -> None:
-        self.flush()
-        self.db.close()
-
-
-def open_catalog_state(root: str, catalog: str = "auto", flush_every: int = 8, registry=None):
-    """Pick and open the catalog format for a store root.
-
-    ``"auto"`` (the default) is the dual-read rule: an existing
-    ``catalog.sqlite`` wins, an existing ``catalog.json`` without one keeps
-    the legacy format (un-migrated workspaces work untouched), and a fresh
-    directory gets SQLite.  ``"sqlite"`` / ``"json"`` force a format —
-    tests and the migration tool use these.
-    """
-    if catalog == "auto":
-        if os.path.exists(sqlite_catalog_path(root)):
-            catalog = "sqlite"
-        elif os.path.exists(json_catalog_path(root)):
-            catalog = "json"
-        else:
-            catalog = "sqlite"
-    if catalog == "sqlite":
-        return SqliteCatalogState(root, flush_every=flush_every, registry=registry)
-    if catalog == "json":
-        return JsonCatalogState(root, flush_every=flush_every)
-    raise StorageError(
-        f"unknown catalog format {catalog!r}; expected 'auto', 'sqlite', or 'json'"
-    )

@@ -59,12 +59,12 @@ def run_writer(root: str, count: int, seed: int) -> int:
     from repro.execution.store import ArtifactStore
 
     rng = random.Random(seed)
-    store = ArtifactStore(root, catalog="sqlite")
+    store = ArtifactStore(root)
     for index in range(count):
         signature = f"w{seed}-{index:05d}"
         payload = _payload(rng)
         meta = store.put_bytes(signature, f"node-{index}", payload)
-        # The put has committed (SqliteCatalogState.put returns post-COMMIT),
+        # The put has committed (ArtifactStore.put_bytes returns post-COMMIT),
         # so this ack is the durability promise the crash test holds us to.
         print(f"ACK {signature} {int(meta.size)}", flush=True)
     store.close()
@@ -86,7 +86,7 @@ def run_worker(root: str, worker_id: int, ops: int, seed: int) -> int:
     from repro.introspect.trace import RunTrace
 
     rng = random.Random(seed)
-    store = ArtifactStore(root, catalog="sqlite")
+    store = ArtifactStore(root)
     acked = {}
     deleted: List[str] = []
     evicted: List[str] = []

@@ -30,7 +30,7 @@ from repro.dsl.operators import (
     SyntheticCensusSource,
 )
 from repro.dsl.workflow import Workflow
-from repro.workloads.spec import IterationSpec, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 NUMERIC_FIELDS = ("age", "education_num", "capital_gain", "capital_loss", "hours_per_week", "target")
 

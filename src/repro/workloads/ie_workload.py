@@ -27,7 +27,7 @@ from repro.dsl.ie_operators import (
     TokenShapeExtractor,
 )
 from repro.dsl.workflow import Workflow
-from repro.workloads.spec import IterationSpec, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 
 @dataclass(frozen=True)

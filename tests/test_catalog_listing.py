@@ -81,12 +81,12 @@ class TestStoreLsIsMetadataOnly:
     def test_ls_is_one_indexed_query_not_a_full_scan(self, big_workspace, monkeypatch, capsys):
         """The listing must come from the size-indexed SQL query, not from
         materializing all 10k catalog entries and sorting in Python."""
-        from repro.storage import catalog as catalog_module
+        from repro.execution.store import ArtifactStore
 
         def forbidden(self):  # pragma: no cover - the call is the failure
             raise AssertionError("store ls materialized the full catalog")
 
-        monkeypatch.setattr(catalog_module.SqliteCatalogState, "snapshot", forbidden)
+        monkeypatch.setattr(ArtifactStore, "_snapshot", forbidden)
         assert main(["store", "ls", "--workspace", str(big_workspace), "--limit", "5"]) == 0
         assert "sig" in capsys.readouterr().out
 

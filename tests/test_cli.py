@@ -151,6 +151,23 @@ class TestStoreCommand:
         assert main(["store", "evict", "--workspace", workspace]) == 2
         assert "--bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "action, flag, value",
+        [
+            ("ls", "--limit", "0"),
+            ("ls", "--limit", "-1"),
+            ("evict", "--bytes", "-5"),
+            ("evict", "--bytes", "0"),
+        ],
+    )
+    def test_non_positive_limit_and_bytes_rejected_by_argparse(
+        self, capsys, tmp_path, action, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", action, "--workspace", str(tmp_path), flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_missing_catalog_errors(self, capsys, tmp_path):
         assert main(["store", "stats", "--workspace", str(tmp_path)]) == 2
         assert "no artifact catalog" in capsys.readouterr().err

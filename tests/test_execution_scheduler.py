@@ -336,9 +336,7 @@ class TestAsyncMaterialization:
         stats_probe = []
 
         class FailingStore:
-            # Deliberately the legacy 3-argument signature (no codec kwarg):
-            # codec-oblivious custom stores must keep working.
-            def put_bytes(self, signature, node_name, payload):
+            def put_bytes(self, signature, node_name, payload, codec):
                 stats_probe.append(node_name)
                 raise OSError("disk on fire")
 
@@ -346,7 +344,7 @@ class TestAsyncMaterialization:
         from repro.execution.stats import NodeRunStats
 
         stats = NodeRunStats("n", "sig", "Op", "purple", NodeState.COMPUTE)
-        writer.submit("sig", "n", b"payload", stats)
+        writer.submit("sig", "n", b"payload", stats, codec="pickle")
         with pytest.raises(OSError, match="disk on fire"):
             writer.drain()
         assert stats_probe == ["n"]
@@ -358,7 +356,7 @@ class TestAsyncMaterialization:
         writer = AsyncMaterializer(store, queue_size=1)
         for index in range(3):
             stats = NodeRunStats(f"n{index}", f"sig{index}", "Op", "purple", NodeState.COMPUTE)
-            writer.submit(f"sig{index}", f"n{index}", pickle.dumps([index]), stats)
+            writer.submit(f"sig{index}", f"n{index}", pickle.dumps([index]), stats, codec="pickle")
         assert writer.drain() == 3
         assert sorted(store.signatures()) == ["sig0", "sig1", "sig2"]
 

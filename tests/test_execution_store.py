@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro.errors import BudgetExceededError, StorageError
-from repro.execution.store import ArtifactStore
+from repro.execution.store import ArtifactStore, chunk_signature
+from repro.storage.catalog import CatalogDB, sqlite_catalog_path
 
 
 @pytest.fixture
@@ -130,11 +131,36 @@ class TestDeletionAndPersistence:
 
     def test_corrupt_catalog_raises_storage_error(self, tmp_path):
         root = str(tmp_path / "a")
-        ArtifactStore(root, catalog="json")
-        with open(os.path.join(root, "catalog.json"), "w") as handle:
-            handle.write("{not json")
+        ArtifactStore(root).close()
+        for suffix in ("-wal", "-shm"):
+            if os.path.exists(sqlite_catalog_path(root) + suffix):
+                os.remove(sqlite_catalog_path(root) + suffix)
+        with open(sqlite_catalog_path(root), "wb") as handle:
+            handle.write(b"{not a database" * 64)
         with pytest.raises(StorageError):
-            ArtifactStore(root)  # dual-read "auto" resolves this root to JSON
+            ArtifactStore(root)
+
+    @pytest.mark.parametrize("opener", ["store", "session", "cli"])
+    def test_legacy_json_root_is_refused(self, tmp_path, capsys, opener):
+        # Outside input: a root written by a build that predates the SQLite
+        # catalog.  Opening it must fail loudly, not start an empty catalog
+        # beside the orphaned payloads.
+        from repro.cli import main
+        from repro.core.session import HelixSession
+
+        workspace = tmp_path / "ws"
+        root = workspace / "artifacts"
+        root.mkdir(parents=True)
+        (root / "catalog.json").write_text("[]")
+        if opener == "cli":
+            assert main(["store", "ls", "--workspace", str(workspace)]) == 2
+            message = capsys.readouterr().err
+        else:
+            with pytest.raises(StorageError) as excinfo:
+                ArtifactStore(str(root)) if opener == "store" else HelixSession(str(workspace))
+            message = str(excinfo.value)
+        assert "retired" in message and str(root) in message
+        assert os.listdir(root) == ["catalog.json"]
 
 
 class TestAccessRecency:
@@ -161,31 +187,24 @@ class TestAccessRecency:
         assert meta.accessed_at() == 123.0
 
     def test_old_catalog_without_new_fields_still_loads(self, tmp_path):
-        import json
+        import sqlite3
 
         root = str(tmp_path / "a")
-        store = ArtifactStore(root, catalog="json")
+        store = ArtifactStore(root)
         store.put("s1", "n1", [1])
-        store.flush()
-        # Strip the new fields, as a catalog written by an older version.
-        with open(os.path.join(root, "catalog.json")) as handle:
-            entries = json.load(handle)
-        for entry in entries:
-            entry.pop("last_access_at", None)
-        with open(os.path.join(root, "catalog.json"), "w") as handle:
-            json.dump(entries, handle)
+        store.close()
+        # Null the optional fields, as a row written by an older version.
+        with sqlite3.connect(sqlite_catalog_path(root)) as conn:
+            conn.execute("UPDATE artifacts SET last_access_at = NULL, last_load_time = NULL")
         reopened = ArtifactStore(root)
         assert reopened.has("s1")
         assert reopened.meta("s1").last_access_at is None
+        assert reopened.get("s1")[0] == [1]
 
 
-class TestCrashSafeCatalog:
-    """Crash-safety contract of the *legacy JSON* catalog format.
-
-    New workspaces default to the WAL-mode SQLite catalog (covered by
-    ``tests/test_catalog_crash.py`` and friends); these tests pin the JSON
-    format explicitly because un-migrated workspaces still rely on it.
-    """
+class TestCatalogPersistence:
+    """What another handle on the same root sees, and when (the kill -9 and
+    multi-process sides are ``tests/test_catalog_crash.py`` and friends)."""
 
     def test_no_temp_files_left_after_writes(self, store):
         for index in range(5):
@@ -196,54 +215,26 @@ class TestCrashSafeCatalog:
         assert leftovers == []
 
     def test_flush_persists_deferred_access_metadata(self, tmp_path):
-        import json
-
         root = str(tmp_path / "a")
-        store = ArtifactStore(root, catalog="json")
+        store = ArtifactStore(root)
         store.put("s1", "n1", [1, 2, 3])
-        store.get("s1")  # deferred: catalog on disk not yet updated
+        store.get("s1")  # deferred: the catalog row is not yet updated
+        other = CatalogDB(sqlite_catalog_path(root))
+        assert other.get_artifact("s1").last_load_time is None
+        assert store.meta("s1").last_load_time is not None  # overlaid on reads
         store.flush()
-        with open(os.path.join(root, "catalog.json")) as handle:
-            entries = json.load(handle)
-        assert entries[0]["last_load_time"] is not None
-
-    def test_puts_batch_catalog_flushes(self, tmp_path):
-        import json
-
-        root = str(tmp_path / "a")
-        store = ArtifactStore(root, flush_every=3, catalog="json")
-        store.put("s1", "n1", [1, 2, 3])
-        store.get("s1")
-        store.put("s2", "n2", [4])
-        # Two puts + one read = below the batch size: nothing persisted yet.
-        assert not os.path.exists(os.path.join(root, "catalog.json"))
-        store.put("s3", "n3", [5])  # third deferred mutation flushes the batch
-        with open(os.path.join(root, "catalog.json")) as handle:
-            entries = json.load(handle)
-        by_signature = {entry["signature"]: entry for entry in entries}
-        assert set(by_signature) == {"s1", "s2", "s3"}
-        assert by_signature["s1"]["last_load_time"] is not None
+        assert other.get_artifact("s1").last_load_time is not None
+        other.close()
 
     def test_delete_flushes_immediately(self, tmp_path):
-        import json
-
         root = str(tmp_path / "a")
-        store = ArtifactStore(root, catalog="json")
+        store = ArtifactStore(root)
         store.put("s1", "n1", [1])
         store.put("s2", "n2", [2])
         store.delete("s1")
-        with open(os.path.join(root, "catalog.json")) as handle:
-            entries = json.load(handle)
-        assert [entry["signature"] for entry in entries] == ["s2"]
-
-    def test_catalog_json_is_compact(self, tmp_path):
-        root = str(tmp_path / "a")
-        store = ArtifactStore(root, catalog="json")
-        store.put("s1", "n1", [1])
-        store.flush()
-        with open(os.path.join(root, "catalog.json")) as handle:
-            text = handle.read()
-        assert "\n" not in text.strip() and ": " not in text
+        other = CatalogDB(sqlite_catalog_path(root))
+        assert [meta.signature for meta in other.all_artifacts()] == ["s2"]
+        other.close()
 
 
 class TestEviction:
@@ -344,7 +335,7 @@ class TestEvictionDeterminism:
 
 class TestChunkedArtifacts:
     def test_chunk_signature_roundtrip(self):
-        from repro.execution.store import chunk_signature, parse_chunk_signature
+        from repro.execution.store import parse_chunk_signature
 
         key = chunk_signature("abc123", 2, 4)
         assert parse_chunk_signature(key) == ("abc123", 2, 4)
@@ -352,37 +343,34 @@ class TestChunkedArtifacts:
         assert parse_chunk_signature("abc#pbad") is None
 
     def test_put_get_chunks_and_families(self, store):
-        payloads = [store.serialize("n", [i] * 10) for i in range(3)]
-        for index, payload in enumerate(payloads):
-            store.put_chunk_bytes("sig", "n", index, 3, payload)
+        for index in range(3):
+            store.put(chunk_signature("sig", index, 3), "n", [index] * 10)
         assert store.chunk_families("sig") == {3: [0, 1, 2]}
         value, elapsed = store.get_chunk("sig", 1, 3)
         assert value == [1] * 10 and elapsed >= 0.0
         assert not store.has("sig"), "chunks must not masquerade as the monolithic artifact"
 
     def test_inventory_prefers_complete_family(self, store):
-        payload = store.serialize("n", list(range(5)))
+        value = list(range(5))
         # incomplete family of 4, complete family of 2
-        store.put_chunk_bytes("sig", "n", 0, 4, payload)
-        store.put_chunk_bytes("sig", "n", 0, 2, payload)
-        store.put_chunk_bytes("sig", "n", 1, 2, payload)
+        store.put(chunk_signature("sig", 0, 4), "n", value)
+        meta = store.put(chunk_signature("sig", 0, 2), "n", value)
+        store.put(chunk_signature("sig", 1, 2), "n", value)
         inventory = store.chunk_inventory()["sig"]
         assert inventory.count == 2 and inventory.complete
         assert inventory.present == (0, 1)
-        assert inventory.bytes_present == pytest.approx(2 * len(payload))
+        assert inventory.bytes_present == pytest.approx(2 * meta.size)
 
     def test_inventory_reports_partial_family(self, store):
-        payload = store.serialize("n", list(range(5)))
-        store.put_chunk_bytes("sig", "n", 0, 4, payload)
-        store.put_chunk_bytes("sig", "n", 3, 4, payload)
+        store.put(chunk_signature("sig", 0, 4), "n", list(range(5)))
+        store.put(chunk_signature("sig", 3, 4), "n", list(range(5)))
         inventory = store.chunk_inventory()["sig"]
         assert not inventory.complete
         assert inventory.present == (0, 3) and inventory.missing == (1, 2)
 
     def test_chunk_signatures_and_delete(self, store):
-        payload = store.serialize("n", [1])
         for index in range(2):
-            store.put_chunk_bytes("sig", "n", index, 2, payload)
+            store.put(chunk_signature("sig", index, 2), "n", [1])
         assert len(store.chunk_signatures("sig")) == 2
         assert store.delete_chunks("sig") == 2
         assert store.chunk_families("sig") == {}

@@ -489,3 +489,11 @@ class TestDoctorCli:
         assert main(["doctor", "--workspace", workspace, "--no-bundle"]) == 0
         out = capsys.readouterr().out
         assert "bundle" not in out.splitlines()[-1] or "anomalies" in out
+
+    def test_doctor_reports_legacy_catalog_root(self, tmp_path, capsys):
+        root = tmp_path / "ws" / "artifacts"
+        root.mkdir(parents=True)
+        (root / "catalog.json").write_text("[]")
+        assert main(["doctor", "--workspace", str(tmp_path / "ws"), "--no-bundle"]) == 1
+        out = capsys.readouterr().out
+        assert "[error] legacy_catalog:" in out and str(root) in out

@@ -242,9 +242,7 @@ class TestWriteThroughInvariant:
     def test_every_demoted_artifact_remains_loadable(self, tmp_path):
         # A memory tier far smaller than the artifact set: every put demotes,
         # and every artifact must still round-trip through the disk tier.
-        store = ArtifactStore(
-            str(tmp_path), backend="tiered", memory_tier_bytes=256, flush_every=1
-        )
+        store = ArtifactStore(str(tmp_path), backend="tiered", memory_tier_bytes=256)
         values = {f"sig{i}": list(range(40 * (i + 1))) for i in range(8)}
         for signature, value in values.items():
             store.put(signature, "node", value)

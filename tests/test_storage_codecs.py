@@ -152,24 +152,6 @@ class TestSelfDescribingReads:
         assert store.meta("sig").codec == "pickle+zlib"
         assert store.get("sig")[0] == list(range(100))
 
-    def test_legacy_catalog_defaults_to_pickle(self, tmp_path):
-        import json
-        import os
-
-        root = str(tmp_path / "a")
-        store = ArtifactStore(root, catalog="json")
-        store.put("sig", "node", [1, 2])
-        store.flush()
-        with open(os.path.join(root, "catalog.json")) as handle:
-            entries = json.load(handle)
-        for entry in entries:
-            entry.pop("codec", None)  # as written before the storage layer
-        with open(os.path.join(root, "catalog.json"), "w") as handle:
-            json.dump(entries, handle)
-        reopened = ArtifactStore(root)
-        assert reopened.meta("sig").codec == "pickle"
-        assert reopened.get("sig")[0] == [1, 2]
-
     def test_scheduler_writes_record_their_codec(self, tmp_path):
         # End to end: a session materializes through the async writer; the
         # catalog must reflect the auto-chosen codecs.
