@@ -23,29 +23,23 @@ def run_comparison():
     )
 
 
-def test_figure2a_ie_cumulative_runtime(benchmark, write_result):
-    result = benchmark.pedantic(run_comparison, rounds=3, iterations=1)
+def test_figure2a_ie_cumulative_runtime(write_result):
+    result = run_comparison()
     write_result("figure2a_ie_cumulative_runtime", result.render())
 
     helix_total = result.cumulative("helix")
     deepdive_total = result.cumulative("deepdive")
     reduction = 1.0 - helix_total / deepdive_total
-    benchmark.extra_info["helix_cumulative_s"] = round(helix_total, 1)
-    benchmark.extra_info["deepdive_cumulative_s"] = round(deepdive_total, 1)
-    benchmark.extra_info["helix_reduction_vs_deepdive"] = round(reduction, 3)
 
     # Shape assertions (paper: ~60% reduction; we accept anything substantial).
     assert reduction > 0.40
     assert result.cumulative("helix_unopt") > deepdive_total  # never-reuse is the worst
 
 
-def test_figure2a_helix_iteration_profile(benchmark, write_result):
+def test_figure2a_helix_iteration_profile(write_result):
     """Per-iteration runtimes for HELIX, colored by change type (the bar heights)."""
 
-    def helix_only():
-        return run_simulated_comparison("figure2a_helix", ie_sim_workload(), [HELIX], defaults=sim_defaults())
-
-    result = benchmark.pedantic(helix_only, rounds=3, iterations=1)
+    result = run_simulated_comparison("figure2a_helix", ie_sim_workload(), [HELIX], defaults=sim_defaults())
     reports = result.reports_by_system["helix"]
     rows = [
         {

@@ -29,8 +29,8 @@ def run_comparison():
     return full
 
 
-def test_figure2b_census_cumulative_runtime(benchmark, write_result):
-    result = benchmark.pedantic(run_comparison, rounds=3, iterations=1)
+def test_figure2b_census_cumulative_runtime(write_result):
+    result = run_comparison()
 
     helix_total = result.cumulative("helix")
     keystone_total = result.cumulative("keystoneml")
@@ -46,26 +46,18 @@ def test_figure2b_census_cumulative_runtime(benchmark, write_result):
     )
     write_result("figure2b_census_cumulative_runtime", text)
 
-    benchmark.extra_info["helix_cumulative_s"] = round(helix_total, 1)
-    benchmark.extra_info["keystoneml_cumulative_s"] = round(keystone_total, 1)
-    benchmark.extra_info["keystoneml_over_helix"] = round(speedup, 2)
-    benchmark.extra_info["deepdive_over_helix_at_iteration_2"] = round(deepdive_first_two / helix_first_two, 2)
-
     # Paper: nearly an order of magnitude; we require a >5x gap.
     assert speedup > 5.0
     # DeepDive (first two iterations) is already above HELIX's first two iterations.
     assert deepdive_first_two > helix_first_two
 
 
-def test_figure2b_iteration_type_breakdown(benchmark, write_result):
+def test_figure2b_iteration_type_breakdown(write_result):
     """Average per-iteration runtime by change type for each system (§2.4 narrative)."""
 
-    def run():
-        return run_simulated_comparison(
-            "figure2b_census_types", census_sim_workload(), [HELIX, KEYSTONEML], defaults=sim_defaults()
-        )
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    result = run_simulated_comparison(
+        "figure2b_census_types", census_sim_workload(), [HELIX, KEYSTONEML], defaults=sim_defaults()
+    )
     rows = []
     for system, reports in result.reports_by_system.items():
         by_category = {}

@@ -45,8 +45,8 @@ def sweep_policies(storage_budget=float("inf")):
     return rows
 
 
-def test_materialization_policy_comparison(benchmark, write_result):
-    rows = benchmark.pedantic(sweep_policies, rounds=2, iterations=1)
+def test_materialization_policy_comparison(write_result):
+    rows = sweep_policies()
     write_result("ablation_materialization_policies", format_table(rows))
     by_policy = {row["policy"]: row for row in rows}
 
@@ -56,32 +56,28 @@ def test_materialization_policy_comparison(benchmark, write_result):
     assert by_policy["helix_online"]["peak_storage_GB"] <= by_policy["materialize_all"]["peak_storage_GB"] + 1e-9
 
 
-def test_storage_budget_sweep(benchmark, write_result):
+def test_storage_budget_sweep(write_result):
     """Cumulative runtime of the online policy as the storage budget shrinks."""
 
     budgets = [float("inf"), 8 * GB, 4 * GB, 2 * GB, 1 * GB, 0.25 * GB, 0.0]
 
-    def run_sweep():
-        rows = []
-        for budget in budgets:
-            result = run_simulated_comparison(
-                "budget_sweep",
-                census_sim_workload(),
-                [ExecutionStrategy(name="helix", recomputation="optimal", materialization="helix_online")],
-                storage_budget=budget,
-                defaults=sim_defaults(),
-            )
-            reports = result.reports_by_system["helix"]
-            rows.append(
-                {
-                    "budget_GB": "unlimited" if budget == float("inf") else round(budget / GB, 2),
-                    "cumulative_s": round(sum(r.total_runtime for r in reports), 1),
-                    "peak_storage_GB": round(max(r.storage_used for r in reports) / GB, 2),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    rows = []
+    for budget in budgets:
+        result = run_simulated_comparison(
+            "budget_sweep",
+            census_sim_workload(),
+            [ExecutionStrategy(name="helix", recomputation="optimal", materialization="helix_online")],
+            storage_budget=budget,
+            defaults=sim_defaults(),
+        )
+        reports = result.reports_by_system["helix"]
+        rows.append(
+            {
+                "budget_GB": "unlimited" if budget == float("inf") else round(budget / GB, 2),
+                "cumulative_s": round(sum(r.total_runtime for r in reports), 1),
+                "peak_storage_GB": round(max(r.storage_used for r in reports) / GB, 2),
+            }
+        )
     write_result("ablation_storage_budget_sweep", format_table(rows))
 
     cumulative = [row["cumulative_s"] for row in rows]

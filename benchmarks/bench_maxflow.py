@@ -1,17 +1,20 @@
 """PERF-FLOW: scalability of the max-flow solver behind the recomputation optimizer.
 
 The recomputation problem is PTIME via a reduction to project selection /
-min-cut; these benchmarks measure the constant factors of our Dinic
-implementation on project-selection-shaped networks of growing size, and
-compare against networkx's preflow-push as a reference point.
+min-cut; this script tabulates the constant factors of our Dinic
+implementation on project-selection-shaped networks of growing size, next to
+networkx's preflow-push as a reference point.
 """
 
 from __future__ import annotations
+
+import time
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.bench.reporting import format_table
 from repro.optimizer.maxflow import FlowNetwork
 
 
@@ -35,17 +38,26 @@ def psp_shaped_network(n_items, seed=0):
     return network, source, sink
 
 
-@pytest.mark.parametrize("n_items", [100, 500, 2000])
-def test_dinic_scales_on_psp_networks(benchmark, n_items):
-    def build_and_solve():
-        network, source, sink = psp_shaped_network(n_items, seed=n_items)
-        return network.max_flow(source, sink)
-
-    flow = benchmark(build_and_solve)
-    assert flow >= 0.0
+def timed(fn):
+    started = time.perf_counter()
+    value = fn()
+    return value, time.perf_counter() - started
 
 
-def test_dinic_matches_networkx_on_medium_network(benchmark):
+def test_dinic_scales_on_psp_networks(write_result):
+    rows = []
+    for n_items in (100, 500, 2000):
+        def build_and_solve():
+            network, source, sink = psp_shaped_network(n_items, seed=n_items)
+            return network.max_flow(source, sink)
+
+        flow, seconds = timed(build_and_solve)
+        assert flow >= 0.0
+        rows.append({"n_items": n_items, "max_flow": flow, "build_and_solve_s": round(seconds, 4)})
+    write_result("perf_maxflow_scaling", format_table(rows))
+
+
+def test_dinic_matches_networkx_on_medium_network(write_result):
     """Correctness + relative speed against the library implementation."""
     rng = np.random.default_rng(42)
     n_nodes = 120
@@ -63,7 +75,7 @@ def test_dinic_matches_networkx_on_medium_network(benchmark):
             graph[u][v]["capacity"] += capacity
         else:
             graph.add_edge(u, v, capacity=capacity)
-    expected = nx.maximum_flow_value(graph, 0, n_nodes - 1)
+    expected, networkx_s = timed(lambda: nx.maximum_flow_value(graph, 0, n_nodes - 1))
 
     def solve_ours():
         network = FlowNetwork(n_nodes)
@@ -71,5 +83,9 @@ def test_dinic_matches_networkx_on_medium_network(benchmark):
             network.add_edge(u, v, capacity)
         return network.max_flow(0, n_nodes - 1)
 
-    flow = benchmark(solve_ours)
+    flow, ours_s = timed(solve_ours)
+    write_result("perf_maxflow_vs_networkx", format_table([
+        {"solver": "dinic (ours)", "max_flow": flow, "seconds": round(ours_s, 4)},
+        {"solver": "networkx", "max_flow": expected, "seconds": round(networkx_s, 4)},
+    ]))
     assert flow == pytest.approx(expected)

@@ -1,9 +1,9 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the paper-artifact scripts (see ``benchmarks/README.md``).
 
-Every figure/table benchmark both (a) measures its runtime via
-pytest-benchmark and (b) regenerates the corresponding report table, printing
-it and writing it under ``benchmarks/results/`` so the numbers can be compared
-against the paper (see EXPERIMENTS.md).
+Each ``bench_*`` file regenerates one of the paper's figures or tables,
+printing it and writing it under ``benchmarks/results/`` (git-ignored).  The
+table is the artifact; nothing here is timed or gated — seconds live in the
+ledger (``benchmarks/ledger/``).
 """
 
 from __future__ import annotations

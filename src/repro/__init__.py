@@ -2,7 +2,8 @@
 
 Public API overview
 -------------------
-* :class:`repro.core.HelixSession` — the iterative development driver.
+* :class:`repro.core.HelixSession` — the iterative development driver;
+  :class:`repro.core.RunConfig` declares its run options.
 * :mod:`repro.dsl` — declarative workflow DSL (operators + ``Workflow``).
 * :mod:`repro.compiler` — DSL → DAG lowering, program slicing, change tracking.
 * :mod:`repro.optimizer` — recomputation (project-selection/max-flow) and
@@ -27,7 +28,7 @@ Public API overview
 """
 
 from repro.baselines import DEEPDIVE, HELIX, HELIX_UNOPTIMIZED, KEYSTONEML, ExecutionStrategy
-from repro.core import HelixSession, SessionRunResult
+from repro.core import HelixSession, RunConfig, SessionRunResult
 from repro.dsl import Workflow
 from repro.execution import ArtifactStore, WorkflowSimulator
 from repro.incremental import DeltaDetector, DeltaPlanner, DirtyPropagator
@@ -38,6 +39,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "HelixSession",
+    "RunConfig",
     "SessionRunResult",
     "Workflow",
     "ArtifactStore",

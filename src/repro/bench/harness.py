@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.strategies import ExecutionStrategy
 from repro.bench.reporting import cumulative_table, format_table, ratio_summary
+from repro.core.config import RunConfig
 from repro.core.session import HelixSession
 from repro.execution.simulator import SimIteration
 from repro.execution.stats import IterationReport
@@ -129,25 +130,14 @@ def run_real_comparison(
     workload: WorkloadSpec,
     strategies: Sequence[ExecutionStrategy],
     workspace_root: Optional[str] = None,
-    storage_budget: Optional[float] = None,
-    backend: str = "serial",
-    parallelism: int = 1,
-    partitions: Optional[int] = None,
-    store_backend: Optional[str] = None,
-    memory_tier_mb: Optional[float] = None,
-    codec: str = "auto",
-    compiled: bool = False,
+    config: RunConfig = RunConfig(),
 ) -> ComparisonResult:
     """Execute a real workload end to end, once per strategy, in isolated workspaces.
 
-    ``backend``/``parallelism`` select the wavefront scheduler's worker pool
-    and ``partitions`` its intra-operator partition count for every session
-    (see :mod:`repro.execution.scheduler`); results are backend-independent,
-    only wall-clock time changes.  ``store_backend`` / ``memory_tier_mb`` /
-    ``codec`` configure the storage layer under every session's artifact
-    store (see :mod:`repro.storage`); results are storage-independent too.
-    ``compiled`` turns on every session's compiled hot path (operator fusion,
-    plan caching, warm-started min-cut; see :mod:`repro.compile`).
+    Every session runs under ``config`` (see
+    :class:`~repro.core.config.RunConfig`) with the arm's strategy swapped
+    in; results are independent of the backend, partitioning and storage
+    fields — only wall-clock time changes.
     """
     if workspace_root is None:
         workspace_root = tempfile.mkdtemp(prefix="helix_bench_")
@@ -157,18 +147,8 @@ def run_real_comparison(
         descriptions=[spec.description for spec in workload.iterations],
     )
     for strategy in strategies:
-        workspace = os.path.join(workspace_root, strategy.name)
         session = HelixSession(
-            workspace=workspace,
-            strategy=strategy,
-            storage_budget=storage_budget,
-            backend=backend,
-            parallelism=parallelism,
-            partitions=partitions,
-            store_backend=store_backend,
-            memory_tier_mb=memory_tier_mb,
-            codec=codec,
-            compiled=compiled,
+            os.path.join(workspace_root, strategy.name), config, strategy=strategy
         )
         reports: List[IterationReport] = []
         for spec in workload.iterations:

@@ -35,11 +35,13 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from repro.baselines.strategies import ALL_STRATEGIES, DEEPDIVE, HELIX, KEYSTONEML, strategy_by_name
 from repro.bench.harness import run_real_comparison, run_simulated_comparison
 from repro.bench.reporting import format_table
+from repro.core.config import CODECS, STORE_BACKENDS, RunConfig
 from repro.core.suggestions import suggest_modifications
 from repro.core.workspace import (
     list_trace_runs,
@@ -79,10 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # (None) means one worker per CPU, matching the pooled backends' default.
     parallelism_help = "worker count (default: one per CPU)"
 
-    def add_storage_args(sub) -> None:
-        """The storage-layer knobs every executing verb shares."""
+    def add_run_args(sub) -> None:
+        """The run options every executing verb shares (the storage layer);
+        a verb adds the execution flags it supports with its own help text,
+        and ``_run_config`` collects whichever of them were defined."""
         sub.add_argument(
-            "--store-backend", default=None, choices=["disk", "sharded", "memory", "tiered"],
+            "--store-backend", default=None, choices=list(STORE_BACKENDS),
             help="where artifact bytes live (default: disk; tiered = memory tier over sharded disk)",
         )
         sub.add_argument(
@@ -90,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="memory-tier capacity in MB for the tiered backend (implies --store-backend tiered)",
         )
         sub.add_argument(
-            "--codec", default="auto",
-            choices=["auto", "pickle", "pickle+zlib", "numpy-raw", "dense-block"],
+            "--codec", default="auto", choices=list(CODECS),
             help="artifact serialization codec (default: auto = per value by type and size)",
         )
 
@@ -126,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compiled hot path: fuse partition-wise operator chains, cache compiled "
              "plans across iterations, warm-start the min-cut solver (bit-identical results)",
     )
-    add_storage_args(run)
+    add_run_args(run)
 
     serve = subparsers.add_parser(
         "serve", help="run the multi-tenant workflow service over synthetic tenant traffic"
@@ -161,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve live /metrics, /healthz, /events, /runs over HTTP while running "
              "(port 0 picks an ephemeral port; the bound URL is printed)",
     )
-    add_storage_args(serve)
+    add_run_args(serve)
 
     submit = subparsers.add_parser(
         "submit", help="submit one workflow run to a (persistent) service workspace"
@@ -179,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--partitions", type=int, default=None,
         help="intra-operator partition count for the run (default: off)",
     )
-    add_storage_args(submit)
+    add_run_args(submit)
 
     store = subparsers.add_parser(
         "store",
@@ -304,21 +307,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_parallelism(parallelism: Optional[int], backend: str = "thread") -> int:
-    """The shared ``--parallelism`` convention: ``None`` = one worker per CPU.
-
-    The serial backend always resolves to 1 — it has no pool to size.
-    """
-    if backend == "serial":
-        return 1
-    if parallelism is None:
-        return os.cpu_count() or 1
-    return parallelism
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The :class:`RunConfig` named by whichever run-option flags the verb defines."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if "strategy" in given:
+        given["strategy"] = strategy_by_name(given["strategy"])
+    return RunConfig(**given)
 
 
 def _command_reproduce(figure: str, parallelism: Optional[int] = None, out=None) -> int:
     out = out or sys.stdout
-    parallelism = _resolve_parallelism(parallelism)
+    # The figure sizes a *virtual* pool: same None-means-one-per-CPU rule.
+    parallelism = RunConfig(backend="thread", parallelism=parallelism).workers
     defaults = sim_defaults()
     if figure == "fig2a":
         result = run_simulated_comparison(
@@ -366,29 +366,17 @@ def _workload_spec(workload: str, scale: int, iterations: Optional[int] = None):
 
 def _command_run(
     workload: str,
-    strategy_name: str,
     iterations: int,
     scale: int,
     workspace: Optional[str],
-    backend: str = "serial",
-    parallelism: Optional[int] = None,
-    partitions: Optional[int] = None,
-    store_backend: Optional[str] = None,
-    memory_tier_mb: Optional[float] = None,
-    codec: str = "auto",
-    compiled: bool = False,
+    config: RunConfig,
     out=None,
 ) -> int:
     out = out or sys.stdout
-    parallelism = _resolve_parallelism(parallelism, backend)
-    strategy = strategy_by_name(strategy_name)
+    strategy = config.strategy
     workspace = workspace or tempfile.mkdtemp(prefix=f"helix_cli_{workload}_")
     spec = _workload_spec(workload, scale, iterations)
-    result = run_real_comparison(
-        spec, [strategy], workspace_root=workspace, backend=backend, parallelism=parallelism,
-        partitions=partitions, store_backend=store_backend, memory_tier_mb=memory_tier_mb,
-        codec=codec, compiled=compiled,
-    )
+    result = run_real_comparison(spec, [strategy], workspace_root=workspace, config=config)
     reports = result.reports_by_system[strategy.name]
     rows = [
         {
@@ -406,8 +394,8 @@ def _command_run(
     print(
         f"cumulative runtime: {sum(r.total_runtime for r in reports):.3f}s   "
         f"wall clock: {result.cumulative_wall_clock(strategy.name):.3f}s "
-        f"({result.parallel_speedup(strategy.name):.2f}x, backend={backend} x{parallelism}"
-        + (f", partitions={partitions}" if partitions and partitions > 1 else "")
+        f"({result.parallel_speedup(strategy.name):.2f}x, backend={config.backend} x{config.workers}"
+        + (f", partitions={config.n_partitions}" if config.n_partitions > 1 else "")
         + f")   workspace: {workspace}",
         file=out,
     )
@@ -431,12 +419,7 @@ def _command_serve(
     quota: Optional[float],
     eviction: str,
     isolated: bool,
-    backend: str,
-    parallelism: Optional[int] = None,
-    partitions: Optional[int] = None,
-    store_backend: Optional[str] = None,
-    memory_tier_mb: Optional[float] = None,
-    codec: str = "auto",
+    config: RunConfig,
     listen: Optional[str] = None,
     out=None,
 ) -> int:
@@ -445,14 +428,9 @@ def _command_serve(
     from repro.service import CacheConfig, ServiceClient, ServiceConfig, WorkflowService
 
     workspace = workspace or tempfile.mkdtemp(prefix="helix_service_")
-    config = ServiceConfig(
+    service_config = ServiceConfig(
         n_workers=workers,
-        backend=backend,
-        parallelism=_resolve_parallelism(parallelism, backend),
-        partitions=partitions,
-        store_backend=store_backend,
-        memory_tier_mb=memory_tier_mb,
-        codec=codec,
+        run=config,
         shared_cache=not isolated,
         cache=CacheConfig(budget_bytes=budget, tenant_quota_bytes=quota, eviction=eviction),
         obs_listen=listen,
@@ -462,7 +440,7 @@ def _command_serve(
     # spec safely serves every tenant.
     spec = _workload_spec(workload, scale)
     iterations = min(iterations, len(spec.iterations))
-    with WorkflowService(workspace, config) as service:
+    with WorkflowService(workspace, service_config) as service:
         if service.obs_server is not None:
             print(f"observability endpoint: {service.obs_server.url}", file=out)
         clients = [ServiceClient(service, f"tenant{index}") for index in range(tenants)]
@@ -520,10 +498,7 @@ def _command_submit(
     iteration: int,
     scale: int,
     quota: Optional[float],
-    partitions: Optional[int] = None,
-    store_backend: Optional[str] = None,
-    memory_tier_mb: Optional[float] = None,
-    codec: str = "auto",
+    config: RunConfig,
     out=None,
 ) -> int:
     """Submit one run to a persistent service workspace (reuse across submits)."""
@@ -538,12 +513,10 @@ def _command_submit(
         )
         return 2
     step = spec.iterations[iteration]
-    config = ServiceConfig(
-        n_workers=1, partitions=partitions, store_backend=store_backend,
-        memory_tier_mb=memory_tier_mb, codec=codec,
-        cache=CacheConfig(tenant_quota_bytes=quota),
+    service_config = ServiceConfig(
+        n_workers=1, run=config, cache=CacheConfig(tenant_quota_bytes=quota)
     )
-    with WorkflowService(workspace, config) as service:
+    with WorkflowService(workspace, service_config) as service:
         result = service.run_sync(
             tenant, build=step.build, description=step.description
         )
@@ -1035,24 +1008,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_reproduce(args.figure, parallelism=args.parallelism)
         if args.command == "run":
             return _command_run(
-                args.workload, args.strategy, args.iterations, args.scale, args.workspace,
-                backend=args.backend, parallelism=args.parallelism, partitions=args.partitions,
-                store_backend=args.store_backend, memory_tier_mb=args.memory_tier_mb,
-                codec=args.codec, compiled=args.compiled,
+                args.workload, args.iterations, args.scale, args.workspace, _run_config(args)
             )
         if args.command == "serve":
             return _command_serve(
                 args.workspace, args.tenants, args.workload, args.iterations, args.scale,
-                args.workers, args.budget, args.quota, args.eviction, args.isolated, args.backend,
-                parallelism=args.parallelism, partitions=args.partitions,
-                store_backend=args.store_backend, memory_tier_mb=args.memory_tier_mb,
-                codec=args.codec, listen=args.listen,
+                args.workers, args.budget, args.quota, args.eviction, args.isolated,
+                _run_config(args), listen=args.listen,
             )
         if args.command == "submit":
             return _command_submit(
                 args.workspace, args.tenant, args.workload, args.iteration, args.scale, args.quota,
-                partitions=args.partitions, store_backend=args.store_backend,
-                memory_tier_mb=args.memory_tier_mb, codec=args.codec,
+                _run_config(args),
             )
         if args.command == "store":
             return _command_store(

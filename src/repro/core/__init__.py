@@ -8,6 +8,7 @@ recomputation optimizer, executes the plan, materializes selected
 intermediates under the storage budget, and records a new version.
 """
 
+from repro.core.config import RunConfig
 from repro.core.session import HelixSession, SessionRunResult
 from repro.core.suggestions import SuggestedEdit, SuggestionConfig, suggest_modifications
 from repro.core.trace_index import register_trace, trace_summaries
@@ -23,6 +24,7 @@ from repro.core.workspace import (
 
 __all__ = [
     "HelixSession",
+    "RunConfig",
     "SessionRunResult",
     "SuggestedEdit",
     "SuggestionConfig",

@@ -27,20 +27,20 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.baselines.strategies import HELIX, ExecutionStrategy
 from repro.compiler.change_tracker import ChangeTracker, WorkflowDiff, diff_workflows
 from repro.compiler.codegen import CompiledWorkflow, compile_workflow
 from repro.compiler.plan import PhysicalPlan
 from repro.compiler.slicing import slice_to_outputs
+from repro.core.config import RunConfig
 from repro.core.trace_index import register_trace
 from repro.core.workspace import resolve_trace_file, trace_directory, trace_path
 from repro.dsl.operators import ChangeCategory
 from repro.dsl.workflow import Workflow
 from repro.execution.engine import ExecutionEngine, ExecutionResult
-from repro.execution.scheduler import WorkerBackend, backend_by_name
+from repro.execution.scheduler import backend_by_name
 from repro.execution.stats import IterationReport, RunHistory
 from repro.execution.store import ArtifactStore
 from repro.execution.simulator import RECOMPUTATION_POLICIES
@@ -71,7 +71,7 @@ class SessionRunResult:
     report: IterationReport
     outputs: Dict[str, Any] = field(default_factory=dict)
     diff: Optional[WorkflowDiff] = None
-    #: The run's full decision record (``None`` only with ``trace_runs=False``).
+    #: The run's full decision record.
     trace: Optional[RunTrace] = None
 
     @property
@@ -92,71 +92,34 @@ class HelixSession:
         Directory for materialized artifacts (created if missing).  Re-opening
         a session on an existing workspace picks the artifact catalog back up,
         so reuse works across sessions too.
-    strategy:
-        Execution strategy; defaults to full HELIX.  Pass one of the baseline
-        strategies (``DEEPDIVE``, ``KEYSTONEML``, ``HELIX_UNOPTIMIZED``) to run
-        the comparison systems over the identical workflow.
-    storage_budget:
-        Maximum bytes of materialized intermediates (``None`` = unlimited).
-    backend:
-        Worker backend for the wavefront scheduler — ``"serial"`` (default),
-        ``"thread"``, or ``"process"`` — or a ready-made
-        :class:`~repro.execution.scheduler.WorkerBackend` instance.
-    parallelism:
-        Worker count for the ``thread``/``process`` backends (ignored by
-        ``serial``); ``None`` means one worker per CPU.
-    partitions:
-        Intra-operator partition count (``None``/1 = off).  With N > 1 the
-        wavefront scheduler splits collections into N chunks and runs each
-        data-parallel operator once per chunk — the way to speed up *linear*
-        pipelines, whose waves are too narrow for inter-node parallelism to
-        help.  Partitioned outputs persist as chunked artifacts (one chunk
-        per partition), and a later run that finds only some chunks in the
-        store recomputes exactly the missing ones.
-    store_backend:
-        Where artifact bytes live — ``"disk"`` (legacy flat files, the
-        default), ``"sharded"`` (fan-out subdirectories), ``"memory"``
-        (ephemeral), or ``"tiered"`` (a capacity-bounded memory tier
-        write-through over sharded disk; see :mod:`repro.storage`).
-    memory_tier_mb:
-        Memory-tier capacity in megabytes for the ``tiered`` backend.
-        Setting it without ``store_backend`` implies ``"tiered"``.
-    codec:
-        Serialization policy for materialized artifacts: ``"auto"``
-        (per-value by type and size — the default) or a specific codec id
-        (``pickle``, ``pickle+zlib``, ``numpy-raw``, ``dense-block``).
-        Reads always follow the codec recorded in the catalog.
+    config, **options:
+        The run options — strategy, storage budget, worker backend and
+        parallelism, partitions, storage backend / memory tier / codec,
+        incremental, compiled.  :class:`~repro.core.config.RunConfig` declares,
+        documents and validates them; pass one as ``config``, name individual
+        fields as keywords (``HelixSession(path, partitions=16,
+        backend="thread")``), or both — keywords override ``config``.  An
+        unknown name is a ``TypeError``, an illegal value a typed
+        :class:`~repro.errors.HelixError`, both before the workspace is
+        touched.  The resolved config is available as :attr:`config`.
     store:
         An already-constructed artifact store to use instead of the default
         workspace-private one.  This is how the multi-tenant workflow service
         points many sessions at one shared, quota-managed cache
         (:class:`~repro.service.cache.SharedArtifactCache` tenant views);
-        ``storage_budget`` and the storage knobs above are ignored when a
-        store is injected.
+        the config's storage fields are ignored when a store is injected.
     materialization_wrapper:
         Optional hook applied to the strategy's materialization policy before
         each run — the service wraps the policy with cache admission control
         here.  Receives and returns a
         :class:`~repro.optimizer.materialization.MaterializationPolicy`.
-    trace_runs:
-        Record a :class:`~repro.introspect.trace.RunTrace` for every run and
-        persist it as JSONL under ``<workspace>/traces/`` (on by default).
-        The latest trace is available as :attr:`last_trace`; render it with
-        :meth:`explain` or ``repro explain``.
     trace_owner:
         Identity stamped into every trace's ``tenant`` field — the workflow
         service sets this to the tenant name so multi-tenant traces stay
-        attributed.
-    incremental:
-        Delta-driven incremental recomputation (``None`` = auto: on for
-        chunked runs, i.e. ``partitions > 1``).  When active, inputs are
-        fingerprinted chunk-by-chunk into the catalog's ``input_deltas``
-        table; when an input's *data* changes between runs, clean chunks of
-        downstream partition-wise nodes are served from the previous run's
-        chunk artifacts and only dirty chunks recompute — the optimizer
-        prices delta-vs-full per node (see :mod:`repro.incremental`).
-        Requires a strategy with cross-iteration reuse; ``False`` disables
-        detection entirely and reproduces non-incremental behavior exactly.
+        attributed.  Every run records a
+        :class:`~repro.introspect.trace.RunTrace`, persisted as JSONL under
+        ``<workspace>/traces/``; the latest is :attr:`last_trace`, rendered
+        by :meth:`explain` or ``repro explain``.
     metrics:
         Runtime metrics destination (see :mod:`repro.obs`).  ``None``/``True``
         use the process-default :func:`~repro.obs.registry.get_registry`
@@ -180,45 +143,24 @@ class HelixSession:
         process runs — see :class:`~repro.obs.httpd.ObservabilityServer`.
         Port 0 binds an ephemeral port; the server is available as
         :attr:`obs_server` and shuts down with :meth:`close`.
-    compiled:
-        The compiled hot path (off by default; see :mod:`repro.compile`):
-        cache compiled plans across iterations so parameter-only edits skip
-        recompilation, warm-start the recomputation min-cut from the previous
-        iteration's flow, and fuse convex chains of partition-wise COMPUTE
-        operators into single tasks (partitioned runs).  Every shortcut is
-        exact — results, metrics, reuse verdicts, and cut certificates are
-        bit-identical to the uncompiled path (``docs/compiled.md``).
     """
 
     def __init__(
         self,
         workspace: str,
-        strategy: ExecutionStrategy = HELIX,
-        storage_budget: Optional[float] = None,
-        cost_defaults: CostDefaults = CostDefaults(),
-        backend: "str | WorkerBackend" = "serial",
-        parallelism: Optional[int] = None,
-        partitions: Optional[int] = None,
-        store_backend: Optional[str] = None,
-        memory_tier_mb: Optional[float] = None,
-        codec: str = "auto",
+        config: Optional[RunConfig] = None,
+        *,
         store: Optional[ArtifactStore] = None,
         materialization_wrapper: Optional[Callable[[Any], Any]] = None,
-        trace_runs: bool = True,
         trace_owner: str = "",
-        incremental: Optional[bool] = None,
         metrics: "None | bool | MetricsRegistry" = None,
         events: "None | bool | EventLog" = None,
         obs_listen: Optional[str] = None,
-        compiled: bool = False,
+        **options: Any,
     ) -> None:
+        self.config = config = replace(config or RunConfig(), **options)
+        self.backend = backend_by_name(config.backend, config.workers)
         self.workspace = workspace
-        self.strategy = strategy
-        self.backend = backend if isinstance(backend, WorkerBackend) else backend_by_name(backend, parallelism)
-        self.partitions = max(1, int(partitions)) if partitions else 1
-        self.incremental = incremental
-        self.compiled = bool(compiled)
-        self.trace_runs = trace_runs
         self.trace_owner = trace_owner
         self.last_trace: Optional[RunTrace] = None
         if metrics is None and store is not None:
@@ -277,32 +219,32 @@ class HelixSession:
         # (the rule lives in backend_from_spec).
         self.store = store if store is not None else ArtifactStore(
             os.path.join(workspace, "artifacts"),
-            budget_bytes=storage_budget,
-            backend=store_backend,
-            codec=codec,
-            memory_tier_bytes=memory_tier_mb * 1024 * 1024 if memory_tier_mb is not None else None,
+            budget_bytes=config.storage_budget,
+            backend=config.store_backend,
+            codec=config.codec,
+            memory_tier_bytes=config.memory_tier_bytes,
             metrics=self.metrics_registry,
         )
         self.materialization_wrapper = materialization_wrapper
         self.history = RunHistory()
         self.tracker = ChangeTracker()
-        self.estimator = CostEstimator(cost_defaults)
+        self.estimator = CostEstimator(CostDefaults())
         self._previous_compiled: Optional[CompiledWorkflow] = None
         # The compiled hot path's per-session state: the plan cache, the
         # warm-startable min-cut solver, and one partition planner shared
         # across runs (its type→mode memo then persists between iterations).
         self._plan_cache = None
         self._warm_solver = None
-        if self.compiled:
+        if config.compiled:
             from repro.compile import PlanCache, WarmCutSolver
 
             self._plan_cache = PlanCache(registry=self.metrics_registry)
             self._warm_solver = WarmCutSolver(registry=self.metrics_registry)
         self._partition_planner = None
-        if self.partitions > 1:
+        if config.n_partitions > 1:
             from repro.partition.planner import PartitionPlanner
 
-            self._partition_planner = PartitionPlanner(self.partitions)
+            self._partition_planner = PartitionPlanner(config.n_partitions)
         # Restore persisted state from previous sessions over this workspace:
         # version records (browsing/diffing) and the measured cost database.
         from repro.versioning.persistence import load_cost_history, load_version_store
@@ -338,9 +280,9 @@ class HelixSession:
         # Delta reuse is defined over chunked artifacts; without partitioning
         # (or with reuse forbidden) there is nothing to do.
         return (
-            self.incremental is not False
-            and self.partitions > 1
-            and self.strategy.cross_iteration_reuse
+            self.config.incremental is not False
+            and self.config.n_partitions > 1
+            and self.config.strategy.cross_iteration_reuse
         )
 
     def _plan_deltas(self, compiled: CompiledWorkflow, iteration_index: int):
@@ -350,7 +292,7 @@ class HelixSession:
         from repro.errors import StorageError
         from repro.incremental.planner import DeltaPlanner
 
-        planner = DeltaPlanner(self.partitions, metrics=self.metrics_registry)
+        planner = DeltaPlanner(self.config.n_partitions, metrics=self.metrics_registry)
         try:
             return planner.plan(
                 compiled, self.store, run_iteration=iteration_index, recorded_at=time.time()
@@ -369,7 +311,7 @@ class HelixSession:
             materialized_sizes=self.store.sizes_by_signature(),
             measured_load_costs=self.store.load_costs_by_signature(),
             chunk_inventory=self.store.chunk_inventory(),
-            recoverable_partitions=self.partitions,
+            recoverable_partitions=self.config.n_partitions,
             codecs_by_signature=codecs() if callable(codecs) else None,
             memory_resident=resident() if callable(resident) else None,
             delta_hints=delta_plan.hints() if delta_plan is not None else None,
@@ -379,12 +321,13 @@ class HelixSession:
         # non-materialized — and without chunk families, so the scheduler's
         # partial-hit recovery cannot reuse state either — which forces the
         # planner to recompute them.
+        strategy = self.config.strategy
         for name in compiled.nodes():
             category = compiled.categories.get(name)
             category_value = getattr(category, "value", str(category))
-            if not self.strategy.cross_iteration_reuse:
+            if not strategy.cross_iteration_reuse:
                 costs[name].forget_reuse()
-            elif category_value in self.strategy.always_recompute_categories:
+            elif category_value in strategy.always_recompute_categories:
                 costs[name].forget_reuse()
         return costs
 
@@ -416,13 +359,13 @@ class HelixSession:
         :class:`~repro.optimizer.recomputation.PlanExplanation` recorded into
         run traces); heuristic planners have no cut to report.
         """
-        if self.strategy.recomputation == "optimal":
+        if self.config.strategy.recomputation == "optimal":
             return optimal_plan_explained(
                 compiled.dag, costs, compiled.outputs,
                 registry=self.metrics_registry,
                 solver=self._warm_solver,
             )
-        planner = RECOMPUTATION_POLICIES[self.strategy.recomputation]
+        planner = RECOMPUTATION_POLICIES[self.config.strategy.recomputation]
         return planner(compiled.dag, costs, compiled.outputs), None
 
     def _compile(self, workflow: Workflow) -> CompiledWorkflow:
@@ -468,7 +411,7 @@ class HelixSession:
                 tenant=self.trace_owner,
                 workflow=getattr(workflow, "name", ""),
                 iteration=iteration_index,
-                strategy=self.strategy.name,
+                strategy=self.config.strategy.name,
             )
             try:
                 result = self._run_impl(
@@ -507,7 +450,7 @@ class HelixSession:
         states, explanation = self._plan_states(compiled, costs)
         plan = PhysicalPlan(compiled=compiled, states=states)
 
-        policy = self.strategy.make_materialization_policy(
+        policy = self.config.strategy.make_materialization_policy(
             compiled.dag, costs, self.store.remaining_budget()
         )
         if self.materialization_wrapper is not None:
@@ -521,10 +464,10 @@ class HelixSession:
             self.store,
             policy,
             backend=self.backend,
-            partitions=self.partitions,
+            partitions=self.config.n_partitions,
             partition_planner=self._partition_planner,
             metrics=self.metrics_registry,
-            fusion=self.compiled,
+            fusion=self.config.compiled,
             partition_modes=partition_modes,
         )
 
@@ -532,18 +475,14 @@ class HelixSession:
         if not change_category:
             change_category = self._infer_change_category(compiled, diff)
 
-        trace = (
-            self._seed_trace(
-                compiled, states, costs, explanation, policy,
-                iteration_index, description, change_category,
-                delta_plan=delta_plan,
-            )
-            if self.trace_runs
-            else None
+        trace = self._seed_trace(
+            compiled, states, costs, explanation, policy,
+            iteration_index, description, change_category,
+            delta_plan=delta_plan,
         )
-        if trace is not None and self.compiled:
+        if self.config.compiled:
             trace.plan_cache = self._plan_cache.last_result
-            if self._warm_solver is not None and self.strategy.recomputation == "optimal":
+            if self._warm_solver is not None and self.config.strategy.recomputation == "optimal":
                 trace.solver_mode = self._warm_solver.last_mode
         # Pin every artifact the plan LOADs so a concurrent tenant's eviction
         # (shared-cache deployments) cannot invalidate this plan mid-run.
@@ -567,23 +506,19 @@ class HelixSession:
                 iteration=iteration_index,
                 description=description,
                 change_category=change_category,
-                system=self.strategy.name,
+                system=self.config.strategy.name,
                 trace=trace,
                 delta_plan=delta_plan,
             )
 
-        if trace is not None:
-            self.last_trace = trace
-            trace.save(trace_path(self.workspace, iteration_index))
-            # Index the persisted trace's header summary in the store's
-            # catalog database (best-effort) so `repro trace ls` lists
-            # without re-parsing trace bodies.
-            register_trace(
-                self.store.catalog_db,
-                trace_directory(self.workspace),
-                iteration_index,
-                trace,
-            )
+        self.last_trace = trace
+        trace.save(trace_path(self.workspace, iteration_index))
+        # Index the persisted trace's header summary in the store's catalog
+        # database (best-effort) so `repro trace ls` lists without re-parsing
+        # trace bodies.
+        register_trace(
+            self.store.catalog_db, trace_directory(self.workspace), iteration_index, trace
+        )
         self.history.update_from_report(result.report)
         self.tracker.observe(compiled)
         self._previous_compiled = compiled
@@ -626,18 +561,19 @@ class HelixSession:
         planner ran — its side of the min-cut plus the saturated cut edges.
         The scheduler fills in the runtime half during execution.
         """
+        strategy = self.config.strategy
         trace = RunTrace(
             workflow=compiled.workflow_name,
             iteration=iteration_index,
             description=description,
             change_category=change_category,
-            system=self.strategy.name,
+            system=strategy.name,
             tenant=self.trace_owner,
             backend=self.backend.name,
             parallelism=self.backend.parallelism,
-            partitions=self.partitions,
-            recomputation_policy=self.strategy.recomputation,
-            materialization_policy=getattr(policy, "name", self.strategy.materialization),
+            partitions=self.config.n_partitions,
+            recomputation_policy=strategy.recomputation,
+            materialization_policy=getattr(policy, "name", strategy.materialization),
             outputs=list(compiled.outputs),
             plan_cost=plan_cost(states, costs),
             created_at=time.time(),

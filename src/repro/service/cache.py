@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.config import RunConfig
 from repro.execution.store import ArtifactMeta, ArtifactStore, ChunkStoreOps
 from repro.graph.dag import Dag
 from repro.obs.events import events_for
@@ -114,9 +115,7 @@ class SharedArtifactCache(ArtifactStore):
         self,
         root: str,
         config: CacheConfig = CacheConfig(),
-        store_backend: Optional[str] = None,
-        memory_tier_bytes: Optional[float] = None,
-        codec: str = "auto",
+        run: RunConfig = RunConfig(),
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         # The base class's hard budget would make over-quota writes raise;
@@ -129,9 +128,9 @@ class SharedArtifactCache(ArtifactStore):
         super().__init__(
             root,
             budget_bytes=None,
-            backend=store_backend,
-            codec=codec,
-            memory_tier_bytes=memory_tier_bytes,
+            backend=run.store_backend,
+            codec=run.codec,
+            memory_tier_bytes=run.memory_tier_bytes,
             metrics=metrics,
         )
         self.config = config

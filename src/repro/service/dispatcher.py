@@ -200,8 +200,13 @@ class FairDispatcher:
             if request.tenant not in self._queues:
                 self._queues[request.tenant] = deque()
                 self._tenant_order.append(request.tenant)
+            depth = len(self._queues[request.tenant]) + 1
+            # Journal admission before the ticket becomes visible to workers:
+            # a free worker dequeues the moment it is, and the journal must
+            # never show a request's dequeue ahead of its enqueue.
+            events.emit("service_admit", tenant=request.tenant, cid=cid)
+            events.emit("dispatch_enqueue", tenant=request.tenant, cid=cid, depth=depth)
             self._queues[request.tenant].append(ticket)
-            depth = len(self._queues[request.tenant])
             self._condition.notify()
         self.metrics.counter(
             "repro_dispatcher_requests_total",
@@ -209,8 +214,6 @@ class FairDispatcher:
             tenant=request.tenant,
         ).inc()
         self._queue_gauge(request.tenant).set(depth)
-        events.emit("service_admit", tenant=request.tenant, cid=cid)
-        events.emit("dispatch_enqueue", tenant=request.tenant, cid=cid, depth=depth)
         return ticket
 
     def _queue_gauge(self, tenant: str):

@@ -32,7 +32,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.baselines.strategies import HELIX, ExecutionStrategy
+from repro.core.config import RunConfig
 from repro.core.session import HelixSession, SessionRunResult
 from repro.graph.dag import NodeState
 from repro.service.cache import (
@@ -53,28 +53,15 @@ class ServiceConfig:
     """Everything a deployment chooses about one service instance."""
 
     n_workers: int = 2
-    strategy: ExecutionStrategy = HELIX
-    backend: str = "serial"
-    parallelism: Optional[int] = None
-    #: Intra-operator partition count per tenant session (``None`` = off);
-    #: partitioned outputs land in the shared cache as chunked artifacts,
-    #: so partial chunk hits work across tenants too.
-    partitions: Optional[int] = None
-    #: Storage layer under the shared cache (or each isolated store):
-    #: ``None``/"disk" (flat files), "sharded", "memory", or "tiered" — the
-    #: memory-over-disk composition that serves hot artifacts without disk
-    #: reads or deserialization.  ``memory_tier_mb`` sizes the tiered
-    #: backend's memory tier (its default is 256 MB); ``codec`` picks the
-    #: serialization policy ("auto" = per value by type and size).
-    store_backend: Optional[str] = None
-    memory_tier_mb: Optional[float] = None
-    codec: str = "auto"
+    #: The run options every tenant session executes under (strategy,
+    #: backend, partitions, …) and the storage layer under the shared cache —
+    #: or under each isolated store, which also honours its
+    #: ``storage_budget``.  See :class:`~repro.core.config.RunConfig`.
+    run: RunConfig = RunConfig()
     cache: CacheConfig = CacheConfig()
     #: ``False`` gives every tenant an isolated store under its own
-    #: workspace — the no-sharing baseline the benchmark compares against.
+    #: workspace — the no-sharing baseline.
     shared_cache: bool = True
-    #: Storage budget per isolated tenant store (only when not sharing).
-    isolated_budget_bytes: Optional[float] = None
     #: Runtime metrics destination (see :mod:`repro.obs`).  ``None`` (the
     #: default) gives the service a *private* registry so two services in
     #: one process never mix series; ``True`` uses the process-wide default
@@ -130,15 +117,7 @@ class WorkflowService:
         install_periodic_flush(self.metrics_registry, root)
         self.cache: Optional[SharedArtifactCache] = (
             SharedArtifactCache(
-                os.path.join(root, "cache"),
-                config.cache,
-                store_backend=config.store_backend,
-                memory_tier_bytes=(
-                    config.memory_tier_mb * 1024 * 1024
-                    if config.memory_tier_mb is not None
-                    else None
-                ),
-                codec=config.codec,
+                os.path.join(root, "cache"), config.cache, config.run,
                 metrics=self.metrics_registry,
             )
             if config.shared_cache
@@ -195,36 +174,23 @@ class WorkflowService:
         """
         with self._sessions_lock:
             if tenant not in self._sessions:
-                workspace = self._tenant_workspace(tenant)
-                if self.cache is not None:
-                    cache = self.cache
-                    self._sessions[tenant] = HelixSession(
-                        workspace,
-                        strategy=self.config.strategy,
-                        backend=self.config.backend,
-                        parallelism=self.config.parallelism,
-                        partitions=self.config.partitions,
-                        store=cache.view(tenant),
-                        materialization_wrapper=lambda policy, _tenant=tenant: (
-                            AdmissionControlledPolicy(policy, cache, _tenant)
-                        ),
-                        trace_owner=tenant,
-                        metrics=self.metrics_registry,
-                    )
-                else:
-                    self._sessions[tenant] = HelixSession(
-                        workspace,
-                        strategy=self.config.strategy,
-                        backend=self.config.backend,
-                        parallelism=self.config.parallelism,
-                        partitions=self.config.partitions,
-                        store_backend=self.config.store_backend,
-                        memory_tier_mb=self.config.memory_tier_mb,
-                        codec=self.config.codec,
-                        storage_budget=self.config.isolated_budget_bytes,
-                        trace_owner=tenant,
-                        metrics=self.metrics_registry,
-                    )
+                # With a shared cache the tenant's artifacts flow through its
+                # view of it, behind admission control; otherwise the session
+                # builds its own isolated store from the same run config.
+                cache = self.cache
+                shared = {} if cache is None else {
+                    "store": cache.view(tenant),
+                    "materialization_wrapper": lambda policy: (
+                        AdmissionControlledPolicy(policy, cache, tenant)
+                    ),
+                }
+                self._sessions[tenant] = HelixSession(
+                    self._tenant_workspace(tenant),
+                    self.config.run,
+                    trace_owner=tenant,
+                    metrics=self.metrics_registry,
+                    **shared,
+                )
             return self._sessions[tenant]
 
     def tenants(self) -> List[str]:

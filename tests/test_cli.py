@@ -210,6 +210,25 @@ class TestStorageKnobs:
         with pytest.raises(SystemExit):
             main(["run", "census", "--codec", "msgpack"])
 
+    @pytest.mark.parametrize(
+        "verb_and_flags, named",
+        [
+            (["run", "census", "--partitions", "-3"], "partitions"),
+            (["run", "census", "--backend", "thread", "--parallelism", "0"], "parallelism"),
+            (["run", "census", "--store-backend", "disk", "--memory-tier-mb", "8"], "memory_tier_mb"),
+            (["serve", "--partitions", "0"], "partitions"),
+            (["submit", "--tenant", "a", "--memory-tier-mb", "-1"], "memory_tier_mb"),
+        ],
+    )
+    def test_illegal_run_options_exit_2_before_touching_the_workspace(
+        self, capsys, tmp_path, verb_and_flags, named
+    ):
+        workspace = tmp_path / "ws"
+        assert main([*verb_and_flags, "--workspace", str(workspace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not workspace.exists()
+
 
 class TestExplainAndTraceCommands:
     def make_workspace(self, tmp_path, iterations=2):

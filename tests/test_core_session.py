@@ -1,11 +1,14 @@
 """Integration tests for HelixSession: iterative reuse end to end."""
 
+import re
 from dataclasses import replace
 
 import pytest
 
 from repro.baselines.strategies import DEEPDIVE, HELIX, HELIX_UNOPTIMIZED, KEYSTONEML
+from repro.core.config import CODECS, STORE_BACKENDS, RunConfig
 from repro.core.session import HelixSession
+from repro.errors import ExecutionError, StorageError
 from repro.graph.dag import NodeState
 from repro.workloads.census_workload import CensusVariant, build_census_workflow
 
@@ -150,3 +153,54 @@ class TestStorageBudget:
         session = HelixSession(workspace=str(tmp_path / "b"), storage_budget=50_000)
         session.run(build_census_workflow(variant))
         assert session.storage_used() <= 50_000
+
+
+class TestRunConfig:
+    def test_defaults_are_the_sessions(self, session):
+        assert session.config == RunConfig() == RunConfig(
+            strategy=HELIX, storage_budget=None, backend="serial", parallelism=None,
+            partitions=None, store_backend=None, memory_tier_mb=None, codec="auto",
+            incremental=None, compiled=False,
+        )
+
+    def test_keywords_override_a_passed_config(self, tmp_path):
+        base = RunConfig(partitions=4, backend="thread", parallelism=2)
+        session = HelixSession(str(tmp_path / "ws"), base, partitions=8, strategy=DEEPDIVE)
+        assert session.config == replace(base, partitions=8, strategy=DEEPDIVE)
+        assert (session.backend.name, session.backend.parallelism) == ("thread", 2)
+
+    def test_legal_names_match_the_storage_layer(self, tmp_path):
+        from repro.storage.backends import backend_from_spec
+        from repro.storage.codecs import default_registry
+
+        assert set(CODECS) == {"auto", *default_registry().ids()}
+        for name in STORE_BACKENDS:
+            backend_from_spec(name, str(tmp_path / name))
+
+    @pytest.mark.parametrize(
+        "options, error, named",
+        [
+            ({"partitions": -3}, ExecutionError, "partitions"),
+            ({"partitions": 0}, ExecutionError, "partitions"),
+            ({"parallelism": 0}, ExecutionError, "parallelism"),
+            ({"backend": "nope"}, ExecutionError, "serial"),
+            ({"store_backend": "nope"}, StorageError, "tiered"),
+            ({"codec": "nope"}, StorageError, "pickle+zlib"),
+            ({"storage_budget": -5}, StorageError, "storage_budget"),
+            ({"memory_tier_mb": -1}, StorageError, "memory_tier_mb"),
+            ({"store_backend": "disk", "memory_tier_mb": 8}, StorageError, "memory_tier_mb"),
+        ],
+    )
+    def test_invalid_values_fail_at_construction(self, tmp_path, options, error, named):
+        with pytest.raises(error, match=re.escape(named)):
+            RunConfig(**options)
+        # The same typed error from every entry point, before any file exists.
+        workspace = tmp_path / "never_created"
+        with pytest.raises(error):
+            HelixSession(str(workspace), **options)
+        assert not workspace.exists()
+
+    def test_unknown_option_is_a_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="partitons"):
+            HelixSession(str(tmp_path / "ws"), partitons=4)
+        assert not (tmp_path / "ws").exists()

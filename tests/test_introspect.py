@@ -349,14 +349,6 @@ class TestTraceRoundTrip:
         with pytest.raises(TraceError):
             trace.save(str(tmp_path / "bad.jsonl"))
 
-    def test_trace_runs_off_disables_tracing(self, tmp_path):
-        session = HelixSession(str(tmp_path), trace_runs=False)
-        result = session.run(
-            build_census_workflow(CensusVariant(data_config=census_config())), description="initial"
-        )
-        assert result.trace is None and session.last_trace is None
-        assert not os.path.isdir(trace_directory(str(tmp_path)))
-
 
 # ---------------------------------------------------------------------------
 # Workspace resolution (shared CLI helper)

@@ -406,6 +406,13 @@ class TestPeriodicFlush:
         session.run(workflow, description="flush smoke")
         session.close()
         assert load_snapshot(metrics_path(workspace))
+        # Every instrumented layer reports: a missing prefix is an unwired layer.
+        names = {series["name"] for series in session.metrics_registry.snapshot()}
+        for prefix in (
+            "repro_scheduler_", "repro_wave_seconds", "repro_node_seconds",
+            "repro_run_span_seconds", "repro_store_", "repro_catalog_", "repro_optimizer_",
+        ):
+            assert any(name.startswith(prefix) for name in names), prefix
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,11 @@ class TestPartitionedExecution:
         stats = partitioned.report.node_stats["rows"]
         assert stats.chunks_computed == 4
 
-    def test_dense_census_partitioned_equals_serial(self, tmp_path):
+    @pytest.mark.parametrize("pool", [{}, {"backend": "thread", "parallelism": 2}])
+    def test_dense_census_partitioned_equals_serial(self, tmp_path, pool):
         build = lambda: build_dense_census_workflow(CENSUS, embed_dim=32, passes=2)
         serial = HelixSession(str(tmp_path / "serial")).run(build())
-        partitioned = HelixSession(str(tmp_path / "part"), partitions=3).run(build())
+        partitioned = HelixSession(str(tmp_path / "part"), partitions=3, **pool).run(build())
         assert partitioned.report.metrics == serial.report.metrics
 
     def test_ie_partitioned_equals_serial(self, tmp_path, tiny_news_config):
@@ -306,9 +307,10 @@ class TestPartialChunkHit:
 # ---------------------------------------------------------------------------
 class TestWiring:
     def test_service_sessions_get_partitions(self, tmp_path):
+        from repro.core.config import RunConfig
         from repro.service import ServiceConfig, WorkflowService
 
-        config = ServiceConfig(n_workers=1, partitions=3)
+        config = ServiceConfig(n_workers=1, run=RunConfig(partitions=3))
         with WorkflowService(str(tmp_path / "svc"), config) as service:
             result = service.run_sync(
                 "alice", build=lambda: build_census_workflow(CensusVariant(data_config=CENSUS))

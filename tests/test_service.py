@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.config import RunConfig
 from repro.datagen.census import CensusConfig
 from repro.optimizer.cost_model import NodeCosts
 from repro.optimizer.materialization import MaterializeAll
@@ -43,8 +44,9 @@ def blob(n_bytes):
 # SharedArtifactCache
 # ----------------------------------------------------------------------
 class TestSharedCache:
-    def test_put_get_attribution_and_cross_tenant_hits(self, tmp_path):
-        cache = SharedArtifactCache(str(tmp_path / "cache"))
+    @pytest.mark.parametrize("run", [RunConfig(), RunConfig(store_backend="tiered")])
+    def test_put_get_attribution_and_cross_tenant_hits(self, tmp_path, run):
+        cache = SharedArtifactCache(str(tmp_path / "cache"), run=run)
         payload = blob(100)
         cache.put_bytes_for("alice", "sig-1", "node", payload)
         assert cache.owner_of("sig-1") == "alice"
