@@ -17,7 +17,7 @@ A strategy is purely declarative; :meth:`ExecutionStrategy.simulator` and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.dsl.operators import ChangeCategory

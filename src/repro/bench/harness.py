@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.strategies import ExecutionStrategy
 from repro.bench.reporting import cumulative_table, format_table, ratio_summary

@@ -124,11 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="intra-operator partition count: split collections into N chunks and run "
              "data-parallel operators once per chunk (default: off)",
     )
-    run.add_argument(
-        "--compiled", action="store_true",
-        help="compiled hot path: fuse partition-wise operator chains, cache compiled "
-             "plans across iterations, warm-start the min-cut solver (bit-identical results)",
-    )
     add_run_args(run)
 
     serve = subparsers.add_parser(

@@ -1,17 +1,16 @@
-"""The compiled hot path: amortize per-iteration fixed costs across runs.
+"""Planning shortcuts and fusion: amortize per-iteration fixed costs across runs.
 
 The paper's iterative workload re-optimizes and re-executes a workflow every
-iteration, so once storage and scheduling are fast, three *fixed* costs start
-to dominate: Python per-operator dispatch inside a wave, recompiling the plan
-from scratch when only parameters changed, and a from-zero max-flow solve for
-a network whose structure is identical to the previous iteration's.  This
-package removes each of them, and every shortcut is proven bit-exact against
-the uncompiled path by the differential suite in
+iteration, which repeats three *fixed* costs: Python per-operator dispatch
+inside a wave, recompiling the plan from scratch when only parameters
+changed, and a from-zero max-flow solve for a network whose structure is
+identical to the previous iteration's.  This package removes each of them —
+always on, there is no switch — and every shortcut is proven bit-exact
+against an independent reference by the differential suite in
 ``tests/test_compiled_differential.py``:
 
 * :mod:`repro.compile.fusion` — collapse convex groups of partition-wise
-  COMPUTE operators into one fused task per group (with a vectorized variant
-  over the :class:`~repro.dsl.operators.DenseFeaturizer` numpy path);
+  COMPUTE operators into one fused task per group;
 * :mod:`repro.compile.plan_cache` — cache compiled plans and partition plans
   keyed by workflow signature, so iteration N+1 skips recompilation when only
   parameters changed;

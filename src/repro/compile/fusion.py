@@ -24,13 +24,11 @@ Two layers:
   out.
 * :class:`FusedGroupTask` — the runtime.  A picklable callable the scheduler
   dispatches like any operator; it evaluates the members in topological
-  order, chunk-aligning external inputs with the same type-directed protocol
-  the scheduler uses (:mod:`repro.partition.chunks`), and falls back to a
-  plain single evaluation per member exactly where the scheduler would.  The
-  :class:`~repro.dsl.operators.DenseFeaturizer` member evaluation is
-  vectorized: one batched NumPy matmul chain across all chunks (row-blocked
-  GEMM is bit-stable, which the differential suite verifies empirically) and
-  feature-dict emission with precomputed keys instead of per-cell f-strings.
+  order, chunk-aligning external inputs with the scheduler's own
+  :func:`~repro.execution.scheduler.align_chunk_inputs`, and falls back to a
+  plain single evaluation per member exactly where the scheduler would.  It
+  knows no operator type: every member runs through its own ``apply``, one
+  chunk at a time, so the task holds no whole-batch intermediate.
 """
 
 from __future__ import annotations
@@ -39,17 +37,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.dataflow.features import ExampleCollection, FeatureBlock, LabelBlock
-from repro.dsl.operators import DenseFeaturizer, FeatureAssembler
 from repro.errors import ExecutionError
+from repro.execution.scheduler import align_chunk_inputs
 from repro.graph.dag import NodeState
-from repro.partition.chunks import (
-    PartitionedValue,
-    is_splittable,
-    merge_value,
-    shape_of_chunks,
-    split_value,
-)
+from repro.partition.chunks import PartitionedValue, merge_value
+from repro.partition.chunks import split_value  # patched by benchmarks/ledger/trace.py
 from repro.partition.planner import PartitionMode
 
 __all__ = ["FusedGroup", "FusedGroupOutput", "FusedGroupTask", "FusionPlan", "plan_fusion"]
@@ -298,7 +290,6 @@ class FusedGroupTask:
                 merge_hooks[name] = hook
         split_cache: Dict[str, List[Any]] = {}
         output = FusedGroupOutput()
-        key_memo: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
 
         def plain(name: str) -> Any:
             value = values[name]
@@ -314,7 +305,7 @@ class FusedGroupTask:
         for name, operator in self.members:
             started = time.perf_counter()
             chunk_inputs = (
-                self._chunk_inputs(operator, values, plain, split_cache)
+                align_chunk_inputs(operator, values, plain, split_cache, self.n_partitions)
                 if self.n_partitions > 1
                 else None
             )
@@ -322,201 +313,25 @@ class FusedGroupTask:
                 # Fallback-to-single, exactly like the unfused scheduler: the
                 # member runs once on coalesced inputs and stays plain.
                 task_inputs = {parent: plain(parent) for parent in operator.dependencies()}
-                values[name] = self._apply_member(operator, task_inputs)
+                values[name] = self._apply_member(name, operator, task_inputs)
                 output.chunks_computed[name] = 0
             else:
-                chunks = self._apply_chunks(operator, chunk_inputs, key_memo)
+                chunks = [
+                    self._apply_member(f"{name}[{index}]", operator, inputs)
+                    for index, inputs in enumerate(chunk_inputs)
+                ]
                 values[name] = PartitionedValue(chunks)
                 output.chunks_computed[name] = len(chunks)
             output.times[name] = time.perf_counter() - started
             output.values[name] = values[name]
         return output
 
-    def _apply_member(self, operator: Any, task_inputs: Dict[str, Any]) -> Any:
+    @staticmethod
+    def _apply_member(label: str, operator: Any, task_inputs: Dict[str, Any]) -> Any:
+        """One member evaluation; failures are worded like the unfused path's."""
         try:
             return operator.apply(task_inputs)
         except ExecutionError:
             raise
         except Exception as exc:
-            raise ExecutionError(
-                f"operator for fused node ({type(operator).__name__}) failed: {exc}"
-            ) from exc
-
-    # ------------------------------------------------------------------
-    # Chunk-input alignment — mirrors WavefrontScheduler._chunk_inputs so a
-    # fused member sees exactly the per-chunk inputs the unfused path builds.
-    # ------------------------------------------------------------------
-    def _chunk_inputs(
-        self,
-        operator: Any,
-        values: Dict[str, Any],
-        plain: Callable[[str], Any],
-        split_cache: Dict[str, List[Any]],
-    ) -> Optional[List[Dict[str, Any]]]:
-        n = self.n_partitions
-        parents = operator.dependencies()
-        chunked: Dict[str, List[Any]] = {}
-        shape = None
-        opaque = False
-        for parent in parents:
-            value = values[parent]
-            if isinstance(value, PartitionedValue) and value.n_partitions == n:
-                chunk_shape = shape_of_chunks(value.chunks)
-                if chunk_shape is None:
-                    opaque = True
-                elif shape is None:
-                    shape = chunk_shape
-                elif shape != chunk_shape:
-                    return None
-                chunked[parent] = value.chunks
-        for parent in parents:
-            if parent in chunked:
-                continue
-            plain_value = plain(parent)
-            if not is_splittable(plain_value):
-                continue
-            if opaque:
-                return None
-            if shape is None and parent in split_cache:
-                chunked[parent] = split_cache[parent]
-                continue
-            parts = split_value(plain_value, n, shape=shape)
-            if parts is None:
-                return None
-            if shape is None:
-                split_cache[parent] = parts
-            chunked[parent] = parts
-        return [
-            {
-                parent: (chunked[parent][index] if parent in chunked else plain(parent))
-                for parent in parents
-            }
-            for index in range(n)
-        ]
-
-    # ------------------------------------------------------------------
-    # Member evaluation, with vectorized fast paths
-    # ------------------------------------------------------------------
-    def _apply_chunks(
-        self,
-        operator: Any,
-        chunk_inputs: List[Dict[str, Any]],
-        key_memo: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]],
-    ) -> List[Any]:
-        if type(operator) is DenseFeaturizer:
-            fast = self._dense_chunks(operator, chunk_inputs)
-            if fast is not None:
-                return fast
-        if type(operator) is FeatureAssembler:
-            fast = self._assembler_chunks(operator, chunk_inputs, key_memo)
-            if fast is not None:
-                return fast
-        return [self._apply_member(operator, inputs) for inputs in chunk_inputs]
-
-    def _dense_chunks(
-        self, operator: DenseFeaturizer, chunk_inputs: List[Dict[str, Any]]
-    ) -> Optional[List[Any]]:
-        """All chunks of a DenseFeaturizer in one batched matmul chain.
-
-        Row-wise transforms over a row-blocked matrix equal the per-block
-        results bit-for-bit (each output row is a function of its input row
-        alone), so batching across chunks reproduces per-chunk ``apply``
-        exactly while paying the NumPy dispatch overhead once instead of
-        ``n_partitions`` times — and emitting feature dicts from precomputed
-        key lists instead of formatting ``f"emb{j}"`` once per cell.
-        """
-        import numpy as np
-
-        from repro.dataflow.collection import Dataset
-
-        datasets = [inputs.get(operator.rows) for inputs in chunk_inputs]
-        if any(not isinstance(dataset, Dataset) for dataset in datasets):
-            return None
-        projection, hidden = operator._weights()
-        fields = operator.fields
-        out = operator.out_features
-        keys = [f"emb{j}" for j in range(out)]
-
-        def embed_all(collections: List[Any]) -> List[List[Dict[str, float]]]:
-            counts = [len(collection) for collection in collections]
-            try:
-                matrix = np.array(
-                    [
-                        [float(record[field]) for field in fields]
-                        for collection in collections
-                        for record in collection
-                    ],
-                    dtype=np.float64,
-                ).reshape(sum(counts), len(fields))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ExecutionError(
-                    f"operator for fused node (DenseFeaturizer) failed: {exc}"
-                ) from exc
-            state = np.tanh(matrix @ projection)
-            for _ in range(operator.passes):
-                state = np.tanh(state @ hidden)
-            rows = [dict(zip(keys, row)) for row in state[:, :out].tolist()]
-            per_chunk: List[List[Dict[str, float]]] = []
-            start = 0
-            for count in counts:
-                per_chunk.append(rows[start:start + count])
-                start += count
-            return per_chunk
-
-        trains = embed_all([dataset.train for dataset in datasets])
-        tests = embed_all([dataset.test for dataset in datasets])
-        name = f"dense{operator.embed_dim}"
-        return [
-            FeatureBlock(name=name, train=trains[i], test=tests[i])
-            for i in range(len(datasets))
-        ]
-
-    def _assembler_chunks(
-        self,
-        operator: FeatureAssembler,
-        chunk_inputs: List[Dict[str, Any]],
-        key_memo: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]],
-    ) -> Optional[List[Any]]:
-        """FeatureAssembler chunks with per-key-tuple prefix memoization.
-
-        ``merge_feature_blocks`` formats ``f"{block}.{key}"`` for every cell;
-        feature rows of one block overwhelmingly share a key tuple (dense
-        embeddings most of all), so the prefixed keys are computed once per
-        distinct ``(block, keys)`` pair and reused across rows *and* chunks.
-        Falls back to the real merge on any shape surprise so error behavior
-        stays identical.
-        """
-        results: List[Any] = []
-        for inputs in chunk_inputs:
-            blocks = [inputs.get(name) for name in operator.extractors]
-            labels = inputs.get(operator.label)
-            if any(not isinstance(block, FeatureBlock) for block in blocks) or not isinstance(
-                labels, LabelBlock
-            ):
-                return None
-            n_train = len(blocks[0].train)
-            n_test = len(blocks[0].test)
-            if any(len(b.train) != n_train or len(b.test) != n_test for b in blocks):
-                return None  # let the real merge raise its DataError
-            merged_train: List[Dict[str, float]] = [{} for _ in range(n_train)]
-            merged_test: List[Dict[str, float]] = [{} for _ in range(n_test)]
-            for block in blocks:
-                for target, rows in ((merged_train, block.train), (merged_test, block.test)):
-                    for out_row, in_row in zip(target, rows):
-                        raw_keys = tuple(in_row)
-                        memo_key = (block.name, raw_keys)
-                        prefixed = key_memo.get(memo_key)
-                        if prefixed is None:
-                            prefixed = tuple(f"{block.name}.{key}" for key in raw_keys)
-                            key_memo[memo_key] = prefixed
-                        out_row.update(zip(prefixed, in_row.values()))
-            merged = FeatureBlock(
-                name="+".join(b.name for b in blocks), train=merged_train, test=merged_test
-            )
-            try:
-                results.append(ExampleCollection(features=merged, labels=labels, name="examples"))
-            except Exception as exc:
-                raise ExecutionError(
-                    f"operator for fused node (FeatureAssembler) failed: {exc}"
-                ) from exc
-        return results
+            raise ExecutionError(f"operator for node {label!r} failed: {exc}") from exc

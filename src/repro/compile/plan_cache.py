@@ -1,10 +1,10 @@
 """Plan caching: skip recompilation when only parameters changed.
 
 Every iteration of the paper's loop re-submits a workflow that differs from
-the previous one in a handful of operator parameters — yet the baseline
-session recompiles it from scratch: re-validate the DSL program, rebuild the
-DAG, re-hash every signature, re-slice to the outputs, and re-classify every
-node's partition mode.  All of that except the signature hashes is a pure
+the previous one in a handful of operator parameters — yet compiling it
+from scratch means: re-validate the DSL program, rebuild the DAG, re-hash
+every signature, re-slice to the outputs, and re-classify every node's
+partition mode.  All of that except the signature hashes is a pure
 function of the workflow's *structure* (node names, operator types, UDF
 sources, dependency edges, declared outputs), which iteration edits almost
 never touch.
@@ -56,8 +56,8 @@ def _canonical(payload: Any) -> Optional[str]:
 class PlanCache:
     """Per-session cache of compiled (and sliced) workflow plans.
 
-    ``compile_sliced`` replaces the session's
-    ``slice_to_outputs(compile_workflow(workflow))`` pipeline; the outcome of
+    ``compile_sliced`` is the session's compile step, equal to
+    ``slice_to_outputs(compile_workflow(workflow))``; the outcome of
     the most recent call is exposed as :attr:`last_result` (``"exact"``,
     ``"structural"``, or ``"miss"``) and counted as
     ``repro_plan_cache_requests_total{result=...}``.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from repro.dsl.operators import ChangeCategory, Operator
 from repro.dsl.workflow import Workflow

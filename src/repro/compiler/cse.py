@@ -15,7 +15,7 @@ name in the returned mapping so callers can translate results back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.compiler.codegen import CompiledWorkflow
 from repro.graph.dag import Dag

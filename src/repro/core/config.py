@@ -9,8 +9,8 @@ its fields.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Optional
 
 from repro.baselines.strategies import HELIX, ExecutionStrategy
 from repro.errors import ExecutionError, StorageError
@@ -56,8 +56,6 @@ class RunConfig:
                                     (``partitions > 1``), ``False``
                                     = never, ``True`` = same as
                                     ``None``
-    ``compiled``       ``False``    bool                             session (plan cache, warm
-                                                                     min-cut), scheduler (fusion)
     ================== ============ ================================ ==========================
 
     ``strategy`` — full HELIX by default; a baseline (``DEEPDIVE``,
@@ -69,10 +67,8 @@ class RunConfig:
     inputs are fingerprinted chunk by chunk; when an input's *data* changes,
     clean chunks are served from the previous run and only dirty ones
     recompute, priced per node by the optimizer; needs a strategy with
-    cross-iteration reuse (``docs/incremental.md``).  ``compiled`` — plan
-    caching, warm-started min-cut and operator fusion, bit-identical to the
-    plain path (``docs/compiled.md``).  The storage fields are ignored by a
-    session whose ``store=`` is injected (``docs/storage.md``).
+    cross-iteration reuse (``docs/incremental.md``).  The storage fields are
+    ignored by a session whose ``store=`` is injected (``docs/storage.md``).
     """
 
     strategy: ExecutionStrategy = HELIX
@@ -84,7 +80,6 @@ class RunConfig:
     memory_tier_mb: Optional[float] = None
     codec: str = "auto"
     incremental: Optional[bool] = None
-    compiled: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -111,6 +106,10 @@ class RunConfig:
                 f"memory_tier_mb sizes the 'tiered' store_backend's memory tier; "
                 f"it cannot be combined with store_backend={self.store_backend!r}"
             )
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The options as a flat dict, strategy by name (what run traces record)."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "strategy": self.strategy.name}
 
     @property
     def workers(self) -> int:

@@ -30,10 +30,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.compile import PlanCache, WarmCutSolver
 from repro.compiler.change_tracker import ChangeTracker, WorkflowDiff, diff_workflows
-from repro.compiler.codegen import CompiledWorkflow, compile_workflow
+from repro.compiler.codegen import CompiledWorkflow
+from repro.compiler.codegen import compile_workflow  # patched by benchmarks/ledger/trace.py
 from repro.compiler.plan import PhysicalPlan
-from repro.compiler.slicing import slice_to_outputs
+from repro.compiler.slicing import slice_to_outputs  # patched by benchmarks/ledger/trace.py
 from repro.core.config import RunConfig
 from repro.core.trace_index import register_trace
 from repro.core.workspace import resolve_trace_file, trace_directory, trace_path
@@ -46,7 +48,7 @@ from repro.execution.store import ArtifactStore
 from repro.execution.simulator import RECOMPUTATION_POLICIES
 from repro.graph.dag import NodeState
 from repro.introspect.explain import ExplainRenderer
-from repro.introspect.trace import RunTrace
+from repro.introspect.trace import RunTrace, finite_or_none
 from repro.obs.bridge import PeriodicRegistryFlush, install_periodic_flush
 from repro.obs.events import (
     EventLog,
@@ -95,7 +97,7 @@ class HelixSession:
     config, **options:
         The run options — strategy, storage budget, worker backend and
         parallelism, partitions, storage backend / memory tier / codec,
-        incremental, compiled.  :class:`~repro.core.config.RunConfig` declares,
+        incremental.  :class:`~repro.core.config.RunConfig` declares,
         documents and validates them; pass one as ``config``, name individual
         fields as keywords (``HelixSession(path, partitions=16,
         backend="thread")``), or both — keywords override ``config``.  An
@@ -230,16 +232,11 @@ class HelixSession:
         self.tracker = ChangeTracker()
         self.estimator = CostEstimator(CostDefaults())
         self._previous_compiled: Optional[CompiledWorkflow] = None
-        # The compiled hot path's per-session state: the plan cache, the
-        # warm-startable min-cut solver, and one partition planner shared
-        # across runs (its type→mode memo then persists between iterations).
-        self._plan_cache = None
-        self._warm_solver = None
-        if config.compiled:
-            from repro.compile import PlanCache, WarmCutSolver
-
-            self._plan_cache = PlanCache(registry=self.metrics_registry)
-            self._warm_solver = WarmCutSolver(registry=self.metrics_registry)
+        # Per-session planning state: the plan cache, the warm-startable
+        # min-cut solver, and one partition planner shared across runs (its
+        # type→mode memo then persists between iterations).
+        self._plan_cache = PlanCache(registry=self.metrics_registry)
+        self._warm_solver = WarmCutSolver(registry=self.metrics_registry)
         self._partition_planner = None
         if config.n_partitions > 1:
             from repro.partition.planner import PartitionPlanner
@@ -368,19 +365,13 @@ class HelixSession:
         planner = RECOMPUTATION_POLICIES[self.config.strategy.recomputation]
         return planner(compiled.dag, costs, compiled.outputs), None
 
-    def _compile(self, workflow: Workflow) -> CompiledWorkflow:
-        """Compile and slice ``workflow``, through the plan cache when enabled."""
-        if self._plan_cache is not None:
-            return self._plan_cache.compile_sliced(workflow)
-        return slice_to_outputs(compile_workflow(workflow))
-
     def plan(self, workflow: Workflow) -> PhysicalPlan:
         """Compile, slice, and optimize a workflow without executing it.
 
         Useful for inspecting the optimized execution plan (Figure 1b) or for
         what-if analysis in the versioning UI.
         """
-        compiled = self._compile(workflow)
+        compiled = self._plan_cache.compile_sliced(workflow)
         costs = self._estimate_costs(compiled)
         states, _explanation = self._plan_states(compiled, costs)
         return PhysicalPlan(compiled=compiled, states=states, estimated_cost=plan_cost(states, costs))
@@ -442,7 +433,7 @@ class HelixSession:
         change_category: str,
         iteration_index: int,
     ) -> SessionRunResult:
-        compiled = self._compile(workflow)
+        compiled = self._plan_cache.compile_sliced(workflow)
         delta_plan = self._plan_deltas(compiled, iteration_index)
         costs = self._estimate_costs(compiled, delta_plan)
         if delta_plan is not None and self.metrics_registry.enabled:
@@ -456,7 +447,7 @@ class HelixSession:
         if self.materialization_wrapper is not None:
             policy = self.materialization_wrapper(policy)
         partition_modes = None
-        if self._plan_cache is not None and self._partition_planner is not None:
+        if self._partition_planner is not None:
             partition_modes = self._plan_cache.partition_modes(
                 compiled, self._partition_planner
             )
@@ -467,7 +458,6 @@ class HelixSession:
             partitions=self.config.n_partitions,
             partition_planner=self._partition_planner,
             metrics=self.metrics_registry,
-            fusion=self.config.compiled,
             partition_modes=partition_modes,
         )
 
@@ -480,10 +470,9 @@ class HelixSession:
             iteration_index, description, change_category,
             delta_plan=delta_plan,
         )
-        if self.config.compiled:
-            trace.plan_cache = self._plan_cache.last_result
-            if self._warm_solver is not None and self.config.strategy.recomputation == "optimal":
-                trace.solver_mode = self._warm_solver.last_mode
+        trace.plan_cache = self._plan_cache.last_result
+        if self.config.strategy.recomputation == "optimal":
+            trace.solver_mode = self._warm_solver.last_mode
         # Pin every artifact the plan LOADs so a concurrent tenant's eviction
         # (shared-cache deployments) cannot invalidate this plan mid-run.
         # Chunked artifacts pin every present chunk of the signature's family.
@@ -578,6 +567,11 @@ class HelixSession:
             plan_cost=plan_cost(states, costs),
             created_at=time.time(),
             incremental=self.incremental_active,
+            # An infinite size means the same as None and is not strict JSON.
+            options={
+                name: finite_or_none(value) if isinstance(value, float) else value
+                for name, value in self.config.as_dict().items()
+            },
         )
         if delta_plan is not None:
             from repro.introspect.trace import DeltaTrace

@@ -14,7 +14,7 @@ so applying one is ``session.run(suggestion.workflow, description=suggestion.des
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.compiler.codegen import compile_workflow

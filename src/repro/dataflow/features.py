@@ -12,7 +12,7 @@ evaluation operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DataError
 
@@ -103,10 +103,18 @@ def merge_feature_blocks(blocks: Sequence[FeatureBlock], prefix_with_block_name:
     for block in blocks:
         _require_same_length("feature block " + block.name, "train", n_train, len(block.train))
         _require_same_length("feature block " + block.name, "test", n_test, len(block.test))
+        # A block has few distinct feature keys: format each prefixed key once
+        # (keys are ``str`` per ``FeatureDict``, so equal keys format equally).
+        merged_keys: Dict[str, str] = {}
         for target, rows in ((merged_train, block.train), (merged_test, block.test)):
             for out_row, in_row in zip(target, rows):
+                if not prefix_with_block_name:
+                    out_row.update(in_row)
+                    continue
                 for key, value in in_row.items():
-                    merged_key = f"{block.name}.{key}" if prefix_with_block_name else key
+                    merged_key = merged_keys.get(key)
+                    if merged_key is None:
+                        merged_key = merged_keys[key] = f"{block.name}.{key}"
                     out_row[merged_key] = value
     return FeatureBlock(name="+".join(b.name for b in blocks), train=merged_train, test=merged_test)
 

@@ -8,7 +8,7 @@ onto the operators below.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.dataflow.collection import Dataset
 from repro.dataflow.sequences import (

@@ -10,6 +10,7 @@ parameters so that signatures computed by the compiler are meaningful.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -27,7 +28,7 @@ from repro.datagen.census import CensusConfig, generate_census_dataset
 from repro.dsl.udf import UDF
 from repro.errors import ExecutionError, WorkflowError
 from repro.ml.linear import LogisticRegression, SoftmaxRegression
-from repro.ml.metrics import accuracy, f1_score, precision_recall_f1
+from repro.ml.metrics import accuracy, precision_recall_f1
 from repro.ml.naive_bayes import BernoulliNaiveBayes
 from repro.ml.scaler import StandardScaler
 from repro.ml.vectorizer import DictVectorizer
@@ -405,6 +406,23 @@ class UDFFeatureExtractor(Operator):
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _dense_weights(seed: int, n_fields: int, embed_dim: int) -> tuple:
+    """The seed-derived weights of a :class:`DenseFeaturizer`, generated once.
+
+    ``apply`` runs once per chunk per split, and generating ``embed_dim ×
+    embed_dim`` normals costs more than the chunk's matmul chain.  The memo
+    lives here rather than on the operator because the session and version
+    store keep every iteration's workflow alive and the process backend
+    pickles operators; at most four weight sets are held per process.
+    """
+    rng = np.random.default_rng(seed)
+    projection = rng.standard_normal((n_fields, embed_dim))
+    hidden = rng.standard_normal((embed_dim, embed_dim)) / np.sqrt(embed_dim)
+    projection.flags.writeable = hidden.flags.writeable = False  # shared by every caller
+    return projection, hidden
+
+
 class DenseFeaturizer(Operator):
     """Dense random-projection embedding of numeric fields, computed in batch.
 
@@ -453,10 +471,7 @@ class DenseFeaturizer(Operator):
         }
 
     def _weights(self) -> tuple:
-        rng = np.random.default_rng(self.seed)
-        projection = rng.standard_normal((len(self.fields), self.embed_dim))
-        hidden = rng.standard_normal((self.embed_dim, self.embed_dim)) / np.sqrt(self.embed_dim)
-        return projection, hidden
+        return _dense_weights(self.seed, len(self.fields), self.embed_dim)
 
     def _embed(self, collection: DataCollection) -> List[Dict[str, float]]:
         projection, hidden = self._weights()
@@ -467,10 +482,8 @@ class DenseFeaturizer(Operator):
         state = np.tanh(matrix @ projection)
         for _ in range(self.passes):
             state = np.tanh(state @ hidden)
-        return [
-            {f"emb{j}": float(state[i, j]) for j in range(self.out_features)}
-            for i in range(len(collection))
-        ]
+        keys = [f"emb{j}" for j in range(self.out_features)]
+        return [dict(zip(keys, row)) for row in state[:, : self.out_features].tolist()]
 
     def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
         dataset: Dataset = self._input(inputs, self.rows)

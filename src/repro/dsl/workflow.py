@@ -31,7 +31,7 @@ Usage::
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dsl.operators import ChangeCategory, Operator
 from repro.errors import WorkflowError

@@ -77,10 +77,6 @@ class ExecutionEngine:
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` the scheduler
         reports wave/node timings into; defaults to the store's registry.
-    fusion:
-        Operator fusion (the compiled hot path): collapse convex chains of
-        partition-wise COMPUTE nodes into one task each.  Opt-in; only
-        engages on partitioned runs.  See :mod:`repro.compile.fusion`.
     partition_modes:
         Precomputed node → :class:`~repro.partition.planner.PartitionMode`
         mapping (a :class:`~repro.compile.plan_cache.PlanCache` partition
@@ -95,7 +91,6 @@ class ExecutionEngine:
         partitions: int = 1,
         partition_planner=None,
         metrics=None,
-        fusion: bool = False,
         partition_modes=None,
     ) -> None:
         self.store = store
@@ -107,7 +102,6 @@ class ExecutionEngine:
             n_partitions=partitions,
             partition_planner=partition_planner,
             metrics=metrics,
-            fusion=fusion,
             partition_modes=partition_modes,
         )
 

@@ -395,6 +395,64 @@ class AsyncMaterializer:
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
+def align_chunk_inputs(
+    operator: Any,
+    values: Mapping[str, Any],
+    plain: Callable[[str], Any],
+    split_cache: Dict[str, List[Any]],
+    n: int,
+) -> Optional[List[Dict[str, Any]]]:
+    """Row-aligned per-chunk input dictionaries, or ``None`` if unalignable.
+
+    The one chunk-input alignment rule, shared by the scheduler's per-node
+    tasks and :class:`~repro.compile.fusion.FusedGroupTask`.  Already
+    partitioned parents contribute their chunks (and dictate the chunk
+    *shape* when their boundaries are content-dependent); plain splittable
+    parents are split to match; everything else broadcasts.  ``plain(name)``
+    coalesces a parent's value; ``split_cache`` keeps block splits so each
+    parent is split at most once per run.
+    """
+    parents = operator.dependencies()
+    chunked: Dict[str, List[Any]] = {}
+    shape = None
+    opaque = False
+    for parent in parents:
+        value = values[parent]
+        if isinstance(value, PartitionedValue) and value.n_partitions == n:
+            chunk_shape = shape_of_chunks(value.chunks)
+            if chunk_shape is None:
+                opaque = True  # e.g. dict chunks: usable alone, unalignable
+            elif shape is None:
+                shape = chunk_shape
+            elif shape != chunk_shape:
+                return None  # two partitioned parents disagree on rows
+            chunked[parent] = value.chunks
+    for parent in parents:
+        if parent in chunked:
+            continue
+        plain_value = plain(parent)
+        if not is_splittable(plain_value):
+            continue  # broadcast
+        if opaque:
+            return None  # cannot align fresh splits with opaque chunks
+        if shape is None and parent in split_cache:
+            chunked[parent] = split_cache[parent]
+            continue
+        parts = split_value(plain_value, n, shape=shape)
+        if parts is None:
+            return None  # row counts do not match the dictated shape
+        if shape is None:
+            split_cache[parent] = parts
+        chunked[parent] = parts
+    return [
+        {
+            parent: (chunked[parent][index] if parent in chunked else plain(parent))
+            for parent in parents
+        }
+        for index in range(n)
+    ]
+
+
 @dataclass
 class _PendingNode:
     """Per-wave bookkeeping for one COMPUTE node awaiting its task results.
@@ -452,7 +510,6 @@ class WavefrontScheduler:
         n_partitions: int = 1,
         partition_planner: Optional[PartitionPlanner] = None,
         metrics: Optional[MetricsRegistry] = None,
-        fusion: bool = False,
         partition_modes: Optional[Mapping[str, PartitionMode]] = None,
     ) -> None:
         self.store = store
@@ -463,12 +520,6 @@ class WavefrontScheduler:
         if partition_planner is None and self.n_partitions > 1:
             partition_planner = PartitionPlanner(self.n_partitions)
         self.partition_planner = partition_planner
-        #: Operator fusion (compiled hot path): collapse convex chains of
-        #: partition-wise COMPUTE nodes into one task each.  Opt-in, and only
-        #: meaningful on partitioned runs — the fused task trades per-member
-        #: dispatch for one task per group, which also serializes the group
-        #: on multi-worker backends.
-        self.fusion = bool(fusion)
         #: Precomputed node → PartitionMode (the plan cache's partition plan);
         #: nodes absent from the mapping fall back to the planner.
         self.partition_modes = partition_modes
@@ -532,8 +583,10 @@ class WavefrontScheduler:
         pending_signatures: set = set()
         partitioned = self.n_partitions > 1 and self.partition_planner is not None
 
+        # Partitioned runs collapse convex chains of partition-wise COMPUTE
+        # nodes into one task each (see repro.compile.fusion).
         fusion_plan = None
-        if self.fusion and partitioned:
+        if partitioned:
             from repro.compile.fusion import plan_fusion
 
             fusion_plan = plan_fusion(
@@ -1033,7 +1086,13 @@ class WavefrontScheduler:
         if mode is PartitionMode.SINGLE:
             return None
         n = self.n_partitions
-        chunk_inputs = self._chunk_inputs(operator, values, plain_cache, split_cache, compiled)
+        chunk_inputs = align_chunk_inputs(
+            operator,
+            values,
+            lambda parent: self._plain_value(parent, values, plain_cache, compiled),
+            split_cache,
+            n,
+        )
         if chunk_inputs is None:
             return None
 
@@ -1105,7 +1164,7 @@ class WavefrontScheduler:
         return entry
 
     # ------------------------------------------------------------------
-    # Fused groups (compiled hot path)
+    # Fused groups
     # ------------------------------------------------------------------
     def _fused_task(self, group, compiled):
         """The single compute task evaluating all of ``group``'s members."""
@@ -1140,65 +1199,6 @@ class WavefrontScheduler:
             },
             "merge_hooks": merge_hooks,
         }
-
-    def _chunk_inputs(
-        self,
-        operator: Any,
-        values: Dict[str, Any],
-        plain_cache: Dict[str, Any],
-        split_cache: Dict[str, List[Any]],
-        compiled,
-    ) -> Optional[List[Dict[str, Any]]]:
-        """Row-aligned per-chunk input dictionaries, or ``None`` if unalignable.
-
-        Already-partitioned parents contribute their chunks (and dictate the
-        chunk *shape* when their boundaries are content-dependent); plain
-        splittable parents are split to match; everything else broadcasts.
-        """
-        n = self.n_partitions
-        parents = operator.dependencies()
-        chunked: Dict[str, List[Any]] = {}
-        shape = None
-        opaque = False
-        for parent in parents:
-            value = values[parent]
-            if isinstance(value, PartitionedValue) and value.n_partitions == n:
-                chunk_shape = shape_of_chunks(value.chunks)
-                if chunk_shape is None:
-                    opaque = True  # e.g. dict chunks: usable alone, unalignable
-                elif shape is None:
-                    shape = chunk_shape
-                elif shape != chunk_shape:
-                    return None  # two partitioned parents disagree on rows
-                chunked[parent] = value.chunks
-        for parent in parents:
-            if parent in chunked:
-                continue
-            plain = self._plain_value(parent, values, plain_cache, compiled)
-            if not is_splittable(plain):
-                continue  # broadcast
-            if opaque:
-                return None  # cannot align fresh splits with opaque chunks
-            if shape is None and parent in split_cache:
-                chunked[parent] = split_cache[parent]
-                continue
-            parts = split_value(plain, n, shape=shape)
-            if parts is None:
-                return None  # row counts do not match the dictated shape
-            if shape is None:
-                split_cache[parent] = parts
-            chunked[parent] = parts
-        return [
-            {
-                parent: (
-                    chunked[parent][index]
-                    if parent in chunked
-                    else self._plain_value(parent, values, plain_cache, compiled)
-                )
-                for parent in parents
-            }
-            for index in range(n)
-        ]
 
     def _shuffled_inputs(
         self, operator: Any, chunk_inputs: List[Dict[str, Any]]
@@ -1285,6 +1285,36 @@ class WavefrontScheduler:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
+    def _encode_and_submit(
+        self,
+        key: str,
+        name: str,
+        label: str,
+        what: str,
+        value: Any,
+        stats: NodeRunStats,
+        writer: AsyncMaterializer,
+        logical_budget: float,
+        pending_signatures: set,
+    ) -> float:
+        """Encode ``value``, check it against the logical budget, queue the write.
+
+        Returns the payload size the caller debits.  ``what`` names the
+        artifact in the budget error (a node, or one chunk of a node).
+        """
+        serialize_started = time.perf_counter()
+        payload, codec = self.store.encode(label, value)
+        stats.materialize_time += time.perf_counter() - serialize_started
+        size = float(len(payload))
+        if size > logical_budget:
+            raise BudgetExceededError(
+                f"materializing {what} ({size:.0f} B) would exceed the remaining "
+                f"budget ({logical_budget:.0f} B)"
+            )
+        pending_signatures.add(key)
+        writer.submit(key, name, payload, stats, codec=codec)
+        return size
+
     def _decide_and_enqueue(
         self,
         name: str,
@@ -1306,18 +1336,10 @@ class WavefrontScheduler:
         decisions[name] = decision
         already = signature in pending_signatures or self.store.has(signature)
         if decision.materialize and not already:
-            serialize_started = time.perf_counter()
-            payload, codec = self.store.encode(name, value)
-            stats.materialize_time += time.perf_counter() - serialize_started
-            size = float(len(payload))
-            if size > logical_budget:
-                raise BudgetExceededError(
-                    f"materializing {name!r} ({size:.0f} B) would exceed the remaining "
-                    f"budget ({logical_budget:.0f} B)"
-                )
-            pending_signatures.add(signature)
-            writer.submit(signature, name, payload, stats, codec=codec)
-            logical_budget -= size
+            logical_budget -= self._encode_and_submit(
+                signature, name, name, repr(name), value,
+                stats, writer, logical_budget, pending_signatures,
+            )
         else:
             stats.output_size = costs[name].output_size if name in costs else 0.0
         return logical_budget
@@ -1363,18 +1385,10 @@ class WavefrontScheduler:
             chunk_key = chunk_signature(signature, index, n)
             already = monolithic or chunk_key in pending_signatures or self.store.has(chunk_key)
             if decision.materialize and not already:
-                serialize_started = time.perf_counter()
-                payload, codec = self.store.encode(f"{name}[{index}]", chunk)
-                stats.materialize_time += time.perf_counter() - serialize_started
-                size = float(len(payload))
-                if size > logical_budget:
-                    raise BudgetExceededError(
-                        f"materializing chunk {index}/{n} of {name!r} ({size:.0f} B) would "
-                        f"exceed the remaining budget ({logical_budget:.0f} B)"
-                    )
-                pending_signatures.add(chunk_key)
-                writer.submit(chunk_key, name, payload, stats, codec=codec)
-                logical_budget -= size
+                logical_budget -= self._encode_and_submit(
+                    chunk_key, name, f"{name}[{index}]", f"chunk {index}/{n} of {name!r}", chunk,
+                    stats, writer, logical_budget, pending_signatures,
+                )
                 any_write = True
         decisions[name] = replace(first, materialize=any_write or first.materialize)
         if not any_write and stats.output_size == 0.0:

@@ -34,7 +34,6 @@ from repro.optimizer.recomputation import (
     compute_all_plan,
     greedy_plan,
     optimal_plan,
-    plan_cost,
     reuse_all_plan,
 )
 

@@ -9,7 +9,7 @@ is where those statistics live.  :class:`RunHistory` doubles as the signature
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List
 
 from repro.graph.dag import NodeState
 from repro.optimizer.cost_model import CostRecord

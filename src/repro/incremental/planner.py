@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional
 from repro.compiler.codegen import CompiledWorkflow
 from repro.errors import StorageError
 from repro.incremental.detector import (
-    CLEAN,
     ChunkFingerprint,
     DeltaDetector,
     InputDelta,

@@ -18,7 +18,7 @@ Two formats:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from repro.introspect.trace import NodeTrace, RunTrace
 
@@ -101,19 +101,29 @@ class ExplainRenderer:
                 f"policies: recomputation={trace.recomputation_policy or '?'}  "
                 f"materialization={trace.materialization_policy or '?'}"
             )
+        if trace.options:
+            # Imported here: repro.core imports this module at package import.
+            from repro.core.config import RunConfig
+
+            defaults = RunConfig().as_dict()
+            changed = [
+                f"{name}={value}" for name, value in trace.options.items()
+                if name in defaults and value != defaults[name]
+            ]
+            lines.append("options: " + ("  ".join(changed) or "(all defaults)"))
         if trace.plan_cache or trace.solver_mode:
-            compiled = "compiled:"
+            planning = "planning:"
             if trace.plan_cache:
-                compiled += f"  plan-cache={trace.plan_cache}"
+                planning += f"  plan-cache={trace.plan_cache}"
             if trace.solver_mode:
-                compiled += f"  min-cut-solver={trace.solver_mode}"
+                planning += f"  min-cut-solver={trace.solver_mode}"
             fused_members = sum(1 for entry in trace.nodes.values() if entry.fused_group >= 0)
             if fused_members:
                 fused_groups = len({
                     entry.fused_group for entry in trace.nodes.values() if entry.fused_group >= 0
                 })
-                compiled += f"  fused={fused_members} nodes in {fused_groups} group(s)"
-            lines.append(compiled)
+                planning += f"  fused={fused_members} nodes in {fused_groups} group(s)"
+            lines.append(planning)
 
         n_compute = len(trace.nodes_in_state("compute"))
         n_load = len(trace.nodes_in_state("load"))

@@ -117,8 +117,8 @@ class NodeTrace:
     output_size: float = 0.0
     chunks_loaded: int = 0
     chunks_computed: int = 0
-    #: Index of the fused group that executed this node (compiled hot path);
-    #: ``-1`` when the node ran as its own task(s).
+    #: Index of the fused group that executed this node; ``-1`` when the node
+    #: ran as its own task(s).
     fused_group: int = -1
     #: Storage tier(s) and codec(s) that served the node's LOAD (``+``-joined
     #: when chunks came from several).
@@ -203,12 +203,16 @@ class RunTrace:
     created_at: float = 0.0
     #: Whether delta-driven incremental recomputation was active this run.
     incremental: bool = False
-    #: How the recomputation min-cut was solved (compiled hot path):
-    #: ``"warm"`` / ``"cold"`` / ``"fallback"``; ``""`` = plain solver.
+    #: How the recomputation min-cut was solved: ``"warm"`` / ``"cold"`` /
+    #: ``"fallback"``; ``""`` = a heuristic planner ran, no min-cut.
     solver_mode: str = ""
-    #: Plan-cache outcome for this run's compilation (compiled hot path):
-    #: ``"exact"`` / ``"structural"`` / ``"miss"``; ``""`` = cache off.
+    #: Plan-cache outcome for this run's compilation: ``"exact"`` /
+    #: ``"structural"`` / ``"miss"``; ``""`` = not recorded (older traces).
     plan_cache: str = ""
+    #: The resolved :class:`~repro.core.config.RunConfig` the run executed
+    #: under, flat (strategy by name); empty on traces written before it
+    #: was recorded.
+    options: Dict[str, Any] = field(default_factory=dict)
 
     nodes: Dict[str, NodeTrace] = field(default_factory=dict)
     cut_edges: List[CutEdgeTrace] = field(default_factory=list)

@@ -8,7 +8,7 @@ matters for reproducible workflow signatures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -8,7 +8,7 @@ DeepDive-style person-mention extraction pipelines train.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 

@@ -36,7 +36,7 @@ import math
 import random
 import threading
 import zlib
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "MetricsRegistry",

@@ -19,7 +19,7 @@ assumes everything materialized now is reusable next iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set
+from typing import Dict, Mapping
 
 from repro.errors import OptimizerError
 from repro.graph.dag import Dag

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.errors import OptimizerError, PlanError
 from repro.graph.dag import Dag, NodeState
@@ -184,7 +184,7 @@ def optimal_plan_explained(
     each node's side of the cut.  ``registry`` (optional) receives the
     max-flow solve time and cut size as ``repro_optimizer_*`` series;
     defaults to the process-wide metrics registry.  ``solver`` (optional)
-    replaces :func:`solve_project_selection` — the compiled hot path passes a
+    replaces :func:`solve_project_selection` — the session passes its
     :class:`~repro.compile.warmcut.WarmCutSolver` here to warm-start
     successive structurally identical solves; any solver must return an
     exact :class:`~repro.optimizer.project_selection.ProjectSelectionSolution`.

@@ -21,7 +21,7 @@ reproduces the serial metrics bit for bit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 import numpy as np
 

@@ -213,8 +213,12 @@ class DiskBackend(StorageBackend):
             parent = os.path.dirname(path)
             if parent != self.root:
                 os.makedirs(parent, exist_ok=True)
-            with open(path, "wb") as handle:
+            # Write-then-rename: a read racing an overwrite (two tenants
+            # materializing one signature) never sees a truncated file.
+            temp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+            with open(temp_path, "wb") as handle:
                 handle.write(payload)
+            os.replace(temp_path, path)
         except OSError as exc:
             raise StorageError(f"cannot write artifact {path}: {exc}") from exc
         with self._lock:

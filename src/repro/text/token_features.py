@@ -9,7 +9,7 @@ changes of the IE workload land.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 _DIGITS = re.compile(r"\d")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import VersioningError
 from repro.execution.stats import RunHistory

@@ -11,7 +11,7 @@ reuse nearly everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.datagen.census import CENSUS_FIELDS, CensusConfig

@@ -18,8 +18,7 @@ automatically invalidates its descendants, exactly like the real compiler.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizerError
 from repro.execution.simulator import SimIteration, SimNode, sim_dag

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 from repro.dsl.workflow import Workflow
 

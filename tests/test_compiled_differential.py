@@ -1,31 +1,31 @@
-"""Differential fuzzing of the compiled hot path (`repro.compile`).
+"""Differential fuzzing of the planning shortcuts and fusion (`repro.compile`).
 
-Every compiled-path shortcut claims *bit-identical results* — not approximate,
-not "close enough".  This suite proves it by running generated inputs through
-both implementations and demanding equality:
+Every shortcut claims *bit-identical results* — not approximate, not "close
+enough".  This suite proves it by running generated inputs through the
+shortcut and through an independent reference and demanding equality:
 
 * warm-started min-cut vs. an independent cold solve (solver level and
   reduction level);
 * plan-cache compiles (exact hit, structural regraft) vs. a from-scratch
   ``slice_to_outputs(compile_workflow(...))``;
-* fused partitioned execution vs. the plain wavefront scheduler, on real
-  census pipelines with deterministic synthetic costs;
-* compiled sessions vs. plain sessions over full iteration sequences
-  (metrics equality — planner *decisions* at iteration N>=1 depend on
-  measured timings, which differ between separately timed sessions, so
-  decision-level identity is asserted at the engine/optimizer layers where
-  costs are held fixed).
+* partitioned, fused execution of real census pipelines vs. the naive
+  interpreter in :mod:`reference_interpreter` (every node value), and vs. the
+  same scheduler with an empty fusion plan (verdicts and chunk accounting,
+  which the interpreter has no notion of);
+* whole sessions over an iteration sequence vs. the naive interpreter
+  (reported metrics — planner *decisions* at iteration N>=1 depend on
+  measured timings, so decision-level identity is asserted at the
+  engine/optimizer layers where costs are held fixed).
 
 Inputs come from :mod:`tests.generators`; profits and costs sit on the
 dyadic ``k/64`` grid so sums are exact and ``==`` is the right assertion.
 """
 
-import pickle
+import contextlib
 import tempfile
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from generators import (
     DIFFERENTIAL_CENSUS,
@@ -35,7 +35,8 @@ from generators import (
     cost_sequences,
     project_instance_sequences,
 )
-from repro.compile import PlanCache, WarmCutSolver
+from reference_interpreter import interpret, reference_metrics
+from repro.compile import FusionPlan, PlanCache, WarmCutSolver
 from repro.compiler.codegen import compile_workflow
 from repro.compiler.plan import PhysicalPlan
 from repro.compiler.slicing import slice_to_outputs
@@ -49,16 +50,16 @@ from repro.optimizer.materialization import HelixOnlineMaterializer
 from repro.optimizer.project_selection import solve_project_selection
 from repro.optimizer.recomputation import optimal_plan_explained
 from repro.partition.planner import PartitionPlanner
-from repro.workloads.census_workload import CensusVariant, build_census_workflow
+from repro.workloads.census_workload import CensusVariant
 
 
 def canonical(value):
     """Aliasing-free structural rendering for value equality.
 
-    Fused and unfused execution build equal values along different object
-    graphs (the fused path shares fewer sub-objects), so raw ``pickle``
-    bytes differ by memo references while the data is identical.  This
-    flattens any value into plain containers keyed by type name.
+    The engine and the reference interpreter build equal values along
+    different object graphs, so raw ``pickle`` bytes differ by memo
+    references while the data is identical.  This flattens any value into
+    plain containers keyed by type name.
     """
     if isinstance(value, dict):
         return {key: canonical(item) for key, item in value.items()}
@@ -188,9 +189,11 @@ class TestPlanCacheDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Fused execution vs. plain wavefront scheduling
+# Partitioned, fused execution vs. the naive reference interpreter
 # ---------------------------------------------------------------------------
-def execute(compiled, fusion):
+def execute(compiled, fused=True):
+    """Run ``compiled`` all-COMPUTE on 4 partitions with fixed synthetic costs;
+    ``fused=False`` hands the scheduler an empty fusion plan instead."""
     states = {name: NodeState.COMPUTE for name in compiled.dag.nodes()}
     costs = {
         name: NodeCosts(
@@ -199,13 +202,11 @@ def execute(compiled, fusion):
         for name in compiled.dag.nodes()
     }
     trace = RunTrace()
-    with tempfile.TemporaryDirectory() as root:
-        engine = ExecutionEngine(
-            ArtifactStore(root),
-            HelixOnlineMaterializer(),
-            partitions=4,
-            fusion=fusion,
-        )
+    fusion = contextlib.nullcontext() if fused else mock.patch(
+        "repro.compile.fusion.plan_fusion", return_value=FusionPlan()
+    )
+    with tempfile.TemporaryDirectory() as root, fusion:
+        engine = ExecutionEngine(ArtifactStore(root), HelixOnlineMaterializer(), partitions=4)
         result = engine.execute(
             PhysicalPlan(compiled=compiled, states=states), costs, trace=trace
         )
@@ -215,28 +216,35 @@ def execute(compiled, fusion):
 class TestFusedExecutionDifferential:
     @given(census_variants())
     @settings(max_examples=10, deadline=None)
-    def test_fused_run_equals_unfused_run(self, variant):
-        """Same compiled plan, same synthetic costs, fusion on vs. off:
-        outputs bit-identical, every node value structurally identical,
-        every materialization verdict identical, chunk accounting identical."""
-        compiled = slice_to_outputs(compile_workflow(build_variant(variant)))
-        plain, _ = execute(compiled, fusion=False)
-        fused, fused_trace = execute(compiled, fusion=True)
+    def test_fused_run_equals_reference_interpreter(self, variant):
+        """Every node value and every output of the partitioned, fused run is
+        structurally identical to the naive interpreter's; against the same
+        scheduler with fusion planned away, every materialization verdict and
+        the chunk accounting are identical too."""
+        workflow = build_variant(variant)
+        reference = interpret(workflow)
+        compiled = slice_to_outputs(compile_workflow(workflow))
+        fused, fused_trace = execute(compiled)
 
-        assert pickle.dumps(plain.outputs) == pickle.dumps(fused.outputs)
-        assert sorted(plain.values) == sorted(fused.values)
-        for name in plain.values:
-            assert canonical(plain.values[name]) == canonical(fused.values[name]), name
+        assert sorted(reference) == sorted(fused.values)
+        for name in reference:
+            assert canonical(reference[name]) == canonical(fused.values[name]), name
+        assert canonical(fused.outputs) == canonical(
+            {name: reference[name] for name in workflow.outputs()}
+        )
+
+        unfused, unfused_trace = execute(compiled, fused=False)
+        assert all(entry.fused_group == -1 for entry in unfused_trace.nodes.values())
         assert {
             name: (decision.materialize, decision.score)
-            for name, decision in plain.decisions.items()
+            for name, decision in unfused.decisions.items()
         } == {
             name: (decision.materialize, decision.score)
             for name, decision in fused.decisions.items()
         }
         assert {
             name: stats.chunks_computed
-            for name, stats in plain.report.node_stats.items()
+            for name, stats in unfused.report.node_stats.items()
         } == {
             name: stats.chunks_computed
             for name, stats in fused.report.node_stats.items()
@@ -304,16 +312,16 @@ class TestPlanCacheInvalidation:
         """Cross-session isolation: one session's cache never serves another
         (cached plans hold live operator instances; sharing would leak them
         across tenants)."""
-        a = HelixSession(str(tmp_path / "a"), compiled=True, metrics=False)
-        b = HelixSession(str(tmp_path / "b"), compiled=True, metrics=False)
+        a = HelixSession(str(tmp_path / "a"), metrics=False)
+        b = HelixSession(str(tmp_path / "b"), metrics=False)
         assert a._plan_cache is not b._plan_cache
         workflow = build_variant(self.variant())
-        a._compile(workflow)
+        a._plan_cache.compile_sliced(workflow)
         assert a._plan_cache.last_result == "miss"
-        a._compile(build_variant(self.variant()))
+        a._plan_cache.compile_sliced(build_variant(self.variant()))
         assert a._plan_cache.last_result == "exact"
         # Session B has never compiled anything: same workflow, fresh miss.
-        b._compile(build_variant(self.variant()))
+        b._plan_cache.compile_sliced(build_variant(self.variant()))
         assert b._plan_cache.last_result == "miss"
         assert b._plan_cache.stats()["exact_entries"] == 1
 
@@ -330,57 +338,34 @@ class TestPlanCacheInvalidation:
 
 
 # ---------------------------------------------------------------------------
-# Whole sessions: compiled vs. plain over an iteration sequence
+# Whole sessions vs. the naive reference interpreter over an iteration sequence
 # ---------------------------------------------------------------------------
 class TestSessionDifferential:
-    def test_compiled_session_metrics_equal_plain_session(self, tmp_path):
-        """Four census iterations (graph edits and param edits mixed), one
-        plain session vs. one fully compiled session: reported model metrics
-        must be equal, and the compiled session must observably exercise the
-        cache, the warm solver, and fusion along the way."""
+    def test_session_metrics_equal_reference_interpreter(self, tmp_path):
+        """Four census iterations (graph edits and param edits mixed) through
+        one partitioned session: every iteration's reported model metrics
+        must equal the naive interpreter's on the same workflow, and the
+        session must observably exercise the plan cache, the warm solver,
+        and fusion along the way."""
         from repro.workloads.census_workload import census_workload
 
         spec = census_workload(data_config=DIFFERENTIAL_CENSUS, n_iterations=4)
-        outcomes = {}
-        for compiled in (False, True):
-            session = HelixSession(
-                str(tmp_path / ("compiled" if compiled else "plain")),
-                partitions=4,
-                compiled=compiled,
-                metrics=False,
-            )
-            rows = []
-            for iteration in spec.iterations:
-                result = session.run(
-                    iteration.build(),
-                    description=iteration.description,
-                    change_category=iteration.category,
-                )
-                rows.append((dict(result.report.metrics), result.trace))
-            outcomes[compiled] = rows
-
+        session = HelixSession(str(tmp_path), partitions=4, metrics=False)
         cache_results, solver_modes, fused_total = [], [], 0
-        for (plain_metrics, _), (compiled_metrics, trace) in zip(
-            outcomes[False], outcomes[True]
-        ):
-            assert plain_metrics == compiled_metrics
-            cache_results.append(trace.plan_cache)
-            solver_modes.append(trace.solver_mode)
+        for iteration in spec.iterations:
+            result = session.run(
+                iteration.build(),
+                description=iteration.description,
+                change_category=iteration.category,
+            )
+            assert dict(result.report.metrics) == reference_metrics(iteration.build())
+            cache_results.append(result.trace.plan_cache)
+            solver_modes.append(result.trace.solver_mode)
             fused_total += sum(
-                1 for entry in trace.nodes.values() if entry.fused_group >= 0
+                1 for entry in result.trace.nodes.values() if entry.fused_group >= 0
             )
         assert cache_results[0] == "miss"
         assert "structural" in cache_results, cache_results
         assert solver_modes[0] == "cold"
         assert "warm" in solver_modes, solver_modes
         assert fused_total > 0, "fusion never engaged across the sequence"
-
-    def test_plain_session_traces_carry_no_compiled_annotations(self, tmp_path):
-        session = HelixSession(str(tmp_path), metrics=False)
-        result = session.run(
-            build_census_workflow(CensusVariant(data_config=DIFFERENTIAL_CENSUS)),
-            description="plain",
-        )
-        assert result.trace.plan_cache == ""
-        assert result.trace.solver_mode == ""
-        assert all(entry.fused_group == -1 for entry in result.trace.nodes.values())

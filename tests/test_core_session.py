@@ -1,7 +1,7 @@
 """Integration tests for HelixSession: iterative reuse end to end."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -160,8 +160,10 @@ class TestRunConfig:
         assert session.config == RunConfig() == RunConfig(
             strategy=HELIX, storage_budget=None, backend="serial", parallelism=None,
             partitions=None, store_backend=None, memory_tier_mb=None, codec="auto",
-            incremental=None, compiled=False,
+            incremental=None,
         )
+        # The pinned row above is the whole option surface: nine fields.
+        assert len(fields(RunConfig)) == 9
 
     def test_keywords_override_a_passed_config(self, tmp_path):
         base = RunConfig(partitions=4, backend="thread", parallelism=2)

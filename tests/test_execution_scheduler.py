@@ -24,6 +24,7 @@ from repro.execution.scheduler import (
 )
 from repro.execution.store import ArtifactStore
 from repro.graph.dag import Dag, NodeState
+from repro.introspect.trace import RunTrace
 from repro.optimizer.cost_model import CostEstimator
 from repro.optimizer.materialization import MaterializeAll, MaterializeNone
 from repro.workloads.census_workload import CensusVariant, build_census_workflow
@@ -291,6 +292,57 @@ class TestErrorPaths:
         for backend in (SerialBackend(), ThreadPoolBackend(2)):
             with pytest.raises(ExecutionError, match="explode"):
                 run_workflow(wf, ArtifactStore(str(tmp_path / backend.name)), backend, MaterializeNone())
+
+    def test_fused_member_failure_names_node_and_chunk(self, tmp_path):
+        """Inside a fused group the failing member and chunk are named in the
+        unfused path's wording, and a fallback-to-single member by plain name."""
+
+        class Double(SleepAddOp):
+            partition_mode = "partitionwise"
+
+            def apply(self, inputs):
+                return [row * 2 for row in inputs[self.deps[0]]]
+
+        class DoubleKeyed(Double):
+            def apply(self, inputs):  # dict chunks: no row shape to align with
+                return {row * 2: row for row in inputs[self.deps[0]]}
+
+        class Picky(Double):
+            def apply(self, inputs):
+                if 10 in inputs[self.deps[0]]:
+                    raise ValueError("kaboom")
+                return inputs[self.deps[0]]
+
+        def failure(double, picky_deps, backend):
+            wf = Workflow("fused-boom")
+            wf.add("source", ConstOp(list(range(8))))
+            wf.add("double", double(["source"]))
+            wf.add("picky", Picky(picky_deps))
+            wf.mark_output("picky")
+            compiled = slice_to_outputs(compile_workflow(wf))
+            scheduler = WavefrontScheduler(
+                ArtifactStore(str(tmp_path / f"{backend.name}-{double.__name__}")),
+                MaterializeNone(), backend, n_partitions=4,
+            )
+            trace = RunTrace()
+            with pytest.raises(ExecutionError) as excinfo:
+                scheduler.run(
+                    compute_all_plan(compiled), CostEstimator().estimate(compiled), trace=trace
+                )
+            # The group's one task runs (and fails) in its head wave.
+            assert trace.nodes["double"].fused_group >= 0, "double+picky were not fused"
+            return str(excinfo.value)
+
+        for make_backend in (SerialBackend, lambda: ThreadPoolBackend(2)):
+            # [0..7] in 4 chunks doubles to [8, 10] in chunk 2.
+            assert "operator for node 'picky[2]' failed: kaboom" in failure(
+                Double, ["double"], make_backend()
+            )
+            # Opaque dict chunks next to a plain splittable parent cannot be
+            # aligned: picky falls back to one evaluation on coalesced inputs.
+            assert "operator for node 'picky' failed: kaboom" in failure(
+                DoubleKeyed, ["double", "source"], make_backend()
+            )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExecutionError, match="unknown backend"):

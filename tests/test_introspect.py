@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.strategies import KEYSTONEML
 from repro.core.session import HelixSession
 from repro.core.workspace import (
     WorkspaceResolutionError,
@@ -288,6 +289,36 @@ class TestTraceRoundTrip:
         persisted = session.trace_for(run=1)
         assert ExplainRenderer(persisted).render_ascii() == session.explain()
 
+    def test_run_options_round_trip_and_older_traces_load_without_them(self, tmp_path):
+        import json
+
+        session = HelixSession(
+            str(tmp_path / "ws"), partitions=4, strategy=KEYSTONEML, storage_budget=float("inf")
+        )
+        trace = session.run(
+            build_census_workflow(CensusVariant(data_config=census_config()))
+        ).trace
+        assert trace.options == {**session.config.as_dict(), "storage_budget": None}
+        assert trace.options["strategy"] == "keystoneml"
+        assert trace.options["storage_budget"] is None  # inf is not strict JSON
+        assert session.trace_for(run=0).options == trace.options
+        # A trace written before options were recorded has no such header key.
+        header, _, body = trace.to_jsonl().partition("\n")
+        old_header = json.loads(header)
+        del old_header["options"]
+        older = RunTrace.from_jsonl(json.dumps(old_header) + "\n" + body)
+        assert older.options == {}
+        assert "options:" not in ExplainRenderer(older).render_ascii()
+
+    def test_explain_lists_the_non_default_run_options(self, tmp_path):
+        workflow = build_census_workflow(CensusVariant(data_config=census_config()))
+        tuned = HelixSession(str(tmp_path / "a"), partitions=4, backend="thread", parallelism=2)
+        tuned.run(workflow)
+        assert "\noptions: backend=thread  parallelism=2  partitions=4\n" in tuned.explain()
+        plain = HelixSession(str(tmp_path / "b"))
+        plain.run(workflow)
+        assert "\noptions: (all defaults)\n" in plain.explain()
+
     def test_rendering_carries_verdict_costs_and_storage_for_every_node(self, tmp_path):
         session = HelixSession(str(tmp_path))
         session.run(
@@ -321,8 +352,6 @@ class TestTraceRoundTrip:
         """materialize-none scores r_i = inf; the export must stay strict JSON
         (no Infinity/NaN tokens), so non-Python consumers can parse it."""
         import json
-
-        from repro.baselines.strategies import KEYSTONEML
 
         session = HelixSession(str(tmp_path), strategy=KEYSTONEML)
         result = session.run(

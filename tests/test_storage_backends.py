@@ -1,6 +1,7 @@
 """Tests for the storage layer: backends, tiering, and store integration."""
 
 import os
+import threading
 
 import pytest
 
@@ -115,6 +116,29 @@ class TestDiskBackends:
         (tmp_path / "catalog.json.bak").write_text("[]")
         backend.put_bytes("sig.pkl", b"x")
         assert backend.keys() == ["sig.pkl"]
+
+    def test_overwrite_is_never_seen_torn(self, tmp_path):
+        # Two tenants materializing one signature: a read racing the second
+        # write must get a whole payload (an in-place truncate-and-write
+        # handed readers empty or partial files).
+        backend = DiskBackend(str(tmp_path))
+        payloads = (b"a" * 200_000, b"b" * 200_000)
+        backend.put_bytes("sig.pkl", payloads[0])
+        done = threading.Event()
+
+        def overwrite():
+            for index in range(300):
+                backend.put_bytes("sig.pkl", payloads[index % 2])
+            done.set()
+
+        writer = threading.Thread(target=overwrite)
+        writer.start()
+        seen = set()
+        while not done.is_set():
+            seen.add(backend.get_bytes("sig.pkl"))
+        writer.join()
+        assert seen <= set(payloads)
+        assert backend.keys() == ["sig.pkl"], "no temp file left behind"
 
     def test_stats_reports_occupancy(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
