@@ -2,8 +2,8 @@
 """CI smoke for the SQLite catalog: bounded multi-process stress + integrity check.
 
 Bounded by a hard deadline (no sleeps, no polling loops): launch concurrent
-worker subprocesses (``python -m repro.storage.harness worker``) against one
-fresh store root, join them with ``communicate(timeout=...)``, and require
+worker subprocesses (``python -m repro.storage.harness worker`` — a seeded
+put/get/link/delete/evict mix) against one fresh store root, join them with ``communicate(timeout=...)``, and require
 zero ``database is locked`` errors plus a catalog that passes SQLite's
 integrity check and exactly equals the ground truth reconstructed from the
 workers' own reports.

@@ -729,7 +729,8 @@ def _command_store(
     print(
         f"store: {root}\n"
         f"backend: {info['backend']}   artifacts: {info['artifacts']} "
-        f"({chunked} partition chunks)   used: {info['used_bytes']:.0f} B   "
+        f"({chunked} partition chunks)   used: {info['used_bytes']:.0f} B logical / "
+        f"{info['physical_bytes']:.0f} B physical   "
         f"budget: {info['budget_bytes'] if info['budget_bytes'] is not None else 'unbounded'}",
         file=out,
     )

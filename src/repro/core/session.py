@@ -476,7 +476,9 @@ class HelixSession:
         # Pin every artifact the plan LOADs so a concurrent tenant's eviction
         # (shared-cache deployments) cannot invalidate this plan mid-run.
         # Chunked artifacts pin every present chunk of the signature's family.
-        load_signatures = []
+        # The delta plan's source chunks are pinned beside them: a carried
+        # chunk is linked (and decoded, if read) from its source during the run.
+        load_signatures = delta_plan.source_keys() if delta_plan is not None else []
         for name, state in states.items():
             if state is not NodeState.LOAD:
                 continue
@@ -635,7 +637,7 @@ class HelixSession:
         if node_costs.delta_strategy == "delta":
             return (
                 f"delta: recompute {node_costs.delta_dirty_chunks}/"
-                f"{node_costs.delta_chunk_count} dirty chunks + load "
+                f"{node_costs.delta_chunk_count} dirty chunks + carry "
                 f"{node_costs.delta_reusable_chunks} clean (est {compute:.6g}s, "
                 f"saves est {node_costs.delta_savings:.6g}s vs full)"
             )
@@ -643,7 +645,7 @@ class HelixSession:
             return (
                 f"recompute est {compute:.6g}s: delta rejected "
                 f"({node_costs.delta_reusable_chunks}/{node_costs.delta_chunk_count} "
-                f"chunks reusable, loading them would not beat full recompute)"
+                f"chunks reusable, carrying them would not beat full recompute)"
             )
         if 0 < node_costs.chunks_present < node_costs.chunk_count:
             return (

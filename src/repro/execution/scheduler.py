@@ -71,6 +71,7 @@ from repro.optimizer.materialization import (
     per_chunk_costs,
 )
 from repro.partition.chunks import (
+    CarriedChunk,
     PartitionedValue,
     is_splittable,
     merge_value,
@@ -87,7 +88,9 @@ class ExecutionResult:
     """Everything the session needs back from one engine run.
 
     ``outputs`` maps declared workflow outputs to their values; ``values``
-    holds every non-pruned node's value; ``decisions`` records the online
+    holds every non-pruned node's value (except a partitioned value whose
+    carried chunks nothing read — it is not decoded just to be listed);
+    ``decisions`` records the online
     materialization decision made for every computed node (whether or not the
     artifact was ultimately written).
     """
@@ -294,7 +297,8 @@ class AsyncMaterializer:
 
     Payloads are already encoded when they arrive (serialization happens
     synchronously so budget accounting stays deterministic); the writer thread
-    only pays the disk write.  The queue is *bounded*: when it fills, the
+    only pays the disk write.  A node's carried chunks arrive as one job of
+    links — no payload at all.  The queue is *bounded*: when it fills, the
     producing thread blocks instead of dropping the write, so every accepted
     decision is eventually persisted.  Writer-side failures are stashed and
     re-raised by :meth:`drain`.
@@ -335,13 +339,51 @@ class AsyncMaterializer:
 
         ``payload`` and ``codec`` are what the store's ``encode`` returned.
         """
+        self._enqueue(self._put, stats, signature, node_name, payload, codec)
+
+    def submit_links(
+        self, node_name: str, links: List[Tuple[str, str, float]], stats: NodeRunStats
+    ) -> None:
+        """Enqueue one node's carried chunks — ``(source key, key, size)`` each —
+        as a single job: N links and one catalog transaction."""
+        self._enqueue(self._link, stats, node_name, links)
+
+    def _enqueue(self, job: Callable[..., None], stats: NodeRunStats, *args: Any) -> None:
         self._ensure_started()
         # The submitting thread's correlation ID rides along so journal
         # entries from the writer thread (cache evictions most of all) stay
         # attributable to the request that caused them.
-        self._queue.put((signature, node_name, payload, stats, codec,
-                         current_correlation_id()))
+        self._queue.put((job, stats, args, current_correlation_id()))
         self._queue_gauge.set(self._queue.qsize())
+
+    def _put(
+        self, stats: NodeRunStats, signature: str, node_name: str, payload: bytes, codec: str
+    ) -> None:
+        meta = self.store.put_bytes(signature, node_name, payload, codec=codec)
+        self._landed(stats, float(len(payload)), meta)
+
+    def _link(
+        self, stats: NodeRunStats, node_name: str, links: List[Tuple[str, str, float]]
+    ) -> None:
+        metas = self.store.link_many(
+            [(source, key) for source, key, _size in links], node_name
+        )
+        for (_source, _key, size), meta in zip(links, metas):
+            self._landed(stats, size, meta)
+
+    def _landed(self, stats: NodeRunStats, size: float, meta: Any) -> None:
+        """Account one artifact the store accepted (``meta``) or declined (``None``).
+
+        A store may decline a write (the shared service cache enforces size
+        limits against exact payload sizes here); the node's value stays in
+        memory, it just isn't durable.  Sizes accumulate because a partitioned
+        node submits one payload per chunk against the same stats record.
+        """
+        stats.output_size += size
+        if meta is not None:
+            stats.materialized = True
+            self._written += 1
+            self._writes_total.inc()
 
     def _loop(self) -> None:
         while True:
@@ -349,24 +391,12 @@ class AsyncMaterializer:
             if item is self._SENTINEL:
                 self._queue.task_done()
                 return
-            signature, node_name, payload, stats, codec, cid = item
+            job, stats, args, cid = item
             try:
                 with correlation_scope(cid):
                     started = time.perf_counter()
-                    meta = self.store.put_bytes(signature, node_name, payload, codec=codec)
+                    job(stats, *args)
                     stats.materialize_time += time.perf_counter() - started
-                    # A store may decline a write (the shared service cache
-                    # enforces size limits against exact payload sizes here);
-                    # the node's value stays in memory, it just isn't durable.
-                    # Sizes accumulate because a partitioned node submits one
-                    # payload per chunk against the same stats record.
-                    if meta is not None:
-                        stats.output_size += meta.size
-                        stats.materialized = True
-                        self._written += 1
-                        self._writes_total.inc()
-                    else:
-                        stats.output_size += float(len(payload))
             except BaseException as exc:  # surfaced by drain()
                 self._errors.append(exc)
             finally:
@@ -401,7 +431,8 @@ def align_chunk_inputs(
     plain: Callable[[str], Any],
     split_cache: Dict[str, List[Any]],
     n: int,
-) -> Optional[List[Dict[str, Any]]]:
+    needed: Optional[Sequence[int]] = None,
+) -> Optional[List[Optional[Dict[str, Any]]]]:
     """Row-aligned per-chunk input dictionaries, or ``None`` if unalignable.
 
     The one chunk-input alignment rule, shared by the scheduler's per-node
@@ -411,46 +442,61 @@ def align_chunk_inputs(
     parents are split to match; everything else broadcasts.  ``plain(name)``
     coalesces a parent's value; ``split_cache`` keeps block splits so each
     parent is split at most once per run.
+
+    ``needed`` names the chunk indices whose inputs will actually be used
+    (``None`` = all); the other entries of the result are ``None``.  Only
+    needed chunks of a partitioned parent are read — a carried chunk
+    (:class:`~repro.partition.chunks.CarriedChunk`) nobody needs is never
+    decoded — unless a plain parent has to be cut at the partitioned parents'
+    row boundaries, which takes every chunk's row count.
     """
     parents = operator.dependencies()
-    chunked: Dict[str, List[Any]] = {}
-    shape = None
-    opaque = False
+    wanted = range(n) if needed is None else needed
+    partitioned: Dict[str, PartitionedValue] = {}
+    splittable: Dict[str, Any] = {}
     for parent in parents:
         value = values[parent]
         if isinstance(value, PartitionedValue) and value.n_partitions == n:
-            chunk_shape = shape_of_chunks(value.chunks)
-            if chunk_shape is None:
-                opaque = True  # e.g. dict chunks: usable alone, unalignable
-            elif shape is None:
-                shape = chunk_shape
-            elif shape != chunk_shape:
-                return None  # two partitioned parents disagree on rows
-            chunked[parent] = value.chunks
-    for parent in parents:
-        if parent in chunked:
-            continue
-        plain_value = plain(parent)
-        if not is_splittable(plain_value):
-            continue  # broadcast
+            partitioned[parent] = value
+        elif parent not in splittable:
+            plain_value = plain(parent)
+            if is_splittable(plain_value):
+                splittable[parent] = plain_value  # the rest broadcast
+    shape = None
+    opaque = False
+    for value in partitioned.values():
+        chunk_shape = shape_of_chunks(
+            [value.chunk(index) for index in (range(n) if splittable else wanted)]
+        )
+        if chunk_shape is None:
+            opaque = True  # e.g. dict chunks: usable alone, unalignable
+        elif shape is None:
+            shape = chunk_shape
+        elif shape != chunk_shape:
+            return None  # two partitioned parents disagree on rows
+    split: Dict[str, List[Any]] = {}
+    for parent, plain_value in splittable.items():
         if opaque:
             return None  # cannot align fresh splits with opaque chunks
         if shape is None and parent in split_cache:
-            chunked[parent] = split_cache[parent]
+            split[parent] = split_cache[parent]
             continue
         parts = split_value(plain_value, n, shape=shape)
         if parts is None:
             return None  # row counts do not match the dictated shape
         if shape is None:
             split_cache[parent] = parts
-        chunked[parent] = parts
-    return [
-        {
-            parent: (chunked[parent][index] if parent in chunked else plain(parent))
-            for parent in parents
-        }
-        for index in range(n)
-    ]
+        split[parent] = parts
+
+    def chunk_input(parent: str, index: int) -> Any:
+        if parent in partitioned:
+            return partitioned[parent].chunk(index)
+        return split[parent][index] if parent in split else plain(parent)
+
+    chunk_inputs: List[Optional[Dict[str, Any]]] = [None] * n
+    for index in wanted:
+        chunk_inputs[index] = {parent: chunk_input(parent, index) for parent in parents}
+    return chunk_inputs
 
 
 @dataclass
@@ -458,8 +504,9 @@ class _PendingNode:
     """Per-wave bookkeeping for one COMPUTE node awaiting its task results.
 
     ``kind`` selects the folding rule: ``"single"`` (one task, plain value),
-    ``"chunks"`` (one task per missing chunk plus preloaded chunk artifacts,
-    folds to a :class:`~repro.partition.chunks.PartitionedValue`), or
+    ``"chunks"`` (one task per missing chunk plus preloaded chunk artifacts
+    and carried-forward chunk handles, folds to a
+    :class:`~repro.partition.chunks.PartitionedValue`), or
     ``"combine"`` (one partial task per chunk, merged on the scheduling
     thread, optionally finalized back into chunks).
     """
@@ -472,6 +519,8 @@ class _PendingNode:
     task_indices: List[int] = field(default_factory=list)
     task_chunks: List[int] = field(default_factory=list)
     preloaded: Dict[int, Any] = field(default_factory=dict)
+    #: Delta reuse: clean chunks carried forward from the previous signature.
+    carried: Dict[int, CarriedChunk] = field(default_factory=dict)
     combiner: Any = None
     chunk_inputs: Optional[List[Dict[str, Any]]] = None
     finalize_indices: List[int] = field(default_factory=list)
@@ -560,9 +609,10 @@ class WavefrontScheduler:
         ``delta_plan`` (optional, partitioned runs only) is the incremental
         planner's :class:`~repro.incremental.planner.DeltaPlan`: root values
         it already computed during change detection are *seeded* instead of
-        re-executed, and nodes the optimizer priced as ``"delta"`` pre-load
-        their clean chunks from the previous signature's chunk artifacts and
-        compute only the dirty ones.
+        re-executed, and nodes the optimizer priced as ``"delta"`` compute
+        only their dirty chunks: the clean ones are *carried forward* from the
+        previous signature's chunk artifacts — linked under the new signature
+        if the policy materializes them, decoded only if something reads them.
         """
         compiled = plan.compiled
         dag = compiled.dag
@@ -782,7 +832,7 @@ class WavefrontScheduler:
                     value = values[entry.name]
                     if isinstance(value, PartitionedValue):
                         logical_budget = self._decide_and_enqueue_chunks(
-                            entry.name, value.chunks, compiled, dag, costs, entry.stats,
+                            entry.name, value, compiled, dag, costs, entry.stats,
                             decisions, writer, logical_budget, pending_signatures,
                         )
                     else:
@@ -838,16 +888,26 @@ class WavefrontScheduler:
             except BaseException:
                 pass
             raise
+        # Everything downstream of the scheduler (session, reports, tests)
+        # sees plain values; chunked outputs coalesce exactly once here.  A
+        # value still holding carried chunks nobody read is not decoded just
+        # to be reported: unless it is a declared output it is left out, the
+        # way a PRUNEd node's value is.
+        for name in list(values):
+            value = values[name]
+            if (
+                isinstance(value, PartitionedValue)
+                and not value.is_resolved
+                and name not in compiled.outputs
+            ):
+                del values[name]
+            else:
+                values[name] = self._plain_value(name, values, plain_cache, compiled)
         wall_clock = time.perf_counter() - wall_started
         if self.metrics.enabled:
             self._record_run_metrics(wall_clock, node_stats)
         if trace is not None:
             self._finalize_trace(trace, compiled, node_stats, decisions, wall_clock)
-
-        # Everything downstream of the scheduler (session, reports, tests)
-        # sees plain values; chunked outputs coalesce exactly once here.
-        for name in list(values):
-            values[name] = self._plain_value(name, values, plain_cache, compiled)
 
         total_runtime = sum(stats.total_time() for stats in node_stats.values())
         report = IterationReport(
@@ -937,27 +997,22 @@ class WavefrontScheduler:
             entry.output_size = stats.output_size
             entry.chunks_loaded = stats.chunks_loaded
             entry.chunks_computed = stats.chunks_computed
+            entry.chunks_carried = stats.chunks_carried
+            entry.chunks_decoded = stats.chunks_decoded
             entry.materialized = stats.materialized
             decision = decisions.get(name)
             if decision is None or not decision.materialize:
                 continue
             signature = compiled.signature_of(name)
-            write_tiers: set = set()
-            write_codecs: set = set()
-            candidates = [signature] + [
+            # One catalog lookup per node, however many chunks it wrote.
+            placed = self.store.placement([signature] + [
                 chunk_signature(signature, index, self.n_partitions)
                 for index in range(self.n_partitions)
                 if decisions.get(f"{name}[{index}]") is not None
                 and decisions[f"{name}[{index}]"].materialize
-            ]
-            for key in candidates:
-                if not self.store.has(key):
-                    continue
-                tier, codec = self._tier_and_codec(key)
-                write_tiers.add(tier)
-                write_codecs.add(codec)
-            entry.write_tier = "+".join(sorted(tier for tier in write_tiers if tier))
-            entry.write_codec = "+".join(sorted(codec for codec in write_codecs if codec))
+            ]).values()
+            entry.write_tier = _joined(tier for tier, _codec in placed)
+            entry.write_codec = _joined(codec for _tier, codec in placed)
 
     # ------------------------------------------------------------------
     # Value plumbing
@@ -975,37 +1030,15 @@ class WavefrontScheduler:
             return value
         if name not in plain_cache:
             merge = getattr(compiled.operator(name), "merge_chunks", None)
-            plain_cache[name] = merge(value.chunks) if callable(merge) else merge_value(value.chunks)
+            chunks = value.resolved()  # a whole-value read decodes what was carried
+            plain_cache[name] = merge(chunks) if callable(merge) else merge_value(chunks)
         return plain_cache[name]
 
-    def _tier_and_codec(self, signature: str) -> Tuple[str, str]:
-        """Best-effort tier/codec probe for one catalog key (trace annotation).
-
-        Custom stores in tests may implement only the primitive surface, so
-        both probes are optional; missing answers render as ``""``.
-        """
-        tier = ""
-        tier_probe = getattr(self.store, "tier_of", None)
-        if callable(tier_probe):
-            try:
-                tier = tier_probe(signature) or ""
-            except Exception:
-                tier = ""
-        codec = ""
-        meta_probe = getattr(self.store, "meta", None)
-        if callable(meta_probe):
-            try:
-                codec = getattr(meta_probe(signature), "codec", "") or ""
-            except Exception:
-                codec = ""
-        return tier, codec
-
     @staticmethod
-    def _record_read(node_trace: Optional[NodeTrace], tiers: set, codecs: set) -> None:
-        if node_trace is None:
-            return
-        node_trace.read_tier = "+".join(sorted(tier for tier in tiers if tier))
-        node_trace.read_codec = "+".join(sorted(codec for codec in codecs if codec))
+    def _record_read(node_trace: NodeTrace, placed) -> None:
+        """Annotate a LOAD with the ``(tier, codec)`` pairs about to serve it."""
+        node_trace.read_tier = _joined(tier for tier, _codec in placed)
+        node_trace.read_codec = _joined(codec for _tier, codec in placed)
 
     def _load_node(
         self,
@@ -1022,8 +1055,7 @@ class WavefrontScheduler:
                 # Probe the serving tier *before* the read: a tiered backend
                 # promotes on read, so probing after would report "memory"
                 # for a load the disk actually served.
-                tier, codec = self._tier_and_codec(signature)
-                self._record_read(node_trace, {tier}, {codec})
+                self._record_read(node_trace, self.store.placement([signature]).values())
             value, load_time = self.store.get(signature)
             stats.load_time = load_time
             stats.output_size = self.store.meta(signature).size
@@ -1039,14 +1071,12 @@ class WavefrontScheduler:
         # can then stay partitioned); otherwise the largest complete family.
         count = self.n_partitions if partitioned and self.n_partitions in complete else complete[-1]
         chunks = []
-        read_tiers: set = set()
-        read_codecs: set = set()
+        if node_trace is not None:
+            self._record_read(node_trace, self.store.placement(
+                chunk_signature(signature, index, count) for index in range(count)
+            ).values())
         for index in range(count):
             chunk_key = chunk_signature(signature, index, count)
-            if node_trace is not None:
-                tier, codec = self._tier_and_codec(chunk_key)
-                read_tiers.add(tier)
-                read_codecs.add(codec)
             try:
                 value, elapsed = self.store.get_chunk(signature, index, count)
             except StorageError as exc:
@@ -1057,7 +1087,6 @@ class WavefrontScheduler:
             stats.chunks_loaded += 1
             stats.output_size += self.store.meta(chunk_key).size
             chunks.append(value)
-        self._record_read(node_trace, read_tiers, read_codecs)
         stats.materialized = True
         if partitioned and count == self.n_partitions:
             return PartitionedValue(chunks)
@@ -1086,12 +1115,27 @@ class WavefrontScheduler:
         if mode is PartitionMode.SINGLE:
             return None
         n = self.n_partitions
+        # Delta reuse: the optimizer chose "recompute dirty + carry clean"
+        # for this node, standing clean chunks in from the *previous* run's
+        # signature (the current signature has no artifacts — the input data
+        # changed).  A carried chunk is a handle, not a value: nothing is read
+        # here, and the chunk's inputs are not assembled either, so a clean
+        # chunk upstream that only feeds clean chunks is never decoded.
+        reuse_plan = (
+            delta_plan.reuse_for(name, costs)
+            if delta_plan is not None and mode is PartitionMode.PARTITIONWISE
+            else None
+        )
+        if reuse_plan is not None and reuse_plan.chunk_count != n:
+            reuse_plan = None
+        carried = reuse_plan.reuse if reuse_plan is not None else {}
         chunk_inputs = align_chunk_inputs(
             operator,
             values,
             lambda parent: self._plain_value(parent, values, plain_cache, compiled),
             split_cache,
             n,
+            needed=[index for index in range(n) if index not in carried] if carried else None,
         )
         if chunk_inputs is None:
             return None
@@ -1120,23 +1164,17 @@ class WavefrontScheduler:
             n_chunks=n, chunk_inputs=chunk_inputs,
         )
         node_costs = costs.get(name)
-        recover = (
+        recoverable: Sequence[int] = ()
+        if (
             node_costs is not None
             and getattr(node_costs, "chunk_count", 0) == n
             and getattr(node_costs, "chunks_present", 0) > 0
-        )
-        # Delta reuse: the optimizer chose "recompute dirty + load clean"
-        # for this node, serving clean chunks from the *previous* run's
-        # signature (the current signature has no artifacts — the input data
-        # changed).  Same-signature recovery, when possible, wins: it serves
-        # the exact artifact, delta reuse a content-equal stand-in.
-        reuse_plan = (
-            delta_plan.reuse_for(name, costs) if delta_plan is not None else None
-        )
-        if reuse_plan is not None and reuse_plan.chunk_count != n:
-            reuse_plan = None
+        ):
+            recoverable = self.store.chunk_families(signature).get(n, ())
         for index in range(n):
-            if recover and self.store.has_chunk(signature, index, n):
+            # Same-signature recovery, when possible, wins over a carried
+            # chunk: it serves the exact artifact, not a content-equal one.
+            if index in recoverable:
                 try:
                     value, elapsed = self.store.get_chunk(signature, index, n)
                 except StorageError:
@@ -1146,22 +1184,34 @@ class WavefrontScheduler:
                     stats.load_time += elapsed
                     stats.chunks_loaded += 1
                     continue
-            if reuse_plan is not None and index in reuse_plan.reuse:
-                try:
-                    value, elapsed = self.store.get_chunk(
-                        reuse_plan.old_signature, reuse_plan.reuse[index], n
-                    )
-                except StorageError:
-                    pass  # evicted since planning: recompute this chunk
-                else:
-                    entry.preloaded[index] = value
-                    stats.load_time += elapsed
-                    stats.chunks_loaded += 1
-                    continue
+            if index in carried:
+                entry.carried[index] = carried[index]
+                stats.chunks_loaded += 1
+                stats.chunks_carried += 1
+                continue
             entry.task_chunks.append(index)
             entry.task_indices.append(len(tasks))
             tasks.append((f"{name}[{index}]", operator, chunk_inputs[index]))
         return entry
+
+    def _carried_resolver(
+        self, name: str, stats: NodeRunStats
+    ) -> Callable[[int, CarriedChunk], Any]:
+        """First-read decoder for ``name``'s carried chunks (scheduler thread)."""
+
+        def resolve(index: int, carried: CarriedChunk) -> Any:
+            try:
+                value, elapsed = self.store.get(carried.source_key)
+            except StorageError as exc:
+                raise StorageError(
+                    f"node {name!r}: carried chunk {index} cannot be decoded from "
+                    f"source key {carried.source_key!r}: {exc}"
+                ) from exc
+            stats.load_time += elapsed
+            stats.chunks_decoded += 1
+            return value
+
+        return resolve
 
     # ------------------------------------------------------------------
     # Fused groups
@@ -1191,7 +1241,16 @@ class WavefrontScheduler:
             if callable(hook):
                 merge_hooks[parent] = hook
         return {
-            "values": {parent: values[parent] for parent in group.external_parents},
+            # Workers never see a carried-chunk handle (or the resolver's
+            # closure over the store): the task gets decoded chunks.
+            "values": {
+                parent: (
+                    PartitionedValue(values[parent].resolved())
+                    if isinstance(values[parent], PartitionedValue) and values[parent].carried
+                    else values[parent]
+                )
+                for parent in group.external_parents
+            },
             "plain": {
                 parent: plain_cache[parent]
                 for parent in group.external_parents
@@ -1252,12 +1311,18 @@ class WavefrontScheduler:
             chunks: List[Any] = [None] * entry.n_chunks
             for chunk_index, chunk_value in entry.preloaded.items():
                 chunks[chunk_index] = chunk_value
+            for chunk_index, handle in entry.carried.items():
+                chunks[chunk_index] = handle
             for chunk_index, task_index in zip(entry.task_chunks, entry.task_indices):
                 value, elapsed = results[task_index]
                 stats.compute_time += elapsed
                 stats.chunks_computed += 1
                 chunks[chunk_index] = value
-            values[entry.name] = PartitionedValue(chunks)
+            values[entry.name] = PartitionedValue(
+                chunks,
+                carried=entry.carried,
+                resolver=self._carried_resolver(entry.name, stats) if entry.carried else None,
+            )
             return
         # combine: merge the partial states; finalize fans back out if needed.
         partials = []
@@ -1306,14 +1371,18 @@ class WavefrontScheduler:
         payload, codec = self.store.encode(label, value)
         stats.materialize_time += time.perf_counter() - serialize_started
         size = float(len(payload))
+        self._check_budget(size, what, logical_budget)
+        pending_signatures.add(key)
+        writer.submit(key, name, payload, stats, codec=codec)
+        return size
+
+    @staticmethod
+    def _check_budget(size: float, what: str, logical_budget: float) -> None:
         if size > logical_budget:
             raise BudgetExceededError(
                 f"materializing {what} ({size:.0f} B) would exceed the remaining "
                 f"budget ({logical_budget:.0f} B)"
             )
-        pending_signatures.add(key)
-        writer.submit(key, name, payload, stats, codec=codec)
-        return size
 
     def _decide_and_enqueue(
         self,
@@ -1347,7 +1416,7 @@ class WavefrontScheduler:
     def _decide_and_enqueue_chunks(
         self,
         name: str,
-        chunks: List[Any],
+        value: PartitionedValue,
         compiled,
         dag: Dag,
         costs: Mapping[str, NodeCosts],
@@ -1366,16 +1435,24 @@ class WavefrontScheduler:
         rest via partial-hit recomputation.  ``decisions[name]`` aggregates
         (materialize = any chunk persisted); per-chunk decisions are recorded
         under ``"name[i]"``.
+
+        A computed chunk is encoded here and its write queued.  A carried
+        chunk already *is* an encoded payload in the store: it debits the
+        catalog's exact size without encoding anything, and all of the node's
+        carried chunks ride the write queue as one job (N links, one catalog
+        transaction).
         """
         signature = compiled.signature_of(name)
-        n = len(chunks)
+        n = value.n_partitions
         view = per_chunk_costs(costs, name, n) if name in costs else costs
         # A monolithic artifact from a non-partitioned run already covers
         # this signature; chunk copies would double the storage.
         monolithic = self.store.has(signature)
+        stored = () if monolithic else self.store.chunk_families(signature).get(n, ())
         first: Optional[MaterializationDecision] = None
         any_write = False
-        for index, chunk in enumerate(chunks):
+        links: List[Tuple[str, str, float]] = []
+        for index in range(n):
             decision = self.materialization_policy.decide(
                 node=name, dag=dag, costs=view, remaining_budget=logical_budget
             )
@@ -1383,17 +1460,33 @@ class WavefrontScheduler:
                 first = decision
             decisions[f"{name}[{index}]"] = decision
             chunk_key = chunk_signature(signature, index, n)
-            already = monolithic or chunk_key in pending_signatures or self.store.has(chunk_key)
-            if decision.materialize and not already:
+            already = monolithic or chunk_key in pending_signatures or index in stored
+            if not decision.materialize or already:
+                continue
+            what = f"chunk {index}/{n} of {name!r}"
+            carried = value.carried.get(index)
+            if carried is not None:
+                self._check_budget(carried.size, what, logical_budget)
+                pending_signatures.add(chunk_key)
+                links.append((carried.source_key, chunk_key, carried.size))
+                logical_budget -= carried.size
+            else:
                 logical_budget -= self._encode_and_submit(
-                    chunk_key, name, f"{name}[{index}]", f"chunk {index}/{n} of {name!r}", chunk,
+                    chunk_key, name, f"{name}[{index}]", what, value.chunks[index],
                     stats, writer, logical_budget, pending_signatures,
                 )
-                any_write = True
+            any_write = True
+        if links:
+            writer.submit_links(name, links, stats)
         decisions[name] = replace(first, materialize=any_write or first.materialize)
         if not any_write and stats.output_size == 0.0:
             stats.output_size = costs[name].output_size if name in costs else 0.0
         return logical_budget
+
+
+def _joined(labels) -> str:
+    """Distinct non-empty labels, sorted, ``+``-joined (trace tier/codec fields)."""
+    return "+".join(sorted({label for label in labels if label}))
 
 
 def _collect_metrics(output_names, values: Dict[str, Any]) -> Dict[str, float]:

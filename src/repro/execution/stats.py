@@ -50,9 +50,14 @@ class NodeRunStats:
         e.g. simulated runs).
     chunks_computed / chunks_loaded:
         Partition-chunk accounting for partitioned runs: how many of the
-        node's chunks were computed fresh versus recovered from chunked
-        artifacts (both 0 for non-partitioned execution).  A partial chunk
-        hit shows up as both being non-zero for one node.
+        node's chunks were computed fresh versus served from the store
+        instead of computed (both 0 for non-partitioned execution).  A
+        partial chunk hit shows up as both being non-zero for one node.
+    chunks_carried / chunks_decoded:
+        Of ``chunks_loaded``, how many were carried forward by link from a
+        previous signature (delta reuse), and how many of those something
+        actually read, forcing a decode.  A carried chunk nobody reads costs
+        one link and no I/O.
     """
 
     node: str
@@ -68,6 +73,8 @@ class NodeRunStats:
     wave: int = -1
     chunks_computed: int = 0
     chunks_loaded: int = 0
+    chunks_carried: int = 0
+    chunks_decoded: int = 0
 
     def total_time(self) -> float:
         """Cumulative work attributed to this node (compute + load + materialize)."""
@@ -202,13 +209,25 @@ class RunHistory:
 
         Only computed nodes carry fresh compute measurements; loaded nodes
         refresh the size (which the store knows exactly) without touching the
-        historical compute cost.
+        historical compute cost.  A node that computed only some of its
+        chunks (delta reuse, partial-hit recovery) records the
+        *full-equivalent* cost — what all of its chunks would have taken at
+        the measured per-chunk rate — because that is what prices the next
+        full recompute of its operator type; the partial time would make the
+        operator look cheaper after every incremental run.
         """
         self.reports.append(report)
         for stats in report.node_stats.values():
             if stats.state is NodeState.COMPUTE:
+                compute_cost = stats.compute_time
+                if stats.chunks_loaded:
+                    if not stats.chunks_computed:
+                        continue  # every chunk came from the store: nothing measured
+                    compute_cost *= (
+                        stats.chunks_computed + stats.chunks_loaded
+                    ) / stats.chunks_computed
                 self._records[stats.signature] = CostRecord(
-                    compute_cost=stats.compute_time,
+                    compute_cost=compute_cost,
                     output_size=stats.output_size or self._records.get(stats.signature, CostRecord(0, 0)).output_size,
                     operator_type=stats.operator_type,
                 )

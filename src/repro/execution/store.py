@@ -84,16 +84,31 @@ class ChunkInventory:
         return tuple(index for index in range(self.count) if index not in have)
 
 
+def _link_failure(node_name: str, source: str, why: str) -> str:
+    """The one wording for a carry-forward whose source vanished."""
+    parsed = parse_chunk_signature(source)
+    chunk = f"chunk {parsed[1]}/{parsed[2]}, " if parsed else ""
+    return f"cannot carry node {node_name!r} forward: {chunk}source key {source!r}: {why}"
+
+
 class ChunkStoreOps:
     """Chunked-artifact operations, defined over the primitive store surface.
 
     One logical artifact (a partitioned node's output) is stored as ``count``
     chunk entries keyed by :func:`chunk_signature`.  The methods here only
-    call ``self.has`` / ``self.get`` / ``self.delete`` / ``self.catalog``,
+    call ``self.has`` / ``self.get`` / ``self.delete`` / ``self.catalog`` /
+    ``self.link_many``,
     so both :class:`ArtifactStore` and the service's tenant store views
     inherit them — a tenant's chunk reads and writes stay attributed for
     quota accounting without any extra plumbing.
     """
+
+    def link(
+        self, source_signature: str, signature: str, node_name: str
+    ) -> Optional["ArtifactMeta"]:
+        """Carry one stored artifact forward under ``signature`` without
+        copying it; see :meth:`ArtifactStore.link_many` (``None``: declined)."""
+        return self.link_many([(source_signature, signature)], node_name)[0]
 
     def get_chunk(self, signature: str, index: int, count: int) -> Tuple[Any, float]:
         """Load one chunk; returns ``(value, elapsed_seconds)``."""
@@ -284,14 +299,23 @@ class ArtifactStore(ChunkStoreOps):
 
     def tier_of(self, signature: str) -> Optional[str]:
         """Which tier would serve ``signature``: ``"memory"``, ``"disk"``, or ``None``."""
+        return self.placement([signature]).get(signature, (None, ""))[0]
+
+    def placement(self, signatures: Iterable[str]) -> Dict[str, Tuple[Optional[str], str]]:
+        """``signature -> (serving tier, codec)`` for the stored ones among
+        ``signatures`` — one catalog query however many keys (a partitioned
+        node asks once for its whole chunk family)."""
         with self._lock:
-            meta = self._get_meta(signature)
-        if meta is None:
-            return None
+            metas = self._db.get_artifacts(signatures)
         tier_probe = getattr(self._backend, "tier_of", None)
-        if callable(tier_probe):
-            return tier_probe(meta.filename)
-        return "memory" if isinstance(self._backend, MemoryBackend) else "disk"
+        untiered = "memory" if isinstance(self._backend, MemoryBackend) else "disk"
+        return {
+            signature: (
+                tier_probe(meta.filename) if callable(tier_probe) else untiered,
+                meta.codec,
+            )
+            for signature, meta in metas.items()
+        }
 
     def memory_resident_signatures(self) -> Set[str]:
         """Signatures whose payload a memory tier would serve — near-free loads."""
@@ -319,13 +343,17 @@ class ArtifactStore(ChunkStoreOps):
             entry = by_codec.setdefault(meta.codec, {"artifacts": 0, "bytes": 0.0})
             entry["artifacts"] += 1
             entry["bytes"] += meta.size
+        backend_stats = self._backend.stats().to_dict()
         info: Dict[str, Any] = {
             "backend": self._backend.name,
             "artifacts": len(catalog),
+            # Logical bytes (the budget currency: every catalog row counts)
+            # next to physical ones (a payload shared by links counts once).
             "used_bytes": sum(meta.size for meta in catalog),
+            "physical_bytes": backend_stats["used_bytes"],
             "budget_bytes": self.budget_bytes,
             "by_codec": by_codec,
-            "backend_stats": self._backend.stats().to_dict(),
+            "backend_stats": backend_stats,
         }
         tier_stats = getattr(self._backend, "tier_stats", None)
         if callable(tier_stats):
@@ -464,6 +492,18 @@ class ArtifactStore(ChunkStoreOps):
             self._offer_hot_value(meta.filename, value)
         return meta
 
+    def _require_room(self, node_name: str, incoming: float, replaced: float) -> None:
+        """The budget check of every write path (call under the lock):
+        ``incoming`` bytes of new rows taking the place of ``replaced`` bytes."""
+        if self.budget_bytes is None:
+            return
+        projected = self._db.artifact_total_bytes() - replaced + incoming
+        if projected > self.budget_bytes:
+            raise BudgetExceededError(
+                f"materializing {node_name!r} ({incoming:.0f} B) would exceed the budget "
+                f"({projected:.0f} > {self.budget_bytes:.0f} B)"
+            )
+
     def put_bytes(
         self,
         signature: str,
@@ -491,12 +531,7 @@ class ArtifactStore(ChunkStoreOps):
         size = float(len(payload))
         with self._lock:
             existing = self._get_meta(signature)
-            projected = self._db.artifact_total_bytes() - (existing.size if existing else 0.0) + size
-            if self.budget_bytes is not None and projected > self.budget_bytes:
-                raise BudgetExceededError(
-                    f"materializing {node_name!r} ({size:.0f} B) would exceed the budget "
-                    f"({projected:.0f} > {self.budget_bytes:.0f} B)"
-                )
+            self._require_room(node_name, size, existing.size if existing else 0.0)
             previous_filename = existing.filename if existing else None
         filename = self._backend.place(f"{signature}.pkl")
         self._backend.put_bytes(filename, payload)
@@ -530,6 +565,63 @@ class ArtifactStore(ChunkStoreOps):
             codec=codec,
         ).inc(size)
         return meta
+
+    def link_many(
+        self, pairs: Iterable[Tuple[str, str]], node_name: str
+    ) -> List[Optional[ArtifactMeta]]:
+        """Give each ``(source_signature, signature)`` pair's payload a second
+        catalog entry — no decode, no encode, no byte written.
+
+        The new rows take the source rows' exact ``size`` and ``codec`` (so
+        the logical budget, which counts rows, debits what a ``put_bytes`` of
+        the same value would have), under the same budget check; the backend
+        links the payload (:meth:`StorageBackend.link`) and all rows commit
+        in one catalog transaction.  Payloads are immutable, so either key
+        may later be deleted, evicted or overwritten without the other
+        noticing.  Raises :class:`StorageError` naming the node and the
+        source key when a source row or payload is gone.
+        """
+        pairs = list(pairs)
+        with self._lock:
+            rows = self._db.get_artifacts([key for pair in pairs for key in pair])
+            for source, _signature in pairs:
+                if source not in rows:
+                    raise StorageError(_link_failure(node_name, source, "no catalog entry"))
+            self._require_room(
+                node_name,
+                sum(rows[source].size for source, _signature in pairs),
+                sum(rows[signature].size for _source, signature in pairs if signature in rows),
+            )
+        metas: List[Optional[ArtifactMeta]] = []
+        for source, signature in pairs:
+            origin = rows[source]
+            filename = self._backend.place(f"{signature}.pkl")
+            try:
+                self._backend.link(origin.filename, filename)
+            except StorageError as exc:
+                raise StorageError(_link_failure(node_name, source, str(exc))) from exc
+            previous = rows.get(signature)
+            if previous is not None and previous.filename != filename:
+                self._forget_hot_value(previous.filename)
+                self._backend.delete(previous.filename)
+            created = time.time()
+            metas.append(ArtifactMeta(
+                signature=signature,
+                node_name=node_name,
+                size=origin.size,
+                # What producing these bytes cost — the eviction scorer's
+                # fallback when no compute cost was ever measured.
+                write_time=origin.write_time,
+                created_at=created,
+                filename=filename,
+                last_access_at=created,
+                codec=origin.codec,
+            ))
+        with self._lock:
+            for meta in metas:
+                self._touches.pop(meta.signature, None)
+            self._db.upsert_artifacts(metas)
+        return metas
 
     def get(self, signature: str) -> Tuple[Any, float]:
         """Load an artifact; returns ``(value, elapsed_seconds)``.

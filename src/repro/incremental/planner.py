@@ -17,8 +17,10 @@ estimation:
 
 The result feeds three consumers: :class:`~repro.optimizer.cost_model.
 CostEstimator` prices delta-vs-full from :meth:`DeltaPlan.hints`; the
-scheduler seeds root values and pre-loads reusable chunks for nodes the
-optimizer chose ``"delta"`` for; the run trace records the verdicts.
+scheduler seeds root values and, for nodes the optimizer chose ``"delta"``
+for, carries the reusable chunks forward as
+:class:`~repro.partition.chunks.CarriedChunk` handles (linked, not copied;
+decoded only if something reads them); the run trace records the verdicts.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.incremental.detector import (
 from repro.incremental.propagate import DirtyPropagator, NODE_SCOPE
 from repro.obs.registry import get_registry
 from repro.optimizer.cost_model import DeltaHint
-from repro.partition.chunks import PartitionedValue, split_value
+from repro.partition.chunks import CarriedChunk, PartitionedValue, split_value
 from repro.partition.planner import PartitionPlanner
 from repro.storage.catalog import chunk_signature
 
@@ -52,7 +54,8 @@ class NodeDeltaPlan:
     new_signature: str
     chunk_count: int
     statuses: List[str]
-    reuse: Dict[int, int]  # new chunk index -> old chunk index with an artifact
+    #: new chunk index -> the old-signature chunk artifact that stands in for it
+    reuse: Dict[int, CarriedChunk]
     reusable_bytes: float
     reason: str
     memory_resident: bool = False
@@ -86,6 +89,15 @@ class DeltaPlan:
             )
             for name, plan in self.candidates.items()
         }
+
+    def source_keys(self) -> List[str]:
+        """Catalog keys every candidate would carry forward (the session pins
+        them for the run: a carried chunk is only as durable as its source)."""
+        return [
+            carried.source_key
+            for plan in self.candidates.values()
+            for carried in plan.reuse.values()
+        ]
 
     def reuse_for(self, name: str, costs: Dict[str, Any]) -> Optional[NodeDeltaPlan]:
         """The node's reuse plan iff the optimizer chose the delta strategy."""
@@ -226,27 +238,25 @@ class DeltaPlanner:
             catalog = store.catalog()
         except StorageError:
             catalog = {}
+        resident_probe = getattr(store, "memory_resident_signatures", None)
+        resident = resident_probe() if callable(resident_probe) else set()
         for name, delta in node_deltas.items():
             if name in plan.seeds:
                 continue  # the seeded root itself needs no reuse
             if delta.scope == NODE_SCOPE:
                 plan.widened[name] = delta.reason
                 continue
-            reuse: Dict[int, int] = {}
+            reuse: Dict[int, CarriedChunk] = {}
             reusable_bytes = 0.0
             statuses = list(delta.statuses)
-            tier_of = getattr(store, "tier_of", None)
-            in_memory = tier_of is not None
             for index in delta.clean_indices:
-                old_index = delta.remap[index]
-                key = chunk_signature(delta.old_signature, old_index, self.n_partitions)
+                key = chunk_signature(delta.old_signature, delta.remap[index], self.n_partitions)
                 meta = catalog.get(key)
                 if meta is None:
-                    statuses[index] = "dirty"  # clean but nothing stored to load
+                    statuses[index] = "dirty"  # clean but nothing stored to carry
                     continue
-                reuse[index] = old_index
+                reuse[index] = CarriedChunk(key, float(meta.size), meta.codec)
                 reusable_bytes += float(meta.size)
-                in_memory = in_memory and tier_of(key) == "memory"
             if not reuse:
                 plan.widened[name] = "no stored chunks under previous signature"
                 continue
@@ -259,5 +269,5 @@ class DeltaPlanner:
                 reuse=reuse,
                 reusable_bytes=reusable_bytes,
                 reason=delta.reason,
-                memory_resident=in_memory,
+                memory_resident=all(c.source_key in resident for c in reuse.values()),
             )

@@ -231,7 +231,7 @@ class ExplainRenderer:
                 f" {entry.delta_chunks_dirty}/{entry.delta_chunks_total} dirty"
             )
             if entry.delta_strategy == "delta":
-                delta += f" reuse {entry.delta_chunks_reused}"
+                delta += f", {entry.chunks_carried} carried ({entry.chunks_decoded} decoded)"
                 if entry.delta_est_savings > 0.0:
                     delta += f" saves~{_seconds(entry.delta_est_savings)}"
             elif entry.delta_reason:

@@ -88,7 +88,7 @@ class NodeTrace:
     reuse_reason: str = ""
 
     # -- incremental (delta) verdict -------------------------------------
-    #: ``"delta"`` when the optimizer priced "recompute dirty chunks + load
+    #: ``"delta"`` when the optimizer priced "recompute dirty chunks + carry
     #: clean chunks" below a full recompute, ``"full"`` when delta was
     #: considered and rejected, ``""`` when no input delta applied.
     delta_strategy: str = ""
@@ -117,6 +117,10 @@ class NodeTrace:
     output_size: float = 0.0
     chunks_loaded: int = 0
     chunks_computed: int = 0
+    #: Of ``chunks_loaded``: carried forward by link under the delta strategy,
+    #: and how many of those were decoded because something read them.
+    chunks_carried: int = 0
+    chunks_decoded: int = 0
     #: Index of the fused group that executed this node; ``-1`` when the node
     #: ran as its own task(s).
     fused_group: int = -1

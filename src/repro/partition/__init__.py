@@ -17,6 +17,7 @@ See ``docs/partitioning.md`` for the model and a worked example.
 """
 
 from repro.partition.chunks import (
+    CarriedChunk,
     PartitionedValue,
     is_splittable,
     merge_value,
@@ -45,6 +46,7 @@ from repro.partition.shuffle import exchange_records, exchange_value
 
 __all__ = [
     "BucketizerCombiner",
+    "CarriedChunk",
     "Combiner",
     "DEFAULT_COMBINERS",
     "EvaluatorCombiner",

@@ -23,8 +23,8 @@ Two invariants make the scheme correct:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.collection import DataCollection, Dataset
 from repro.dataflow.features import ExampleCollection, FeatureBlock, LabelBlock, PredictionSet
@@ -38,15 +38,51 @@ from repro.errors import DataError
 from repro.partition.partitioner import PartitionedCollection, block_slices
 
 
+@dataclass(frozen=True)
+class CarriedChunk:
+    """A clean chunk carried forward from a previous run: where its encoded
+    bytes already live in the store (``source_key``, with the catalog's exact
+    ``size`` and ``codec``), not what they decode to."""
+
+    source_key: str
+    size: float
+    codec: str
+
+
 @dataclass
 class PartitionedValue:
-    """One DAG node's output held as N partition chunks."""
+    """One DAG node's output held as N partition chunks.
+
+    A chunk slot may hold a :class:`CarriedChunk` instead of a value; it is
+    decoded — through ``resolver(index, handle)``, once, in place — the first
+    time :meth:`chunk` or :meth:`resolved` reads it, and never if nothing
+    does.  ``carried`` keeps every slot's handle (resolved or not) for the
+    materialization step, which links carried chunks instead of re-encoding
+    them.  Read chunks through the accessors; ``chunks`` is the raw slots.
+    """
 
     chunks: List[Any]
+    carried: Dict[int, CarriedChunk] = field(default_factory=dict)
+    resolver: Optional[Callable[[int, CarriedChunk], Any]] = None
 
     @property
     def n_partitions(self) -> int:
         return len(self.chunks)
+
+    def chunk(self, index: int) -> Any:
+        """Chunk ``index`` as a value, decoding a carried chunk on first read."""
+        value = self.chunks[index]
+        if isinstance(value, CarriedChunk):
+            value = self.chunks[index] = self.resolver(index, value)
+        return value
+
+    def resolved(self) -> List[Any]:
+        """Every chunk as a value (what a whole-value reader touches)."""
+        return [self.chunk(index) for index in range(len(self.chunks))]
+
+    @property
+    def is_resolved(self) -> bool:
+        return not any(isinstance(value, CarriedChunk) for value in self.chunks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PartitionedValue(n={len(self.chunks)}, kind={type(self.chunks[0]).__name__ if self.chunks else '?'})"

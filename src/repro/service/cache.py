@@ -275,19 +275,55 @@ class SharedArtifactCache(ArtifactStore):
         with self._admission_lock:
             self._reclaim_for(tenant, size)
             meta = super().put_bytes(signature, node_name, payload, started_at=started_at, codec=codec)
+        self._record_admitted(tenant, [signature])
+        return meta
+
+    def _record_admitted(self, tenant: str, signatures: List[str]) -> None:
+        """Owner, counter and gauge bookkeeping for artifacts just admitted."""
+        if not signatures:
+            return
         with self._lock:
             # Re-materializing an existing signature keeps the original
             # owner: the bytes were first paid for by that tenant's quota.
-            owner = self._owners.setdefault(signature, tenant)
-            self.stats.puts += 1
-            self.catalog_db.set_owner(signature, owner)
+            owners = {sig: self._owners.setdefault(sig, tenant) for sig in signatures}
+            self.stats.puts += len(signatures)
+            self.catalog_db.set_owners(owners)
         if self.metrics.enabled:
             self.metrics.counter(
                 "repro_cache_puts_total", help="Artifacts admitted into the shared cache.",
                 tenant=tenant,
-            ).inc()
+            ).inc(len(signatures))
             self._used_bytes_gauge.set(self.used_bytes())
-        return meta
+
+    def link_for(
+        self, tenant: str, pairs: Iterable[Tuple[str, str]], node_name: str
+    ) -> List[Optional[ArtifactMeta]]:
+        """Admit one tenant's carried-forward artifacts (see
+        :meth:`ArtifactStore.link_many`) through the same size admission,
+        quota/budget reclaim and owner accounting as :meth:`put_bytes_for`,
+        against the source rows' exact sizes.  Declined pairs answer ``None``.
+        """
+        pairs = list(pairs)
+        sizes = {
+            source: meta.size
+            for source, meta in self.catalog_db.get_artifacts(s for s, _signature in pairs).items()
+        }
+        # An unknown source is admitted here and refused by ``link_many``'s
+        # typed error below.
+        admitted = [
+            pair for pair in pairs if pair[0] not in sizes or self.admits_size(sizes[pair[0]])
+        ]
+        for _declined in range(len(pairs) - len(admitted)):
+            self.count_admission_rejection()
+        # Reclaiming room must not evict what is about to be linked from.
+        with self._admission_lock, self.pin(source for source, _signature in admitted):
+            self._reclaim_for(tenant, sum(sizes.get(source, 0.0) for source, _sig in admitted))
+            metas = dict(zip(
+                (signature for _source, signature in admitted),
+                super().link_many(admitted, node_name),
+            ))
+        self._record_admitted(tenant, list(metas))
+        return [metas.get(signature) for _source, signature in pairs]
 
     def _reclaim_for(self, tenant: str, incoming_bytes: float) -> None:
         """Evict (tenant-local, then global) so ``incoming_bytes`` fits."""
@@ -463,6 +499,12 @@ class TenantStoreView(ChunkStoreOps):
     def tier_of(self, signature: str) -> Optional[str]:
         return self.cache.tier_of(signature)
 
+    def placement(self, signatures: Iterable[str]) -> Dict[str, Tuple[Optional[str], str]]:
+        return self.cache.placement(signatures)
+
+    def chunk_families(self, signature: str) -> Dict[int, List[int]]:
+        return self.cache.chunk_families(signature)
+
     def storage_info(self) -> Dict[str, Any]:
         return self.cache.storage_info()
 
@@ -494,6 +536,12 @@ class TenantStoreView(ChunkStoreOps):
         return self.cache.put_bytes_for(
             self.tenant, signature, node_name, payload, started_at=started_at, codec=codec
         )
+
+    def link_many(
+        self, pairs: Iterable[Tuple[str, str]], node_name: str
+    ) -> List[Optional[ArtifactMeta]]:
+        """Carried-forward artifacts charge the tenant like written ones."""
+        return self.cache.link_for(self.tenant, pairs, node_name)
 
     def get(self, signature: str) -> Tuple[Any, float]:
         return self.cache.get_for(self.tenant, signature)

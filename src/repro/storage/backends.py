@@ -69,6 +69,17 @@ class StorageBackend:
     def get_bytes(self, key: str) -> bytes:
         raise NotImplementedError
 
+    def link(self, src_key: str, dst_key: str) -> None:
+        """Make ``dst_key`` a second name for ``src_key``'s payload, copying nothing.
+
+        Payloads are immutable once written (an overwrite lands as a new
+        object renamed into place, never as an in-place edit), so two keys may
+        share one payload: deleting or overwriting either leaves the other
+        readable.  Raises :class:`~repro.errors.StorageError` when ``src_key``
+        is gone.
+        """
+        raise NotImplementedError
+
     def delete(self, key: str) -> bool:
         """Remove ``key`` if present; returns whether anything was removed."""
         raise NotImplementedError
@@ -77,6 +88,8 @@ class StorageBackend:
         raise NotImplementedError
 
     def stats(self) -> BackendStats:
+        """Traffic counters plus occupancy; ``used_bytes`` is *physical* — a
+        payload shared by linked keys counts once."""
         raise NotImplementedError
 
     def keys(self) -> List[str]:
@@ -154,6 +167,14 @@ class MemoryBackend(StorageBackend):
         self._notify_demoted(victims)
         return True
 
+    def link(self, src_key: str, dst_key: str) -> None:
+        with self._lock:
+            payload = self._entries.get(src_key)
+        if payload is None:
+            raise StorageError(f"memory tier has no object {src_key!r} to link from")
+        # The same immutable ``bytes`` object under a second key.
+        self.put_bytes(dst_key, payload)
+
     def _notify_demoted(self, victims: List[str]) -> None:
         if self.on_demote is not None:
             for key in victims:
@@ -207,12 +228,18 @@ class DiskBackend(StorageBackend):
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key)
 
+    def _writable_path(self, key: str) -> str:
+        """``key``'s path, its (shard) directory created if missing."""
+        path = self._path(key)
+        parent = os.path.dirname(path)
+        if parent != self.root:
+            os.makedirs(parent, exist_ok=True)
+        return path
+
     def put_bytes(self, key: str, payload: bytes) -> None:
         path = self._path(key)
         try:
-            parent = os.path.dirname(path)
-            if parent != self.root:
-                os.makedirs(parent, exist_ok=True)
+            self._writable_path(key)
             # Write-then-rename: a read racing an overwrite (two tenants
             # materializing one signature) never sees a truncated file.
             temp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
@@ -224,6 +251,24 @@ class DiskBackend(StorageBackend):
         with self._lock:
             self._stats.puts += 1
             self._stats.bytes_written += len(payload)
+
+    def link(self, src_key: str, dst_key: str) -> None:
+        source, path = self._path(src_key), self._path(dst_key)
+        try:
+            self._writable_path(dst_key)
+            try:
+                os.link(source, path)
+            except FileExistsError:
+                # Replace an existing payload atomically, like ``put_bytes``.
+                temp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+                os.link(source, temp_path)
+                os.replace(temp_path, path)
+                # Renaming one name of an inode onto another is a no-op that
+                # keeps both: drop the temporary one.
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(temp_path)
+        except OSError as exc:
+            raise StorageError(f"cannot link artifact {source} -> {path}: {exc}") from exc
 
     def get_bytes(self, key: str) -> bytes:
         path = self._path(key)
@@ -253,10 +298,15 @@ class DiskBackend(StorageBackend):
     def stats(self) -> BackendStats:
         objects = 0
         used = 0.0
+        inodes = set()
         for key in self.keys():
             with contextlib.suppress(OSError):
-                used += os.path.getsize(self._path(key))
+                status = os.stat(self._path(key))
                 objects += 1
+                # Linked keys share one inode: its bytes are on disk once.
+                if (status.st_dev, status.st_ino) not in inodes:
+                    inodes.add((status.st_dev, status.st_ino))
+                    used += status.st_size
         with self._lock:
             snapshot = BackendStats(**self._stats.to_dict())
         snapshot.objects = objects

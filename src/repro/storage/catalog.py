@@ -410,6 +410,20 @@ class CatalogDB:
         ).fetchone()
         return self._row_to_meta(row) if row is not None else None
 
+    def get_artifacts(self, signatures: Iterable[str]) -> Dict[str, ArtifactMeta]:
+        """The present rows among ``signatures``, in one query per 500 keys
+        (SQLite's bound-parameter limit is 999 on older builds)."""
+        signatures = list(signatures)
+        found: Dict[str, ArtifactMeta] = {}
+        for start in range(0, len(signatures), 500):
+            batch = signatures[start:start + 500]
+            rows = self._execute(
+                f"SELECT * FROM artifacts WHERE signature IN ({', '.join('?' * len(batch))})",
+                tuple(batch),
+            ).fetchall()
+            found.update((row["signature"], self._row_to_meta(row)) for row in rows)
+        return found
+
     def has_artifact(self, signature: str) -> bool:
         row = self._execute(
             "SELECT 1 FROM artifacts WHERE signature = ?", (signature,)
@@ -495,10 +509,14 @@ class CatalogDB:
     # ------------------------------------------------------------------
     # Cache ownership sidecar (owners + recompute costs)
     # ------------------------------------------------------------------
-    def set_owner(self, signature: str, tenant: str) -> None:
-        self._execute(
-            "INSERT OR REPLACE INTO owners (signature, tenant) VALUES (?, ?)",
-            (signature, tenant),
+    def set_owners(self, tenants_by_signature: Dict[str, str]) -> None:
+        if not tenants_by_signature:
+            return
+        self._transaction(
+            lambda conn: conn.executemany(
+                "INSERT OR REPLACE INTO owners (signature, tenant) VALUES (?, ?)",
+                list(tenants_by_signature.items()),
+            )
         )
 
     def delete_owners(self, signatures: Iterable[str]) -> None:

@@ -19,9 +19,9 @@ The **writer** puts artifacts one at a time and prints ``ACK <signature>
 those lines as its synchronization primitive — kill after the k-th ack, no
 sleeps — then asserts every acked signature survived.
 
-The **worker** runs a seeded random mix of puts, gets, deletes, evictions,
-and trace-index writes against the shared root, then prints one JSON report
-line (``RESULT {...}``) of everything it acknowledged.  The parent asserts
+The **worker** runs a seeded random mix of puts, gets, links, deletes,
+evictions, and trace-index writes against the shared root, then prints one
+JSON report line (``RESULT {...}``) of everything it acknowledged.  The parent asserts
 the reopened catalog agrees with the union of the reports: every surviving
 row was acked by someone, byte accounting sums exactly, and ``repro store
 ls`` agrees with ground truth.
@@ -96,9 +96,9 @@ def run_worker(root: str, worker_id: int, ops: int, seed: int) -> int:
     reads = 0
     for index in range(ops):
         op = rng.choices(
-            ("put", "get", "delete", "evict", "trace"), weights=(5, 3, 1, 1, 1)
+            ("put", "get", "link", "delete", "evict", "trace"), weights=(5, 3, 2, 1, 1, 1)
         )[0]
-        if op == "put" or not my_live and op in ("get", "delete"):
+        if op == "put" or not my_live and op in ("get", "link", "delete"):
             signature = f"w{worker_id}-{len(acked):05d}"
             payload = _payload(rng)
             meta = store.put_bytes(signature, f"node-{worker_id}", payload)
@@ -112,6 +112,18 @@ def run_worker(root: str, worker_id: int, ops: int, seed: int) -> int:
             except StorageError:
                 # Another worker's eviction won the race; the row is gone.
                 my_live.remove(signature)
+        elif op == "link":
+            # A second catalog row over an existing payload: acked with the
+            # source's exact size, so byte accounting must still sum.
+            source = rng.choice(my_live)
+            signature = f"w{worker_id}-{len(acked):05d}"
+            try:
+                meta = store.link(source, signature, f"node-{worker_id}")
+            except StorageError:
+                my_live.remove(source)  # a peer evicted the source first
+            else:
+                acked[signature] = int(meta.size)
+                my_live.append(signature)
         elif op == "delete":
             signature = my_live.pop(rng.randrange(len(my_live)))
             try:

@@ -23,8 +23,10 @@ on it unchanged.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Dict, List, Optional
 
+from repro.errors import StorageError
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.storage.backends import BackendStats, MemoryBackend, StorageBackend
 
@@ -83,6 +85,13 @@ class TieredStore(StorageBackend):
         # If the disk write raises, the memory tier is left untouched.
         self.disk.put_bytes(key, payload)
         self.memory.offer(key, payload)
+
+    def link(self, src_key: str, dst_key: str) -> None:
+        # Same order as ``put_bytes``: the durable name first, then — when the
+        # source is warm — the memory tier's second reference to its bytes.
+        self.disk.link(src_key, dst_key)
+        with contextlib.suppress(StorageError):
+            self.memory.link(src_key, dst_key)
 
     def get_bytes(self, key: str) -> bytes:
         return self.read(key)[0]

@@ -1,0 +1,435 @@
+"""Carry-forward: clean chunks are linked, not copied, and decoded only on read.
+
+Storage half: ``link`` on every backend and through ``ArtifactStore`` /
+``TenantStoreView``.  Execution half: an append run encodes exactly its dirty
+chunks, never reads a clean chunk whose consumers are all clean, debits the
+logical budget by exact sizes, and fails with a typed error when a source
+vanished.
+"""
+
+import os
+from collections import Counter
+
+import pytest
+
+from repro.baselines.strategies import ExecutionStrategy
+from repro.core.session import HelixSession
+from repro.datagen.census import CENSUS_FIELDS, CensusConfig, generate_census_dataset
+from repro.dsl.operators import (
+    CsvScanner,
+    DenseFeaturizer,
+    Evaluator,
+    FeatureAssembler,
+    FileSource,
+    LabelExtractor,
+    Learner,
+    Predictor,
+)
+from repro.dsl.workflow import Workflow
+from repro.errors import BudgetExceededError, StorageError
+from repro.execution.stats import IterationReport, NodeRunStats, RunHistory
+from repro.execution.store import ArtifactStore, chunk_signature, parse_chunk_signature
+from repro.graph.dag import NodeState
+from repro.optimizer.cost_model import CostDefaults, CostEstimator
+from repro.service.cache import CacheConfig, SharedArtifactCache
+from repro.storage.backends import backend_from_spec
+from repro.workloads.census_workload import NUMERIC_FIELDS
+
+BACKENDS = ("disk", "sharded", "memory", "tiered")
+PARTS = 4
+ROW_WISE = ("rows", "dense", "target", "examples")
+
+
+# ---------------------------------------------------------------------------
+# (a) link on every backend
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name", BACKENDS)
+class TestBackendLink:
+    def test_both_keys_read_the_same_bytes_and_outlive_each_other(self, tmp_path, name):
+        backend = backend_from_spec(name, str(tmp_path))
+        src, dst, third = (backend.place(key) for key in ("src.pkl", "dst.pkl", "third.pkl"))
+        backend.put_bytes(src, b"payload-v1")
+        backend.link(src, dst)
+        backend.link(src, third)
+        assert backend.get_bytes(src) == backend.get_bytes(dst) == b"payload-v1"
+        # Overwriting the source replaces its object; the links keep theirs.
+        backend.put_bytes(src, b"payload-v2")
+        assert backend.get_bytes(dst) == b"payload-v1"
+        assert backend.delete(src)
+        assert backend.get_bytes(dst) == b"payload-v1"
+        assert backend.delete(dst)
+        assert backend.get_bytes(third) == b"payload-v1"
+
+    def test_link_over_an_existing_key_replaces_it(self, tmp_path, name):
+        backend = backend_from_spec(name, str(tmp_path))
+        src, dst = backend.place("src.pkl"), backend.place("dst.pkl")
+        backend.put_bytes(src, b"new")
+        backend.put_bytes(dst, b"old")
+        backend.link(src, dst)
+        backend.link(src, dst)  # same inode on both names: still fine
+        assert backend.get_bytes(dst) == b"new"
+        assert sorted(backend.keys()) == sorted([src, dst])  # no temp file left
+
+    def test_missing_source_raises(self, tmp_path, name):
+        backend = backend_from_spec(name, str(tmp_path))
+        with pytest.raises(StorageError):
+            backend.link(backend.place("ghost.pkl"), backend.place("dst.pkl"))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestStoreLink:
+    def test_link_copies_the_row_not_the_bytes(self, tmp_path, name):
+        store = ArtifactStore(str(tmp_path), backend=name)
+        source = store.put("old", "node", list(range(500)))
+        linked = store.link("old", "new", "node")
+        assert (linked.size, linked.codec) == (source.size, source.codec)
+        assert store.get("new")[0] == store.get("old")[0] == list(range(500))
+        assert store.used_bytes() == 2 * source.size  # the budget currency is logical
+        # Refreshing the source does not reach through the link.
+        store.put("old", "node", ["something", "else"])
+        assert store.get("new")[0] == list(range(500))
+        store.delete("old")
+        assert store.get("new")[0] == list(range(500))
+        assert store.catalog_db.integrity_ok()
+
+    def test_evicting_the_source_leaves_the_link_readable(self, tmp_path, name):
+        store = ArtifactStore(str(tmp_path), backend=name)
+        store.put("old", "node", list(range(500)))
+        store.link("old", "new", "node")
+        with store.pin(["new"]):
+            evicted = store.evict(1.0)
+        assert [meta.signature for meta in evicted] == ["old"]
+        assert store.get("new")[0] == list(range(500))
+        assert store.catalog_db.integrity_ok()
+
+    def test_link_many_is_checked_against_the_budget_like_a_put(self, tmp_path, name):
+        probe = ArtifactStore(str(tmp_path / "probe"), backend=name)
+        size = probe.put("old", "node", list(range(500))).size
+        store = ArtifactStore(str(tmp_path / "store"), backend=name, budget_bytes=2.5 * size)
+        store.put("old", "node", list(range(500)))
+        store.link("old", "first", "node")
+        with pytest.raises(BudgetExceededError):
+            store.link("old", "second", "node")
+        assert not store.has("second")
+
+
+def test_physical_bytes_count_a_linked_payload_once(tmp_path):
+    store = ArtifactStore(str(tmp_path), backend="disk")
+    size = store.put("old", "node", list(range(2000))).size
+    store.link_many([("old", "new-1"), ("old", "new-2")], "node")
+    info = store.storage_info()
+    assert info["used_bytes"] == store.used_bytes() == 3 * size
+    assert info["physical_bytes"] == info["backend_stats"]["used_bytes"] == size
+    assert info["backend_stats"]["objects"] == 3
+
+
+# ---------------------------------------------------------------------------
+# (d) the shared cache: quota, admission, owners, pins
+# ---------------------------------------------------------------------------
+class TestTenantLink:
+    def _payload(self, cache, signature, n=400):
+        return cache.view("alice").put(signature, "node", list(range(n)))
+
+    def test_link_records_the_owner_and_charges_its_quota(self, tmp_path):
+        cache = SharedArtifactCache(str(tmp_path), CacheConfig())
+        size = self._payload(cache, "old").size
+        meta = cache.view("bob").link("old", "new", "node")
+        assert meta.size == size
+        assert cache.owner_of("new") == "bob" and cache.owner_of("old") == "alice"
+        assert cache.tenant_used_bytes("bob") == size
+
+    def test_link_over_quota_evicts_the_tenants_own_artifacts(self, tmp_path):
+        probe = SharedArtifactCache(str(tmp_path / "probe"), CacheConfig())
+        size = self._payload(probe, "old").size
+        cache = SharedArtifactCache(
+            str(tmp_path / "cache"), CacheConfig(tenant_quota_bytes=1.5 * size)
+        )
+        self._payload(cache, "old")
+        bob = cache.view("bob")
+        bob.link("old", "bob-1", "node")
+        bob.link("old", "bob-2", "node")  # over quota: bob-1 goes, alice's source stays
+        assert not cache.has("bob-1") and cache.has("bob-2") and cache.has("old")
+        assert cache.tenant_used_bytes("bob") == size
+
+    def test_link_larger_than_the_quota_is_declined(self, tmp_path):
+        probe = SharedArtifactCache(str(tmp_path / "probe"), CacheConfig())
+        size = self._payload(probe, "old").size
+        cache = SharedArtifactCache(
+            str(tmp_path / "cache"), CacheConfig(tenant_quota_bytes=size / 2)
+        )
+        cache.put_bytes("old", "node", b"x" * int(size))  # unattributed seed
+        assert cache.view("bob").link("old", "new", "node") is None
+        assert not cache.has("new")
+        assert cache.stats.admission_rejections == 1
+
+    def test_pinned_source_survives_a_competing_tenants_eviction(self, tmp_path):
+        probe = SharedArtifactCache(str(tmp_path / "probe"), CacheConfig())
+        size = self._payload(probe, "old").size
+        cache = SharedArtifactCache(
+            str(tmp_path / "cache"), CacheConfig(budget_bytes=2.5 * size, eviction="lru")
+        )
+        self._payload(cache, "old")
+        with cache.pin(["old"]):  # what a run does with its delta plan's sources
+            carol = cache.view("carol")
+            carol.put("carol-1", "node", list(range(400, 800)))
+            carol.put("carol-2", "node", list(range(800, 1200)))  # evicts, but not "old"
+            assert cache.has("old")
+            assert cache.view("bob").link("old", "new", "node") is not None
+        assert cache.get("new")[0] == list(range(400))
+
+
+# ---------------------------------------------------------------------------
+# Append runs through the scheduler
+# ---------------------------------------------------------------------------
+def _lines(n_train, n_test, seed=9):
+    dataset = generate_census_dataset(CensusConfig(n_train=n_train, n_test=n_test, seed=seed))
+    to_lines = lambda c: [",".join(str(r[f]) for f in CENSUS_FIELDS) for r in c.records()]  # noqa: E731
+    return to_lines(dataset.train), to_lines(dataset.test)
+
+
+def _write(path, lines):
+    import hashlib
+
+    body = "\n".join(lines) + "\n"
+    with open(path, "w") as handle:
+        handle.write(body)
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+def _workflow(train_path, test_path, version):
+    wf = Workflow("feed")
+    data = wf.add("data", FileSource(train=train_path, test=test_path, version=version))
+    rows = wf.add("rows", CsvScanner(data, fields=CENSUS_FIELDS, numeric_fields=NUMERIC_FIELDS))
+    # Heavy enough that every row-wise node prices delta with a wide margin.
+    dense = wf.add("dense", DenseFeaturizer(
+        rows, fields=["age", "education_num", "hours_per_week"],
+        embed_dim=96, passes=3, out_features=4))
+    target = wf.add("target", LabelExtractor(rows, field="target"))
+    examples = wf.add("examples", FeatureAssembler(extractors=[dense], label=target))
+    model = wf.add("model", Learner(examples, model_type="logistic_regression", max_iter=10))
+    predictions = wf.add("predictions", Predictor(model, examples))
+    checked = wf.add("checked", Evaluator(predictions, metrics=("accuracy", "f1")))
+    wf.mark_output(predictions, checked)
+    return wf
+
+
+class Feed:
+    """A train feed that grows by ``step`` rows per call to :meth:`grow`."""
+
+    def __init__(self, tmp_path, base=800, step=40, steps=3):
+        self.train, self.test = _lines(base + steps * step, 120)
+        self.train_path = str(tmp_path / "train.csv")
+        self.test_path = str(tmp_path / "test.csv")
+        self.test_version = _write(self.test_path, self.test)
+        self.rows, self.step = base, step
+
+    def workflow(self):
+        return _workflow(
+            self.train_path, self.test_path,
+            _write(self.train_path, self.train[:self.rows]) + self.test_version,
+        )
+
+    def grow(self):
+        self.rows += self.step
+        return self.workflow()
+
+
+#: Optimal reuse, every computed value materialized: decisions do not depend
+#: on measured times.
+MATERIALIZE_ALL = ExecutionStrategy(name="all", recomputation="optimal", materialization="all")
+
+
+def _session(workspace, **options):
+    """A session whose delta verdicts do not depend on the clock either:
+    carrying and loading are free, so delta wins wherever a chunk is clean."""
+    session = HelixSession(
+        str(workspace), partitions=PARTS, strategy=MATERIALIZE_ALL, **options
+    )
+    session.estimator = CostEstimator(CostDefaults(
+        carry_overhead=0.0, io_overhead=0.0, read_bandwidth=1e18, codec_read_bandwidth={},
+    ))
+    return session
+
+
+class CountingStore(ArtifactStore):
+    """Counts ``encode`` calls per label and ``get`` calls per catalog key."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.encoded = Counter()
+        self.read = []
+
+    def encode(self, node_name, value):
+        self.encoded[node_name.split("[")[0]] += 1
+        return super().encode(node_name, value)
+
+    def get(self, signature):
+        self.read.append(signature)
+        return super().get(signature)
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_append_run_encodes_dirty_chunks_and_never_reads_unneeded_clean_ones(tmp_path, backend):
+    feed = Feed(tmp_path)
+    store = CountingStore(str(tmp_path / "artifacts"))
+    session = _session(tmp_path / "ws", store=store, backend=backend, parallelism=2)
+    session.run(feed.workflow())
+    store.encoded.clear()
+    store.read.clear()
+    run = session.run(feed.grow())
+
+    stats = run.report.node_stats
+    trace = run.trace.nodes
+    for name in ROW_WISE:
+        assert trace[name].delta_strategy == "delta", name
+        assert (stats[name].chunks_computed, stats[name].chunks_loaded) == (1, PARTS - 1)
+        assert stats[name].chunks_carried == trace[name].chunks_carried == PARTS - 1
+    # Encodes: one per dirty chunk of a delta node, every chunk (or the one
+    # monolithic value) of a node that is not delta.  ``data`` is seeded by
+    # the delta planner and re-encoded whole.
+    assert dict(store.encoded) == {
+        "data": PARTS, "rows": 1, "dense": 1, "target": 1, "examples": 1,
+        "model": 1, "predictions": PARTS, "checked": 1,
+    }
+    # Reads: ``model`` coalesces ``examples`` — its carried chunks decode, once
+    # each.  Clean chunks of rows/dense/target feed only clean chunks: no read.
+    read_nodes = Counter(
+        store.meta(key).node_name for key in store.read if parse_chunk_signature(key)
+    )
+    assert dict(read_nodes) == {"examples": PARTS - 1}
+    assert len(store.read) == PARTS - 1
+    assert [stats[name].chunks_decoded for name in ROW_WISE] == [0, 0, 0, PARTS - 1]
+    assert run.report.metrics  # the declared outputs were still produced
+    # Every carried chunk is in the store under the new signature.
+    for name in ROW_WISE:
+        assert store.chunk_families(stats[name].signature) == {PARTS: list(range(PARTS))}
+
+
+def test_three_append_runs_price_each_node_the_same(tmp_path):
+    """The cost history records a delta run's full-equivalent compute cost, so
+    the operator-type average that prices the next full does not decay."""
+    feed = Feed(tmp_path)
+    session = HelixSession(str(tmp_path / "ws"), partitions=PARTS)
+    session.run(feed.workflow())
+    verdicts = []
+    for _ in range(3):
+        run = session.run(feed.grow())
+        verdicts.append({name: run.trace.nodes[name].delta_strategy for name in ("rows", "dense")})
+        dense = run.report.node_stats["dense"]
+        assert (dense.chunks_computed, dense.chunks_loaded) == (1, PARTS - 1)
+        recorded = session.history.cost_records()[dense.signature].compute_cost
+        assert recorded == pytest.approx(dense.compute_time * PARTS)
+    assert verdicts == [{"rows": "delta", "dense": "delta"}] * 3
+
+
+def test_history_scales_a_partial_compute_to_all_chunks():
+    def report(computed, loaded, seconds):
+        stats = NodeRunStats(
+            node="dense", signature=f"sig-{computed}-{loaded}", operator_type="DenseFeaturizer",
+            category="purple", state=NodeState.COMPUTE, compute_time=seconds,
+            chunks_computed=computed, chunks_loaded=loaded,
+        )
+        return IterationReport(iteration=0, workflow_name="w", node_stats={"dense": stats})
+
+    history = RunHistory()
+    history.update_from_report(report(16, 0, 1.6))
+    history.update_from_report(report(1, 15, 0.1))
+    history.update_from_report(report(0, 16, 0.0))  # nothing measured: no record
+    records = history.cost_records()
+    assert records["sig-16-0"].compute_cost == pytest.approx(1.6)
+    assert records["sig-1-15"].compute_cost == pytest.approx(1.6)
+    assert "sig-0-16" not in records
+
+
+def test_tight_budget_debits_exact_sizes_and_carries_a_deterministic_prefix(tmp_path):
+    def append_run(root, budget=None):
+        (tmp_path / root).mkdir()
+        feed = Feed(tmp_path / root)
+        session = _session(tmp_path / root / "ws")
+        first = session.run(feed.workflow())
+        before = session.store.used_bytes()
+        if budget is not None:
+            session.store.budget_bytes = before + budget
+        second = session.run(feed.grow())
+        return session, first, second, before
+
+    session, _first, _second, before = append_run("unbounded")
+    added = session.store.used_bytes() - before
+    runs = [append_run(root, budget=added / 2) for root in ("a", "b")]
+
+    # The two workspaces sign different file paths, so rows are compared by
+    # node, chunk suffix and exact size rather than by signature.
+    catalogs = [
+        sorted(
+            (meta.node_name, key.partition("#")[2], meta.size, meta.codec)
+            for key, meta in session.store.catalog().items()
+        )
+        for session, _first, _second, _before in runs
+    ]
+    assert catalogs[0] == catalogs[1]
+    session, first, second, before = runs[0]
+    assert before < session.store.used_bytes() <= session.store.budget_bytes
+    # Decisions run in topological x chunk order against the falling budget:
+    # what fits is a prefix of each node's chunks, and a carried chunk took
+    # exactly its source's catalog size out of the budget.
+    catalog = session.store.catalog()
+    some_carried = False
+    for name in ROW_WISE:
+        old, new = (run.report.node_stats[name].signature for run in (first, second))
+        present = session.store.chunk_families(new).get(PARTS, [])
+        assert present == list(range(len(present))), name
+        for index in present[:PARTS - 1]:
+            some_carried = True
+            carried, source = (catalog[chunk_signature(sig, index, PARTS)] for sig in (new, old))
+            assert (carried.size, carried.codec) == (source.size, source.codec)
+    assert some_carried
+
+
+def test_vanished_source_payload_is_a_typed_error_naming_node_chunk_and_key(tmp_path):
+    feed = Feed(tmp_path)
+    session = _session(tmp_path / "ws")
+    first = session.run(feed.workflow())
+    old = first.report.node_stats["examples"].signature
+    victim = chunk_signature(old, 1, PARTS)
+    # The payload disappears behind the catalog's back (a wiped file, not an
+    # eviction — evictions cannot touch a pinned source).
+    os.remove(os.path.join(session.store.root, session.store.meta(victim).filename))
+    with pytest.raises(StorageError) as caught:
+        session.run(feed.grow())
+    message = str(caught.value)
+    assert "'examples'" in message and "chunk 1" in message and victim in message
+
+
+def test_smoke_workloads_that_must_not_move_carry_nothing(tmp_path):
+    """``partitions=1`` workloads and an unchanged feed have no clean chunk to
+    carry: their runs take none of the carry-forward paths."""
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks"))
+    try:
+        from ledger import workloads
+    finally:
+        sys.path.pop(0)
+    for name in ("census_iter", "ie_iter", "dense_prep"):
+        root = tmp_path / name
+        root.mkdir()
+        workload = workloads.BUILDERS[name](str(root), 11, True)
+        session = HelixSession(str(root / "ws"), **workload.session_kwargs)
+        carried = 0
+        for step in workload.steps:
+            if step.prepare:
+                step.prepare()
+            run = session.run(step.build(), description=step.label)
+            carried += sum(s.chunks_carried for s in run.report.node_stats.values())
+        session.close()
+        assert carried == 0, name
+    # service_shared's tenants run partitions=1 sessions over the shared cache.
+    from repro.service import ServiceClient, ServiceConfig, WorkflowService
+
+    workload = workloads.service_shared(str(tmp_path), 11, True)
+    with WorkflowService(str(tmp_path / "svc"), ServiceConfig()) as service:
+        for tenant in ("t0", "t1"):
+            client = ServiceClient(service, tenant)
+            for step in workload.tenants[tenant][:4]:
+                run = client.run(build=step.build, description=step.label)
+                assert not any(s.chunks_carried for s in run.report.node_stats.values())

@@ -235,13 +235,32 @@ class TestDeltaPricing:
         assert costs.delta_strategy == "delta"
         assert costs.compute_cost < costs.full_compute_cost
         assert costs.delta_savings > 0
-        # delta price = full * dirty_fraction + load(reusable_bytes)
+        # delta price = full * dirty_fraction + carry_overhead * reusable_chunks:
+        # clean chunks are linked forward, not loaded.
+        defaults = CostEstimator().defaults
+        assert costs.compute_cost == pytest.approx(8.0 * 0.25 + defaults.carry_overhead * 3)
+
+    def test_whole_value_reader_adds_the_load_of_the_carried_bytes(self):
+        costs = self._costs(compute=8.0)
+        hint = DeltaHint(chunk_count=4, dirty_chunks=1, reusable_chunks=3, reusable_bytes=750.0)
+        CostEstimator()._apply_delta_hint(costs, hint, whole_value_reader=True)
+        defaults = CostEstimator().defaults
         assert costs.compute_cost == pytest.approx(
-            8.0 * 0.25 + CostEstimator().defaults.load_cost_for_size(750.0)
+            8.0 * 0.25 + defaults.carry_overhead * 3 + defaults.load_cost_for_size(750.0)
         )
 
+    def test_full_side_is_charged_the_decodes_it_forces_upstream(self):
+        # Cheaper to recompute than to carry — unless recomputing makes the
+        # parents decode what they would otherwise only have linked forward.
+        hint = DeltaHint(chunk_count=4, dirty_chunks=1, reusable_chunks=3, reusable_bytes=750.0)
+        alone, downstream = self._costs(compute=0.0001), self._costs(compute=0.0001)
+        CostEstimator()._apply_delta_hint(alone, hint)
+        CostEstimator()._apply_delta_hint(downstream, hint, forced_decode=0.002)
+        assert (alone.delta_strategy, downstream.delta_strategy) == ("full", "delta")
+        assert downstream.delta_savings == pytest.approx(0.0001 + 0.002 - downstream.compute_cost)
+
     def test_cheap_node_rejects_delta(self):
-        costs = self._costs(compute=0.001)  # cheaper than one IO overhead
+        costs = self._costs(compute=0.0001)  # cheaper than carrying three chunks
         hint = DeltaHint(chunk_count=4, dirty_chunks=1, reusable_chunks=3, reusable_bytes=750.0)
         CostEstimator()._apply_delta_hint(costs, hint)
         assert costs.delta_strategy == "full"
@@ -348,6 +367,30 @@ def feed_workflow(train_path, test_path, version):
     checked = wf.add("checked", Evaluator(predictions, metrics=("accuracy", "f1")))
     wf.mark_output(predictions, checked)
     return wf
+
+
+def test_estimate_prices_consumers_first_so_only_a_read_value_pays_its_load():
+    from repro.compiler.codegen import compile_workflow
+
+    compiled = compile_workflow(feed_workflow("train.csv", "test.csv", "v1"))
+    hint = DeltaHint(chunk_count=4, dirty_chunks=1, reusable_chunks=3, reusable_bytes=750.0)
+    estimator = CostEstimator()
+    costs = estimator.estimate(
+        compiled, delta_hints={name: hint for name in ("rows", "dense", "target", "examples")}
+    )
+    defaults = estimator.defaults
+    carried = defaults.default_compute_cost * 0.25 + defaults.carry_overhead * 3
+    # rows feeds dense and target, dense and target feed examples: all delta
+    # consumers, which read only the chunk they recompute.
+    for name in ("rows", "dense", "target"):
+        assert costs[name].compute_cost == pytest.approx(carried), name
+    # examples feeds model (coalesces it) and predictions (fully dirty).
+    assert costs["examples"].compute_cost == pytest.approx(
+        carried + defaults.load_cost_for_size(750.0)
+    )
+    assert {costs[name].delta_strategy for name in ("rows", "dense", "target", "examples")} == {
+        "delta"
+    }
 
 
 class TestSessionIncremental:

@@ -18,6 +18,7 @@ import os
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,12 +116,13 @@ def _feed_workflow(train_path, test_path, version):
     return wf
 
 
+@pytest.mark.parametrize("store_backend", ["disk", "sharded", "memory", "tiered"])
 @settings(max_examples=5, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     append_fraction=st.sampled_from([0.05, 0.1, 0.25]),
 )
-def test_delta_run_metrics_equal_full_recompute_bit_for_bit(seed, append_fraction):
+def test_delta_run_metrics_equal_full_recompute_bit_for_bit(store_backend, seed, append_fraction):
     # Hypothesis forbids function-scoped pytest fixtures under @given, so
     # the scratch directory is managed by hand.
     scratch = tempfile.mkdtemp(prefix="repro-incremental-prop-")
@@ -136,9 +138,11 @@ def test_delta_run_metrics_equal_full_recompute_bit_for_bit(seed, append_fractio
         test_path = os.path.join(scratch, "test.csv")
 
         v1 = _write(train_path, train_lines[:n_base]) + _write(test_path, test_lines)
+        # Clean chunks are carried forward by link: every backend's ``link``
+        # must hand back the bytes the previous run wrote.
+        tier = {"memory_tier_mb": 64} if store_backend == "tiered" else {}
         session = HelixSession(
-            os.path.join(scratch, "ws"), partitions=4,
-            store_backend="tiered", memory_tier_mb=64,
+            os.path.join(scratch, "ws"), partitions=4, store_backend=store_backend, **tier
         )
         session.run(_feed_workflow(train_path, test_path, v1))
 
