@@ -282,7 +282,7 @@ class HelixSession:
             and self.config.strategy.cross_iteration_reuse
         )
 
-    def _plan_deltas(self, compiled: CompiledWorkflow, iteration_index: int):
+    def _plan_deltas(self, compiled: CompiledWorkflow, iteration_index: int, catalog):
         """Fingerprint changed inputs and plan chunk reuse (None = inactive)."""
         if not self.incremental_active:
             return None
@@ -292,25 +292,30 @@ class HelixSession:
         planner = DeltaPlanner(self.config.n_partitions, metrics=self.metrics_registry)
         try:
             return planner.plan(
-                compiled, self.store, run_iteration=iteration_index, recorded_at=time.time()
+                compiled,
+                self.store,
+                run_iteration=iteration_index,
+                recorded_at=time.time(),
+                catalog=catalog,
             )
         except StorageError:
             return None  # fingerprinting is advisory; run proceeds full
 
-    def _estimate_costs(self, compiled: CompiledWorkflow, delta_plan=None) -> Dict[str, NodeCosts]:
-        # Tier/codec signals are optional store surface (custom stores in
-        # tests may implement only the primitive operations).
-        codecs = getattr(self.store, "codecs_by_signature", None)
-        resident = getattr(self.store, "memory_resident_signatures", None)
+    def _estimate_costs(
+        self, compiled: CompiledWorkflow, delta_plan=None, catalog=None
+    ) -> Dict[str, NodeCosts]:
+        # One catalog scan (O(history)) feeds every view the estimator needs.
+        if catalog is None:
+            catalog = self.store.catalog()
         costs = self.estimator.estimate(
             compiled,
             history=self.history.cost_records(),
-            materialized_sizes=self.store.sizes_by_signature(),
-            measured_load_costs=self.store.load_costs_by_signature(),
-            chunk_inventory=self.store.chunk_inventory(),
+            materialized_sizes=self.store.sizes_by_signature(catalog),
+            measured_load_costs=self.store.load_costs_by_signature(catalog),
+            chunk_inventory=self.store.chunk_inventory(catalog),
             recoverable_partitions=self.config.n_partitions,
-            codecs_by_signature=codecs() if callable(codecs) else None,
-            memory_resident=resident() if callable(resident) else None,
+            codecs_by_signature=self.store.codecs_by_signature(catalog),
+            memory_resident=self.store.memory_resident_signatures(catalog),
             delta_hints=delta_plan.hints() if delta_plan is not None else None,
         )
         # Strategy restrictions: comparators that cannot reuse certain node
@@ -434,8 +439,9 @@ class HelixSession:
         iteration_index: int,
     ) -> SessionRunResult:
         compiled = self._plan_cache.compile_sliced(workflow)
-        delta_plan = self._plan_deltas(compiled, iteration_index)
-        costs = self._estimate_costs(compiled, delta_plan)
+        catalog = self.store.catalog()
+        delta_plan = self._plan_deltas(compiled, iteration_index, catalog)
+        costs = self._estimate_costs(compiled, delta_plan, catalog)
         if delta_plan is not None and self.metrics_registry.enabled:
             self._record_delta_verdicts(costs)
         states, explanation = self._plan_states(compiled, costs)

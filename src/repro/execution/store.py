@@ -35,7 +35,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import BudgetExceededError, StorageError
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -103,6 +103,13 @@ class ChunkStoreOps:
     quota accounting without any extra plumbing.
     """
 
+    def _catalog_or(
+        self, catalog: Optional[Mapping[str, "ArtifactMeta"]]
+    ) -> Mapping[str, "ArtifactMeta"]:
+        """``catalog`` (a :meth:`catalog` snapshot the caller already took),
+        else a fresh one."""
+        return self.catalog() if catalog is None else catalog
+
     def link(
         self, source_signature: str, signature: str, node_name: str
     ) -> Optional["ArtifactMeta"]:
@@ -138,16 +145,20 @@ class ChunkStoreOps:
             for index in indices
         ]
 
-    def chunk_inventory(self) -> Dict[str, "ChunkInventory"]:
+    def chunk_inventory(
+        self, catalog: Optional[Mapping[str, "ArtifactMeta"]] = None
+    ) -> Dict[str, "ChunkInventory"]:
         """Parent signature → best chunk family currently in the store.
 
         A complete family beats an incomplete one; ties prefer the higher
         present fraction, then the larger count (finer partial reuse).  The
         measured load cost is the sum of the chunks' last measured loads,
         available only once every present chunk has been read before.
+        ``catalog`` is a :meth:`catalog` snapshot to derive from (planning
+        takes one per run and feeds every view from it); default: a fresh one.
         """
         families: Dict[str, Dict[int, List[Tuple[int, "ArtifactMeta"]]]] = {}
-        for key, meta in self.catalog().items():
+        for key, meta in self._catalog_or(catalog).items():
             parsed = parse_chunk_signature(key)
             if parsed is None:
                 continue
@@ -317,22 +328,24 @@ class ArtifactStore(ChunkStoreOps):
             for signature, meta in metas.items()
         }
 
-    def memory_resident_signatures(self) -> Set[str]:
+    def memory_resident_signatures(
+        self, catalog: Optional[Mapping[str, ArtifactMeta]] = None
+    ) -> Set[str]:
         """Signatures whose payload a memory tier would serve — near-free loads."""
         memory = self._memory_tier()
         if memory is None:
             return set()
-        with self._lock:
-            return {
-                signature
-                for signature, meta in self._snapshot().items()
-                if memory.contains(meta.filename)
-            }
+        return {
+            signature
+            for signature, meta in self._catalog_or(catalog).items()
+            if memory.contains(meta.filename)
+        }
 
-    def codecs_by_signature(self) -> Dict[str, str]:
+    def codecs_by_signature(
+        self, catalog: Optional[Mapping[str, ArtifactMeta]] = None
+    ) -> Dict[str, str]:
         """Signature → catalog codec id, for the cost model's throughput table."""
-        with self._lock:
-            return {signature: meta.codec for signature, meta in self._snapshot().items()}
+        return {signature: meta.codec for signature, meta in self._catalog_or(catalog).items()}
 
     def storage_info(self) -> Dict[str, Any]:
         """Backend, per-tier, and per-codec breakdown (the ``repro store`` verb)."""
@@ -421,6 +434,12 @@ class ArtifactStore(ChunkStoreOps):
             return meta
 
     def catalog(self) -> Dict[str, ArtifactMeta]:
+        """Every catalog row by signature — one full scan, O(history).
+
+        The per-signature views below (and :meth:`chunk_inventory`,
+        :meth:`memory_resident_signatures`) accept such a snapshot, so a
+        run's planning scans the catalog once however many views it needs.
+        """
         with self._lock:
             return self._snapshot()
 
@@ -437,19 +456,21 @@ class ArtifactStore(ChunkStoreOps):
             return float("inf")
         return max(0.0, self.budget_bytes - self.used_bytes())
 
-    def sizes_by_signature(self) -> Dict[str, float]:
+    def sizes_by_signature(
+        self, catalog: Optional[Mapping[str, ArtifactMeta]] = None
+    ) -> Dict[str, float]:
         """Signature → size map consumed by the cost estimator."""
-        with self._lock:
-            return {signature: meta.size for signature, meta in self._snapshot().items()}
+        return {signature: meta.size for signature, meta in self._catalog_or(catalog).items()}
 
-    def load_costs_by_signature(self) -> Dict[str, float]:
+    def load_costs_by_signature(
+        self, catalog: Optional[Mapping[str, ArtifactMeta]] = None
+    ) -> Dict[str, float]:
         """Signature → last measured load time, where available."""
-        with self._lock:
-            return {
-                signature: meta.last_load_time
-                for signature, meta in self._snapshot().items()
-                if meta.last_load_time is not None
-            }
+        return {
+            signature: meta.last_load_time
+            for signature, meta in self._catalog_or(catalog).items()
+            if meta.last_load_time is not None
+        }
 
     def chunk_families(self, signature: str) -> Dict[int, List[int]]:
         """``count -> sorted present chunk indices``, from the chunk table's

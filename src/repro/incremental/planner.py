@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.compiler.codegen import CompiledWorkflow
 from repro.errors import StorageError
@@ -153,9 +153,11 @@ class DeltaPlanner:
         store: Any,
         run_iteration: int = 0,
         recorded_at: float = 0.0,
+        catalog: Optional[Mapping[str, Any]] = None,
     ) -> Optional[DeltaPlan]:
         """Detect input deltas and plan chunk reuse; ``None`` when no root
-        changed."""
+        changed.  ``catalog`` is the run's ``store.catalog()`` snapshot when
+        the caller already took one."""
         db = store.catalog_db
         plan = DeltaPlan(n_partitions=self.n_partitions)
         for root in compiled.dag.topological_order():
@@ -205,7 +207,7 @@ class DeltaPlanner:
             plan.inputs[root] = delta
         if not plan.seeds:
             return None
-        self._plan_reuse(compiled, store, plan)
+        self._plan_reuse(compiled, store, plan, catalog)
         if self.metrics.enabled:
             self.metrics.counter(
                 "repro_incremental_plans_total",
@@ -227,19 +229,26 @@ class DeltaPlanner:
                 ).inc(len(plan.widened))
         return plan
 
-    def _plan_reuse(self, compiled: CompiledWorkflow, store: Any, plan: DeltaPlan) -> None:
+    def _plan_reuse(
+        self,
+        compiled: CompiledWorkflow,
+        store: Any,
+        plan: DeltaPlan,
+        catalog: Optional[Mapping[str, Any]],
+    ) -> None:
         diffable = {
             name: delta for name, delta in plan.inputs.items() if delta.old_signature
         }
         if not diffable:
             return
         node_deltas = self.propagator.propagate(compiled, diffable, self.n_partitions)
-        try:
-            catalog = store.catalog()
-        except StorageError:
-            catalog = {}
+        if catalog is None:
+            try:
+                catalog = store.catalog()
+            except StorageError:
+                catalog = {}
         resident_probe = getattr(store, "memory_resident_signatures", None)
-        resident = resident_probe() if callable(resident_probe) else set()
+        resident = resident_probe(catalog) if callable(resident_probe) else set()
         for name, delta in node_deltas.items():
             if name in plan.seeds:
                 continue  # the seeded root itself needs no reuse

@@ -251,6 +251,11 @@ class ExplainRenderer:
             elif entry.mat_reason:
                 mat += f" ({entry.mat_reason})"
             parts.append(mat)
+        wrote = entry.write_summary()
+        if wrote is not None:
+            # Encode + write on the clock: a rate far under the codec's norm
+            # (pickle: ~100 MB/s) means the value is costly to serialize.
+            parts.append(f"wrote {wrote}")
         if entry.fused_group >= 0:
             parts.append(f"fused#{entry.fused_group}")
         if entry.on_cut_boundary:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import chain, repeat
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -40,11 +41,24 @@ class DictVectorizer:
         if self.vocabulary_ is None:
             raise NotFittedError("DictVectorizer.transform called before fit")
         matrix = np.zeros((len(rows), len(self.vocabulary_)), dtype=np.float64)
-        for row_index, row in enumerate(rows):
-            for key, value in row.items():
-                column = self.vocabulary_.get(key)
-                if column is not None:
-                    matrix[row_index, column] = float(value)
+        # One pass each for row lengths, column indices (-1 = unseen key) and
+        # values, then a single scatter: the rows cross into NumPy once per
+        # batch, not once per feature value.
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        total = int(lengths.sum())
+        columns = np.fromiter(
+            map(self.vocabulary_.get, chain.from_iterable(rows), repeat(-1)),
+            dtype=np.intp,
+            count=total,
+        )
+        values = np.fromiter(
+            chain.from_iterable(row.values() for row in rows), dtype=np.float64, count=total
+        )
+        row_indices = np.repeat(np.arange(len(rows)), lengths)
+        if total and columns.min() < 0:
+            seen = columns >= 0
+            row_indices, columns, values = row_indices[seen], columns[seen], values[seen]
+        matrix[row_indices, columns] = values
         return matrix
 
     def fit_transform(self, rows: Sequence[Mapping[str, float]]) -> np.ndarray:

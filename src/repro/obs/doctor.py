@@ -15,8 +15,9 @@ bug report, and prints a triage summary of detected anomalies:
 Anomaly checks are heuristics over the collected data, not judgments: a
 growing dispatcher queue (enqueue-depth trend), a collapsed cache hit rate,
 catalog busy-retry spikes, recorded slow ops, and error events each produce
-one line with the evidence, and a store root still in the retired
-``catalog.json`` format is reported as ``legacy_catalog`` — so triage starts
+one line with the evidence, a node of the latest traces whose write ran far
+under its codec's norm is reported as ``slow_materialize``, and a store root
+still in the retired ``catalog.json`` format as ``legacy_catalog`` — so triage starts
 from symptoms instead of file spelunking.  Every check runs even when its
 data source is missing — absent evidence is reported, never silently skipped.
 """
@@ -57,6 +58,14 @@ HIT_RATE_COLLAPSE_BELOW = 0.10
 
 #: Catalog busy-retries at or above this count are flagged as a spike.
 BUSY_RETRY_SPIKE_AT = 5
+
+#: A materialized node of at least this many payload bytes whose encode +
+#: write ran under this many bytes per second is flagged.  Healthy writes of
+#: that size measure 5-30 MB/s of (compressed) payload on the ledger's census
+#: run; a value that serializes element by element (a list of ``np.int64``
+#: objects: 0.6 MB/s) sits an order of magnitude below.
+SLOW_MATERIALIZE_MIN_BYTES = 32 * 1024
+SLOW_MATERIALIZE_BELOW = 2e6
 
 
 def _series_value(snapshot: List[Dict[str, Any]], name: str) -> float:
@@ -173,6 +182,7 @@ def collect_report(
         },
     }
     report["anomalies"] = detect_anomalies(snapshot, events)
+    report["anomalies"].append(_slow_materialize(report["traces"]["latest"]))
     legacy = report["store"]["legacy_catalog"]
     report["anomalies"].append({
         "check": "legacy_catalog",
@@ -182,6 +192,40 @@ def collect_report(
     })
     report["_events"] = events  # consumed by write_bundle, stripped from JSON
     return report
+
+
+def _slow_materialize(latest_traces: Dict[str, str]) -> Dict[str, Any]:
+    """Nodes of the latest run(s) whose write throughput says "costly value"."""
+    from repro.introspect.trace import RunTrace, TraceError
+
+    floor = (
+        f"{SLOW_MATERIALIZE_BELOW / 1e6:g} MB/s on nodes of "
+        f">= {SLOW_MATERIALIZE_MIN_BYTES // 1024} KB"
+    )
+    slow: List[str] = []
+    for tenant, path in sorted(latest_traces.items()):
+        try:
+            nodes = RunTrace.load(path).nodes
+        except (OSError, TraceError):
+            continue
+        for name, entry in sorted(nodes.items()):
+            throughput = entry.write_throughput()
+            if (
+                throughput is not None
+                and entry.output_size >= SLOW_MATERIALIZE_MIN_BYTES
+                and throughput < SLOW_MATERIALIZE_BELOW
+            ):
+                slow.append(f"{tenant}:{name} {entry.write_summary()}")
+    return {
+        "check": "slow_materialize",
+        "triggered": bool(slow),
+        "severity": "warn",
+        "detail": (
+            f"write throughput under {floor}: " + ", ".join(slow)
+            if slow
+            else f"no write under {floor} in the latest traces"
+        ),
+    }
 
 
 def detect_anomalies(

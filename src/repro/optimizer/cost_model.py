@@ -121,12 +121,44 @@ class CostDefaults:
     ``read_bandwidth`` / ``write_bandwidth`` are bytes per second; load and
     write costs are modeled as ``overhead + size / bandwidth`` whenever no
     measured value is available.  ``codec_read_bandwidth`` refines the read
-    model per serialization codec — deserialization, not the disk, dominates
-    load time, and a raw NumPy buffer decodes an order of magnitude faster
-    than pickled dict rows.  Artifacts resident in a memory tier skip the
-    disk entirely: their loads are priced at ``memory_read_overhead`` plus a
-    memory-bandwidth copy — effectively zero next to any compute — which is
-    exactly what widens the paper's reuse-wins region on a tiered store.
+    model per serialization codec, in *payload* bytes per second —
+    deserialization, not the disk, dominates load time.  The entries are
+    measured, not chosen: ``python scripts/measure_codecs.py`` (min of 20
+    calls per cell, this host) printed
+
+    .. code-block:: text
+
+        value                  codec         enc ms  dec ms   bytes  dec MB/s
+        ---------------------------------------------------------------------
+        one-hot block 6250x1   pickle          0.48    0.80   87783     110.1
+        one-hot block 6250x1   pickle+zlib*    0.73    0.84    8167       9.8
+        numeric block 6250x1   dense-block     2.28    2.51   50076      20.0
+        numeric block 6250x1   pickle          0.47    0.75   87624     117.2
+        numeric block 6250x1   pickle+zlib*    1.78    1.13   51573      45.6
+        dense block 6250x6     dense-block     3.87    4.79  300115      62.7
+        dense block 6250x6     pickle          1.29    2.49  437697     176.0
+        dense block 6250x6     pickle+zlib*   10.31    4.85  334673      69.0
+        dense chunk 390x6      dense-block     0.24    0.28   18834      67.6
+        dense chunk 390x6      pickle*         0.07    0.15   27433     181.4
+        dense chunk 390x6      pickle+zlib     0.54    0.28   20951      74.3
+        prediction set 6250    pickle*         0.19    0.12   25200     212.9
+        prediction set 6250    pickle+zlib     0.34    0.17    4001      23.9
+        ndarray 6250x6         numpy-raw*      0.02    0.01  300022   30400.4
+        ndarray 6250x6         pickle          0.01    0.01  300139   26307.2
+        ndarray 6250x6         pickle+zlib     8.29    1.70  289402     170.3
+        (* = what codec=auto picks for that value)
+
+    and each row-dict codec's entry is Σ payload bytes / Σ decode seconds over
+    its row-dict rows above (``pickle`` 154, ``pickle+zlib`` 58,
+    ``dense-block`` 49 MB/s), rounded down to a multiple of 5.  ``pickle`` is
+    the fastest decoder of row-dict values; ``dense-block`` pays one Python
+    ``dict`` per row on top of its buffer read.  An ndarray decode is a
+    memcpy, so ``numpy-raw`` is bounded by the file read instead: 1.2-1.3
+    GB/s through ``ArtifactStore.get`` on a disk store (0.3-3.2 MB arrays).
+    Artifacts resident in a memory tier skip the disk entirely: their loads
+    are priced at ``memory_read_overhead`` plus a memory-bandwidth copy —
+    effectively zero next to any compute — which is exactly what widens the
+    paper's reuse-wins region on a tiered store.
     ``io_overhead`` is the fixed cost of one read; on the ledger workloads a
     small chunk measures 0.1-0.6 ms, a small compressed artifact 1-2 ms.
     ``carry_overhead`` is the fixed cost of carrying one clean chunk forward
@@ -145,10 +177,10 @@ class CostDefaults:
     memory_bandwidth: float = 8e9
     codec_read_bandwidth: Mapping[str, float] = field(
         default_factory=lambda: {
-            "pickle": 200e6,
-            "pickle+zlib": 120e6,
+            "pickle": 150e6,
+            "pickle+zlib": 55e6,
             "numpy-raw": 1.2e9,
-            "dense-block": 500e6,
+            "dense-block": 45e6,
         }
     )
 

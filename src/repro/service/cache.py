@@ -484,17 +484,17 @@ class TenantStoreView(ChunkStoreOps):
     def remaining_budget(self) -> float:
         return self.cache.remaining_budget()
 
-    def sizes_by_signature(self) -> Dict[str, float]:
-        return self.cache.sizes_by_signature()
+    def sizes_by_signature(self, catalog=None) -> Dict[str, float]:
+        return self.cache.sizes_by_signature(catalog)
 
-    def load_costs_by_signature(self) -> Dict[str, float]:
-        return self.cache.load_costs_by_signature()
+    def load_costs_by_signature(self, catalog=None) -> Dict[str, float]:
+        return self.cache.load_costs_by_signature(catalog)
 
-    def memory_resident_signatures(self):
-        return self.cache.memory_resident_signatures()
+    def memory_resident_signatures(self, catalog=None):
+        return self.cache.memory_resident_signatures(catalog)
 
-    def codecs_by_signature(self) -> Dict[str, str]:
-        return self.cache.codecs_by_signature()
+    def codecs_by_signature(self, catalog=None) -> Dict[str, str]:
+        return self.cache.codecs_by_signature(catalog)
 
     def tier_of(self, signature: str) -> Optional[str]:
         return self.cache.tier_of(signature)

@@ -23,8 +23,11 @@ Built-in codecs:
     :class:`~repro.dataflow.features.FeatureBlock` values whose rows all
     share one feature-key tuple of floats — exactly what
     :class:`~repro.dsl.operators.DenseFeaturizer` emits.  Rows are packed
-    into two float64 matrices (train/test), so encode and the byte payload
-    skip per-row dict pickling.
+    into one float64 matrix, which is the smallest uncompressed payload but
+    not the fastest: pickle decodes the same rows quicker (see the measured
+    table in ``docs/storage.md``), so ``"auto"`` never picks it.  It stays a
+    by-name choice (``--codec dense-block``) and a decoder for stores that
+    already hold it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -119,60 +123,45 @@ class NumpyRawCodec(Codec):
             raise StorageError(f"corrupt numpy-raw payload: {exc}") from exc
 
 
-def _uniform_numeric_keys(rows: List[Dict[str, Any]]) -> Optional[Tuple[str, ...]]:
-    """The shared key tuple if every row has identical float-valued keys."""
-    keys: Optional[Tuple[str, ...]] = None
-    for row in rows:
-        row_keys = tuple(row)
-        if keys is None:
-            keys = row_keys
-        elif row_keys != keys:
-            return None
-        for item in row.values():
-            if type(item) is not float:
-                return None
-    return keys
-
-
 class DenseBlockCodec(Codec):
     """Matrix encoding for feature blocks with one uniform float schema.
 
     :class:`~repro.dsl.operators.DenseFeaturizer` emits one ``emb0..embN``
     float dict per record — the same keys for every row — so the whole block
-    is really two dense matrices plus a key list.  Encoding packs exactly
+    is really one dense matrix plus a key list.  Encoding packs exactly
     that; rows with heterogenous keys (one-hot extractors) are not handled
-    and fall back to pickle under auto-selection.
+    and fall back to pickle.  Never chosen by ``"auto"`` — see the module
+    docstring.
     """
 
     id = "dense-block"
 
-    def handles(self, value: Any) -> bool:
+    @staticmethod
+    def _schema(value: Any) -> Optional[Tuple[str, ...]]:
+        """The key tuple that every row of both splits shares, all values
+        being floats — else ``None``."""
         from repro.dataflow.features import FeatureBlock
 
-        if not isinstance(value, FeatureBlock):
-            return False
-        if not value.train and not value.test:
-            return False
-        train_keys = _uniform_numeric_keys(value.train) if value.train else None
-        test_keys = _uniform_numeric_keys(value.test) if value.test else None
-        if value.train and train_keys is None:
-            return False
-        if value.test and test_keys is None:
-            return False
-        return not (value.train and value.test) or train_keys == test_keys
+        if not isinstance(value, FeatureBlock) or not len(value):
+            return None
+        rows = (*value.train, *value.test)
+        keys = tuple(rows[0])
+        if not all(map(keys.__eq__, map(tuple, rows))):
+            return None
+        if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {float}:
+            return None
+        return keys
+
+    def handles(self, value: Any) -> bool:
+        return self._schema(value) is not None
 
     def encode(self, value: Any) -> bytes:
-        from repro.dataflow.features import FeatureBlock
-
-        if not isinstance(value, FeatureBlock):
-            raise StorageError(f"dense-block codec cannot encode {type(value).__name__}")
-        keys = (
-            _uniform_numeric_keys(value.train)
-            if value.train
-            else _uniform_numeric_keys(value.test)
-        )
+        keys = self._schema(value)
         if keys is None:
-            raise StorageError("dense-block codec needs rows with one uniform float schema")
+            raise StorageError(
+                f"dense-block codec cannot encode {type(value).__name__}: "
+                "it needs a feature block whose rows share one uniform float schema"
+            )
         header = pickle.dumps(
             {
                 "name": value.name,
@@ -182,9 +171,11 @@ class DenseBlockCodec(Codec):
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        matrix = np.array(
-            [[row[key] for key in keys] for row in (*value.train, *value.test)],
+        # Rows share ``keys`` in order, so their values are the matrix rows.
+        matrix = np.fromiter(
+            chain.from_iterable(row.values() for row in (*value.train, *value.test)),
             dtype=np.float64,
+            count=len(value) * len(keys),
         )
         return struct.pack("<I", len(header)) + header + matrix.tobytes()
 
@@ -198,7 +189,7 @@ class DenseBlockCodec(Codec):
             n_train, n_test = header["n_train"], header["n_test"]
             matrix = np.frombuffer(payload, dtype=np.float64, offset=4 + header_len)
             matrix = matrix.reshape(n_train + n_test, len(keys))
-            rows = [dict(zip(keys, map(float, matrix[i]))) for i in range(n_train + n_test)]
+            rows = [dict(zip(keys, row)) for row in matrix.tolist()]
         except (struct.error, ValueError, KeyError, pickle.UnpicklingError) as exc:
             raise StorageError(f"corrupt dense-block payload: {exc}") from exc
         return FeatureBlock(name=header["name"], train=rows[:n_train], test=rows[n_train:])
@@ -207,9 +198,8 @@ class DenseBlockCodec(Codec):
 class CodecRegistry:
     """Maps codec ids to codecs and picks one per artifact value.
 
-    ``choose`` implements the by-type/by-size policy: specialized codecs
-    (``numpy-raw``, ``dense-block``) win when they handle the value's type;
-    otherwise the value is pickled, and payloads at or above
+    ``encode_value("auto")`` is one rule: an ndarray goes to ``numpy-raw``,
+    everything else is pickled, and pickled payloads at or above
     ``compress_threshold`` bytes are kept compressed when zlib actually
     shrinks them below ``compress_ratio`` of the original.
     """
@@ -238,20 +228,20 @@ class CodecRegistry:
     def encode_value(self, value: Any, codec: str = "auto") -> Tuple[bytes, str]:
         """``(payload, codec_id)`` for ``value`` under the requested policy.
 
-        ``codec="auto"`` applies the type/size policy; naming a codec forces
-        it, except that a specialized codec which cannot represent the value
-        falls back to plain pickle (so ``--codec numpy-raw`` accelerates the
-        artifacts it can and never breaks the ones it cannot).
+        ``codec="auto"`` applies the rule in the class docstring; naming a
+        codec forces it, except that a specialized codec which cannot
+        represent the value falls back to plain pickle (so ``--codec
+        numpy-raw`` accelerates the artifacts it can and never breaks the
+        ones it cannot).
         """
         if codec != "auto":
             chosen = self.by_id(codec)
             if not chosen.handles(value):
                 chosen = self.by_id(PickleCodec.id)
             return chosen.encode(value), chosen.id
-        for specialized_id in (NumpyRawCodec.id, DenseBlockCodec.id):
-            specialized = self._codecs.get(specialized_id)
-            if specialized is not None and specialized.handles(value):
-                return specialized.encode(value), specialized.id
+        raw = self._codecs[NumpyRawCodec.id]
+        if raw.handles(value):
+            return raw.encode(value), raw.id
         payload = self._codecs[PickleCodec.id].encode(value)
         if len(payload) >= self.compress_threshold:
             compressed = zlib.compress(payload, 1)

@@ -9,6 +9,7 @@ vanished.
 
 import os
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -303,6 +304,22 @@ def test_append_run_encodes_dirty_chunks_and_never_reads_unneeded_clean_ones(tmp
     # Every carried chunk is in the store under the new signature.
     for name in ROW_WISE:
         assert store.chunk_families(stats[name].signature) == {PARTS: list(range(PARTS))}
+
+
+def test_planning_scans_the_catalog_once_per_run(tmp_path):
+    """The estimator's four views and the delta planner's reuse map derive
+    from one ``all_artifacts`` snapshot, however long the history is."""
+    from repro.storage.catalog import CatalogDB
+
+    feed = Feed(tmp_path)
+    session = HelixSession(str(tmp_path / "ws"), partitions=PARTS)
+    session.run(feed.workflow())
+    with mock.patch.object(CatalogDB, "all_artifacts", autospec=True,
+                           side_effect=CatalogDB.all_artifacts) as scans:
+        for run_index in range(1, 4):
+            run = session.run(feed.grow())
+            assert scans.call_count == run_index
+        assert run.trace.nodes["dense"].delta_strategy == "delta"  # delta planning ran
 
 
 def test_three_append_runs_price_each_node_the_same(tmp_path):

@@ -310,6 +310,19 @@ class TestTraceRoundTrip:
         assert older.options == {}
         assert "options:" not in ExplainRenderer(older).render_ascii()
 
+    def test_materialized_nodes_print_their_write_throughput(self):
+        from repro.introspect.trace import NodeTrace
+
+        renderer = ExplainRenderer(RunTrace())
+        wrote = NodeTrace(
+            node="predictions", state="compute", materialized=True, output_size=45_300.0,
+            materialize_time=0.018, write_codec="pickle+zlib",
+        )
+        assert "wrote 45.3 KB in 18.0 ms (2.5 MB/s, pickle+zlib)" in renderer._node_line(wrote)
+        skipped = NodeTrace(node="rows", state="compute", output_size=45_300.0)
+        assert skipped.write_throughput() is None
+        assert "wrote" not in renderer._node_line(skipped)
+
     def test_explain_lists_the_non_default_run_options(self, tmp_path):
         workflow = build_census_workflow(CensusVariant(data_config=census_config()))
         tuned = HelixSession(str(tmp_path / "a"), partitions=4, backend="thread", parallelism=2)

@@ -490,6 +490,30 @@ class TestDoctorCli:
         out = capsys.readouterr().out
         assert "bundle" not in out.splitlines()[-1] or "anomalies" in out
 
+    def test_doctor_flags_a_slow_materialize_in_the_latest_trace(self, tmp_path, capsys):
+        from repro.core.workspace import trace_path
+        from repro.introspect.trace import RunTrace
+
+        workspace = str(tmp_path / "ws")
+        trace = RunTrace(workflow="census")
+        healthy = trace.node("rows")
+        healthy.materialized, healthy.output_size, healthy.materialize_time = True, 131_700.0, 0.020
+        small = trace.node("checked")  # slow per byte, but far under the size floor
+        small.materialized, small.output_size, small.materialize_time = True, 100.0, 0.0004
+        trace.save(trace_path(workspace, 0))
+        assert main(["doctor", "--workspace", workspace, "--no-bundle"]) == 0
+        assert "slow_materialize" not in capsys.readouterr().out
+
+        # 36 KB of np.int64 objects pickled one by one: 0.6 MB/s.
+        leaky = trace.node("predictions")
+        leaky.materialized, leaky.output_size, leaky.materialize_time = True, 36_000.0, 0.060
+        trace.save(trace_path(workspace, 1))
+        assert main(["doctor", "--workspace", workspace, "--no-bundle"]) == 1
+        out = capsys.readouterr().out
+        assert "[warn] slow_materialize:" in out
+        assert "default:predictions 36.0 KB in 60.0 ms (0.6 MB/s)" in out
+        assert "default:rows" not in out
+
     def test_doctor_reports_legacy_catalog_root(self, tmp_path, capsys):
         root = tmp_path / "ws" / "artifacts"
         root.mkdir(parents=True)
