@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.compile import PlanCache, WarmCutSolver
+from repro.compile import PlanCache
 from repro.compiler.change_tracker import ChangeTracker, WorkflowDiff, diff_workflows
 from repro.compiler.codegen import CompiledWorkflow
 from repro.compiler.codegen import compile_workflow  # patched by benchmarks/ledger/trace.py
@@ -232,11 +232,10 @@ class HelixSession:
         self.tracker = ChangeTracker()
         self.estimator = CostEstimator(CostDefaults())
         self._previous_compiled: Optional[CompiledWorkflow] = None
-        # Per-session planning state: the plan cache, the warm-startable
-        # min-cut solver, and one partition planner shared across runs (its
-        # type→mode memo then persists between iterations).
+        # Per-session planning state: the plan cache and one partition
+        # planner shared across runs (its type→mode memo then persists
+        # between iterations).
         self._plan_cache = PlanCache(registry=self.metrics_registry)
-        self._warm_solver = WarmCutSolver(registry=self.metrics_registry)
         self._partition_planner = None
         if config.n_partitions > 1:
             from repro.partition.planner import PartitionPlanner
@@ -365,7 +364,6 @@ class HelixSession:
             return optimal_plan_explained(
                 compiled.dag, costs, compiled.outputs,
                 registry=self.metrics_registry,
-                solver=self._warm_solver,
             )
         planner = RECOMPUTATION_POLICIES[self.config.strategy.recomputation]
         return planner(compiled.dag, costs, compiled.outputs), None
@@ -477,8 +475,6 @@ class HelixSession:
             delta_plan=delta_plan,
         )
         trace.plan_cache = self._plan_cache.last_result
-        if self.config.strategy.recomputation == "optimal":
-            trace.solver_mode = self._warm_solver.last_mode
         # Pin every artifact the plan LOADs so a concurrent tenant's eviction
         # (shared-cache deployments) cannot invalidate this plan mid-run.
         # Chunked artifacts pin every present chunk of the signature's family.

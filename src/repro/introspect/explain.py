@@ -111,12 +111,8 @@ class ExplainRenderer:
                 if name in defaults and value != defaults[name]
             ]
             lines.append("options: " + ("  ".join(changed) or "(all defaults)"))
-        if trace.plan_cache or trace.solver_mode:
-            planning = "planning:"
-            if trace.plan_cache:
-                planning += f"  plan-cache={trace.plan_cache}"
-            if trace.solver_mode:
-                planning += f"  min-cut-solver={trace.solver_mode}"
+        if trace.plan_cache:
+            planning = f"planning:  plan-cache={trace.plan_cache}"
             fused_members = sum(1 for entry in trace.nodes.values() if entry.fused_group >= 0)
             if fused_members:
                 fused_groups = len({

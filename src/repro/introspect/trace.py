@@ -226,9 +226,6 @@ class RunTrace:
     created_at: float = 0.0
     #: Whether delta-driven incremental recomputation was active this run.
     incremental: bool = False
-    #: How the recomputation min-cut was solved: ``"warm"`` / ``"cold"`` /
-    #: ``"fallback"``; ``""`` = a heuristic planner ran, no min-cut.
-    solver_mode: str = ""
     #: Plan-cache outcome for this run's compilation: ``"exact"`` /
     #: ``"structural"`` / ``"miss"``; ``""`` = not recorded (older traces).
     plan_cache: str = ""

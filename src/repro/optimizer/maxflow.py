@@ -10,7 +10,7 @@ fully tested here; tests cross-check small instances against
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.errors import OptimizerError
 
@@ -45,7 +45,7 @@ class FlowNetwork:
         self._orig: List[float] = []
         self._adjacency: List[List[int]] = [[] for _ in range(n_nodes)]
         # Bumped whenever residual capacities change (new edge, augmenting
-        # path, capacity rewrite); lets cut queries detect stale answers.
+        # path); lets cut queries detect stale answers.
         self._residual_epoch = 0
 
     @property
@@ -76,151 +76,6 @@ class FlowNetwork:
         self._adjacency[target].append(edge_id + 1)
         self._residual_epoch += 1
         return edge_id
-
-    # ------------------------------------------------------------------
-    # Warm-start support
-    # ------------------------------------------------------------------
-    def edge_flow(self, edge_id: int) -> float:
-        """Flow currently routed through forward edge ``edge_id``."""
-        if edge_id % 2 != 0:
-            raise OptimizerError(f"edge id {edge_id} is a reverse edge")
-        return self._cap[edge_id ^ 1]
-
-    def set_edge_capacity(self, edge_id: int, capacity: float) -> bool:
-        """Rewrite a forward edge's capacity while preserving its current flow.
-
-        This is the warm-start primitive: after a solved max flow, callers may
-        update capacities in place and re-run :meth:`max_flow` to push only the
-        *additional* flow the new capacities admit.  Returns ``False`` without
-        modifying the network when the edge already carries more flow than the
-        new capacity allows — the residual graph would go invalid, so the
-        caller must fall back to a cold solve.
-        """
-        if edge_id % 2 != 0:
-            raise OptimizerError(f"edge id {edge_id} is a reverse edge")
-        if not 0 <= edge_id < len(self._to):
-            raise OptimizerError(f"edge id {edge_id} out of range")
-        if capacity < 0:
-            raise OptimizerError(f"negative capacity {capacity} on edge {edge_id}")
-        flow = self._cap[edge_id ^ 1]
-        if capacity < flow:
-            return False
-        self._cap[edge_id] = capacity - flow
-        self._orig[edge_id] = capacity
-        self._residual_epoch += 1
-        return True
-
-    def reduce_edge_flow(self, edge_id: int, amount: float, source: int, sink: int) -> bool:
-        """Cancel ``amount`` units of flow routed through forward edge ``edge_id``.
-
-        The decremental half of warm-starting: when a capacity rewrite would
-        drop below the edge's routed flow, the excess is *canceled* instead of
-        rebuilding the network.  The edge's own flow is reduced and
-        conservation is restored by canceling matching flow upstream (along
-        flow-carrying ``source`` ⇝ tail paths) and downstream (along
-        head ⇝ ``sink`` paths).  The result is a valid — no longer maximum —
-        flow; re-running :meth:`max_flow` augments it back to optimal.
-
-        Path cancellation unwinds any *acyclic* flow; if the flow through the
-        edge rides a directed cycle (impossible when the network itself is
-        acyclic, as in the project-selection reduction) the walk can come up
-        short.  Returns ``False`` in that case; the network is then left with
-        a partially canceled — still valid — flow, so callers should rebuild
-        from scratch.
-
-        Cancellation stops once the unreturned residue is below a *relative*
-        tolerance (``amount * 1e-9``): measured-cost capacities accumulate
-        sub-ulp rounding during augmentation, so the flow decomposition can
-        come up a few ulps short of ``amount`` even on acyclic networks.
-        Exactly representable flows (integers, dyadic rationals) cancel to
-        exactly zero and never engage the tolerance.
-        """
-        if edge_id % 2 != 0:
-            raise OptimizerError(f"edge id {edge_id} is a reverse edge")
-        if not 0 <= edge_id < len(self._to):
-            raise OptimizerError(f"edge id {edge_id} out of range")
-        if amount < 0:
-            raise OptimizerError(f"negative cancellation amount {amount}")
-        if amount == 0.0:
-            return True
-        flow = self._cap[edge_id ^ 1]
-        if amount > flow + 1e-12:
-            raise OptimizerError(
-                f"cannot cancel {amount} units on edge {edge_id} carrying only {flow}"
-            )
-        head = self._to[edge_id]
-        tail = self._to[edge_id ^ 1]
-        self._cap[edge_id] += amount
-        self._cap[edge_id ^ 1] -= amount
-        self._residual_epoch += 1
-        # Restore conservation at both endpoints: the tail now has `amount`
-        # excess inflow (cancel it back toward the source), the head `amount`
-        # excess outflow (cancel the onward flow back from the sink).
-        if tail != source and not self._cancel_along(tail, source, amount):
-            return False
-        if head != sink and not self._cancel_along(sink, head, amount):
-            return False
-        return True
-
-    def _cancel_along(self, start: int, goal: int, amount: float) -> bool:
-        """Cancel ``amount`` of flow carried by forward paths ``goal`` ⇝ ``start``.
-
-        Walks the *reverse* edges of flow-carrying forward edges (a reverse
-        edge's residual capacity equals its forward twin's flow) from
-        ``start`` back to ``goal``; each path found cancels its bottleneck.
-        Each cancellation either finishes the amount or zeroes at least one
-        edge's flow, so the loop runs at most O(edges) times.
-
-        A rounding residue of at most ``amount * 1e-9`` may be left behind
-        (see :meth:`reduce_edge_flow`); it is negligible against the
-        measured-cost capacities this network carries and vanishes entirely
-        for exactly representable flows.
-        """
-        slack = amount * 1e-9
-        remaining = amount
-        while remaining > slack:
-            path = self._flow_path(start, goal)
-            if path is None:
-                return False
-            bottleneck = min(remaining, min(self._cap[e] for e in path))
-            for reverse_id in path:
-                self._cap[reverse_id] -= bottleneck
-                self._cap[reverse_id ^ 1] += bottleneck
-            self._residual_epoch += 1
-            remaining -= bottleneck
-        return True
-
-    def _flow_path(self, start: int, goal: int) -> Optional[List[int]]:
-        """BFS from ``start`` to ``goal`` over reverse edges with positive capacity.
-
-        Returns the reverse-edge ids along one such path (in walk order), or
-        ``None`` when ``goal`` is unreachable through flow-carrying edges.
-        """
-        if start == goal:
-            return []
-        parent_edge: Dict[int, int] = {}
-        queue = deque([start])
-        seen = {start}
-        while queue:
-            node = queue.popleft()
-            for e in self._adjacency[node]:
-                if e % 2 == 0 or self._cap[e] <= 1e-12:
-                    continue
-                target = self._to[e]
-                if target in seen:
-                    continue
-                seen.add(target)
-                parent_edge[target] = e
-                if target == goal:
-                    path = [e]
-                    while node != start:
-                        back = parent_edge[node]
-                        path.append(back)
-                        node = self._to[back ^ 1]
-                    path.reverse()
-                    return path
-                queue.append(target)
-        return None
 
     def flow_value(self, source: int) -> float:
         """Net flow currently leaving ``source`` (total flow of the last solve)."""
@@ -308,8 +163,7 @@ class FlowNetwork:
 
         Must be called after :meth:`max_flow`; the returned set is the source
         side of a minimum cut (the *source-minimal* cut — unique for any max
-        flow, which is what makes warm- and cold-started solves agree on the
-        cut certificate).  The answer is stamped with the current residual
+        flow).  The answer is stamped with the current residual
         epoch so :meth:`min_cut_edges` can reject it once it goes stale.
         """
         reachable = ResidualReachability({source}, epoch=self._residual_epoch)
@@ -337,8 +191,7 @@ class FlowNetwork:
         the second residual-graph traversal.
 
         A ``reachable`` set computed *before* any later residual mutation
-        (another :meth:`max_flow` round, :meth:`set_edge_capacity`,
-        :meth:`add_edge`) no longer describes this network; when the stamped
+        (another :meth:`max_flow` round, :meth:`add_edge`) no longer describes this network; when the stamped
         :class:`ResidualReachability` epoch disagrees with the network's
         current epoch this method raises :class:`OptimizerError` instead of
         silently emitting a wrong cut.  A plain unstamped ``set`` is accepted

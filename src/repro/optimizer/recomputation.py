@@ -173,7 +173,6 @@ def optimal_plan_explained(
     costs: Mapping[str, NodeCosts],
     outputs: Sequence[str],
     registry=None,
-    solver=None,
 ) -> Tuple[Dict[str, NodeState], PlanExplanation]:
     """Optimal state assignment plus its min-cut certificate.
 
@@ -183,16 +182,12 @@ def optimal_plan_explained(
     records: cut value, saturated cut edges mapped back to node items, and
     each node's side of the cut.  ``registry`` (optional) receives the
     max-flow solve time and cut size as ``repro_optimizer_*`` series;
-    defaults to the process-wide metrics registry.  ``solver`` (optional)
-    replaces :func:`solve_project_selection` — the session passes its
-    :class:`~repro.compile.warmcut.WarmCutSolver` here to warm-start
-    successive structurally identical solves; any solver must return an
-    exact :class:`~repro.optimizer.project_selection.ProjectSelectionSolution`.
+    defaults to the process-wide metrics registry.
     """
     metrics = registry if registry is not None else get_registry()
     solve_started = time.perf_counter()
     instance = build_selection_instance(dag, costs, outputs)
-    solution = (solver or solve_project_selection)(instance)
+    solution = solve_project_selection(instance)
     selected = solution.selected
     if metrics.enabled:
         metrics.histogram(

@@ -1,139 +1,16 @@
 """Reusable randomized-input generators for differential test suites.
 
-The compiled-hot-path suite (``test_compiled_differential.py``) and the
-introspection oracle tests both need the same kinds of random inputs:
-random workflow DAGs with cost annotations, random project-selection
-instances with *perturbation sequences* (for warm-start differentials), and
-random real :class:`~repro.dsl.workflow.Workflow` pipelines that actually
-execute.  Keeping the strategies here keeps every differential suite honest
-about using the same input distribution.
-
-Dyadic floats
--------------
-Bit-identical differential assertions (``a == b``, not ``approx``) need
-arithmetic whose result does not depend on summation order.  All generators
-therefore draw costs and profits from the dyadic grid ``k / 64`` — sums and
-differences of such values (up to the magnitudes used here) are exact in
-IEEE-754 doubles, so a warm-started solver and a cold solver must agree to
-the last bit, and any mismatch is a real bug rather than rounding noise.
+The compiled-hot-path suite (``test_compiled_differential.py``) draws random
+real :class:`~repro.dsl.workflow.Workflow` pipelines that actually execute —
+census variants spanning structure edits and parameter edits.  Keeping the
+strategies here keeps every differential suite honest about using the same
+input distribution.
 """
 
 from hypothesis import strategies as st
 
 from repro.datagen.census import CensusConfig
-from repro.graph.dag import Dag
-from repro.optimizer.cost_model import NodeCosts
-from repro.optimizer.project_selection import ProjectSelectionInstance
 from repro.workloads.census_workload import CensusVariant, build_census_workflow
-
-#: Scale factor of the dyadic grid: every drawn float is a multiple of 1/64.
-DYADIC_SCALE = 64
-
-
-def dyadic_floats(min_value=-10.0, max_value=10.0):
-    """Floats on the ``k / 64`` grid — exactly representable, order-independent sums."""
-    return st.integers(
-        min_value=int(min_value * DYADIC_SCALE), max_value=int(max_value * DYADIC_SCALE)
-    ).map(lambda k: k / DYADIC_SCALE)
-
-
-@st.composite
-def dags_with_costs(draw, max_nodes=10, dyadic=True):
-    """Random workload-shaped DAGs with cost annotations.
-
-    Returns ``(dag, costs, outputs)`` ready for ``optimal_plan_explained``.
-    With ``dyadic=True`` (default) every cost sits on the dyadic grid so cut
-    values compare exactly.
-    """
-    n_nodes = draw(st.integers(min_value=2, max_value=max_nodes))
-    dag = Dag("generated")
-    names = [f"n{i}" for i in range(n_nodes)]
-    for name in names:
-        dag.add_node(name)
-    for child_index in range(1, n_nodes):
-        parents = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=child_index - 1),
-                max_size=min(3, child_index),
-                unique=True,
-            )
-        )
-        for parent_index in parents:
-            dag.add_edge(names[parent_index], names[child_index])
-    cost_floats = dyadic_floats(1 / 64, 40.0) if dyadic else st.floats(0.1, 40.0)
-    costs = {
-        name: NodeCosts(
-            compute_cost=draw(cost_floats),
-            load_cost=draw(cost_floats),
-            output_size=draw(st.integers(min_value=1, max_value=10**6)) * 1.0,
-            materialized=draw(st.booleans()),
-        )
-        for name in names
-    }
-    n_outputs = draw(st.integers(min_value=1, max_value=min(2, n_nodes)))
-    outputs = names[-n_outputs:]
-    return dag, costs, outputs
-
-
-@st.composite
-def cost_sequences(draw, max_nodes=10, n_steps=4):
-    """A fixed DAG plus ``n_steps`` successive cost maps over it.
-
-    This is the warm-start differential's input shape: iteration N+1 keeps
-    the operator graph but moves node costs (times re-measured, artifacts
-    newly materialized), so the project-selection *structure* repeats while
-    profits swing — including sign flips and shrinks below previously routed
-    flow, the cases that exercise capacity drains.
-    """
-    dag, costs, outputs = draw(dags_with_costs(max_nodes=max_nodes, dyadic=True))
-    steps = [costs]
-    for _ in range(n_steps - 1):
-        previous = steps[-1]
-        step = {}
-        for name, node_costs in previous.items():
-            if draw(st.booleans()):
-                step[name] = NodeCosts(
-                    compute_cost=draw(dyadic_floats(1 / 64, 40.0)),
-                    load_cost=draw(dyadic_floats(1 / 64, 40.0)),
-                    output_size=node_costs.output_size,
-                    materialized=draw(st.booleans()),
-                )
-            else:
-                step[name] = node_costs
-        steps.append(step)
-    return dag, steps, outputs
-
-
-@st.composite
-def project_instance_sequences(draw, max_items=12, n_steps=5):
-    """A fixed item/prerequisite structure plus ``n_steps`` dyadic profit maps.
-
-    Drives the warm-cut solver directly, below the reduction: profits shrink,
-    grow, and flip sign between steps while the structure stays put.
-    """
-    n_items = draw(st.integers(min_value=1, max_value=max_items))
-    items = [f"i{k}" for k in range(n_items)]
-    prerequisites = []
-    for a in range(n_items):
-        for b in range(a + 1, n_items):
-            if draw(st.booleans()) and draw(st.booleans()):
-                prerequisites.append((items[a], items[b]))
-    steps = []
-    profits = {item: draw(dyadic_floats()) for item in items}
-    for _ in range(n_steps):
-        steps.append(
-            ProjectSelectionInstance(profits=dict(profits), prerequisites=list(prerequisites))
-        )
-        for item in items:
-            choice = draw(st.integers(min_value=0, max_value=3))
-            if choice == 0:
-                profits[item] = draw(dyadic_floats())
-            elif choice == 1:
-                profits[item] = -profits[item]
-            elif choice == 2:
-                profits[item] = profits[item] / 2  # exact in binary
-    return steps
-
 
 #: The census data shape used by workflow-level differentials: small enough
 #: for hypothesis budgets, large enough that partitioned chunks are non-empty.

@@ -295,6 +295,35 @@ class TestExplainAndTraceCommands:
         assert main(["explain", "--workspace", workspace]) == 0
         assert ExplainRenderer(trace).render_ascii() + "\n" == capsys.readouterr().out
 
+    def test_traces_recording_a_solver_mode_still_load_and_render(self, capsys, tmp_path):
+        """Traces from builds that recorded how the min-cut was solved carry a
+        ``solver_mode`` header key: loading ignores it, and `explain` and
+        `trace ls` render such a workspace exactly like a current one."""
+        import json
+
+        from repro.introspect import RunTrace
+
+        workspace = self.make_workspace(tmp_path)
+        assert main(["explain", "--workspace", workspace]) == 0
+        assert main(["trace", "ls", "--workspace", workspace]) == 0
+        expected = capsys.readouterr().out
+
+        legacy = tmp_path / "legacy"
+        (legacy / "traces").mkdir(parents=True)
+        for path in sorted((tmp_path / "ws" / "traces").glob("run-*.jsonl")):
+            current = path.read_text()
+            header, _, body = current.partition("\n")
+            record = json.loads(header)
+            assert "solver_mode" not in record
+            record["solver_mode"] = "warm"
+            old = legacy / "traces" / path.name
+            old.write_text(json.dumps(record, sort_keys=True) + "\n" + body)
+            assert RunTrace.load(str(old)).to_jsonl() == current
+
+        assert main(["explain", "--workspace", str(legacy)]) == 0
+        assert main(["trace", "ls", "--workspace", str(legacy)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_trace_export_to_stdout(self, capsys, tmp_path):
         workspace = self.make_workspace(tmp_path, iterations=1)
         assert main(["trace", "export", "--workspace", workspace, "--run", "0"]) == 0

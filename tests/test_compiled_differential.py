@@ -1,11 +1,9 @@
-"""Differential fuzzing of the planning shortcuts and fusion (`repro.compile`).
+"""Differential fuzzing of the plan cache and fusion (`repro.compile`).
 
 Every shortcut claims *bit-identical results* — not approximate, not "close
 enough".  This suite proves it by running generated inputs through the
 shortcut and through an independent reference and demanding equality:
 
-* warm-started min-cut vs. an independent cold solve (solver level and
-  reduction level);
 * plan-cache compiles (exact hit, structural regraft) vs. a from-scratch
   ``slice_to_outputs(compile_workflow(...))``;
 * partitioned, fused execution of real census pipelines vs. the naive
@@ -17,8 +15,7 @@ shortcut and through an independent reference and demanding equality:
   measured timings, so decision-level identity is asserted at the
   engine/optimizer layers where costs are held fixed).
 
-Inputs come from :mod:`tests.generators`; profits and costs sit on the
-dyadic ``k/64`` grid so sums are exact and ``==`` is the right assertion.
+Inputs come from :mod:`tests.generators`.
 """
 
 import contextlib
@@ -32,11 +29,9 @@ from generators import (
     build_variant,
     census_variants,
     census_workflow_pairs,
-    cost_sequences,
-    project_instance_sequences,
 )
 from reference_interpreter import interpret, reference_metrics
-from repro.compile import FusionPlan, PlanCache, WarmCutSolver
+from repro.compile import FusionPlan, PlanCache
 from repro.compiler.codegen import compile_workflow
 from repro.compiler.plan import PhysicalPlan
 from repro.compiler.slicing import slice_to_outputs
@@ -47,8 +42,6 @@ from repro.graph.dag import NodeState
 from repro.introspect.trace import RunTrace
 from repro.optimizer.cost_model import NodeCosts
 from repro.optimizer.materialization import HelixOnlineMaterializer
-from repro.optimizer.project_selection import solve_project_selection
-from repro.optimizer.recomputation import optimal_plan_explained
 from repro.partition.planner import PartitionPlanner
 from repro.workloads.census_workload import CensusVariant
 
@@ -70,67 +63,6 @@ def canonical(value):
     if hasattr(value, "__dict__") and not isinstance(value, type):
         return {"__type__": type(value).__name__, **canonical(vars(value))}
     return value
-
-
-# ---------------------------------------------------------------------------
-# Warm-started min-cut vs. cold solve
-# ---------------------------------------------------------------------------
-class TestWarmCutDifferential:
-    @given(project_instance_sequences())
-    @settings(max_examples=100, deadline=None)
-    def test_warm_solver_equals_cold_solve_bit_for_bit(self, instances):
-        """Across a profit-perturbation sequence, every warm solve must equal
-        an independent cold solve: same selected set, same cut value, same
-        profit, same cut-edge certificate."""
-        solver = WarmCutSolver()
-        saw_warm = False
-        for instance in instances:
-            warm = solver(instance)
-            cold = solve_project_selection(instance)
-            assert warm.selected == cold.selected
-            assert warm.cut_value == cold.cut_value
-            assert warm.profit == cold.profit
-            assert sorted(warm.cut_edges) == sorted(cold.cut_edges)
-            assert solver.last_mode in ("cold", "warm", "fallback")
-            saw_warm = saw_warm or solver.last_mode == "warm"
-        # The first solve is cold by definition; all structure-preserving
-        # repeats must actually take the warm path (drains included).
-        if len(instances) > 1:
-            assert saw_warm, "structure-preserving resolves never went warm"
-
-    @given(project_instance_sequences(max_items=8, n_steps=3))
-    @settings(max_examples=40, deadline=None)
-    def test_warm_solver_is_deterministic_across_replays(self, instances):
-        """Two solver instances fed the same sequence agree exactly."""
-        first, second = WarmCutSolver(), WarmCutSolver()
-        for instance in instances:
-            a, b = first(instance), second(instance)
-            assert a.selected == b.selected
-            assert a.cut_value == b.cut_value
-            assert sorted(a.cut_edges) == sorted(b.cut_edges)
-
-    @given(cost_sequences())
-    @settings(max_examples=50, deadline=None)
-    def test_reduction_with_warm_solver_equals_plain_planner(self, case):
-        """`optimal_plan_explained` with a warm solver hooked in must produce
-        the exact states and cut certificate of the unhooked planner, at
-        every step of a cost-perturbation sequence."""
-        dag, steps, outputs = case
-        solver = WarmCutSolver()
-        for costs in steps:
-            warm_states, warm_explained = optimal_plan_explained(
-                dag, costs, outputs, solver=solver
-            )
-            cold_states, cold_explained = optimal_plan_explained(dag, costs, outputs)
-            assert warm_states == cold_states
-            assert warm_explained.cut_value == cold_explained.cut_value
-            assert sorted(
-                (edge.source, edge.target, edge.capacity)
-                for edge in warm_explained.cut_edges
-            ) == sorted(
-                (edge.source, edge.target, edge.capacity)
-                for edge in cold_explained.cut_edges
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +277,13 @@ class TestSessionDifferential:
         """Four census iterations (graph edits and param edits mixed) through
         one partitioned session: every iteration's reported model metrics
         must equal the naive interpreter's on the same workflow, and the
-        session must observably exercise the plan cache, the warm solver,
-        and fusion along the way."""
+        session must observably exercise the plan cache and fusion along
+        the way."""
         from repro.workloads.census_workload import census_workload
 
         spec = census_workload(data_config=DIFFERENTIAL_CENSUS, n_iterations=4)
         session = HelixSession(str(tmp_path), partitions=4, metrics=False)
-        cache_results, solver_modes, fused_total = [], [], 0
+        cache_results, fused_total = [], 0
         for iteration in spec.iterations:
             result = session.run(
                 iteration.build(),
@@ -360,12 +292,9 @@ class TestSessionDifferential:
             )
             assert dict(result.report.metrics) == reference_metrics(iteration.build())
             cache_results.append(result.trace.plan_cache)
-            solver_modes.append(result.trace.solver_mode)
             fused_total += sum(
                 1 for entry in result.trace.nodes.values() if entry.fused_group >= 0
             )
         assert cache_results[0] == "miss"
         assert "structural" in cache_results, cache_results
-        assert solver_modes[0] == "cold"
-        assert "warm" in solver_modes, solver_modes
         assert fused_total > 0, "fusion never engaged across the sequence"

@@ -3,8 +3,6 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import OptimizerError
 from repro.optimizer.maxflow import FlowNetwork
@@ -115,110 +113,112 @@ class TestAgainstNetworkx:
         assert cut_capacity == pytest.approx(flow)
 
 
-class TestWarmStartPrimitives:
-    """The in-place rewrite/drain primitives behind the warm-started solver."""
+class TestFlowAccounting:
+    """What a solved network reports about itself: totals, residuals, the cut."""
 
     def solved_path(self):
-        """0 -> 1 -> 2 with capacities 5/5, solved to a flow of 5."""
+        """0 -> 1 -> 2 with capacities 5/3, solved to a flow of 3."""
         network = FlowNetwork(3)
-        e01 = network.add_edge(0, 1, 5.0)
-        e12 = network.add_edge(1, 2, 5.0)
-        assert network.max_flow(0, 2) == pytest.approx(5.0)
-        return network, e01, e12
+        network.add_edge(0, 1, 5.0)
+        network.add_edge(1, 2, 3.0)
+        assert network.max_flow(0, 2) == pytest.approx(3.0)
+        return network
 
-    def solved_diamond(self):
-        """0 -> {1, 2} -> 3 with branch capacities 5 and 3, solved to a flow of 8."""
-        network = FlowNetwork(4)
-        e01 = network.add_edge(0, 1, 5.0)
-        e13 = network.add_edge(1, 3, 5.0)
-        e02 = network.add_edge(0, 2, 3.0)
-        e23 = network.add_edge(2, 3, 3.0)
-        assert network.max_flow(0, 3) == pytest.approx(8.0)
-        return network, (e01, e13, e02, e23)
-
-    def test_edge_flow_reports_routed_flow(self):
-        network, e01, e12 = self.solved_path()
-        assert network.edge_flow(e01) == pytest.approx(5.0)
-        assert network.edge_flow(e12) == pytest.approx(5.0)
-
-    def test_edge_flow_rejects_reverse_edge_id(self):
-        network, e01, _ = self.solved_path()
+    def test_empty_network_rejected(self):
         with pytest.raises(OptimizerError):
-            network.edge_flow(e01 + 1)
+            FlowNetwork(0)
 
-    def test_capacity_increase_preserves_flow_and_admits_more(self):
-        network, e01, e12 = self.solved_path()
-        assert network.set_edge_capacity(e01, 9.0)
-        assert network.set_edge_capacity(e12, 7.0)
-        # Only the *additional* flow is pushed; the warm total matches a cold solve.
-        assert network.max_flow(0, 2) == pytest.approx(2.0)
-        assert network.flow_value(0) == pytest.approx(7.0)
+    def test_flow_value_is_zero_before_solving(self):
+        network = FlowNetwork(3)
+        network.add_edge(0, 1, 5.0)
+        assert network.flow_value(0) == 0.0
 
-    def test_capacity_rewrite_below_flow_is_refused_without_mutation(self):
-        network, _, e12 = self.solved_path()
+    def test_flow_value_reports_the_solved_total(self):
+        network = self.solved_path()
+        assert network.flow_value(0) == pytest.approx(3.0)
+        # Net flow into the sink mirrors the source's outflow.
+        assert network.flow_value(2) == pytest.approx(-3.0)
+
+    def test_flow_value_rejects_unknown_node(self):
+        network = self.solved_path()
+        with pytest.raises(OptimizerError):
+            network.flow_value(7)
+
+    def test_resolving_an_unchanged_network_pushes_nothing(self):
+        network = self.solved_path()
         epoch = network.residual_epoch
-        assert not network.set_edge_capacity(e12, 2.0)
-        assert network.edge_flow(e12) == pytest.approx(5.0)
-        assert network.flow_value(0) == pytest.approx(5.0)
+        assert network.max_flow(0, 2) == 0.0
+        assert network.flow_value(0) == pytest.approx(3.0)
         assert network.residual_epoch == epoch
 
-    def test_set_edge_capacity_error_cases(self):
-        network, e01, _ = self.solved_path()
-        with pytest.raises(OptimizerError):
-            network.set_edge_capacity(e01 + 1, 4.0)  # reverse edge id
-        with pytest.raises(OptimizerError):
-            network.set_edge_capacity(99, 4.0)  # out of range
-        with pytest.raises(OptimizerError):
-            network.set_edge_capacity(e01, -1.0)  # negative capacity
+    def test_residual_epoch_counts_mutations_not_queries(self):
+        network = FlowNetwork(3)
+        assert network.residual_epoch == 0
+        network.add_edge(0, 1, 5.0)
+        network.add_edge(1, 2, 3.0)
+        assert network.residual_epoch == 2
+        network.max_flow(0, 2)
+        solved = network.residual_epoch
+        assert solved > 2  # one bump per augmenting path
+        network.min_cut_source_side(0)
+        network.min_cut_edges(0)
+        network.flow_value(0)
+        network.edge_list()
+        assert network.residual_epoch == solved
 
-    def test_reduce_edge_flow_error_cases(self):
-        network, e01, _ = self.solved_path()
-        with pytest.raises(OptimizerError):
-            network.reduce_edge_flow(e01 + 1, 1.0, 0, 2)  # reverse edge id
-        with pytest.raises(OptimizerError):
-            network.reduce_edge_flow(98, 1.0, 0, 2)  # out of range
-        with pytest.raises(OptimizerError):
-            network.reduce_edge_flow(e01, -1.0, 0, 2)  # negative amount
-        with pytest.raises(OptimizerError):
-            network.reduce_edge_flow(e01, 6.0, 0, 2)  # more than the routed flow
+    def test_edge_list_reports_remaining_capacity_after_solve(self):
+        network = self.solved_path()
+        assert network.edge_list() == [(0, 1, pytest.approx(2.0)), (1, 2, 0.0)]
 
-    def test_reduce_edge_flow_zero_amount_is_a_noop(self):
-        network, e01, _ = self.solved_path()
-        epoch = network.residual_epoch
-        assert network.reduce_edge_flow(e01, 0.0, 0, 2)
-        assert network.edge_flow(e01) == pytest.approx(5.0)
-        assert network.residual_epoch == epoch
+    def test_min_cut_edges_report_original_capacities(self):
+        # The saturated edge has no residual capacity left, yet the cut
+        # certificate carries the capacity it was built with.
+        network = self.solved_path()
+        assert network.min_cut_edges(0) == [(1, 2, 3.0)]
 
-    def test_drain_then_reaugment_matches_cold_solve(self):
-        network, e01, e12 = self.solved_path()
-        # Shrinking a saturated edge below its flow is refused outright...
-        assert not network.set_edge_capacity(e12, 2.0)
-        # ...until the excess is drained; conservation is restored upstream.
-        assert network.reduce_edge_flow(e12, 3.0, 0, 2)
-        assert network.edge_flow(e12) == pytest.approx(2.0)
-        assert network.edge_flow(e01) == pytest.approx(2.0)
-        assert network.flow_value(0) == pytest.approx(2.0)
-        assert network.set_edge_capacity(e12, 2.0)
-        # The drained flow is already maximal for the new capacities.
-        assert network.max_flow(0, 2) == pytest.approx(0.0)
-        assert network.flow_value(0) == pytest.approx(2.0)
+    def test_min_cut_edges_compute_reachability_when_omitted(self):
+        network = self.solved_path()
+        reachable = network.min_cut_source_side(0)
+        assert reachable == {0, 1}
+        assert network.min_cut_edges(0) == network.min_cut_edges(0, reachable)
 
-    def test_drain_restores_conservation_downstream(self):
-        network, (e01, e13, e02, e23) = self.solved_diamond()
-        assert network.reduce_edge_flow(e01, 4.0, 0, 3)
-        # The matching downstream flow on 1 -> 3 was canceled too.
-        assert network.edge_flow(e13) == pytest.approx(1.0)
-        assert network.flow_value(0) == pytest.approx(4.0)
-        assert network.set_edge_capacity(e01, 1.0)
-        assert network.max_flow(0, 3) == pytest.approx(0.0)
-        # Cold reference: the same diamond built with the final capacities.
-        cold = FlowNetwork(4)
-        cold.add_edge(0, 1, 1.0)
-        cold.add_edge(1, 3, 5.0)
-        cold.add_edge(0, 2, 3.0)
-        cold.add_edge(2, 3, 3.0)
-        assert cold.max_flow(0, 3) == pytest.approx(network.flow_value(0))
-        assert network.min_cut_edges(0) == cold.min_cut_edges(0)
+
+class TestResolveAfterAddedEdgesAgainstNetworkx:
+    """Adding edges to a solved network and re-solving equals a cold networkx solve."""
+
+    def random_instance(self, seed, n_nodes=8, edge_probability=0.35):
+        rng = np.random.default_rng(seed)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n_nodes))
+        network = FlowNetwork(n_nodes)
+        for u in range(n_nodes):
+            for v in range(n_nodes):
+                if u != v and rng.random() < edge_probability:
+                    capacity = float(rng.integers(1, 20))
+                    graph.add_edge(u, v, capacity=capacity)
+                    network.add_edge(u, v, capacity)
+        return rng, graph, network
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_added_edges_and_resolve_matches_cold_networkx(self, seed):
+        rng, graph, network = self.random_instance(seed)
+        before = network.max_flow(0, 7)
+        for _ in range(4):
+            u, v = (int(node) for node in rng.choice(8, size=2, replace=False))
+            capacity = float(rng.integers(1, 20))
+            network.add_edge(u, v, capacity)
+            # Parallel edges add up: networkx sees one edge of their total.
+            if graph.has_edge(u, v):
+                graph[u][v]["capacity"] += capacity
+            else:
+                graph.add_edge(u, v, capacity=capacity)
+        # The re-solve pushes only the additional flow the new edges admit.
+        extra = network.max_flow(0, 7)
+        expected = nx.maximum_flow_value(graph, 0, 7)
+        assert before + extra == pytest.approx(expected)
+        assert network.flow_value(0) == pytest.approx(expected)
+        cut = network.min_cut_edges(0)
+        assert sum(capacity for _, _, capacity in cut) == pytest.approx(expected)
 
 
 class TestStaleCutGuard:
@@ -226,48 +226,40 @@ class TestStaleCutGuard:
 
     def solved_diamond(self):
         network = FlowNetwork(4)
-        edges = (
-            network.add_edge(0, 1, 5.0),
-            network.add_edge(1, 3, 5.0),
-            network.add_edge(0, 2, 3.0),
-            network.add_edge(2, 3, 3.0),
-        )
+        network.add_edge(0, 1, 5.0)
+        network.add_edge(1, 3, 5.0)
+        network.add_edge(0, 2, 3.0)
+        network.add_edge(2, 3, 3.0)
         network.max_flow(0, 3)
-        return network, edges
+        return network
 
     def test_fresh_reachability_certifies_the_cut(self):
-        network, _ = self.solved_diamond()
+        network = self.solved_diamond()
         reachable = network.min_cut_source_side(0)
         cut = network.min_cut_edges(0, reachable)
         assert sum(capacity for _, _, capacity in cut) == pytest.approx(network.flow_value(0))
 
-    def test_stale_after_capacity_rewrite(self):
-        network, (e01, _, _, _) = self.solved_diamond()
-        reachable = network.min_cut_source_side(0)
-        assert network.set_edge_capacity(e01, 9.0)
-        with pytest.raises(OptimizerError, match="stale"):
-            network.min_cut_edges(0, reachable)
-
     def test_stale_after_add_edge(self):
-        network, _ = self.solved_diamond()
+        network = self.solved_diamond()
         reachable = network.min_cut_source_side(0)
         network.add_edge(0, 3, 1.0)
         with pytest.raises(OptimizerError, match="stale"):
             network.min_cut_edges(0, reachable)
 
     def test_stale_after_augmenting_max_flow(self):
-        network, (_, _, e02, e23) = self.solved_diamond()
-        assert network.set_edge_capacity(e02, 4.0)
-        assert network.set_edge_capacity(e23, 4.0)
+        network = self.solved_diamond()
+        # Widen the 0 -> 2 -> 3 branch by one unit with parallel edges.
+        network.add_edge(0, 2, 1.0)
+        network.add_edge(2, 3, 1.0)
         reachable = network.min_cut_source_side(0)
         assert network.max_flow(0, 3) == pytest.approx(1.0)
         with pytest.raises(OptimizerError, match="stale"):
             network.min_cut_edges(0, reachable)
 
     def test_recomputed_reachability_is_accepted_again(self):
-        network, (e01, _, _, _) = self.solved_diamond()
+        network = self.solved_diamond()
         stale = network.min_cut_source_side(0)
-        assert network.set_edge_capacity(e01, 9.0)
+        network.add_edge(0, 1, 4.0)
         network.max_flow(0, 3)
         with pytest.raises(OptimizerError, match="stale"):
             network.min_cut_edges(0, stale)
@@ -277,45 +269,7 @@ class TestStaleCutGuard:
 
     def test_plain_set_is_accepted_verbatim(self):
         # Unstamped sets predate the epoch guard; those callers own freshness.
-        network, (e01, _, _, _) = self.solved_diamond()
+        network = self.solved_diamond()
         unstamped = set(network.min_cut_source_side(0))
-        assert network.set_edge_capacity(e01, 9.0)
+        network.add_edge(0, 1, 4.0)
         network.min_cut_edges(0, unstamped)  # must not raise
-
-
-class TestWarmRestartAgainstNetworkx:
-    """Drain + re-augment on random graphs equals a cold networkx solve."""
-
-    def random_instance(self, seed, n_nodes=8, edge_probability=0.35):
-        rng = np.random.default_rng(seed)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(n_nodes))
-        network = FlowNetwork(n_nodes)
-        edges = []
-        for u in range(n_nodes):
-            for v in range(n_nodes):
-                if u != v and rng.random() < edge_probability:
-                    capacity = float(rng.integers(1, 20))
-                    graph.add_edge(u, v, capacity=capacity)
-                    edges.append((network.add_edge(u, v, capacity), u, v))
-        return graph, network, edges
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_drain_and_resolve_matches_cold_networkx(self, seed):
-        graph, network, edges = self.random_instance(seed)
-        network.max_flow(0, 7)
-        carrying = [
-            (edge_id, u, v) for edge_id, u, v in edges if network.edge_flow(edge_id) >= 2.0
-        ]
-        if not carrying:
-            pytest.skip("seed routed no drainable flow")
-        edge_id, u, v = carrying[0]
-        new_capacity = network.edge_flow(edge_id) - 1.0
-        before = network.flow_value(0)
-        assert network.reduce_edge_flow(edge_id, 1.0, 0, 7)
-        # Draining cancels exactly `amount` units of s-t flow.
-        assert network.flow_value(0) == pytest.approx(before - 1.0)
-        assert network.set_edge_capacity(edge_id, new_capacity)
-        network.max_flow(0, 7)
-        graph[u][v]["capacity"] = new_capacity
-        assert network.flow_value(0) == pytest.approx(nx.maximum_flow_value(graph, 0, 7))

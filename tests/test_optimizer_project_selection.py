@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import OptimizerError
-from repro.optimizer.project_selection import ProjectSelectionInstance, solve_project_selection
+from repro.optimizer.project_selection import (
+    SINK,
+    SOURCE,
+    ProjectSelectionInstance,
+    solve_project_selection,
+)
 
 
 def brute_force(instance: ProjectSelectionInstance):
@@ -100,6 +105,51 @@ class TestSmallInstances:
         solution = solve_project_selection(instance)
         if "a" in solution.selected:
             assert {"b", "c"} <= solution.selected
+
+
+def random_instance(seed, n_items=8):
+    """Measured-looking (non-grid) profits over random acyclic prerequisites."""
+    rng = np.random.default_rng(seed)
+    instance = ProjectSelectionInstance()
+    for index in range(n_items):
+        instance.add_item(index, float(rng.uniform(-10.0, 10.0)))
+    for item in range(1, n_items):
+        for requirement in range(item):
+            if rng.random() < 0.3:
+                instance.add_prerequisite(item, requirement)
+    return instance
+
+
+class TestCutCertificate:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cut_edges_account_for_every_forgone_and_paid_profit(self, seed):
+        """A `source → item` cut edge is exactly a positive item left out; an
+        `item → sink` edge exactly a negative item taken; together they sum
+        to the cut value, and profit is what the cut leaves of the positives."""
+        instance = random_instance(seed)
+        solution = solve_project_selection(instance)
+        profits = instance.profits
+        forgone = {item for item, profit in profits.items() if profit > 0 and item not in solution.selected}
+        paid = {item for item, profit in profits.items() if profit < 0 and item in solution.selected}
+        assert {target for source, target, _ in solution.cut_edges if source == SOURCE} == forgone
+        assert {source for source, target, _ in solution.cut_edges if target == SINK} == paid
+        assert len(solution.cut_edges) == len(forgone) + len(paid)
+        for source, target, capacity in solution.cut_edges:
+            assert capacity == abs(profits[target if source == SOURCE else source])
+        assert sum(capacity for _, _, capacity in solution.cut_edges) == pytest.approx(solution.cut_value)
+        positives = sum(profit for profit in profits.values() if profit > 0)
+        assert solution.profit == positives - solution.cut_value
+
+    def test_independent_solves_of_one_instance_are_bit_identical(self):
+        """Rebuilding an instance and solving it again reproduces every bit of
+        the certificate — what lets a recorded cut be checked by replay."""
+        for seed in range(10):
+            first = solve_project_selection(random_instance(seed))
+            second = solve_project_selection(random_instance(seed))
+            assert first.selected == second.selected
+            assert first.cut_value == second.cut_value
+            assert first.profit == second.profit
+            assert first.cut_edges == second.cut_edges
 
 
 class TestAgainstBruteForce:

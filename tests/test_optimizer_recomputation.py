@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from repro.errors import OptimizerError, PlanError
 from repro.graph.dag import Dag, NodeState
 from repro.optimizer.cost_model import NodeCosts
+from repro.optimizer.project_selection import SINK, SOURCE, solve_project_selection
 from repro.optimizer.recomputation import (
+    build_selection_instance,
     compute_all_plan,
     exhaustive_plan,
     greedy_plan,
     optimal_plan,
+    optimal_plan_explained,
     plan_cost,
     reuse_all_plan,
     validate_states,
@@ -194,6 +197,44 @@ class TestOptimalityAgainstBruteForce:
             dag.add_node(f"n{index}")
         with pytest.raises(OptimizerError):
             exhaustive_plan(dag, uniform_costs(dag), ["n0"], max_nodes=10)
+
+
+class TestCertificateAgainstFreshSolve:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_step_of_a_cost_sequence_matches_a_fresh_solve(self, seed):
+        """Iterations keep the DAG and re-measure costs; at every step the
+        explained plan's certificate is exactly — `==`, on non-grid floats —
+        what a fresh solve of the same reduction instance reports."""
+        rng = np.random.default_rng(seed)
+        dag, costs = random_dag_and_costs(rng, n_nodes=int(rng.integers(4, 10)))
+        outputs = [dag.sinks()[0]]
+        for _ in range(4):
+            states, explanation = optimal_plan_explained(dag, costs, outputs)
+            fresh = solve_project_selection(build_selection_instance(dag, costs, outputs))
+            assert explanation.cut_value == fresh.cut_value
+            assert [
+                (edge.source, edge.target, edge.capacity) for edge in explanation.cut_edges
+            ] == [(label(a), label(b), capacity) for a, b, capacity in fresh.cut_edges]
+            for name in dag.nodes():
+                assert explanation.avail_side[name] == (("avail", name) in fresh.selected)
+                assert explanation.comp_side[name] == (("comp", name) in fresh.selected)
+            assert states == optimal_plan(dag, costs, outputs)
+            costs = {
+                name: NodeCosts(
+                    compute_cost=node_costs.compute_cost * float(rng.uniform(0.5, 1.5)),
+                    load_cost=node_costs.load_cost * float(rng.uniform(0.5, 1.5)),
+                    materialized=node_costs.materialized or bool(rng.random() < 0.3),
+                )
+                for name, node_costs in costs.items()
+            }
+
+
+def label(item):
+    """The trace's rendering of a project-selection item or sentinel."""
+    if item in (SOURCE, SINK):
+        return str(item)
+    kind, node = item
+    return f"{kind}:{node}"
 
 
 class TestPlanCostAndValidation:
