@@ -84,9 +84,22 @@ class SequenceFeatureBlock:
 
 
 def merge_sequence_blocks(blocks: Sequence[SequenceFeatureBlock]) -> SequenceFeatureBlock:
-    """Merge aligned token-level blocks, namespacing keys by block name."""
+    """Merge aligned token-level blocks, namespacing keys by block name.
+
+    Block names must be distinct: two blocks with one name would namespace
+    their keys identically and the later block's values would silently
+    replace the earlier's.
+    """
     if not blocks:
         raise DataError("cannot merge an empty list of sequence feature blocks")
+    seen = set()
+    for block in blocks:
+        if block.name in seen:
+            raise DataError(
+                f"two sequence feature blocks are named {block.name!r}; their keys would collide "
+                "(give each extractor a distinct name)"
+            )
+        seen.add(block.name)
 
     def merge_split(split_name: str) -> List[List[TokenFeatures]]:
         reference = blocks[0].split(split_name)

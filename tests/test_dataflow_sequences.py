@@ -10,6 +10,7 @@ from repro.dataflow.sequences import (
     SequencePredictions,
     merge_sequence_blocks,
 )
+from repro.dsl.ie_operators import UDFTokenFeatureExtractor
 from repro.errors import DataError
 
 
@@ -64,6 +65,16 @@ class TestSequenceFeatureBlock:
         right = SequenceFeatureBlock(name="r", train=[[{"y": 1.0}], [{"y": 2.0}]], test=[])
         with pytest.raises(DataError):
             merge_sequence_blocks([left, right])
+
+    def test_merge_duplicate_block_names_raises(self, corpus):
+        # Both lambdas are named "<lambda>": merged, the second block's keys
+        # would silently overwrite the first's.
+        inputs = {"corpus": corpus}
+        first = UDFTokenFeatureExtractor("corpus", lambda tokens, i: {"len": float(len(tokens[i]))})
+        second = UDFTokenFeatureExtractor("corpus", lambda tokens, i: {"len": -1.0})
+        blocks = [first.apply(inputs), second.apply(inputs)]
+        with pytest.raises(DataError, match="<lambda>"):
+            merge_sequence_blocks(blocks)
 
     def test_merge_token_count_mismatch_raises(self):
         left = SequenceFeatureBlock(name="l", train=[[{"x": 1.0}]], test=[])

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from reference_perceptron import StructuredPerceptron as ReferencePerceptron
 from repro.errors import MLError, NotFittedError
-from repro.ml.perceptron import StructuredPerceptron
+from repro.ml.perceptron import StructuredPerceptron, _viterbi
 
 
 def toy_corpus(n_sentences=80, seed=0):
@@ -105,7 +106,11 @@ class TestViterbi:
                 {f"f{rng.integers(4)}": float(rng.normal()) for _ in range(2)} for _ in range(length)
             ]
             expected = self.brute_force_best(sentence, weights, transitions, tags)
-            actual = StructuredPerceptron._viterbi_indices(sentence, weights, transitions, n_tags)
+            emissions = [
+                [sum(value * weights[name][tag] for name, value in token.items()) for tag in range(n_tags)]
+                for token in sentence
+            ]
+            actual = _viterbi(emissions, transitions.tolist())
             # Compare scores rather than sequences to tolerate exact ties.
             def score_of(seq):
                 total, previous = 0.0, n_tags
@@ -118,6 +123,21 @@ class TestViterbi:
                 return total
 
             assert score_of(actual) == pytest.approx(score_of(expected))
+
+    def test_exact_ties_break_like_the_reference_argmax(self):
+        n_tags = 3
+        transitions = np.zeros((n_tags + 1, n_tags))
+        silent = [{"x": 1.0}] * 4
+        expected = ReferencePerceptron._viterbi_indices(silent, {"x": np.zeros(n_tags)}, transitions, n_tags)
+        assert _viterbi([[0.0] * n_tags] * 4, transitions.tolist()) == expected == [0, 0, 0, 0]
+
+        # Dyadic weights, so the tied scores are exactly equal: tags 0/1 tie
+        # after the first token, 1/2 in the middle, 0/1 again at the end.
+        weights = {"a": np.array([0.5, 0.75, 0.75]), "b": np.array([0.25, 0.25, 0.0])}
+        sentence = [{"b": 1.0}, {"a": 1.0}, {"b": 1.0}]
+        emissions = [[0.25, 0.25, 0.0], [0.5, 0.75, 0.75], [0.25, 0.25, 0.0]]
+        expected = ReferencePerceptron._viterbi_indices(sentence, weights, transitions, n_tags)
+        assert _viterbi(emissions, transitions.tolist()) == expected == [0, 1, 0]
 
     def test_empty_sentence_predicts_empty(self):
         sentences, tags = toy_corpus(10)

@@ -1,0 +1,157 @@
+"""The interned perceptron equals the dict-walking one it replaced, bit for bit.
+
+``reference_perceptron.StructuredPerceptron`` is the previous implementation,
+verbatim.  On IE corpora — several seeds, every extractor combination of
+``build_ie_workflow``, averaged and raw, plus a UDF block with non-unit and
+negative values, empty token dicts and empty sentences — both must predict
+the same tags on both splits and hold the same transition matrix and the same
+vector for every feature the reference ever updated.  Models pickled by the
+reference (``feature_weights_`` state) must still load and predict the same.
+"""
+
+import io
+import pickle
+
+import numpy as np
+import pytest
+
+from reference_interpreter import interpret
+from reference_perceptron import StructuredPerceptron as ReferencePerceptron
+from repro.dataflow.sequences import Sentence, SequenceCorpus
+from repro.datagen.news import NewsConfig
+from repro.dsl.ie_operators import UDFTokenFeatureExtractor
+from repro.errors import NotFittedError
+from repro.ml.perceptron import StructuredPerceptron
+from repro.workloads.ie_workload import IEVariant, build_ie_workflow
+
+SEEDS = (3, 7, 11)
+EXTRACTORS = {
+    "shape+context": dict(),
+    "+gazetteer": dict(use_gazetteer=True),
+    "+char-ngrams": dict(use_char_ngrams=True, context_window=2),
+    "+both": dict(use_gazetteer=True, use_char_ngrams=True),
+}
+
+
+def fit_both(features, tags, epochs, averaged, seed=0):
+    model = StructuredPerceptron(epochs=epochs, averaged=averaged, seed=seed).fit(features, tags)
+    reference = ReferencePerceptron(epochs=epochs, averaged=averaged, seed=seed).fit(features, tags)
+    return model, reference
+
+
+def assert_same_model(model, reference, splits):
+    assert model.tags_ == reference.tags_
+    assert np.array_equal(model.transition_weights_, reference.transition_weights_)
+    assert set(model.vocabulary_) == set(reference.feature_weights_)
+    for name, vector in reference.feature_weights_.items():
+        assert np.array_equal(model.weights_[model.vocabulary_[name]], vector), name
+    for features in splits:
+        assert model.predict(features) == reference.predict(features)
+
+
+def gold_tags(sentences):
+    return [sentence.tags or ["O"] * len(sentence) for sentence in sentences]
+
+
+@pytest.fixture(scope="module")
+def ie_examples():
+    cache = {}
+
+    def build(seed, extractors):
+        key = (seed, extractors)
+        if key not in cache:
+            config = NewsConfig(n_train_docs=8, n_test_docs=3, seed=seed)
+            workflow = build_ie_workflow(IEVariant(data_config=config, **EXTRACTORS[extractors]))
+            cache[key] = interpret(workflow)["examples"]
+        return cache[key]
+
+    return build
+
+
+@pytest.mark.parametrize("averaged", [True, False], ids=["averaged", "raw"])
+@pytest.mark.parametrize("extractors", list(EXTRACTORS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ie_corpora_bit_identical(ie_examples, seed, extractors, averaged):
+    examples = ie_examples(seed, extractors)
+    train_features, train_sentences = examples.split("train")
+    test_features, _ = examples.split("test")
+    model, reference = fit_both(train_features, gold_tags(train_sentences), epochs=4, averaged=averaged, seed=seed)
+    assert_same_model(model, reference, [train_features, test_features])
+
+
+def weighted_features(tokens, position):
+    """Non-unit and negative values; every third token has no features."""
+    token = tokens[position]
+    if position % 3 == 2:
+        return {}
+    features = {"len": 0.3 * len(token) - 1.7, f"w={token.lower()}": -0.625}
+    if token[:1].isupper():
+        features["cap"] = -2.5
+    if position > 0:
+        features[f"prev={tokens[position - 1].lower()}"] = 1.0 / (position + 1)
+    return features
+
+
+def with_empty_sentences(sentences):
+    empty = Sentence(tokens=[], tags=[])
+    return [empty] + [item for sentence in sentences for item in (sentence, empty)]
+
+
+@pytest.mark.parametrize("averaged", [True, False], ids=["averaged", "raw"])
+def test_udf_values_empty_tokens_and_empty_sentences(ie_examples, averaged):
+    base = ie_examples(7, "shape+context").corpus
+    corpus = SequenceCorpus(
+        name="corpus", train=with_empty_sentences(base.train), test=with_empty_sentences(base.test)
+    )
+    block = UDFTokenFeatureExtractor("corpus", weighted_features).apply({"corpus": corpus})
+    assert any(not sentence for sentence in block.train)
+    assert any(not token for sentence in block.train for token in sentence)
+    model, reference = fit_both(block.train, gold_tags(corpus.train), epochs=5, averaged=averaged, seed=1)
+    assert_same_model(model, reference, [block.train, block.test])
+
+
+class TestLegacyPickles:
+    """A ``tagger`` artifact written before interning holds ``feature_weights_``."""
+
+    @staticmethod
+    def load_as_current(reference):
+        """Pickle the reference, then load it as the store would: the class
+        path resolves to the current ``StructuredPerceptron``."""
+
+        class Unpickler(pickle.Unpickler):
+            def find_class(self, module, name):
+                if (module, name) == ("reference_perceptron", "StructuredPerceptron"):
+                    return StructuredPerceptron
+                return super().find_class(module, name)
+
+        return Unpickler(io.BytesIO(pickle.dumps(reference))).load()
+
+    def test_fitted_state_upgrades_and_predicts_identically(self, ie_examples):
+        examples = ie_examples(11, "+gazetteer")
+        train_features, train_sentences = examples.split("train")
+        test_features, _ = examples.split("test")
+        reference = ReferencePerceptron(epochs=3).fit(train_features, gold_tags(train_sentences))
+
+        restored = StructuredPerceptron.__new__(StructuredPerceptron)
+        restored.__setstate__(dict(vars(reference)))
+        assert_same_model(restored, reference, [train_features, test_features])
+
+        loaded = self.load_as_current(reference)
+        assert type(loaded) is StructuredPerceptron
+        assert not hasattr(loaded, "feature_weights_")
+        assert_same_model(loaded, reference, [train_features, test_features])
+
+    def test_unfitted_state_still_refuses_to_predict(self):
+        loaded = self.load_as_current(ReferencePerceptron(epochs=2))
+        assert loaded.vocabulary_ is None and loaded.weights_ is None
+        with pytest.raises(NotFittedError):
+            loaded.predict([[{"a": 1.0}]])
+
+    def test_current_state_round_trips(self, ie_examples):
+        examples = ie_examples(3, "shape+context")
+        train_features, train_sentences = examples.split("train")
+        model = StructuredPerceptron(epochs=2).fit(train_features, gold_tags(train_sentences))
+        loaded = pickle.loads(pickle.dumps(model))
+        assert loaded.vocabulary_ == model.vocabulary_
+        assert np.array_equal(loaded.weights_, model.weights_)
+        assert loaded.predict(train_features) == model.predict(train_features)
