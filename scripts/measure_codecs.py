@@ -77,9 +77,9 @@ def main() -> int:
     for name, value in values(np.random.default_rng(args.seed)).items():
         _, auto_id = registry.encode_value(value)
         for codec in registry.ids():
-            payload, codec_id = registry.encode_value(value, codec=codec)
-            if codec_id != codec:
+            if not registry.by_id(codec).handles(value):
                 continue  # a specialized codec that cannot represent the value
+            payload = registry.by_id(codec).encode(value)
             encode = best_ms(lambda: registry.by_id(codec).encode(value), args.repeats)
             decode = best_ms(lambda: registry.decode_value(payload, codec), args.repeats)
             mark = "*" if codec == auto_id else " "

@@ -9,8 +9,9 @@ Public API overview
 * :mod:`repro.optimizer` — recomputation (project-selection/max-flow) and
   materialization (online cost model) optimizers.
 * :mod:`repro.execution` — execution engine, artifact store, virtual-clock simulator.
-* :mod:`repro.storage` — tiered pluggable byte backends (disk / sharded /
-  memory / tiered write-through) and the codec-aware serialization registry.
+* :mod:`repro.storage` — byte backends (flat disk, memory, and a
+  write-through memory tier over disk) and the codec-aware serialization
+  registry.
 * :mod:`repro.baselines` — DeepDive-style / KeystoneML-style / unoptimized strategies.
 * :mod:`repro.workloads` — the Census and information-extraction evaluation workloads.
 * :mod:`repro.bench` — harness that regenerates the paper's figures as tables.

@@ -8,7 +8,7 @@ Entry points::
     python -m repro run ie --strategy keystoneml
     python -m repro serve --tenants 4          # multi-tenant service, shared cache
     python -m repro submit --workspace DIR --tenant alice --workload census
-    python -m repro run census --store-backend tiered --memory-tier-mb 256
+    python -m repro run census --memory-tier-mb 256  # memory tier over the disk store
     python -m repro store stats --workspace DIR  # artifacts per tier and codec
     python -m repro store evict --workspace DIR --bytes 1000000 --policy lru
     python -m repro store vacuum --workspace DIR  # compact the SQLite catalog
@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 from repro.baselines.strategies import ALL_STRATEGIES, DEEPDIVE, HELIX, KEYSTONEML, strategy_by_name
 from repro.bench.harness import run_real_comparison, run_simulated_comparison
 from repro.bench.reporting import format_table
-from repro.core.config import CODECS, STORE_BACKENDS, RunConfig
+from repro.core.config import RunConfig
 from repro.core.suggestions import suggest_modifications
 from repro.core.workspace import (
     list_trace_runs,
@@ -86,16 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
         a verb adds the execution flags it supports with its own help text,
         and ``_run_config`` collects whichever of them were defined."""
         sub.add_argument(
-            "--store-backend", default=None, choices=list(STORE_BACKENDS),
-            help="where artifact bytes live (default: disk; tiered = memory tier over sharded disk)",
-        )
-        sub.add_argument(
             "--memory-tier-mb", type=float, default=None,
-            help="memory-tier capacity in MB for the tiered backend (implies --store-backend tiered)",
-        )
-        sub.add_argument(
-            "--codec", default="auto", choices=list(CODECS),
-            help="artifact serialization codec (default: auto = per value by type and size)",
+            help="keep a memory tier of this many MB over the on-disk store (default: disk only)",
         )
 
     reproduce = subparsers.add_parser("reproduce", help="regenerate a paper figure (simulated, paper scale)")
@@ -460,8 +452,8 @@ def _command_serve(
                     f"({ticket.request.description}) failed: {ticket.error}",
                     file=sys.stderr,
                 )
-        print(service.telemetry.render(), file=out)
         summary = service.summary()
+        print(format_table(list(summary["tenants"].values())), file=out)
         print(
             f"requests: {summary['requests']}   throughput: {summary['throughput_rps']:.2f} req/s   "
             f"p50: {summary['p50_latency_s']:.3f}s   p95: {summary['p95_latency_s']:.3f}s   "
@@ -642,10 +634,9 @@ def _command_store(
 ) -> int:
     """Inspect (stats / ls), evict from, or vacuum a workspace's artifact store.
 
-    The store opens with the flat disk backend regardless of how it was
-    written — catalog keys are backend-relative paths, so sharded and flat
-    layouts both resolve.  Tier columns therefore describe the on-disk
-    state; memory tiers are process-private and start empty.
+    The store opens with the disk backend however it was written (a memory
+    tier is process-private and starts empty), so tier columns describe the
+    on-disk state.
     """
     out = out or sys.stdout
     from repro.execution.store import ArtifactStore, parse_chunk_signature

@@ -16,11 +16,6 @@ from repro.baselines.strategies import HELIX, ExecutionStrategy
 from repro.errors import ExecutionError, StorageError
 from repro.execution.scheduler import BACKENDS
 
-#: Legal ``store_backend`` names (``None`` picks ``disk``, or ``tiered`` when a
-#: memory tier is sized) and ``codec`` policies, in the order ``--help`` prints.
-STORE_BACKENDS = ("disk", "sharded", "memory", "tiered")
-CODECS = ("auto", "pickle", "pickle+zlib", "numpy-raw", "dense-block")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -42,16 +37,9 @@ class RunConfig:
                                     CPU                              always runs 1)
     ``partitions``     ``None``     ``>= 1``; ``None``/1 = off       scheduler, partition and
                                                                      delta planners
-    ``store_backend``  ``None``     ``disk``, ``sharded``,           artifact store / shared
-                                    ``memory``, ``tiered``;          cache
-                                    ``None`` = ``disk``
-    ``memory_tier_mb`` ``None``     MB ``>= 0``, ``tiered`` only;    artifact store / shared
-                                    alone it implies ``tiered``      cache
-                                    (whose own default is 256)
-    ``codec``          ``"auto"``   ``auto`` (per value by type      artifact store / shared
-                                    and size), ``pickle``,           cache (reads follow the
-                                    ``pickle+zlib``, ``numpy-raw``,  codec the catalog
-                                    ``dense-block``                  recorded)
+    ``memory_tier_mb`` ``None``     MB ``>= 0``; ``None`` = flat     artifact store / shared
+                                    disk, a size = a memory tier     cache
+                                    of that size over the same disk
     ``incremental``    ``None``     ``None`` = on when chunked       session (delta planner)
                                     (``partitions > 1``), ``False``
                                     = never, ``True`` = same as
@@ -67,8 +55,10 @@ class RunConfig:
     inputs are fingerprinted chunk by chunk; when an input's *data* changes,
     clean chunks are served from the previous run and only dirty ones
     recompute, priced per node by the optimizer; needs a strategy with
-    cross-iteration reuse (``docs/incremental.md``).  The storage fields are
-    ignored by a session whose ``store=`` is injected (``docs/storage.md``).
+    cross-iteration reuse (``docs/incremental.md``).  Every artifact is
+    encoded with the codec the storage layer's ``auto`` rule picks for it.
+    The storage fields are ignored by a session whose ``store=`` is injected
+    (``docs/storage.md``).
     """
 
     strategy: ExecutionStrategy = HELIX
@@ -76,9 +66,7 @@ class RunConfig:
     backend: str = "serial"
     parallelism: Optional[int] = None
     partitions: Optional[int] = None
-    store_backend: Optional[str] = None
     memory_tier_mb: Optional[float] = None
-    codec: str = "auto"
     incremental: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -90,22 +78,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ExecutionError(f"{name} must be >= 1 (or None), got {value!r}")
-        if self.store_backend is not None and self.store_backend not in STORE_BACKENDS:
-            raise StorageError(
-                f"unknown store_backend {self.store_backend!r}; "
-                f"expected one of {list(STORE_BACKENDS)}"
-            )
-        if self.codec not in CODECS:
-            raise StorageError(f"unknown codec {self.codec!r}; expected one of {list(CODECS)}")
         for name in ("storage_budget", "memory_tier_mb"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise StorageError(f"{name} must be >= 0 (or None), got {value!r}")
-        if self.memory_tier_bytes is not None and self.store_backend not in (None, "tiered"):
-            raise StorageError(
-                f"memory_tier_mb sizes the 'tiered' store_backend's memory tier; "
-                f"it cannot be combined with store_backend={self.store_backend!r}"
-            )
 
     def as_dict(self) -> Dict[str, Any]:
         """The options as a flat dict, strategy by name (what run traces record)."""

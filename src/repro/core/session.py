@@ -96,8 +96,7 @@ class HelixSession:
         so reuse works across sessions too.
     config, **options:
         The run options — strategy, storage budget, worker backend and
-        parallelism, partitions, storage backend / memory tier / codec,
-        incremental.  :class:`~repro.core.config.RunConfig` declares,
+        parallelism, partitions, memory tier, incremental.  :class:`~repro.core.config.RunConfig` declares,
         documents and validates them; pass one as ``config``, name individual
         fields as keywords (``HelixSession(path, partitions=16,
         backend="thread")``), or both — keywords override ``config``.  An
@@ -217,13 +216,9 @@ class HelixSession:
                 health_checks={"session": lambda: (True, "session alive"),
                                "catalog": self._catalog_health},
             ).start()
-        # Sizing a memory tier without naming a backend implies "tiered"
-        # (the rule lives in backend_from_spec).
         self.store = store if store is not None else ArtifactStore(
             os.path.join(workspace, "artifacts"),
             budget_bytes=config.storage_budget,
-            backend=config.store_backend,
-            codec=config.codec,
             memory_tier_bytes=config.memory_tier_bytes,
             metrics=self.metrics_registry,
         )

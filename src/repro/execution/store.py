@@ -7,12 +7,11 @@ iteration whose node hashes to the same signature can reuse the artifact
 regardless of renames.  A metadata catalog sits next to the artifacts so a
 new session can discover what previous sessions materialized — Helix's
 cross-session reuse story.  Each catalog entry records the codec that encoded
-it, so reads self-describe and a workspace written under one configuration
-reads fine under any other.
+it, so reads self-describe and a workspace written by any version reads fine.
 
 The store itself owns the *policy* surface — signatures, budgets, pins,
-eviction — while the :mod:`repro.storage` layer owns bytes (``disk``,
-``sharded``, ``memory``, ``tiered``) and metadata persistence: the store
+eviction — while the :mod:`repro.storage` layer owns bytes (flat disk, or a
+memory tier over it) and metadata persistence: the store
 drives one :class:`~repro.storage.catalog.CatalogDB` per root
 (``catalog.sqlite``, a WAL-mode database with row-level transactional
 mutations), so many processes share one store root with concurrent readers,
@@ -39,7 +38,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 from repro.errors import BudgetExceededError, StorageError
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.storage.backends import MemoryBackend, StorageBackend, backend_from_spec
+from repro.storage.backends import DiskBackend, MemoryBackend, StorageBackend
 from repro.storage.catalog import (  # noqa: F401  (re-exported schema surface)
     ArtifactMeta,
     CatalogDB,
@@ -49,6 +48,7 @@ from repro.storage.catalog import (  # noqa: F401  (re-exported schema surface)
     sqlite_catalog_path,
 )
 from repro.storage.codecs import DEFAULT_CODEC_ID, CodecRegistry, default_registry
+from repro.storage.tiered import TieredStore
 
 #: Buffered access-metadata touches are written to the catalog in batches of
 #: this many.  A crash between flushes loses only recency hints, never an
@@ -206,17 +206,18 @@ class ArtifactStore(ChunkStoreOps):
         avoids exceeding it, so a :class:`BudgetExceededError` indicates a
         policy bug rather than a user error.
     backend:
-        Where artifact bytes live: a backend name (``"disk"`` — the legacy
-        flat layout and the default — ``"sharded"``, ``"memory"``, or
-        ``"tiered"``) or an already-constructed
-        :class:`~repro.storage.backends.StorageBackend`.
-    codec:
-        Serialization policy for :meth:`put`: ``"auto"`` (default — pick the
-        best codec per value by type and size) or a specific codec id to
-        force.  Reads always use the codec recorded in the catalog.
+        An already-constructed :class:`~repro.storage.backends.StorageBackend`
+        to hold the bytes (tests and embedders inject a
+        :class:`~repro.storage.backends.MemoryBackend` this way); ``None``
+        (default) builds one under ``root`` as ``memory_tier_bytes`` says.
     memory_tier_bytes:
-        Capacity of the ``tiered`` backend's memory tier (ignored by the
-        other backends; ``None`` = the tiered default of 256 MB).
+        ``None`` (default): a flat :class:`~repro.storage.backends.DiskBackend`.
+        A size: a :class:`~repro.storage.tiered.TieredStore` whose memory tier
+        holds that many bytes over the same disk layout.  Ignored when
+        ``backend`` is given.
+
+    :meth:`put` picks each value's codec by the registry's one ``auto`` rule;
+    reads use the codec recorded in the catalog.
 
     The catalog database is the source of truth — there is no in-memory
     mirror, so concurrent processes sharing one root see each other's
@@ -229,26 +230,27 @@ class ArtifactStore(ChunkStoreOps):
         self,
         root: str,
         budget_bytes: Optional[float] = None,
-        backend: "Union[str, StorageBackend, None]" = None,
-        codec: str = "auto",
+        backend: Optional[StorageBackend] = None,
         memory_tier_bytes: Optional[float] = None,
         registry: Optional[CodecRegistry] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.root = root
         self.budget_bytes = budget_bytes
-        self.codec = codec
         self.registry = registry if registry is not None else default_registry()
         self.metrics = metrics if metrics is not None else get_registry()
         refuse_legacy_root(root)
         os.makedirs(root, exist_ok=True)
-        self._backend = backend_from_spec(
-            backend,
-            root,
-            memory_tier_bytes=memory_tier_bytes,
-            on_demote=self._forget_hot_value,
-            registry=self.metrics,
-        )
+        if backend is None:
+            backend = DiskBackend(root)
+            if memory_tier_bytes is not None:
+                backend = TieredStore(
+                    backend,
+                    memory_capacity_bytes=memory_tier_bytes,
+                    on_demote=self._forget_hot_value,
+                    registry=self.metrics,
+                )
+        self._backend = backend
         # The wavefront scheduler's background materializer writes artifacts
         # while the main thread loads others; one re-entrant lock serializes
         # every catalog read/mutation.
@@ -483,7 +485,7 @@ class ArtifactStore(ChunkStoreOps):
     # Mutations
     # ------------------------------------------------------------------
     def encode(self, node_name: str, value: Any) -> Tuple[bytes, str]:
-        """Serialize ``value`` under the store's codec policy.
+        """Serialize ``value`` with the codec the registry picks for it.
 
         Returns ``(payload, codec_id)``.  Split out of :meth:`put` so the
         wavefront scheduler can serialize synchronously (keeping budget
@@ -491,7 +493,7 @@ class ArtifactStore(ChunkStoreOps):
         background materializer.
         """
         try:
-            return self.registry.encode_value(value, codec=self.codec)
+            return self.registry.encode_value(value)
         except StorageError:
             raise
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
@@ -554,11 +556,11 @@ class ArtifactStore(ChunkStoreOps):
             existing = self._get_meta(signature)
             self._require_room(node_name, size, existing.size if existing else 0.0)
             previous_filename = existing.filename if existing else None
-        filename = self._backend.place(f"{signature}.pkl")
+        filename = f"{signature}.pkl"
         self._backend.put_bytes(filename, payload)
         if previous_filename is not None and previous_filename != filename:
-            # An overwrite under a different layout (legacy flat file being
-            # refreshed through a sharded backend) must not leave an orphan.
+            # Refreshing a payload the retired fan-out layout wrote
+            # (``3f/sig.pkl``) must not leave it orphaned.
             self._forget_hot_value(previous_filename)
             self._backend.delete(previous_filename)
         write_time = time.perf_counter() - started
@@ -616,7 +618,7 @@ class ArtifactStore(ChunkStoreOps):
         metas: List[Optional[ArtifactMeta]] = []
         for source, signature in pairs:
             origin = rows[source]
-            filename = self._backend.place(f"{signature}.pkl")
+            filename = f"{signature}.pkl"
             try:
                 self._backend.link(origin.filename, filename)
             except StorageError as exc:

@@ -29,6 +29,11 @@ _MARKS = {"compute": "●", "load": "○", "prune": "∅"}
 #: ANSI colors for the optional colored rendering (verdict → SGR code).
 _COLORS = {"compute": "33", "load": "32", "prune": "90"}
 
+#: Run options older traces record that ``RunConfig`` no longer declares,
+#: with the default each had (every write now uses the ``auto`` codec rule,
+#: and ``memory_tier_mb`` alone picks the store).
+_RETIRED_OPTION_DEFAULTS = {"store_backend": None, "codec": "auto"}
+
 
 def _seconds(value: float) -> str:
     """Deterministic, compact seconds formatting (stable across JSON round trips)."""
@@ -105,10 +110,12 @@ class ExplainRenderer:
             # Imported here: repro.core imports this module at package import.
             from repro.core.config import RunConfig
 
-            defaults = RunConfig().as_dict()
+            # A trace keeps the options it ran under, including ones later
+            # versions retired; those render against their old defaults.
+            defaults = {**_RETIRED_OPTION_DEFAULTS, **RunConfig().as_dict()}
             changed = [
                 f"{name}={value}" for name, value in trace.options.items()
-                if name in defaults and value != defaults[name]
+                if name not in defaults or value != defaults[name]
             ]
             lines.append("options: " + ("  ".join(changed) or "(all defaults)"))
         if trace.plan_cache:

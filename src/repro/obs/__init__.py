@@ -16,9 +16,9 @@ journals every lifecycle transition with correlation IDs
 bundle with triage heuristics (:mod:`repro.obs.doctor`).
 
 Snapshots export as Prometheus text exposition or JSON (``repro metrics``,
-``repro top`` on the CLI); ``ServiceTelemetry`` renders its per-tenant table
-as a read-view over the same registry, so no layer keeps a second,
-disagreeing set of books.
+``repro top`` on the CLI); ``WorkflowService.summary`` folds its per-tenant
+numbers from the same registry, so no layer keeps a second, disagreeing set
+of books.
 """
 
 from repro.obs.bridge import (

@@ -6,8 +6,7 @@ Two jobs live here:
   :meth:`~repro.execution.store.ArtifactStore.storage_info` dictionary into
   registry gauge series, so ``repro store stats`` renders through the exact
   same snapshot → :func:`~repro.bench.reporting.format_table` pipeline as
-  ``repro metrics`` and ``ServiceTelemetry.render`` — one formatting path,
-  numbers that cannot disagree.
+  ``repro metrics`` — one formatting path, numbers that cannot disagree.
 * :func:`save_registry` / :func:`metrics_path` define the on-disk
   convention: ``repro run`` and ``repro serve`` persist their registry to
   ``<workspace>/metrics.json`` on exit, which is what the cross-process CLI

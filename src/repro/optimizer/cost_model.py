@@ -164,7 +164,8 @@ class CostDefaults:
     ``carry_overhead`` is the fixed cost of carrying one clean chunk forward
     under a new signature — a hard link plus its share of the node's one
     catalog transaction — measured at 0.03-0.05 ms per chunk (``link_many``
-    of 15 chunks, medians over the disk, sharded, tiered and memory stores).
+    of 15 chunks, medians over the disk, tiered and memory stores and the
+    fan-out disk layout since retired).
     """
 
     default_compute_cost: float = 1.0

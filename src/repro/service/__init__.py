@@ -8,11 +8,10 @@ The modules, bottom-up:
 * :mod:`repro.service.dispatcher` — :class:`FairDispatcher`: per-tenant
   FIFO queues, round-robin fairness, a bounded worker pool.
 * :mod:`repro.service.service` — :class:`WorkflowService`, tying cache +
-  dispatcher + per-tenant sessions + telemetry together.
+  dispatcher + per-tenant sessions together; its ``summary()`` folds the
+  per-tenant request series (latency, hit rate, reuse) from its registry.
 * :mod:`repro.service.client` — :class:`ServiceClient`, the in-process
   tenant API (`repro submit` and the service benchmark drive this).
-* :mod:`repro.service.telemetry` — per-tenant latency/hit-rate/reuse
-  aggregation behind ``WorkflowService.summary()``.
 """
 
 from repro.service.cache import (
@@ -24,7 +23,6 @@ from repro.service.cache import (
 from repro.service.client import ServiceClient
 from repro.service.dispatcher import FairDispatcher, RequestTicket, RunRequest, ServiceError
 from repro.service.service import ServiceConfig, WorkflowService
-from repro.service.telemetry import ServiceTelemetry, TenantTelemetry, percentile
 
 __all__ = [
     "AdmissionControlledPolicy",
@@ -35,10 +33,7 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "ServiceTelemetry",
     "SharedArtifactCache",
     "TenantStoreView",
-    "TenantTelemetry",
     "WorkflowService",
-    "percentile",
 ]

@@ -121,15 +121,10 @@ class SharedArtifactCache(ArtifactStore):
         # The base class's hard budget would make over-quota writes raise;
         # the cache instead reclaims space by eviction, so the base budget
         # stays unset and `remaining_budget` reports "unbounded" upward.
-        # Backend and codec plumb straight through to the storage layer: a
-        # tiered cache serves every tenant's hot set from its memory tier
-        # (sizing a memory tier without a backend implies "tiered" — the
-        # rule lives in backend_from_spec).
+        # A sized memory tier serves every tenant's hot set from memory.
         super().__init__(
             root,
             budget_bytes=None,
-            backend=run.store_backend,
-            codec=run.codec,
             memory_tier_bytes=run.memory_tier_bytes,
             metrics=metrics,
         )

@@ -11,8 +11,9 @@ One :class:`WorkflowService` owns:
 * a :class:`~repro.service.dispatcher.FairDispatcher` that runs requests on
   a bounded worker pool with per-tenant FIFO ordering and round-robin
   fairness;
-* a :class:`~repro.service.telemetry.ServiceTelemetry` aggregating latency,
-  reuse, and cache-hit statistics per tenant.
+* per-tenant request series (latency, reuse, node outcomes) in its metrics
+  registry, which :meth:`WorkflowService.summary` folds into per-tenant
+  latency, reuse and cache-hit numbers.
 
 Usage::
 
@@ -27,6 +28,7 @@ Usage::
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -42,10 +44,24 @@ from repro.service.cache import (
 )
 from repro.obs.bridge import install_periodic_flush
 from repro.obs.events import EventLog, NULL_EVENT_LOG, events_path
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY, get_registry
+from repro.obs.export import quantile_from_series
+from repro.obs.registry import FRACTION_BUCKETS, MetricsRegistry, NULL_REGISTRY, get_registry
 from repro.service.dispatcher import FairDispatcher, RequestTicket, RunRequest, ServiceError
-from repro.service.telemetry import ServiceTelemetry
 from repro.dsl.workflow import Workflow
+
+#: The request series ``summary()`` folds, by the per-tenant field each fills
+#: (``None``: a counter split by its ``outcome`` or ``state`` label).
+_REQUEST_SERIES = {
+    "repro_requests_total": None,
+    "repro_request_nodes_total": None,
+    "repro_request_seconds": "latency",
+    "repro_request_reuse_fraction": "reuse",
+    "repro_request_compute_seconds_total": "compute_s",
+    "repro_request_load_seconds_total": "load_s",
+}
+#: The queue-wait series the dispatcher records per tenant; ``summary()``
+#: reads its p95 next to the request series.
+_QUEUE_WAIT = "repro_dispatcher_queue_wait_seconds"
 
 
 @dataclass(frozen=True)
@@ -65,8 +81,8 @@ class ServiceConfig:
     #: Runtime metrics destination (see :mod:`repro.obs`).  ``None`` (the
     #: default) gives the service a *private* registry so two services in
     #: one process never mix series; ``True`` uses the process-wide default
-    #: registry, ``False`` disables hot-layer instrumentation (request
-    #: telemetry still works via a private registry), and a
+    #: registry, ``False`` disables hot-layer instrumentation (``summary()``
+    #: still works via a private registry), and a
     #: :class:`~repro.obs.registry.MetricsRegistry` instance is used as-is.
     #: The resolved registry is exposed as ``WorkflowService.metrics_registry``.
     metrics: Any = None
@@ -123,19 +139,23 @@ class WorkflowService:
             if config.shared_cache
             else None
         )
-        # Request bookkeeping must survive metrics=False (summary()/render()
-        # are service API, not diagnostics), so telemetry falls back to a
-        # private registry when the shared one is disabled.
-        self.telemetry = ServiceTelemetry(
-            registry=self.metrics_registry if self.metrics_registry.enabled else None
+        # Request bookkeeping must survive metrics=False (summary() is
+        # service API, not diagnostics), so the request and dispatcher series
+        # fall back to a private registry when the shared one is disabled.
+        self._requests = (
+            self.metrics_registry if self.metrics_registry.enabled else MetricsRegistry()
         )
+        #: First submission and last completion over recorded requests — the
+        #: throughput window.
+        self._window = (math.inf, -math.inf)
+        self._window_lock = threading.Lock()
         self._sessions: Dict[str, HelixSession] = {}
         self._sessions_lock = threading.Lock()
         self._dispatcher = FairDispatcher(
             self._execute,
             n_workers=config.n_workers,
             on_complete=self._record,
-            metrics=self.metrics_registry,
+            metrics=self._requests,
         )
         self._closed = False
         self.obs_server = None
@@ -258,11 +278,44 @@ class WorkflowService:
         return result
 
     def _record(self, ticket: RequestTicket) -> None:
-        """Dispatcher completion hook: fold the finished ticket into telemetry."""
-        if ticket.error is not None:
-            self.telemetry.record_error(ticket)
-        elif ticket.result is not None:
-            self.telemetry.record_run(ticket, ticket.result.report)
+        """Dispatcher completion hook: fold the finished ticket into the
+        per-tenant request series."""
+        if ticket.error is None and ticket.result is None:
+            return
+        tenant = ticket.request.tenant
+        registry = self._requests
+        registry.counter(
+            "repro_requests_total", help="Completed service requests by outcome.",
+            tenant=tenant, outcome="ok" if ticket.error is None else "error",
+        ).inc()
+        registry.histogram(
+            "repro_request_seconds", help="End-to-end request latency.", tenant=tenant,
+        ).observe(ticket.total_latency)
+        if ticket.error is None:
+            report = ticket.result.report
+            registry.histogram(
+                "repro_request_reuse_fraction", help="Per-run fraction of plan nodes reused.",
+                buckets=FRACTION_BUCKETS, tenant=tenant,
+            ).observe(report.reuse_fraction())
+            for state in (NodeState.LOAD, NodeState.COMPUTE, NodeState.PRUNE):
+                n = report.n_in_state(state)
+                if n:
+                    registry.counter(
+                        "repro_request_nodes_total",
+                        help="Plan nodes by final state across a tenant's runs.",
+                        tenant=tenant, state=state.value,
+                    ).inc(n)
+            for kind, seconds, help_text in (
+                ("compute", report.compute_time(), "Cumulative measured compute seconds."),
+                ("load", report.load_time(), "Cumulative measured artifact-load seconds."),
+                ("runtime", report.total_runtime, "Cumulative per-node runtime seconds."),
+            ):
+                registry.counter(
+                    f"repro_request_{kind}_seconds_total", help=help_text, tenant=tenant,
+                ).inc(seconds)
+        with self._window_lock:
+            first, last = self._window
+            self._window = (min(first, ticket.submitted_at), max(last, ticket.finished_at))
 
     # ------------------------------------------------------------------
     # Introspection and shutdown
@@ -291,9 +344,90 @@ class WorkflowService:
         return ExplainRenderer(RunTrace.load(resolve_trace_file(trace_dir, run))).render_ascii()
 
     def summary(self) -> Dict[str, Any]:
-        """Telemetry snapshot joined with the cache's own counters."""
-        cache_stats = self.cache.snapshot() if self.cache is not None else None
-        return self.telemetry.snapshot(cache_stats)
+        """Aggregate and per-tenant request numbers, folded from one snapshot
+        of the request series and joined with the cache's own counters.
+
+        A tenant has a row once one of its requests has finished.  Latency
+        quantiles come from the bounded histograms' buckets — the aggregate
+        ones from every tenant's buckets summed — so no raw sample list is
+        kept anywhere.
+        """
+        folds: Dict[str, Dict[str, Any]] = {}
+        queue_waits: Dict[str, Dict[str, Any]] = {}
+        for series in self._requests.snapshot():
+            name, labels = series["name"], series["labels"]
+            tenant = labels.get("tenant")
+            if name == _QUEUE_WAIT and tenant is not None:
+                queue_waits[tenant] = series
+            if tenant is None or name not in _REQUEST_SERIES:
+                continue
+            fold = folds.setdefault(tenant, {
+                "ok": 0, "error": 0, "load": 0, "compute": 0, "compute_s": 0.0,
+                "load_s": 0.0, "latency": {}, "reuse": {"sum": 0.0, "count": 0},
+            })
+            field = _REQUEST_SERIES[name]
+            if field is None:
+                key = labels.get("outcome") or labels["state"]
+                fold[key] = fold.get(key, 0) + int(series["value"])
+            elif field in ("latency", "reuse"):
+                fold[field] = series
+            else:
+                fold[field] = float(series["value"])
+
+        def ratio(part: float, whole: float) -> float:
+            return part / whole if whole else 0.0
+
+        def quantile(series: Dict[str, Any], q: float) -> float:
+            return round(quantile_from_series(series, q), 3)
+
+        rows = {
+            tenant: {
+                "tenant": tenant,
+                "runs": fold["ok"],
+                "errors": fold["error"],
+                "p50_s": quantile(fold["latency"], 0.50),
+                "p95_s": quantile(fold["latency"], 0.95),
+                "queue_p95_s": quantile(queue_waits.get(tenant, {}), 0.95),
+                "hit_rate": round(ratio(fold["load"], fold["load"] + fold["compute"]), 3),
+                "reuse": round(ratio(fold["reuse"]["sum"], fold["reuse"]["count"]), 3),
+                "compute_s": round(fold["compute_s"], 3),
+                "load_s": round(fold["load_s"], 3),
+            }
+            for tenant, fold in sorted(folds.items())
+        }
+        latencies = [fold["latency"] for fold in folds.values() if fold["latency"]]
+        merged = {
+            "buckets": [
+                [column[0][0], sum(count for _bound, count in column)]
+                for column in zip(*(series["buckets"] for series in latencies))
+            ],
+            "count": sum(series["count"] for series in latencies),
+            "min": min((series["min"] for series in latencies), default=0.0),
+            "max": max((series["max"] for series in latencies), default=0.0),
+        }
+        requests = sum(row["runs"] + row["errors"] for row in rows.values())
+        with self._window_lock:
+            first, last = self._window
+        window = max(0.0, last - first)
+        loaded = sum(fold["load"] for fold in folds.values())
+        executed = loaded + sum(fold["compute"] for fold in folds.values())
+        summary: Dict[str, Any] = {
+            "requests": requests,
+            "window_s": round(window, 3),
+            "throughput_rps": round(ratio(requests, window), 3),
+            "p50_latency_s": quantile(merged, 0.50),
+            "p95_latency_s": quantile(merged, 0.95),
+            "cache_hit_rate": round(ratio(loaded, executed), 3),
+            "compute_seconds": round(sum(fold["compute_s"] for fold in folds.values()), 3),
+            "tenants": rows,
+        }
+        if self.cache is not None:
+            cache_stats = self.cache.snapshot()
+            summary["cache"] = dict(cache_stats)
+            summary["cross_tenant_hit_fraction"] = round(
+                ratio(cache_stats.get("cross_tenant_hits", 0), cache_stats.get("hits", 0)), 3
+            )
+        return summary
 
     def close(self, wait: bool = True) -> None:
         if self._closed:

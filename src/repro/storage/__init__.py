@@ -7,9 +7,8 @@ here:
 
 * :class:`StorageBackend` — the byte-oriented protocol
   (``put_bytes`` / ``get_bytes`` / ``delete`` / ``contains`` / ``stats``);
+* :class:`DiskBackend` — durable files under one root directory;
 * :class:`MemoryBackend` — an LRU-ordered, capacity-bounded in-process tier;
-* :class:`ShardedDiskBackend` — durable files fanned out over subdirectories
-  so a large catalog never produces one flat directory with 10⁵ entries;
 * :class:`TieredStore` — memory over disk: write-through on put,
   promote-on-read, demote-coldest-first when the memory tier fills;
 * :class:`CodecRegistry` — per-artifact serialization (``pickle``,
@@ -28,9 +27,7 @@ from repro.storage.backends import (
     BackendStats,
     DiskBackend,
     MemoryBackend,
-    ShardedDiskBackend,
     StorageBackend,
-    backend_from_spec,
 )
 from repro.storage.catalog import (
     ArtifactMeta,
@@ -60,11 +57,9 @@ __all__ = [
     "MemoryBackend",
     "NumpyRawCodec",
     "PickleCodec",
-    "ShardedDiskBackend",
     "StorageBackend",
     "TieredStore",
     "ZlibPickleCodec",
-    "backend_from_spec",
     "chunk_signature",
     "default_registry",
     "parse_chunk_signature",

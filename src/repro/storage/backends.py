@@ -2,20 +2,16 @@
 
 A backend is deliberately dumb — a key/value byte store with usage counters.
 Keys are relative paths chosen by the layer above (the artifact store records
-them in its catalog as ``filename``), which keeps two properties:
-
-* durable backends lay keys out under one root directory, so
-  ``os.path.join(root, filename)`` remains the on-disk location a human (or
-  an old test) expects;
-* a catalog written under one backend remains readable under another — a
-  legacy flat-layout key like ``sig.pkl`` passes through the sharded backend
-  untouched, so pre-existing workspaces upgrade in place with no migration.
+them in its catalog as ``filename``), so ``os.path.join(root, filename)`` is
+the on-disk location a human expects.  The store names new payloads
+``sig.pkl`` directly under the root; keys one directory down (``3f/sig.pkl``,
+written by the retired fan-out layout) still resolve verbatim, so those
+workspaces open with no migration.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import threading
 from collections import OrderedDict
@@ -50,18 +46,10 @@ class BackendStats:
 
 
 class StorageBackend:
-    """The byte-store protocol every tier implements.
-
-    ``place`` maps a flat object name to the backend's preferred relative
-    key (sharded backends inject a fan-out directory); every other method
-    takes the key verbatim, so keys minted elsewhere — including legacy flat
-    keys — keep working.
-    """
+    """The byte-store protocol every tier implements; every method takes the
+    key verbatim."""
 
     name = "base"
-
-    def place(self, name: str) -> str:
-        return name
 
     def put_bytes(self, key: str, payload: bytes) -> None:
         raise NotImplementedError
@@ -215,7 +203,7 @@ class MemoryBackend(StorageBackend):
 
 
 class DiskBackend(StorageBackend):
-    """Durable files directly under one root directory — the legacy flat layout."""
+    """Durable files under one root directory — the one on-disk layout."""
 
     name = "disk"
 
@@ -229,7 +217,7 @@ class DiskBackend(StorageBackend):
         return os.path.join(self.root, key)
 
     def _writable_path(self, key: str) -> str:
-        """``key``'s path, its (shard) directory created if missing."""
+        """``key``'s path, its directory created if missing."""
         path = self._path(key)
         parent = os.path.dirname(path)
         if parent != self.root:
@@ -322,96 +310,21 @@ class DiskBackend(StorageBackend):
         return ".tmp." not in name
 
     def keys(self) -> List[str]:
+        """Payload keys under the root and one directory below it (where the
+        retired fan-out layout put them)."""
+        found: List[str] = []
         try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        return sorted(
-            name for name in names
-            if self._is_artifact(name) and os.path.isfile(self._path(name))
-        )
-
-
-class ShardedDiskBackend(DiskBackend):
-    """Durable files fanned out over ``fanout`` subdirectories of the root.
-
-    One flat directory with tens of thousands of artifacts makes every
-    create/lookup pay a linear directory scan on many filesystems; sharding
-    by a stable hash of the object name bounds each directory at roughly
-    ``objects / fanout`` entries.  Keys minted elsewhere (the legacy flat
-    layout, or another fanout) resolve verbatim, so mixed workspaces work.
-    """
-
-    name = "sharded"
-
-    def __init__(self, root: str, fanout: int = 64) -> None:
-        if fanout < 1:
-            raise StorageError(f"sharded backend needs fanout >= 1, got {fanout}")
-        super().__init__(root)
-        self.fanout = fanout
-
-    def place(self, name: str) -> str:
-        digest = hashlib.sha1(name.encode("utf-8")).hexdigest()
-        shard = int(digest[:8], 16) % self.fanout
-        return os.path.join(f"{shard:02x}", name)
-
-    def keys(self) -> List[str]:
-        found = list(super().keys())
-        try:
-            entries = os.listdir(self.root)
+            entries = sorted(os.scandir(self.root), key=lambda entry: entry.name)
         except OSError:
             return found
-        for entry in sorted(entries):
-            shard_dir = os.path.join(self.root, entry)
-            if not os.path.isdir(shard_dir):
-                continue
-            with contextlib.suppress(OSError):
-                found.extend(
-                    os.path.join(entry, name)
-                    for name in sorted(os.listdir(shard_dir))
-                    if self._is_artifact(name)
-                )
+        for entry in entries:
+            if entry.is_dir():
+                with contextlib.suppress(OSError):
+                    found.extend(
+                        os.path.join(entry.name, name)
+                        for name in sorted(os.listdir(entry.path))
+                        if self._is_artifact(name)
+                    )
+            elif entry.is_file() and self._is_artifact(entry.name):
+                found.append(entry.name)
         return found
-
-
-def backend_from_spec(
-    spec: Optional[str],
-    root: str,
-    memory_tier_bytes: Optional[float] = None,
-    on_demote: Optional[Callable[[str], None]] = None,
-    registry=None,
-) -> StorageBackend:
-    """Build a backend from its CLI/config name.
-
-    ``disk`` (flat files, the default), ``sharded`` (fan-out directories),
-    ``memory`` (ephemeral), or ``tiered`` (memory over sharded disk, the
-    memory tier bounded by ``memory_tier_bytes`` — default 256 MB).  Sizing
-    a memory tier without naming a backend implies ``tiered`` — this rule
-    lives here so every entry point (session, shared cache, CLI) agrees.
-    Already-constructed backends pass through, so tests and embedders can
-    inject custom compositions.
-    """
-    from repro.storage.tiered import TieredStore
-
-    if isinstance(spec, StorageBackend):
-        return spec
-    if spec is None and memory_tier_bytes is not None:
-        spec = "tiered"
-    name = spec or "disk"
-    if name == "disk":
-        return DiskBackend(root)
-    if name == "sharded":
-        return ShardedDiskBackend(root)
-    if name == "memory":
-        return MemoryBackend(capacity_bytes=None, on_demote=on_demote)
-    if name == "tiered":
-        capacity = memory_tier_bytes if memory_tier_bytes is not None else 256 * 1024 * 1024
-        return TieredStore(
-            ShardedDiskBackend(root),
-            memory_capacity_bytes=capacity,
-            on_demote=on_demote,
-            registry=registry,
-        )
-    raise StorageError(
-        f"unknown storage backend {name!r}; expected one of ['disk', 'memory', 'sharded', 'tiered']"
-    )

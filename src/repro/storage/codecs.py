@@ -3,10 +3,10 @@
 Every artifact used to be ``pickle.dumps`` regardless of what it held, so the
 cost model had one deserialization throughput for everything and hot numeric
 artifacts paid pickle's per-object overhead on every reuse.  A :class:`Codec`
-encapsulates one encoding; the :class:`CodecRegistry` picks the best codec for
-a value (``"auto"``) or honors a forced choice, and the chosen codec *id* is
-recorded next to the artifact in the catalog so reads self-describe — a
-workspace written with one configuration reads fine under any other.
+encapsulates one encoding; the :class:`CodecRegistry` picks the codec for a
+value by one rule (``"auto"``), and the chosen codec *id* is recorded next to
+the artifact in the catalog so reads self-describe — a workspace written by
+an older version, whatever codec it picked, reads fine.
 
 Built-in codecs:
 
@@ -26,8 +26,7 @@ Built-in codecs:
     into one float64 matrix, which is the smallest uncompressed payload but
     not the fastest: pickle decodes the same rows quicker (see the measured
     table in ``docs/storage.md``), so ``"auto"`` never picks it.  It stays a
-    by-name choice (``--codec dense-block``) and a decoder for stores that
-    already hold it.
+    decoder for stores that already hold it.
 """
 
 from __future__ import annotations
@@ -129,9 +128,8 @@ class DenseBlockCodec(Codec):
     :class:`~repro.dsl.operators.DenseFeaturizer` emits one ``emb0..embN``
     float dict per record — the same keys for every row — so the whole block
     is really one dense matrix plus a key list.  Encoding packs exactly
-    that; rows with heterogenous keys (one-hot extractors) are not handled
-    and fall back to pickle.  Never chosen by ``"auto"`` — see the module
-    docstring.
+    that; rows with heterogenous keys (one-hot extractors) are not handled.
+    Never chosen by ``"auto"`` — see the module docstring.
     """
 
     id = "dense-block"
@@ -225,20 +223,10 @@ class CodecRegistry:
             )
         return self._codecs[codec_id]
 
-    def encode_value(self, value: Any, codec: str = "auto") -> Tuple[bytes, str]:
-        """``(payload, codec_id)`` for ``value`` under the requested policy.
-
-        ``codec="auto"`` applies the rule in the class docstring; naming a
-        codec forces it, except that a specialized codec which cannot
-        represent the value falls back to plain pickle (so ``--codec
-        numpy-raw`` accelerates the artifacts it can and never breaks the
-        ones it cannot).
-        """
-        if codec != "auto":
-            chosen = self.by_id(codec)
-            if not chosen.handles(value):
-                chosen = self.by_id(PickleCodec.id)
-            return chosen.encode(value), chosen.id
+    def encode_value(self, value: Any) -> Tuple[bytes, str]:
+        """``(payload, codec_id)`` for ``value`` under the rule in the class
+        docstring.  To encode with one particular codec, call
+        ``by_id(codec_id).encode(value)``."""
         raw = self._codecs[NumpyRawCodec.id]
         if raw.handles(value):
             return raw.encode(value), raw.id

@@ -71,10 +71,6 @@ class TieredStore(StorageBackend):
         )
         self._disk_hits_total = metrics.counter("repro_tier_hits_total", tier="disk")
 
-    # -- placement mirrors the durable tier ----------------------------
-    def place(self, name: str) -> str:
-        return self.disk.place(name)
-
     @property
     def root(self) -> Optional[str]:
         return getattr(self.disk, "root", None)

@@ -288,7 +288,7 @@ class TestDenseBlockCodec:
         writer.put_bytes("onehot", "occ", ZlibPickleCodec().encode(one_hot), codec="pickle+zlib")
         writer.close()
 
-        reader = ArtifactStore(root)  # codec="auto": reads follow the catalog
+        reader = ArtifactStore(root)  # reads follow the catalog's codec ids
         assert reader.codecs_by_signature() == {"dense": "dense-block", "onehot": "pickle+zlib"}
         loaded, _ = reader.get("dense")
         assert loaded == dense
@@ -300,7 +300,7 @@ class TestDenseBlockCodec:
         with mock.patch.object(DenseBlockCodec, "handles", side_effect=AssertionError("scanned")):
             _, codec_id = default_registry().encode_value(block)
         assert codec_id == "pickle"
-        assert default_registry().encode_value(block, codec="dense-block")[1] == "dense-block"
+        assert default_registry().by_id("dense-block").handles(block)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,47 @@ from repro.execution.store import ArtifactStore, chunk_signature, parse_chunk_si
 from repro.graph.dag import NodeState
 from repro.optimizer.cost_model import CostDefaults, CostEstimator
 from repro.service.cache import CacheConfig, SharedArtifactCache
-from repro.storage.backends import backend_from_spec
+from repro.storage.backends import DiskBackend, MemoryBackend
+from repro.storage.tiered import TieredStore
 from repro.workloads.census_workload import NUMERIC_FIELDS
 
-BACKENDS = ("disk", "sharded", "memory", "tiered")
+from legacy_layout import fan_out_key, to_fan_out_layout
+
+#: ``fan-out``: the flat disk store serving payloads the retired fan-out
+#: layout wrote one directory down.
+BACKENDS = ("disk", "memory", "tiered", "fan-out")
+
+
+def make_backend(name, root):
+    if name == "memory":
+        return MemoryBackend()
+    if name == "tiered":
+        return TieredStore(DiskBackend(root))
+    return DiskBackend(root)
+
+
+def backend_key(name, filename):
+    return fan_out_key(filename) if name == "fan-out" else filename
+
+
+def make_store(name, root, **kwargs):
+    if name == "tiered":
+        return ArtifactStore(root, memory_tier_bytes=1 << 20, **kwargs)
+    if name == "memory":
+        kwargs["backend"] = MemoryBackend()
+    return ArtifactStore(root, **kwargs)
+
+
+def put_source(name, store, value):
+    """``store.put("old", ...)``; under ``fan-out`` the payload then moves to
+    where the retired fan-out layout kept it."""
+    meta = store.put("old", "node", value)
+    if name == "fan-out":
+        assert to_fan_out_layout(store.root) == 1
+        assert store.meta("old").filename == fan_out_key("old.pkl")
+    return meta
+
+
 PARTS = 4
 ROW_WISE = ("rows", "dense", "target", "examples")
 
@@ -47,8 +84,8 @@ ROW_WISE = ("rows", "dense", "target", "examples")
 @pytest.mark.parametrize("name", BACKENDS)
 class TestBackendLink:
     def test_both_keys_read_the_same_bytes_and_outlive_each_other(self, tmp_path, name):
-        backend = backend_from_spec(name, str(tmp_path))
-        src, dst, third = (backend.place(key) for key in ("src.pkl", "dst.pkl", "third.pkl"))
+        backend = make_backend(name, str(tmp_path))
+        src, dst, third = (backend_key(name, key) for key in ("src.pkl", "dst.pkl", "third.pkl"))
         backend.put_bytes(src, b"payload-v1")
         backend.link(src, dst)
         backend.link(src, third)
@@ -62,8 +99,8 @@ class TestBackendLink:
         assert backend.get_bytes(third) == b"payload-v1"
 
     def test_link_over_an_existing_key_replaces_it(self, tmp_path, name):
-        backend = backend_from_spec(name, str(tmp_path))
-        src, dst = backend.place("src.pkl"), backend.place("dst.pkl")
+        backend = make_backend(name, str(tmp_path))
+        src, dst = backend_key(name, "src.pkl"), backend_key(name, "dst.pkl")
         backend.put_bytes(src, b"new")
         backend.put_bytes(dst, b"old")
         backend.link(src, dst)
@@ -72,16 +109,16 @@ class TestBackendLink:
         assert sorted(backend.keys()) == sorted([src, dst])  # no temp file left
 
     def test_missing_source_raises(self, tmp_path, name):
-        backend = backend_from_spec(name, str(tmp_path))
+        backend = make_backend(name, str(tmp_path))
         with pytest.raises(StorageError):
-            backend.link(backend.place("ghost.pkl"), backend.place("dst.pkl"))
+            backend.link(backend_key(name, "ghost.pkl"), backend_key(name, "dst.pkl"))
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 class TestStoreLink:
     def test_link_copies_the_row_not_the_bytes(self, tmp_path, name):
-        store = ArtifactStore(str(tmp_path), backend=name)
-        source = store.put("old", "node", list(range(500)))
+        store = make_store(name, str(tmp_path))
+        source = put_source(name, store, list(range(500)))
         linked = store.link("old", "new", "node")
         assert (linked.size, linked.codec) == (source.size, source.codec)
         assert store.get("new")[0] == store.get("old")[0] == list(range(500))
@@ -94,8 +131,8 @@ class TestStoreLink:
         assert store.catalog_db.integrity_ok()
 
     def test_evicting_the_source_leaves_the_link_readable(self, tmp_path, name):
-        store = ArtifactStore(str(tmp_path), backend=name)
-        store.put("old", "node", list(range(500)))
+        store = make_store(name, str(tmp_path))
+        put_source(name, store, list(range(500)))
         store.link("old", "new", "node")
         with store.pin(["new"]):
             evicted = store.evict(1.0)
@@ -104,10 +141,10 @@ class TestStoreLink:
         assert store.catalog_db.integrity_ok()
 
     def test_link_many_is_checked_against_the_budget_like_a_put(self, tmp_path, name):
-        probe = ArtifactStore(str(tmp_path / "probe"), backend=name)
+        probe = make_store(name, str(tmp_path / "probe"))
         size = probe.put("old", "node", list(range(500))).size
-        store = ArtifactStore(str(tmp_path / "store"), backend=name, budget_bytes=2.5 * size)
-        store.put("old", "node", list(range(500)))
+        store = make_store(name, str(tmp_path / "store"), budget_bytes=2.5 * size)
+        put_source(name, store, list(range(500)))
         store.link("old", "first", "node")
         with pytest.raises(BudgetExceededError):
             store.link("old", "second", "node")
@@ -115,7 +152,7 @@ class TestStoreLink:
 
 
 def test_physical_bytes_count_a_linked_payload_once(tmp_path):
-    store = ArtifactStore(str(tmp_path), backend="disk")
+    store = ArtifactStore(str(tmp_path))
     size = store.put("old", "node", list(range(2000))).size
     store.link_many([("old", "new-1"), ("old", "new-2")], "node")
     info = store.storage_info()

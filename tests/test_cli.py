@@ -134,6 +134,27 @@ class TestStoreCommand:
         assert "backend:" in output and "artifacts:" in output
         assert "codec" in output and "pickle" in output
 
+    def test_stats_counts_the_physical_bytes_of_a_fan_out_workspace(self, capsys, tmp_path):
+        # Workspaces the retired ``tiered`` / ``sharded`` stores wrote keep
+        # their payloads one directory down; `store stats` counts them.
+        import re
+
+        from legacy_layout import to_fan_out_layout
+
+        workspace = str(tmp_path / "ws")
+        session = HelixSession(workspace=workspace)
+        session.run(
+            build_census_workflow(CensusVariant(data_config=CensusConfig(n_train=150, n_test=50, seed=2))),
+        )
+        session.store.close()
+        moved = to_fan_out_layout(session.store.root)
+        assert main(["store", "stats", "--workspace", workspace]) == 0
+        output = capsys.readouterr().out
+        match = re.search(r"artifacts: (\d+) .*used: (\d+) B logical / (\d+) B physical", output)
+        artifacts, logical, physical = map(int, match.groups())
+        assert artifacts == moved > 0
+        assert physical == logical > 0
+
     def test_ls_lists_artifacts(self, capsys, tmp_path):
         workspace = self.make_workspace(tmp_path)
         assert main(["store", "ls", "--workspace", workspace, "--limit", "3"]) == 0
@@ -184,38 +205,41 @@ class TestStoreCommand:
 
 
 class TestStorageKnobs:
-    def test_run_with_tiered_backend_and_codec(self, capsys, tmp_path):
+    def test_run_with_memory_tier(self, capsys, tmp_path):
         code = main([
             "run", "census", "--iterations", "2", "--scale", "200",
-            "--workspace", str(tmp_path), "--store-backend", "tiered",
-            "--memory-tier-mb", "32", "--codec", "auto",
+            "--workspace", str(tmp_path), "--memory-tier-mb", "32",
         ])
         assert code == 0
         assert "cumulative runtime" in capsys.readouterr().out
+        # The memory tier sits over the same on-disk layout `store stats`
+        # opens, so the payloads it wrote count as physical bytes.
+        assert main(["store", "stats", "--workspace", str(tmp_path / "helix")]) == 0
+        output = capsys.readouterr().out
+        assert "artifacts: 0 " not in output and " 0 B physical" not in output
 
     def test_serve_with_tiered_cache(self, capsys, tmp_path):
         code = main([
             "serve", "--workspace", str(tmp_path / "svc"), "--tenants", "2",
             "--iterations", "1", "--scale", "150", "--workers", "1",
-            "--store-backend", "tiered", "--memory-tier-mb", "32",
+            "--memory-tier-mb", "32",
         ])
         assert code == 0
         assert "shared cache" in capsys.readouterr().out
 
-    def test_bad_backend_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["run", "census", "--store-backend", "tape"])
-
-    def test_bad_codec_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["run", "census", "--codec", "msgpack"])
+    @pytest.mark.parametrize("verb", [["run", "census"], ["serve"], ["submit", "--tenant", "a"]])
+    @pytest.mark.parametrize("flag", [["--store-backend", "tiered"], ["--codec", "auto"]])
+    def test_retired_storage_flags_are_rejected_by_argparse(self, tmp_path, verb, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verb, *flag, "--workspace", str(tmp_path / "ws")])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "ws").exists()
 
     @pytest.mark.parametrize(
         "verb_and_flags, named",
         [
             (["run", "census", "--partitions", "-3"], "partitions"),
             (["run", "census", "--backend", "thread", "--parallelism", "0"], "parallelism"),
-            (["run", "census", "--store-backend", "disk", "--memory-tier-mb", "8"], "memory_tier_mb"),
             (["serve", "--partitions", "0"], "partitions"),
             (["submit", "--tenant", "a", "--memory-tier-mb", "-1"], "memory_tier_mb"),
         ],
@@ -323,6 +347,41 @@ class TestExplainAndTraceCommands:
         assert main(["explain", "--workspace", str(legacy)]) == 0
         assert main(["trace", "ls", "--workspace", str(legacy)]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "retired, shown",
+        [
+            ({"codec": "pickle+zlib", "store_backend": "tiered"},
+             ["codec=pickle+zlib", "store_backend=tiered"]),
+            ({"codec": "auto", "store_backend": None}, ["(all defaults)"]),
+        ],
+    )
+    def test_traces_recording_retired_storage_options_still_load_and_render(
+        self, capsys, tmp_path, retired, shown
+    ):
+        """Traces from builds whose ``RunConfig`` had ``store_backend`` and
+        ``codec`` keep them in their options: they load, and `explain` names
+        each one that differs from the default it had."""
+        import json
+
+        from repro.introspect import RunTrace
+
+        workspace = self.make_workspace(tmp_path, iterations=1)
+        (path,) = (tmp_path / "ws" / "traces").glob("run-*.jsonl")
+        header, _, body = path.read_text().partition("\n")
+        record = json.loads(header)
+        assert not {"codec", "store_backend"} & set(record["options"])
+        record["options"].update(retired)
+        legacy = tmp_path / "legacy" / "traces"
+        legacy.mkdir(parents=True)
+        (legacy / path.name).write_text(json.dumps(record, sort_keys=True) + "\n" + body)
+
+        assert RunTrace.load(str(legacy / path.name)).options["codec"] == retired["codec"]
+        assert main(["explain", "--workspace", str(tmp_path / "legacy")]) == 0
+        (options_line,) = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("options: ")
+        ]
+        assert options_line.split("  ") == [f"options: {shown[0]}", *shown[1:]]
 
     def test_trace_export_to_stdout(self, capsys, tmp_path):
         workspace = self.make_workspace(tmp_path, iterations=1)

@@ -1,12 +1,13 @@
 """Integration tests for HelixSession: iterative reuse end to end."""
 
+import os
 import re
 from dataclasses import fields, replace
 
 import pytest
 
 from repro.baselines.strategies import DEEPDIVE, HELIX, HELIX_UNOPTIMIZED, KEYSTONEML
-from repro.core.config import CODECS, STORE_BACKENDS, RunConfig
+from repro.core.config import RunConfig
 from repro.core.session import HelixSession
 from repro.errors import ExecutionError, StorageError
 from repro.graph.dag import NodeState
@@ -159,25 +160,16 @@ class TestRunConfig:
     def test_defaults_are_the_sessions(self, session):
         assert session.config == RunConfig() == RunConfig(
             strategy=HELIX, storage_budget=None, backend="serial", parallelism=None,
-            partitions=None, store_backend=None, memory_tier_mb=None, codec="auto",
-            incremental=None,
+            partitions=None, memory_tier_mb=None, incremental=None,
         )
-        # The pinned row above is the whole option surface: nine fields.
-        assert len(fields(RunConfig)) == 9
+        # The pinned row above is the whole option surface: seven fields.
+        assert len(fields(RunConfig)) == 7
 
     def test_keywords_override_a_passed_config(self, tmp_path):
         base = RunConfig(partitions=4, backend="thread", parallelism=2)
         session = HelixSession(str(tmp_path / "ws"), base, partitions=8, strategy=DEEPDIVE)
         assert session.config == replace(base, partitions=8, strategy=DEEPDIVE)
         assert (session.backend.name, session.backend.parallelism) == ("thread", 2)
-
-    def test_legal_names_match_the_storage_layer(self, tmp_path):
-        from repro.storage.backends import backend_from_spec
-        from repro.storage.codecs import default_registry
-
-        assert set(CODECS) == {"auto", *default_registry().ids()}
-        for name in STORE_BACKENDS:
-            backend_from_spec(name, str(tmp_path / name))
 
     @pytest.mark.parametrize(
         "options, error, named",
@@ -186,11 +178,8 @@ class TestRunConfig:
             ({"partitions": 0}, ExecutionError, "partitions"),
             ({"parallelism": 0}, ExecutionError, "parallelism"),
             ({"backend": "nope"}, ExecutionError, "serial"),
-            ({"store_backend": "nope"}, StorageError, "tiered"),
-            ({"codec": "nope"}, StorageError, "pickle+zlib"),
             ({"storage_budget": -5}, StorageError, "storage_budget"),
             ({"memory_tier_mb": -1}, StorageError, "memory_tier_mb"),
-            ({"store_backend": "disk", "memory_tier_mb": 8}, StorageError, "memory_tier_mb"),
         ],
     )
     def test_invalid_values_fail_at_construction(self, tmp_path, options, error, named):
@@ -201,6 +190,27 @@ class TestRunConfig:
         with pytest.raises(error):
             HelixSession(str(workspace), **options)
         assert not workspace.exists()
+
+    @pytest.mark.parametrize(
+        "memory_tier_mb, store, tier_bytes",
+        [(None, "disk", None), (64, "tiered", 64 * 2**20), (0, "tiered", 0)],
+    )
+    def test_memory_tier_alone_picks_the_byte_store(
+        self, tmp_path, variant, memory_tier_mb, store, tier_bytes
+    ):
+        session = HelixSession(str(tmp_path / "ws"), memory_tier_mb=memory_tier_mb)
+        backend = session.store.backend
+        assert backend.name == store
+        assert getattr(getattr(backend, "memory", None), "capacity_bytes", None) == tier_bytes
+        session.run(build_census_workflow(variant))
+        # Either way the payloads land flat under the artifacts directory.
+        artifacts = tmp_path / "ws" / "artifacts"
+        keys = session.store.backend.keys()
+        assert keys and sorted(keys) == sorted(
+            meta.filename for meta in session.store.catalog().values()
+        )
+        assert all(os.sep not in key for key in keys)
+        assert not [entry for entry in artifacts.iterdir() if entry.is_dir()]
 
     def test_unknown_option_is_a_type_error(self, tmp_path):
         with pytest.raises(TypeError, match="partitons"):

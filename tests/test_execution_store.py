@@ -7,6 +7,7 @@ import pytest
 from repro.errors import BudgetExceededError, StorageError
 from repro.execution.store import ArtifactStore, chunk_signature
 from repro.storage.catalog import CatalogDB, sqlite_catalog_path
+from repro.storage.codecs import ZlibPickleCodec
 
 
 @pytest.fixture
@@ -122,8 +123,9 @@ class TestDeletionAndPersistence:
             store.get("sig")
 
     def test_corrupt_compressed_artifact_raises_storage_error(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "b"), codec="pickle+zlib")
-        meta = store.put("sig", "node", list(range(100)))
+        store = ArtifactStore(str(tmp_path / "b"))
+        payload = ZlibPickleCodec().encode(list(range(100)))
+        meta = store.put_bytes("sig", "node", payload, codec=ZlibPickleCodec.id)
         with open(os.path.join(store.root, meta.filename), "wb") as handle:
             handle.write(b"not a zlib stream")
         with pytest.raises(StorageError):

@@ -399,7 +399,7 @@ class TestSessionIncremental:
         train_path, test_path = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
         v1 = write_feed(train_path, train_lines[:400]) + write_feed(test_path, test_lines)
         session = HelixSession(str(tmp_path / "ws"), partitions=PARTS,
-                               store_backend="tiered", memory_tier_mb=64, **session_kwargs)
+                               memory_tier_mb=64, **session_kwargs)
         session.run(feed_workflow(train_path, test_path, v1))
         v2 = write_feed(train_path, train_lines) + write_feed(test_path, test_lines)
         delta_run = session.run(feed_workflow(train_path, test_path, v2))

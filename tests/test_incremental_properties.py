@@ -35,8 +35,12 @@ from repro.dsl.operators import (
     Predictor,
 )
 from repro.dsl.workflow import Workflow
+from repro.execution.store import ArtifactStore
 from repro.incremental.detector import CLEAN, DIRTY, DeltaDetector
+from repro.storage.backends import MemoryBackend
 from repro.workloads.census_workload import NUMERIC_FIELDS
+
+from legacy_layout import to_fan_out_layout
 
 
 def distinct_rows(n, salt=0):
@@ -116,13 +120,13 @@ def _feed_workflow(train_path, test_path, version):
     return wf
 
 
-@pytest.mark.parametrize("store_backend", ["disk", "sharded", "memory", "tiered"])
+@pytest.mark.parametrize("store", ["disk", "memory", "tiered", "fan-out"])
 @settings(max_examples=5, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     append_fraction=st.sampled_from([0.05, 0.1, 0.25]),
 )
-def test_delta_run_metrics_equal_full_recompute_bit_for_bit(store_backend, seed, append_fraction):
+def test_delta_run_metrics_equal_full_recompute_bit_for_bit(store, seed, append_fraction):
     # Hypothesis forbids function-scoped pytest fixtures under @given, so
     # the scratch directory is managed by hand.
     scratch = tempfile.mkdtemp(prefix="repro-incremental-prop-")
@@ -140,11 +144,23 @@ def test_delta_run_metrics_equal_full_recompute_bit_for_bit(store_backend, seed,
         v1 = _write(train_path, train_lines[:n_base]) + _write(test_path, test_lines)
         # Clean chunks are carried forward by link: every backend's ``link``
         # must hand back the bytes the previous run wrote.
-        tier = {"memory_tier_mb": 64} if store_backend == "tiered" else {}
-        session = HelixSession(
-            os.path.join(scratch, "ws"), partitions=4, store_backend=store_backend, **tier
-        )
+        workspace = os.path.join(scratch, "ws")
+        stores = {
+            "disk": {},
+            "memory": {
+                "store": ArtifactStore(os.path.join(workspace, "artifacts"), backend=MemoryBackend())
+            },
+            "tiered": {"memory_tier_mb": 64},
+            "fan-out": {},
+        }
+        session = HelixSession(workspace, partitions=4, **stores[store])
         session.run(_feed_workflow(train_path, test_path, v1))
+        if store == "fan-out":
+            # The append lands on a workspace the retired fan-out layout
+            # wrote: clean chunks are linked from one directory down.
+            session.store.close()
+            assert to_fan_out_layout(session.store.root) > 0
+            session = HelixSession(workspace, partitions=4)
 
         v2 = _write(train_path, train_lines) + _write(test_path, test_lines)
         delta_run = session.run(_feed_workflow(train_path, test_path, v2))

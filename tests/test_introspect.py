@@ -77,7 +77,7 @@ class TestLoadEventCorrectness:
             assert event.read_tier, "every load records the tier that served it"
 
     def test_tiered_store_warm_loads_trace_memory_tier(self, tmp_path):
-        session = HelixSession(str(tmp_path), store_backend="tiered", memory_tier_mb=64)
+        session = HelixSession(str(tmp_path), memory_tier_mb=64)
         workflow = build_census_workflow(CensusVariant(data_config=census_config()))
         session.run(workflow, description="cold")
         result = session.run(

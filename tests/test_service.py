@@ -20,7 +20,6 @@ from repro.service import (
     ServiceError,
     SharedArtifactCache,
     WorkflowService,
-    percentile,
 )
 from repro.workloads.census_workload import CensusVariant, build_census_workflow, census_workload
 
@@ -44,7 +43,7 @@ def blob(n_bytes):
 # SharedArtifactCache
 # ----------------------------------------------------------------------
 class TestSharedCache:
-    @pytest.mark.parametrize("run", [RunConfig(), RunConfig(store_backend="tiered")])
+    @pytest.mark.parametrize("run", [RunConfig(), RunConfig(memory_tier_mb=64)])
     def test_put_get_attribution_and_cross_tenant_hits(self, tmp_path, run):
         cache = SharedArtifactCache(str(tmp_path / "cache"), run=run)
         payload = blob(100)
@@ -359,7 +358,8 @@ class TestWorkflowService:
             results = ServiceClient(service, "alice").run_workload(tiny_workload(3), timeout=180)
             assert len(results) == 3
             assert results[-1].report.reuse_fraction() > 0
-            assert service.telemetry.render().startswith("tenant")
+            row = service.summary()["tenants"]["alice"]
+            assert (row["tenant"], row["runs"], row["errors"]) == ("alice", 3, 0)
 
     def test_concurrent_tenants_produce_identical_metrics(self, tmp_path):
         with WorkflowService(str(tmp_path / "svc"), ServiceConfig(n_workers=3)) as service:
@@ -411,9 +411,54 @@ class TestWorkflowService:
             assert good.report.total_runtime >= 0
             assert service.summary()["tenants"]["alice"]["errors"] == 1
 
+    def test_summary_survives_disabled_metrics(self, tmp_path):
+        """``metrics=False`` turns instrumentation off, not request bookkeeping."""
+        config = ServiceConfig(n_workers=1, metrics=False)
+        with WorkflowService(str(tmp_path / "svc"), config) as service:
+            ServiceClient(service, "alice").run(tiny_workflow(), timeout=120)
 
-class TestPercentile:
-    """The bounded estimator: within one LATENCY_BUCKETS bucket of exact."""
+            def bad_build():
+                raise RuntimeError("tenant bug")
+
+            with pytest.raises(RuntimeError):
+                service.submit("bob", build=bad_build).value(timeout=60)
+            summary = service.summary()
+            assert service.metrics_registry.series_count() == 0
+        assert summary["requests"] == 2
+        alice, bob = summary["tenants"]["alice"], summary["tenants"]["bob"]
+        assert (alice["runs"], alice["errors"]) == (1, 0)
+        assert (bob["runs"], bob["errors"]) == (0, 1)
+        assert alice["p50_s"] > 0 and summary["p95_latency_s"] >= summary["p50_latency_s"] > 0
+
+    def test_summary_folds_the_registry_series(self, tmp_path):
+        """Per-tenant numbers come from the same series ``repro metrics`` exports;
+        queue wait is the dispatcher's own series, recorded once."""
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        with WorkflowService(str(tmp_path / "svc"), ServiceConfig(n_workers=1, metrics=registry)) as service:
+            ServiceClient(service, "alice").run_workload(tiny_workload(2), timeout=180)
+            row = service.summary()["tenants"]["alice"]
+        names = {series["name"] for series in registry.snapshot()}
+        assert {"repro_requests_total", "repro_request_seconds",
+                "repro_dispatcher_queue_wait_seconds"} <= names
+        assert "repro_request_queue_seconds" not in names
+        loads = compute = 0
+        for series in registry.snapshot():
+            if series["name"] == "repro_request_nodes_total":
+                loads += series["value"] if series["labels"]["state"] == "load" else 0
+                compute += series["value"] if series["labels"]["state"] == "compute" else 0
+        assert row["runs"] == 2 and row["queue_p95_s"] >= 0
+        assert row["hit_rate"] == round(loads / (loads + compute), 3) > 0
+
+
+class TestSummaryLatencyQuantiles:
+    """``summary()`` latency quantiles come from the bounded request
+    histograms: each lands within one LATENCY_BUCKETS bucket of the exact
+    nearest-rank value, and is exact for a single sample."""
+
+    #: ``summary()`` rounds to milliseconds.
+    ROUNDING = 0.0005
 
     @staticmethod
     def _bucket_width(value):
@@ -426,24 +471,71 @@ class TestPercentile:
             previous = boundary
         return float("inf")
 
-    def test_empty_and_single(self):
-        assert percentile([], 0.5) == 0.0
-        assert percentile([3.0], 0.95) == 3.0, "single sample is exact (clamped)"
-
-    def test_orders_input_within_error_bound(self):
+    @staticmethod
+    def _exact(values, fraction):
         import math
 
+        ordered = sorted(values)
+        return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
+
+    def _assert_within_bound(self, estimate, values, fraction):
+        exact = self._exact(values, fraction)
+        assert abs(estimate - exact) <= self._bucket_width(exact) + self.ROUNDING
+
+    @staticmethod
+    def summarize(tmp_path, latencies_by_tenant):
+        """Record each tenant's request latencies into a service's registry the
+        way its completion hook does, and return ``(summary, registry)``."""
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        config = ServiceConfig(n_workers=1, metrics=registry)
+        with WorkflowService(str(tmp_path / "svc"), config) as service:
+            for tenant, values in latencies_by_tenant.items():
+                for value in values:
+                    registry.counter("repro_requests_total", tenant=tenant, outcome="ok").inc()
+                    registry.histogram("repro_request_seconds", tenant=tenant).observe(value)
+            return service.summary(), registry
+
+    def test_empty_and_single(self, tmp_path):
+        summary, _ = self.summarize(tmp_path / "empty", {})
+        assert (summary["requests"], summary["tenants"]) == (0, {})
+        assert summary["p50_latency_s"] == summary["p95_latency_s"] == 0.0
+        summary, _ = self.summarize(tmp_path / "single", {"alice": [3.0]})
+        row = summary["tenants"]["alice"]
+        assert row["p50_s"] == row["p95_s"] == 3.0, "single sample is exact (clamped)"
+        assert summary["p50_latency_s"] == summary["p95_latency_s"] == 3.0
+
+    def test_orders_input_within_error_bound(self, tmp_path):
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        for fraction in (0.5, 0.95):
-            exact = sorted(values)[max(0, math.ceil(fraction * len(values)) - 1)]
-            assert abs(percentile(values, fraction) - exact) <= self._bucket_width(exact)
-        assert percentile(values, 1.0) == 5.0, "max quantile clamps to observed max"
+        summary, _ = self.summarize(tmp_path, {"alice": values})
+        row = summary["tenants"]["alice"]
+        for fraction, key in ((0.5, "p50_s"), (0.95, "p95_s")):
+            self._assert_within_bound(row[key], values, fraction)
+        assert row["p50_s"] <= row["p95_s"] <= 5.0, "estimates clamp to the observed max"
 
-    def test_bounded_memory_matches_growing_list(self):
-        """10k observations: estimate stays inside the exact value's bucket."""
-        import math
+    def test_bounded_memory_matches_growing_list(self, tmp_path):
+        """10k requests: the estimate stays inside the exact value's bucket,
+        and the series holds bucket counts, not samples."""
+        from repro.obs.registry import LATENCY_BUCKETS
 
         values = [0.001 * i for i in range(1, 10_001)]
-        for fraction in (0.5, 0.95, 0.99):
-            exact = values[max(0, math.ceil(fraction * len(values)) - 1)]
-            assert abs(percentile(values, fraction) - exact) <= self._bucket_width(exact)
+        summary, registry = self.summarize(tmp_path, {"alice": values})
+        row = summary["tenants"]["alice"]
+        for fraction, key in ((0.5, "p50_s"), (0.95, "p95_s")):
+            self._assert_within_bound(row[key], values, fraction)
+        (series,) = [s for s in registry.snapshot() if s["name"] == "repro_request_seconds"]
+        assert series["count"] == len(values)
+        assert len(series["buckets"]) == len(LATENCY_BUCKETS)
+
+    def test_aggregate_merges_every_tenants_buckets(self, tmp_path):
+        """The aggregate quantiles are those of all tenants' requests pooled,
+        not of any one tenant's."""
+        alice = [0.001 * i for i in range(1, 201)]
+        bob = [1.0 + 0.01 * i for i in range(1, 101)]
+        summary, _ = self.summarize(tmp_path, {"alice": alice, "bob": bob})
+        assert summary["requests"] == len(alice) + len(bob)
+        for fraction, key in ((0.5, "p50_latency_s"), (0.95, "p95_latency_s")):
+            self._assert_within_bound(summary[key], alice + bob, fraction)
+        assert summary["p50_latency_s"] < 1.0 < summary["p95_latency_s"]
+        assert summary["tenants"]["alice"]["p95_s"] < 1.0 < summary["tenants"]["bob"]["p50_s"]

@@ -1,20 +1,30 @@
 """Tests for the storage layer: backends, tiering, and store integration."""
 
 import os
+import pickle
 import threading
 
 import pytest
 
 from repro.errors import StorageError
 from repro.execution.store import ArtifactStore
-from repro.storage.backends import (
-    DiskBackend,
-    MemoryBackend,
-    ShardedDiskBackend,
-    StorageBackend,
-    backend_from_spec,
-)
+from repro.storage.backends import DiskBackend, MemoryBackend, StorageBackend
+from repro.storage.catalog import ArtifactMeta, CatalogDB, sqlite_catalog_path
 from repro.storage.tiered import TieredStore
+
+from legacy_layout import fan_out_key, to_fan_out_layout
+
+#: A memory tier large enough that nothing a test writes is demoted.
+ROOMY_TIER = 1 << 20
+
+
+def open_store(root, kind):
+    """An :class:`ArtifactStore` on one of the three byte stores."""
+    if kind == "memory":
+        return ArtifactStore(root, backend=MemoryBackend())
+    if kind == "tiered":
+        return ArtifactStore(root, memory_tier_bytes=ROOMY_TIER)
+    return ArtifactStore(root)
 
 
 class TestMemoryBackend:
@@ -75,36 +85,23 @@ class TestMemoryBackend:
 class TestDiskBackends:
     def test_flat_layout(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
-        key = backend.place("sig.pkl")
-        assert key == "sig.pkl"
-        backend.put_bytes(key, b"data")
+        backend.put_bytes("sig.pkl", b"data")
         assert os.path.exists(tmp_path / "sig.pkl")
-        assert backend.get_bytes(key) == b"data"
+        assert backend.get_bytes("sig.pkl") == b"data"
         assert backend.keys() == ["sig.pkl"]
 
-    def test_sharded_layout_fans_out(self, tmp_path):
-        backend = ShardedDiskBackend(str(tmp_path), fanout=16)
-        keys = [backend.place(f"sig{i}.pkl") for i in range(20)]
-        assert all(os.sep in key for key in keys)
-        assert len({key.split(os.sep)[0] for key in keys}) > 1, "fan-out should use several shards"
-        for key in keys:
-            backend.put_bytes(key, b"x")
-        assert sorted(backend.keys()) == sorted(keys)
-
-    def test_sharded_place_is_stable(self, tmp_path):
-        a = ShardedDiskBackend(str(tmp_path / "a"))
-        b = ShardedDiskBackend(str(tmp_path / "b"))
-        assert a.place("sig.pkl") == b.place("sig.pkl")
-
-    def test_sharded_serves_legacy_flat_keys(self, tmp_path):
-        # A catalog written under the flat layout keeps working when the
-        # workspace is reopened with the sharded backend.
-        flat = DiskBackend(str(tmp_path))
-        flat.put_bytes("old.pkl", b"legacy")
-        sharded = ShardedDiskBackend(str(tmp_path))
-        assert sharded.contains("old.pkl")
-        assert sharded.get_bytes("old.pkl") == b"legacy"
-        assert "old.pkl" in sharded.keys()
+    def test_serves_keys_one_directory_down(self, tmp_path):
+        # The retired fan-out layout stored ``3f/sig.pkl``: such keys still
+        # resolve, list, and count toward occupancy.
+        (tmp_path / "3f").mkdir()
+        (tmp_path / "3f" / "old.pkl").write_bytes(b"legacy")
+        backend = DiskBackend(str(tmp_path))
+        backend.put_bytes("new.pkl", b"fresh")
+        assert backend.contains(os.path.join("3f", "old.pkl"))
+        assert backend.get_bytes(os.path.join("3f", "old.pkl")) == b"legacy"
+        assert backend.keys() == [os.path.join("3f", "old.pkl"), "new.pkl"]
+        stats = backend.stats()
+        assert stats.objects == 2 and stats.used_bytes == 11.0
 
     def test_catalog_and_temp_files_not_listed(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
@@ -151,33 +148,28 @@ class TestDiskBackends:
         with pytest.raises(StorageError):
             DiskBackend(str(tmp_path)).get_bytes("nope.pkl")
 
-    def test_fanout_must_be_positive(self, tmp_path):
-        with pytest.raises(StorageError):
-            ShardedDiskBackend(str(tmp_path), fanout=0)
-
 
 class TestTieredStore:
     def make(self, tmp_path, capacity=1000):
-        return TieredStore(ShardedDiskBackend(str(tmp_path)), memory_capacity_bytes=capacity)
+        return TieredStore(DiskBackend(str(tmp_path)), memory_capacity_bytes=capacity)
 
     def test_put_lands_in_both_tiers(self, tmp_path):
         tiered = self.make(tmp_path)
-        key = tiered.place("sig.pkl")
+        key = "sig.pkl"
         tiered.put_bytes(key, b"data")
         assert tiered.tier_of(key) == "memory"
         assert tiered.disk.contains(key), "write-through: disk must hold the bytes"
 
     def test_memory_hit_counted(self, tmp_path):
         tiered = self.make(tmp_path)
-        key = tiered.place("sig.pkl")
+        key = "sig.pkl"
         tiered.put_bytes(key, b"data")
         assert tiered.get_bytes(key) == b"data"
         assert tiered.memory_hits == 1 and tiered.disk_hits == 0
 
     def test_promote_on_read_after_demotion(self, tmp_path):
         tiered = self.make(tmp_path, capacity=6)
-        first = tiered.place("a.pkl")
-        second = tiered.place("b.pkl")
+        first, second = "a.pkl", "b.pkl"
         tiered.put_bytes(first, b"xxxx")
         tiered.put_bytes(second, b"yyyy")  # demotes first (capacity 6 < 8)
         assert tiered.tier_of(first) == "disk"
@@ -187,7 +179,7 @@ class TestTieredStore:
 
     def test_demotion_never_loses_data(self, tmp_path):
         tiered = self.make(tmp_path, capacity=8)
-        keys = [tiered.place(f"s{i}.pkl") for i in range(5)]
+        keys = [f"s{i}.pkl" for i in range(5)]
         for key in keys:
             tiered.put_bytes(key, b"12345678")  # each put demotes its predecessor
         for key in keys:
@@ -195,7 +187,7 @@ class TestTieredStore:
 
     def test_delete_clears_both_tiers(self, tmp_path):
         tiered = self.make(tmp_path)
-        key = tiered.place("sig.pkl")
+        key = "sig.pkl"
         tiered.put_bytes(key, b"data")
         assert tiered.delete(key)
         assert not tiered.contains(key)
@@ -203,8 +195,7 @@ class TestTieredStore:
 
     def test_read_reports_serving_tier(self, tmp_path):
         tiered = self.make(tmp_path, capacity=6)
-        first = tiered.place("a.pkl")
-        second = tiered.place("b.pkl")
+        first, second = "a.pkl", "b.pkl"
         tiered.put_bytes(first, b"xxxx")
         tiered.put_bytes(second, b"yyyy")  # demotes first
         payload, tier = tiered.read(second)
@@ -214,10 +205,22 @@ class TestTieredStore:
 
     def test_tier_stats_shape(self, tmp_path):
         tiered = self.make(tmp_path)
-        tiered.put_bytes(tiered.place("s.pkl"), b"x")
+        tiered.put_bytes("s.pkl", b"x")
         stats = tiered.tier_stats()
         assert set(stats) == {"memory", "disk", "tiering"}
         assert stats["tiering"]["demotions"] == 0
+
+    def test_serves_fan_out_keys_from_disk_and_promotes(self, tmp_path):
+        # A workspace the retired fan-out layout wrote, reopened with a
+        # memory tier: its keys are read from disk once, then from memory.
+        key = fan_out_key("sig.pkl")
+        DiskBackend(str(tmp_path)).put_bytes(key, b"legacy")
+        tiered = self.make(tmp_path)
+        assert tiered.tier_of(key) == "disk"
+        assert tiered.read(key) == (b"legacy", "disk")
+        assert tiered.read(key) == (b"legacy", "memory")
+        assert tiered.promotions == 1
+        assert tiered.tier_stats()["disk"]["objects"] == 1
 
 
 class _FailingDisk(StorageBackend):
@@ -266,7 +269,7 @@ class TestWriteThroughInvariant:
     def test_every_demoted_artifact_remains_loadable(self, tmp_path):
         # A memory tier far smaller than the artifact set: every put demotes,
         # and every artifact must still round-trip through the disk tier.
-        store = ArtifactStore(str(tmp_path), backend="tiered", memory_tier_bytes=256)
+        store = ArtifactStore(str(tmp_path), memory_tier_bytes=256)
         values = {f"sig{i}": list(range(40 * (i + 1))) for i in range(8)}
         for signature, value in values.items():
             store.put(signature, "node", value)
@@ -277,38 +280,33 @@ class TestWriteThroughInvariant:
             assert loaded == value
 
 
-class TestBackendFromSpec:
-    def test_named_backends(self, tmp_path):
-        assert backend_from_spec(None, str(tmp_path / "a")).name == "disk"
-        assert backend_from_spec("sharded", str(tmp_path / "b")).name == "sharded"
-        assert backend_from_spec("memory", str(tmp_path / "c")).name == "memory"
-        tiered = backend_from_spec("tiered", str(tmp_path / "d"), memory_tier_bytes=128)
-        assert tiered.name == "tiered" and tiered.memory.capacity_bytes == 128
+class TestStoreBackendChoice:
+    """``memory_tier_bytes`` alone picks plain disk or memory-over-disk."""
 
-    def test_memory_tier_size_implies_tiered(self, tmp_path):
-        backend = backend_from_spec(None, str(tmp_path / "t"), memory_tier_bytes=64)
+    def test_default_is_flat_disk(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        assert type(store.backend) is DiskBackend and store.backend.root == str(tmp_path)
+
+    def test_memory_tier_size_means_tiered(self, tmp_path):
+        backend = ArtifactStore(str(tmp_path), memory_tier_bytes=64).backend
         assert backend.name == "tiered" and backend.memory.capacity_bytes == 64
+        assert type(backend.disk) is DiskBackend
 
     def test_explicit_zero_capacity_is_not_defaulted(self, tmp_path):
-        backend = backend_from_spec("tiered", str(tmp_path / "z"), memory_tier_bytes=0)
-        assert backend.memory.capacity_bytes == 0
-        key = backend.place("s.pkl")
-        backend.put_bytes(key, b"x")  # declined by the 0-byte memory tier
-        assert backend.tier_of(key) == "disk"
+        store = ArtifactStore(str(tmp_path), memory_tier_bytes=0)
+        assert store.backend.memory.capacity_bytes == 0
+        store.put("s", "node", [1])  # declined by the 0-byte memory tier
+        assert store.tier_of("s") == "disk"
 
     def test_instance_passthrough(self, tmp_path):
         backend = MemoryBackend()
-        assert backend_from_spec(backend, str(tmp_path)) is backend
-
-    def test_unknown_name_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            backend_from_spec("tape", str(tmp_path))
+        assert ArtifactStore(str(tmp_path), backend=backend).backend is backend
 
 
 class TestArtifactStoreOnBackends:
-    @pytest.mark.parametrize("backend", ["disk", "sharded", "memory", "tiered"])
+    @pytest.mark.parametrize("backend", ["disk", "memory", "tiered"])
     def test_roundtrip_on_every_backend(self, tmp_path, backend):
-        store = ArtifactStore(str(tmp_path / backend), backend=backend)
+        store = open_store(str(tmp_path / backend), backend)
         value = {"rows": list(range(50))}
         meta = store.put("sig", "node", value)
         assert store.has("sig")
@@ -316,36 +314,50 @@ class TestArtifactStoreOnBackends:
         assert loaded == value and elapsed >= 0.0
         assert meta.size > 0
 
-    def test_sharded_reopen_preserves_catalog(self, tmp_path):
+    def test_tiered_reopen_preserves_catalog(self, tmp_path):
         root = str(tmp_path / "a")
-        first = ArtifactStore(root, backend="sharded")
+        first = ArtifactStore(root, memory_tier_bytes=ROOMY_TIER)
         first.put("sig", "node", [1, 2, 3])
-        first.flush()
-        reopened = ArtifactStore(root, backend="sharded")
+        first.close()
+        reopened = ArtifactStore(root, memory_tier_bytes=ROOMY_TIER)
+        assert reopened.tier_of("sig") == "disk", "a new process's memory tier starts empty"
         assert reopened.get("sig")[0] == [1, 2, 3]
 
-    def test_flat_workspace_reopens_under_sharded_backend(self, tmp_path):
+    def test_fan_out_workspace_reopens_flat(self, tmp_path):
+        # A store written with the retired fan-out layout (``tiered`` and
+        # ``sharded`` stores) keeps its payloads one directory down.
         root = str(tmp_path / "a")
-        flat = ArtifactStore(root)
-        flat.put("sig", "node", {"x": 1})
-        flat.flush()
-        sharded = ArtifactStore(root, backend="sharded")
-        assert sharded.get("sig")[0] == {"x": 1}
-        # Refreshing the artifact migrates it to the sharded layout without
-        # leaving the flat file orphaned.
-        sharded.put("sig", "node", {"x": 1})
-        assert not os.path.exists(os.path.join(root, "sig.pkl"))
+        payload = pickle.dumps({"x": 1})
+        os.makedirs(os.path.join(root, "3f"))
+        legacy = os.path.join("3f", "sig.pkl")
+        with open(os.path.join(root, legacy), "wb") as handle:
+            handle.write(payload)
+        db = CatalogDB(sqlite_catalog_path(root))
+        db.upsert_artifact(ArtifactMeta(
+            signature="sig", node_name="node", size=float(len(payload)), write_time=0.01,
+            created_at=1.0, filename=legacy, codec="pickle",
+        ))
+        db.close()
+        store = ArtifactStore(root)
+        assert store.get("sig")[0] == {"x": 1}
+        assert store.storage_info()["physical_bytes"] == float(len(payload))
+        # Refreshing the artifact moves it to the flat layout without leaving
+        # the old file orphaned.
+        store.put("sig", "node", {"x": 1})
+        assert store.meta("sig").filename == "sig.pkl"
+        assert not os.path.exists(os.path.join(root, legacy))
+        assert store.backend.keys() == ["sig.pkl"]
 
     def test_memory_backend_is_ephemeral(self, tmp_path):
         root = str(tmp_path / "a")
-        store = ArtifactStore(root, backend="memory")
+        store = ArtifactStore(root, backend=MemoryBackend())
         store.put("sig", "node", [1])
         store.flush()
-        reopened = ArtifactStore(root, backend="memory")
+        reopened = ArtifactStore(root, backend=MemoryBackend())
         assert not reopened.has("sig"), "memory payloads must not survive reopen"
 
     def test_tiered_hot_value_skips_decode(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), backend="tiered")
+        store = ArtifactStore(str(tmp_path), memory_tier_bytes=ROOMY_TIER)
         value = list(range(1000))
         store.put("sig", "node", value)
         assert store.tier_of("sig") == "memory"
@@ -356,14 +368,14 @@ class TestArtifactStoreOnBackends:
         assert store.backend.memory_hits + store.backend.disk_hits == 0
 
     def test_eviction_clears_memory_tier_too(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), backend="tiered")
+        store = ArtifactStore(str(tmp_path), memory_tier_bytes=ROOMY_TIER)
         store.put("sig", "node", list(range(100)))
         store.evict(10_000, policy="lru")
         assert store.memory_resident_signatures() == set()
         assert store.tier_of("sig") is None
 
     def test_memory_resident_signatures_tracks_demotion(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), backend="tiered", memory_tier_bytes=230)
+        store = ArtifactStore(str(tmp_path), memory_tier_bytes=230)
         small = store.put("hot", "node", [1])
         assert "hot" in store.memory_resident_signatures()
         store.put("big", "node", list(range(100)))  # ~216 B payload demotes "hot"
@@ -386,21 +398,42 @@ class TestSessionAcrossBackends:
         return session, build
 
     def test_metrics_identical_across_store_backends(self, tmp_path):
+        stores = {
+            "disk": {},
+            "memory": {"store": open_store(str(tmp_path / "memory" / "artifacts"), "memory")},
+            "tiered": {"memory_tier_mb": 64},
+        }
         metrics = {}
-        for backend in ["disk", "sharded", "memory", "tiered"]:
-            session, build = self.run_census(str(tmp_path / backend), store_backend=backend)
+        for backend, kwargs in stores.items():
+            session, build = self.run_census(str(tmp_path / backend), **kwargs)
             metrics[backend] = session.run(build()).report.metrics
         assert all(m == metrics["disk"] for m in metrics.values()), metrics
 
     def test_warm_rerun_reuses_on_tiered(self, tmp_path):
-        session, build = self.run_census(
-            str(tmp_path / "ws"), store_backend="tiered", memory_tier_mb=64
-        )
+        session, build = self.run_census(str(tmp_path / "ws"), memory_tier_mb=64)
         first = session.run(build())
         second = session.run(build())
         assert second.report.reuse_fraction() > 0
         assert second.report.metrics == first.report.metrics
         assert session.store.memory_resident_signatures(), "warm artifacts should sit in memory"
+
+    @pytest.mark.parametrize("memory_tier_mb", [None, 64])
+    def test_fan_out_workspace_reopens_with_the_same_metrics(self, tmp_path, memory_tier_mb):
+        # A workspace the retired ``tiered`` / ``sharded`` stores wrote keeps
+        # its payloads one directory down; reopened with or without a memory
+        # tier, it reuses them and counts their physical bytes.
+        workspace = str(tmp_path / "ws")
+        writer, build = self.run_census(workspace)
+        first = writer.run(build())
+        writer.store.close()
+        assert to_fan_out_layout(os.path.join(workspace, "artifacts")) > 0
+
+        session, build = self.run_census(workspace, memory_tier_mb=memory_tier_mb)
+        info = session.store.storage_info()
+        assert info["physical_bytes"] == info["used_bytes"] > 0
+        second = session.run(build())
+        assert second.report.metrics == first.report.metrics
+        assert second.report.reuse_fraction() > 0
 
     def test_partitioned_chunks_on_tiered_store(self, tmp_path):
         from repro.core.session import HelixSession
@@ -414,7 +447,7 @@ class TestSessionAcrossBackends:
         baseline = serial.run(build()).report.metrics
 
         workspace = str(tmp_path / "part")
-        session = HelixSession(workspace, partitions=2, store_backend="tiered")
+        session = HelixSession(workspace, partitions=2, memory_tier_mb=64)
         first = session.run(build())
         assert first.report.metrics == baseline
         chunked = [
@@ -424,7 +457,7 @@ class TestSessionAcrossBackends:
         ]
         assert chunked, "partitioned run should persist chunked artifacts on the tiered store"
         # A fresh session over the same workspace reuses the chunk families.
-        fresh = HelixSession(workspace, partitions=2, store_backend="tiered")
+        fresh = HelixSession(workspace, partitions=2, memory_tier_mb=64)
         second = fresh.run(build())
         assert second.report.metrics == baseline
         assert second.report.reuse_fraction() > 0

@@ -109,21 +109,16 @@ class TestRegistry:
         assert codec_id == "pickle"
 
     def test_forced_codec_is_used(self):
+        # One codec by name: ``by_id``, with ``handles`` saying whether it can
+        # represent the value at all.
         registry = CodecRegistry()
-        _, codec_id = registry.encode_value({"x": 1}, codec="pickle+zlib")
-        assert codec_id == "pickle+zlib"
-
-    def test_forced_specialized_codec_falls_back_when_unable(self):
-        registry = CodecRegistry()
-        payload, codec_id = registry.encode_value({"x": 1}, codec="numpy-raw")
-        assert codec_id == "pickle"
-        assert registry.decode_value(payload, codec_id) == {"x": 1}
+        codec = registry.by_id("pickle+zlib")
+        assert registry.decode_value(codec.encode({"x": 1}), codec.id) == {"x": 1}
+        assert not registry.by_id("numpy-raw").handles({"x": 1})
 
     def test_unknown_codec_raises(self):
         with pytest.raises(StorageError, match="unknown codec"):
             default_registry().by_id("msgpack")
-        with pytest.raises(StorageError):
-            default_registry().encode_value([1], codec="msgpack")
 
     def test_ids(self):
         assert default_registry().ids() == ["dense-block", "numpy-raw", "pickle", "pickle+zlib"]
@@ -132,25 +127,18 @@ class TestRegistry:
 class TestSelfDescribingReads:
     def test_codec_recorded_in_catalog_and_used_on_reopen(self, tmp_path):
         root = str(tmp_path / "a")
-        writer = ArtifactStore(root, codec="auto")
+        writer = ArtifactStore(root)
         writer.put("arr", "node", np.arange(10, dtype=np.float64))
         writer.put("block", "node", dense_block())
         writer.flush()
         assert writer.meta("arr").codec == "numpy-raw"
         assert writer.meta("block").codec == "pickle"
-        # Reopen with a *different* default codec: reads still follow the
-        # catalog, not the store configuration.
-        reader = ArtifactStore(root, codec="pickle")
+        # Reads follow the codec the catalog recorded for each row.
+        reader = ArtifactStore(root)
         arr, _ = reader.get("arr")
         assert np.array_equal(arr, np.arange(10, dtype=np.float64))
         block, _ = reader.get("block")
         assert block.train == dense_block().train
-
-    def test_forced_store_codec_applies_to_puts(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), codec="pickle+zlib")
-        store.put("sig", "node", list(range(100)))
-        assert store.meta("sig").codec == "pickle+zlib"
-        assert store.get("sig")[0] == list(range(100))
 
     def test_scheduler_writes_record_their_codec(self, tmp_path):
         # End to end: a session materializes through the async writer; the
@@ -159,7 +147,7 @@ class TestSelfDescribingReads:
         from repro.datagen.census import CensusConfig
         from repro.workloads.census_workload import build_dense_census_workflow
 
-        session = HelixSession(str(tmp_path / "ws"), codec="auto")
+        session = HelixSession(str(tmp_path / "ws"))
         session.run(build_dense_census_workflow(CensusConfig(n_train=200, n_test=50, seed=3)))
         codecs = set(session.store.codecs_by_signature().values())
         assert codecs, "expected materialized artifacts"

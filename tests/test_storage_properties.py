@@ -2,7 +2,9 @@
 
 The satellite invariants: for every codec × backend combination,
 ``put_bytes`` → ``get`` returns an equal value, and the store's byte-size
-accounting agrees with the backend tiers' own accounting.
+accounting agrees with the backend tiers' own accounting.  ``"auto"`` is the
+codec the store picks itself; the named ones are encoded through
+``registry.by_id`` on values they can represent.
 """
 
 import numpy as np
@@ -12,14 +14,13 @@ from hypothesis import strategies as st
 
 from repro.dataflow.features import FeatureBlock
 from repro.execution.store import ArtifactStore
+from repro.storage.backends import MemoryBackend
 from repro.storage.codecs import default_registry
 
-BACKENDS = ["disk", "sharded", "memory", "tiered"]
-CODECS = ["pickle", "pickle+zlib", "numpy-raw", "dense-block"]
+BACKENDS = ["disk", "memory", "tiered"]
+CODEC_IDS = ["pickle", "pickle+zlib", "numpy-raw", "dense-block"]
 
-#: JSON-ish values every codec must survive (specialized codecs fall back to
-#: pickle for shapes they cannot represent — that fallback is part of the
-#: contract under test).
+#: JSON-ish values the pickle codecs (and ``auto``) must survive.
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -63,11 +64,21 @@ def dense_blocks(draw):
 
 
 def values_for(codec):
+    """Values ``codec`` can represent (``auto``: any of them)."""
     if codec == "numpy-raw":
-        return ndarrays() | json_values
+        return ndarrays()
     if codec == "dense-block":
-        return dense_blocks() | json_values
+        return dense_blocks()
+    if codec == "auto":
+        return ndarrays() | dense_blocks() | json_values
     return json_values
+
+
+def encode(store, codec, value):
+    """``(payload, codec_id)``: the store's own pick, or one named codec."""
+    if codec == "auto":
+        return store.encode("node", value)
+    return store.registry.by_id(codec).encode(value), codec
 
 
 def assert_equal_value(loaded, value):
@@ -83,15 +94,18 @@ def assert_equal_value(loaded, value):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("codec", CODEC_IDS + ["auto"])
 class TestRoundTripProperty:
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_put_bytes_then_get_returns_equal_value(self, tmp_path_factory, backend, codec, data):
         value = data.draw(values_for(codec))
         root = str(tmp_path_factory.mktemp(f"{backend}_{codec.replace('+', '_')}"))
-        store = ArtifactStore(root, backend=backend, codec=codec)
-        payload, codec_id = store.encode("node", value)
+        if backend == "tiered":
+            store = ArtifactStore(root, memory_tier_bytes=1 << 20)
+        else:
+            store = ArtifactStore(root, backend=MemoryBackend() if backend == "memory" else None)
+        payload, codec_id = encode(store, codec, value)
         meta = store.put_bytes("sig", "node", payload, codec=codec_id)
 
         assert meta.size == float(len(payload))
@@ -115,9 +129,12 @@ class TestRoundTripProperty:
 
 class TestCodecIdentityProperty:
     @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), codec=st.sampled_from(CODECS + ["auto"]))
+    @given(data=st.data(), codec=st.sampled_from(CODEC_IDS + ["auto"]))
     def test_registry_roundtrip(self, data, codec):
-        value = data.draw(values_for(codec if codec != "auto" else "dense-block"))
+        value = data.draw(values_for(codec))
         registry = default_registry()
-        payload, codec_id = registry.encode_value(value, codec=codec)
+        if codec == "auto":
+            payload, codec_id = registry.encode_value(value)
+        else:
+            payload, codec_id = registry.by_id(codec).encode(value), codec
         assert_equal_value(registry.decode_value(payload, codec_id), value)
