@@ -218,6 +218,11 @@ class SequenceFeatureAssembler(Operator):
         return SequenceExampleSet(features=merge_sequence_blocks(blocks), corpus=corpus, name="sequence_examples")
 
 
+def _gold_tags(sentences: Sequence[Sentence]) -> List[List[str]]:
+    """Gold BIO tags per sentence; an untagged sentence counts as all ``O``."""
+    return [sentence.tags or ["O"] * len(sentence) for sentence in sentences]
+
+
 class SequenceLearner(Operator):
     """Trains the structured perceptron tagger on the train split."""
 
@@ -238,9 +243,8 @@ class SequenceLearner(Operator):
     def apply(self, inputs: Dict[str, Any]) -> StructuredPerceptron:
         examples: SequenceExampleSet = self._input(inputs, self.examples)
         features, sentences = examples.split("train")
-        tags = [sentence.tags or ["O"] * len(sentence) for sentence in sentences]
         model = StructuredPerceptron(epochs=self.epochs, averaged=self.averaged, seed=self.seed)
-        model.fit(features, tags)
+        model.fit(features, _gold_tags(sentences))
         return model
 
 
@@ -259,20 +263,17 @@ class SequencePredictor(Operator):
     def apply(self, inputs: Dict[str, Any]) -> SequencePredictions:
         model: StructuredPerceptron = self._input(inputs, self.model)
         examples: SequenceExampleSet = self._input(inputs, self.examples)
-
-        def decode(split: str):
-            features, sentences = examples.split(split)
-            gold = [sentence.tags or ["O"] * len(sentence) for sentence in sentences]
-            return model.predict(features), gold
-
-        train_predictions, train_gold = decode("train")
-        test_predictions, test_gold = decode("test")
+        train_features, train_sentences = examples.split("train")
+        test_features, test_sentences = examples.split("test")
+        # Sentences decode independently: one batch over both splits equals
+        # one per split.
+        predictions = model.predict(list(train_features) + list(test_features))
         return SequencePredictions(
             name="sequence_predictions",
-            train_predictions=train_predictions,
-            train_gold=train_gold,
-            test_predictions=test_predictions,
-            test_gold=test_gold,
+            train_predictions=predictions[: len(train_features)],
+            train_gold=_gold_tags(train_sentences),
+            test_predictions=predictions[len(train_features):],
+            test_gold=_gold_tags(test_sentences),
         )
 
 

@@ -5,19 +5,23 @@ token with a BIO label (``O``, ``B-PER``, ``I-PER``) using per-token feature
 dictionaries plus a learned tag-transition matrix, exactly the shape of model
 DeepDive-style person-mention extraction pipelines train.
 
-Feature names are interned to integer rows once per ``fit`` / ``predict`` call,
-so the per-sentence work is a handful of NumPy calls over index arrays rather
-than one per feature occurrence: emissions are one unbuffered ``np.add.at``,
-perceptron updates another, and the Viterbi recursion runs on Python floats
-(a few tags per position, where a NumPy call costs more than the arithmetic).  The arithmetic — summation order, lazy-averaging steps, first-index
-tie-breaking — is the per-feature dict implementation's, so predictions and
-weights equal it bit for bit (``tests/reference_perceptron.py``).
+Feature names are interned to integer rows once per ``fit`` / ``predict`` call.
+Decoding works on batches of sentences: their emission scores are padded to one
+``(sentences, length, tags)`` array, and one NumPy Viterbi recursion runs over
+the whole batch, one step per token position.  ``predict`` decodes every
+sentence in one batch.  ``fit`` batches too, because the weights change only
+after a mistake: it decodes the sentences up to the next mistake together.  The
+batch doubles while every sentence in it comes out right and drops back to one
+sentence after an update.
+
+The arithmetic is the per-feature dict implementation's — summation order,
+lazy-averaging steps, first-index tie-breaking — so predictions and weights
+equal it bit for bit (``tests/reference_perceptron.py``).
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import add
+from itertools import chain, islice, repeat
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,8 +32,8 @@ TokenFeatures = Mapping[str, float]
 
 #: A corpus as flat occurrence arrays: feature row, value, and position within
 #: the sentence of every (token, feature) pair in dict order, plus the offsets
-#: delimiting each sentence's occurrences.
-_Encoded = Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]
+#: delimiting each sentence's occurrences and each sentence's tokens.
+_Encoded = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _intern(sentences: Sequence[Sequence[TokenFeatures]]) -> Dict[str, int]:
@@ -42,7 +46,8 @@ def _intern(sentences: Sequence[Sequence[TokenFeatures]]) -> Dict[str, int]:
 
 def _encode(sentences: Sequence[Sequence[TokenFeatures]], vocabulary: Mapping[str, int]) -> _Encoded:
     """Every feature occurrence as a row of ``vocabulary``; names it lacks are
-    dropped (a feature the model never saw scores zero)."""
+    dropped (a feature the model never saw scores zero).  A NaN or infinite
+    value is refused: no decoder has a defined answer for it."""
     tokens = list(chain.from_iterable(sentences))
     per_token = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
     n_occurrences = int(per_token.sum())
@@ -58,51 +63,81 @@ def _encode(sentences: Sequence[Sequence[TokenFeatures]], vocabulary: Mapping[st
     positions = np.repeat(token_positions, per_token)
     token_bounds = np.cumsum([0, *map(len, sentences)])
     bounds = np.concatenate(([0], np.cumsum(per_token)))[token_bounds]
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        name = next(islice(chain.from_iterable(tokens), bad, None))
+        sentence = int(np.searchsorted(bounds, bad, side="right")) - 1
+        raise MLError(
+            f"feature {name!r} has non-finite value {values[bad]} "
+            f"(sentence {sentence}, token {positions[bad]})"
+        )
     known = ids >= 0
     if not known.all():
         ids, values, positions = ids[known], values[known], positions[known]
         bounds = np.concatenate(([0], np.cumsum(known)))[bounds]
-    return ids, values, positions, bounds.tolist()
+    return ids, values, positions, bounds, token_bounds
 
 
-def _emissions(
-    weights: np.ndarray, ids: np.ndarray, values: np.ndarray, positions: np.ndarray, length: int
-) -> List[List[float]]:
-    """Per-position tag scores; ``add.at`` applies in occurrence order, so each
-    score is ``((0 + c1) + c2) + ...`` exactly as a per-feature loop sums it."""
-    emissions = np.zeros((length, weights.shape[1]))
-    np.add.at(emissions, positions, values[:, None] * weights[ids])
-    return emissions.tolist()
+def _ranges(bounds: np.ndarray, order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices of the ranges ``bounds[i]:bounds[i + 1]`` for ``i`` in ``order``,
+    concatenated, and the offsets delimiting them."""
+    starts = bounds[order]
+    counts = bounds[order + 1] - starts
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts), offsets
 
 
-def _viterbi(emissions: Sequence[Sequence[float]], transitions: Sequence[Sequence[float]]) -> List[int]:
-    """Best tag-index sequence under emission + transition scores.
+def _emission_grid(
+    weights: np.ndarray, ids: np.ndarray, values: np.ndarray, rows: np.ndarray, positions: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """Padded ``(sentences, max length, tags)`` tag scores of the occurrences of
+    sentence ``rows`` at ``positions``.  ``bincount`` adds each cell's weights in
+    input order starting from 0.0, so every score is ``((0 + c1) + c2) + ...``
+    exactly as a per-feature loop sums it; padding cells stay 0.0."""
+    n_sentences, max_length, n_tags = len(lengths), int(lengths.max(initial=0)), weights.shape[1]
+    cells = rows * max_length + positions
+    contributions = values[:, None] * weights[ids]
+    grid = np.empty((n_sentences * max_length, n_tags))
+    for tag in range(n_tags):
+        grid[:, tag] = np.bincount(cells, weights=contributions[:, tag], minlength=len(grid))
+    return grid.reshape(n_sentences, max_length, n_tags)
 
-    ``transitions`` has one row per previous tag plus a last row for the start
-    state.  Ties go to the lowest tag index, as ``np.argmax`` breaks them.
+
+def _decode(emissions: np.ndarray, lengths: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """Best tag-index paths of a batch of padded sentences, concatenated.
+
+    ``emissions`` is ``(sentences, max length, tags)``; row ``i`` is read up to
+    ``lengths[i]``.  ``transitions`` has one row per previous tag plus a last
+    row for the start state.  The recursion takes one step per position across
+    the whole batch; each step is ``score + transition[previous, tag]``, the max
+    over previous tags, ``+ emission``.  Ties go to the lowest tag index.
     """
-    length = len(emissions)
-    if length == 0:
-        return []
-    n_tags = len(emissions[0])
-    columns = [[transitions[previous][tag] for previous in range(n_tags)] for tag in range(n_tags)]
-    scores = list(map(add, emissions[0], transitions[n_tags]))
-    backpointers: List[List[int]] = []
-    for emission in emissions[1:]:
-        pointers: List[int] = []
-        next_scores: List[float] = []
-        for column, score in zip(columns, emission):
-            candidates = list(map(add, scores, column))
-            best = max(candidates)
-            pointers.append(candidates.index(best))
-            next_scores.append(best + score)
-        backpointers.append(pointers)
-        scores = next_scores
-    best_path = [scores.index(max(scores))]
-    for pointers in reversed(backpointers):
-        best_path.append(pointers[best_path[-1]])
-    best_path.reverse()
-    return best_path
+    n_sentences, max_length, n_tags = emissions.shape
+    if max_length == 0:
+        return np.empty(0, dtype=np.intp)
+    into = transitions[:n_tags].T  # into[tag, previous]
+    scores = np.empty((max_length, n_sentences, n_tags))
+    # Position 0 has no pointers; zeros keep backtracking's last gather in range.
+    pointers = np.zeros((max_length, n_sentences, n_tags), dtype=np.intp)
+    np.add(emissions[:, 0], transitions[n_tags], out=scores[0])
+    for position in range(1, max_length):
+        candidates = scores[position - 1][:, None, :] + into
+        pointers[position] = candidates.argmax(axis=2)
+        np.add(candidates.max(axis=2), emissions[:, position], out=scores[position])
+    # Each sentence's path ends at its own last position; padding positions
+    # after it carry garbage that the mask below drops.
+    last = lengths - 1
+    rows = np.arange(n_sentences)
+    best = scores[last, rows].argmax(axis=1)
+    paths = np.empty((n_sentences, max_length), dtype=np.intp)
+    tags = best
+    for position in range(max_length - 1, -1, -1):
+        tags = np.where(last == position, best, tags)
+        paths[:, position] = tags
+        tags = pointers[position, rows, tags]
+    return paths[np.arange(max_length) < lengths[:, None]]
 
 
 class StructuredPerceptron:
@@ -172,44 +207,68 @@ class StructuredPerceptron:
         self.tags_ = tags
 
         vocabulary = _intern(sentences)
-        ids, values, positions, bounds = _encode(sentences, vocabulary)
+        ids, values, positions, bounds, token_bounds = _encode(sentences, vocabulary)
+        lengths = np.diff(token_bounds)
+        gold_tokens = np.fromiter(chain.from_iterable(golds), dtype=np.intp, count=int(token_bounds[-1]))
         weights = np.zeros((len(vocabulary), n_tags))
         totals = np.zeros_like(weights)
         stamps = np.zeros(len(vocabulary), dtype=np.int64)
-        # Transitions change a few cells per mistake; Python floats keep those
-        # scalar updates cheap.  Row n_tags is the start state.
-        transitions = [[0.0] * n_tags for _ in range(n_tags + 1)]
-        transition_totals = [[0.0] * n_tags for _ in range(n_tags + 1)]
-        transition_stamps = [[0] * n_tags for _ in range(n_tags + 1)]
+        transitions = np.zeros((n_tags + 1, n_tags))  # row n_tags is the start state
+        transition_totals = np.zeros_like(transitions)
+        transition_stamps = np.zeros(transitions.shape, dtype=np.int64)
 
         def update_transition(prev_tag: int, tag: int, delta: float, step: int) -> None:
             # Lazy averaging: accumulate weight * elapsed steps before changing it.
-            transition_totals[prev_tag][tag] += transitions[prev_tag][tag] * (
-                step - transition_stamps[prev_tag][tag]
+            transition_totals[prev_tag, tag] += transitions[prev_tag, tag] * (
+                step - transition_stamps[prev_tag, tag]
             )
-            transition_stamps[prev_tag][tag] = step
-            transitions[prev_tag][tag] += delta
+            transition_stamps[prev_tag, tag] = step
+            transitions[prev_tag, tag] += delta
 
         rng = np.random.default_rng(self.seed)
         order = np.arange(len(sentences))
         step = 0
+        size = 1
         for _epoch in range(self.epochs):
             rng.shuffle(order)
-            for sentence_index in order.tolist():
-                gold = golds[sentence_index]
-                if not gold:
-                    continue
-                step += 1
-                start, end = bounds[sentence_index], bounds[sentence_index + 1]
-                sentence_ids, sentence_values = ids[start:end], values[start:end]
-                sentence_positions = positions[start:end]
-                predicted = _viterbi(
-                    _emissions(weights, sentence_ids, sentence_values, sentence_positions, len(gold)),
-                    transitions,
+            # The epoch's non-empty sentences in visit order (an empty one is
+            # skipped without a step), so a batch is a contiguous slice.
+            visit = order[lengths[order] > 0]
+            occurrences, occurrence_offsets = _ranges(bounds, visit)
+            epoch_tokens, token_offsets = _ranges(token_bounds, visit)
+            epoch_ids, epoch_values = ids[occurrences], values[occurrences]
+            epoch_positions = positions[occurrences]
+            epoch_rows = np.repeat(np.arange(len(visit)), np.diff(occurrence_offsets))
+            epoch_gold, epoch_lengths = gold_tokens[epoch_tokens], lengths[visit]
+            start = 0
+            while start < len(visit):
+                stop = min(start + size, len(visit))
+                batch = slice(occurrence_offsets[start], occurrence_offsets[stop])
+                batch_lengths = epoch_lengths[start:stop]
+                emissions = _emission_grid(
+                    weights, epoch_ids[batch], epoch_values[batch], epoch_rows[batch] - start,
+                    epoch_positions[batch], batch_lengths,
                 )
-                if predicted == gold:
+                predicted = _decode(emissions, batch_lengths, transitions)
+                first_token = token_offsets[start]
+                mismatches = np.flatnonzero(predicted != epoch_gold[first_token:token_offsets[stop]])
+                if not mismatches.size:
+                    step += stop - start
+                    size *= 2
+                    start = stop
                     continue
-                gold_tags, predicted_tags = np.array(gold), np.array(predicted)
+                # Decoded with stale weights from here on: redo after the update.
+                mistake = int(np.searchsorted(token_offsets, first_token + mismatches[0], side="right")) - 1
+                step += mistake + 1 - start
+                start, size = mistake + 1, 1
+                sentence_index = int(visit[mistake])
+                gold = golds[sentence_index]
+                offset = token_offsets[mistake] - first_token
+                predicted_tags = predicted[offset:offset + len(gold)]
+                gold_tags = np.array(gold)
+                sentence = slice(bounds[sentence_index], bounds[sentence_index + 1])
+                sentence_ids, sentence_values = ids[sentence], values[sentence]
+                sentence_positions = positions[sentence]
                 wrong = (gold_tags != predicted_tags)[sentence_positions]
                 if wrong.any():
                     rows = sentence_ids[wrong]
@@ -225,7 +284,7 @@ class StructuredPerceptron:
                     deltas = np.stack([sentence_values[wrong], -sentence_values[wrong]], axis=1).ravel()
                     np.add.at(weights, (np.repeat(rows, 2), columns), deltas)
                 previous_gold, previous_pred = n_tags, n_tags
-                for gold_tag, pred_tag in zip(gold, predicted):
+                for gold_tag, pred_tag in zip(gold, predicted_tags.tolist()):
                     if (previous_gold, gold_tag) != (previous_pred, pred_tag):
                         update_transition(previous_gold, gold_tag, 1.0, step)
                         update_transition(previous_pred, pred_tag, -1.0, step)
@@ -234,17 +293,14 @@ class StructuredPerceptron:
         # A feature never stamped was never updated: it scores zero, so drop it.
         kept = np.flatnonzero(stamps)
         weights = weights[kept]
-        transition_matrix = np.array(transitions)
         if self.averaged and step > 0:
             weights = (totals[kept] + weights * (step - stamps[kept])[:, None]) / step
-            transition_matrix = (
-                np.array(transition_totals) + transition_matrix * (step - np.array(transition_stamps))
-            ) / step
+            transitions = (transition_totals + transitions * (step - transition_stamps)) / step
 
         names = list(vocabulary)
         self.vocabulary_ = {names[row]: index for index, row in enumerate(kept.tolist())}
         self.weights_ = weights
-        self.transition_weights_ = transition_matrix
+        self.transition_weights_ = transitions
         return self
 
     # ------------------------------------------------------------------
@@ -258,18 +314,14 @@ class StructuredPerceptron:
             or self.transition_weights_ is None
         ):
             raise NotFittedError("StructuredPerceptron.predict called before fit")
-        ids, values, positions, bounds = _encode(sentences, self.vocabulary_)
-        # The weights are fixed, so every sentence's emissions come from one
-        # call over corpus-wide token indices.
-        token_bounds = np.cumsum([0, *map(len, sentences)])
-        tokens = positions + np.repeat(token_bounds[:-1], np.diff(bounds))
-        emissions = _emissions(self.weights_, ids, values, tokens, int(token_bounds[-1]))
-        transitions = self.transition_weights_.tolist()
+        ids, values, positions, bounds, token_bounds = _encode(sentences, self.vocabulary_)
+        # The weights are fixed, so every sentence is decoded in one batch.
+        lengths = np.diff(token_bounds)
+        rows = np.repeat(np.arange(len(sentences)), np.diff(bounds))
+        emissions = _emission_grid(self.weights_, ids, values, rows, positions, lengths)
+        tags = [self.tags_[index] for index in _decode(emissions, lengths, self.transition_weights_).tolist()]
         starts = token_bounds.tolist()
-        return [
-            [self.tags_[index] for index in _viterbi(emissions[start:end], transitions)]
-            for start, end in zip(starts, starts[1:])
-        ]
+        return [tags[start:end] for start, end in zip(starts, starts[1:])]
 
     def get_params(self) -> Dict[str, float]:
         return {"epochs": self.epochs, "averaged": self.averaged, "seed": self.seed}

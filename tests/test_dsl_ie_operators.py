@@ -17,7 +17,8 @@ from repro.dsl.ie_operators import (
     Tokenizer,
     UDFTokenFeatureExtractor,
 )
-from repro.errors import WorkflowError
+from repro.errors import MLError, WorkflowError
+from repro.ml.perceptron import StructuredPerceptron
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,28 @@ class TestSequenceLearning:
         model = SequenceLearner("examples", epochs=3).apply({"examples": examples})
         predictions = SequencePredictor("model", "examples").apply({"model": model, "examples": examples})
         return examples, model, predictions
+
+    def test_predictor_equals_one_predict_per_split(self, pipeline):
+        examples, model, predictions = pipeline
+        for split in ("train", "test"):
+            features, sentences = examples.split(split)
+            gold = [sentence.tags or ["O"] * len(sentence) for sentence in sentences]
+            assert predictions.split(split) == (model.predict(features), gold)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature_value_is_refused_by_name(self, pipeline, tiny_corpus, bad):
+        examples, model, _predictions = pipeline
+
+        def poisoned(tokens, position):
+            return {"poison": bad} if position == 1 else {"fine": 1.0}
+
+        block = UDFTokenFeatureExtractor("corpus", udf=poisoned).apply({"corpus": tiny_corpus})
+        assert any(len(sentence) > 1 for sentence in block.train)
+        train_tags = [sentence.tags for sentence in tiny_corpus.train]
+        with pytest.raises(MLError, match="feature 'poison' has non-finite value"):
+            StructuredPerceptron(epochs=1).fit(block.train, train_tags)
+        with pytest.raises(MLError, match="feature 'poison' has non-finite value"):
+            model.predict(block.test)
 
     def test_assembler_requires_extractors(self):
         with pytest.raises(WorkflowError):

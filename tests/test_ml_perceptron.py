@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_perceptron import StructuredPerceptron as ReferencePerceptron
 from repro.errors import MLError, NotFittedError
-from repro.ml.perceptron import StructuredPerceptron, _viterbi
+from repro.ml.perceptron import StructuredPerceptron, _decode
 
 
 def toy_corpus(n_sentences=80, seed=0):
@@ -76,6 +78,41 @@ class TestTraining:
         assert first == second
 
 
+def decode(emissions, transitions):
+    """``_decode`` over one padded batch of per-sentence emission lists; returns
+    each sentence's path."""
+    lengths = np.array([len(sentence) for sentence in emissions], dtype=np.intp)
+    n_tags = transitions.shape[1]
+    padded = np.zeros((len(emissions), lengths.max(initial=0), n_tags))
+    for row, sentence in enumerate(emissions):
+        padded[row, : len(sentence)] = np.array(sentence).reshape(-1, n_tags)
+    flat = _decode(padded, lengths, transitions).tolist()
+    offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    return [flat[start:end] for start, end in zip(offsets, offsets[1:])]
+
+
+def reference_decode(emissions, transitions):
+    """The reference's Viterbi on one sentence whose emissions are given: token
+    ``i`` has the one feature ``e{i}`` with value 1.0 and weights ``emissions[i]``."""
+    sentence = [{f"e{position}": 1.0} for position in range(len(emissions))]
+    weights = {f"e{position}": np.array(row) for position, row in enumerate(emissions)}
+    return ReferencePerceptron._viterbi_indices(sentence, weights, transitions, transitions.shape[1])
+
+
+@st.composite
+def tie_heavy_batches(draw):
+    """Integer-valued emissions and transitions (so ties are common), 1-4 tags,
+    and one batch of mixed lengths that always holds a length-1 sentence."""
+    n_tags = draw(st.integers(1, 4))
+    small = st.integers(-2, 2).map(float)
+    lengths = draw(st.lists(st.integers(1, 6), min_size=0, max_size=5))
+    lengths.insert(draw(st.integers(0, len(lengths))), 1)
+    row = st.lists(small, min_size=n_tags, max_size=n_tags)
+    emissions = [draw(st.lists(row, min_size=length, max_size=length)) for length in lengths]
+    transitions = np.array(draw(st.lists(row, min_size=n_tags + 1, max_size=n_tags + 1)))
+    return emissions, transitions
+
+
 class TestViterbi:
     def brute_force_best(self, sentence, weights, transitions, tags):
         """Exhaustive search over tag sequences for cross-checking Viterbi."""
@@ -100,17 +137,19 @@ class TestViterbi:
         n_tags = len(tags)
         weights = {f"f{i}": rng.normal(size=n_tags) for i in range(4)}
         transitions = rng.normal(size=(n_tags + 1, n_tags))
-        for _ in range(10):
-            length = rng.integers(1, 5)
-            sentence = [
-                {f"f{rng.integers(4)}": float(rng.normal()) for _ in range(2)} for _ in range(length)
-            ]
+        sentences = [
+            [{f"f{rng.integers(4)}": float(rng.normal()) for _ in range(2)} for _ in range(rng.integers(1, 5))]
+            for _ in range(10)
+        ]
+        emissions = [
+            [[sum(value * weights[name][tag] for name, value in token.items()) for tag in range(n_tags)]
+             for token in sentence]
+            for sentence in sentences
+        ]
+        # All ten sentences, of mixed lengths, are decoded in one batch.
+        for sentence, actual in zip(sentences, decode(emissions, transitions)):
             expected = self.brute_force_best(sentence, weights, transitions, tags)
-            emissions = [
-                [sum(value * weights[name][tag] for name, value in token.items()) for tag in range(n_tags)]
-                for token in sentence
-            ]
-            actual = _viterbi(emissions, transitions.tolist())
+
             # Compare scores rather than sequences to tolerate exact ties.
             def score_of(seq):
                 total, previous = 0.0, n_tags
@@ -129,7 +168,7 @@ class TestViterbi:
         transitions = np.zeros((n_tags + 1, n_tags))
         silent = [{"x": 1.0}] * 4
         expected = ReferencePerceptron._viterbi_indices(silent, {"x": np.zeros(n_tags)}, transitions, n_tags)
-        assert _viterbi([[0.0] * n_tags] * 4, transitions.tolist()) == expected == [0, 0, 0, 0]
+        assert decode([[[0.0] * n_tags] * 4], transitions) == [expected] == [[0, 0, 0, 0]]
 
         # Dyadic weights, so the tied scores are exactly equal: tags 0/1 tie
         # after the first token, 1/2 in the middle, 0/1 again at the end.
@@ -137,9 +176,19 @@ class TestViterbi:
         sentence = [{"b": 1.0}, {"a": 1.0}, {"b": 1.0}]
         emissions = [[0.25, 0.25, 0.0], [0.5, 0.75, 0.75], [0.25, 0.25, 0.0]]
         expected = ReferencePerceptron._viterbi_indices(sentence, weights, transitions, n_tags)
-        assert _viterbi(emissions, transitions.tolist()) == expected == [0, 1, 0]
+        assert decode([emissions], transitions) == [expected] == [[0, 1, 0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_batches())
+    def test_batch_rows_equal_the_reference_decoding_each_alone(self, batch):
+        emissions, transitions = batch
+        assert decode(emissions, transitions) == [
+            reference_decode(sentence, transitions) for sentence in emissions
+        ]
 
     def test_empty_sentence_predicts_empty(self):
         sentences, tags = toy_corpus(10)
         model = StructuredPerceptron(epochs=1).fit(sentences, tags)
         assert model.predict([[]]) == [[]]
+        assert model.predict([]) == []
+        assert model.predict([[], sentences[0], []]) == [[], model.predict([sentences[0]])[0], []]

@@ -21,6 +21,7 @@ from repro.dataflow.sequences import Sentence, SequenceCorpus
 from repro.datagen.news import NewsConfig
 from repro.dsl.ie_operators import UDFTokenFeatureExtractor
 from repro.errors import NotFittedError
+from repro.ml import perceptron
 from repro.ml.perceptron import StructuredPerceptron
 from repro.workloads.ie_workload import IEVariant, build_ie_workflow
 
@@ -76,6 +77,27 @@ def test_ie_corpora_bit_identical(ie_examples, seed, extractors, averaged):
     train_features, train_sentences = examples.split("train")
     test_features, _ = examples.split("test")
     model, reference = fit_both(train_features, gold_tags(train_sentences), epochs=4, averaged=averaged, seed=seed)
+    assert_same_model(model, reference, [train_features, test_features])
+
+
+def test_ledger_size_fit_decodes_whole_epochs(monkeypatch):
+    """The ledger's largest fit — 45/15 docs, 8 epochs, char n-grams — where
+    late epochs have no mistakes, so a decode batch spans a whole epoch."""
+    config = NewsConfig(n_train_docs=45, n_test_docs=15, seed=7)
+    variant = IEVariant(data_config=config, use_gazetteer=True, use_char_ngrams=True, context_window=2)
+    examples = interpret(build_ie_workflow(variant))["examples"]
+    train_features, train_sentences = examples.split("train")
+    test_features, _ = examples.split("test")
+    batch_sizes = []
+    decode = perceptron._decode
+
+    def recording_decode(emissions, lengths, transitions):
+        batch_sizes.append(len(lengths))
+        return decode(emissions, lengths, transitions)
+
+    monkeypatch.setattr(perceptron, "_decode", recording_decode)
+    model, reference = fit_both(train_features, gold_tags(train_sentences), epochs=8, averaged=True)
+    assert max(batch_sizes) == sum(map(bool, train_features))
     assert_same_model(model, reference, [train_features, test_features])
 
 
