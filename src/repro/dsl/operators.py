@@ -637,11 +637,16 @@ class Learner(Operator):
         return [self.examples]
 
     def params(self) -> Dict[str, Any]:
-        return {
+        params = {
             "model_type": self.model_type,
             "standardize": self.standardize,
             "hyperparams": _serializable(self.hyperparams),
         }
+        if self.model_type != "naive_bayes":
+            # Part of the signature, not a choice: linear models stored by a
+            # gradient-descent build of these learners are never reused.
+            params["solver"] = "lbfgs"
+        return params
 
     def _build_model(self) -> Any:
         if self.model_type == "logistic_regression":

@@ -8,7 +8,8 @@ runs offline:
   — convert human-readable feature dictionaries to numeric matrices.
 * :class:`~repro.ml.scaler.StandardScaler` — feature standardization.
 * :class:`~repro.ml.linear.LogisticRegression`, :class:`~repro.ml.linear.SoftmaxRegression`,
-  :class:`~repro.ml.linear.LinearRegression` — gradient-descent learners.
+  :class:`~repro.ml.linear.LinearRegression` — L2-regularized linear learners
+  (one shared L-BFGS solver; least squares in closed form).
 * :class:`~repro.ml.naive_bayes.BernoulliNaiveBayes` — a cheap baseline learner.
 * :class:`~repro.ml.perceptron.StructuredPerceptron` — sequence tagger with
   Viterbi decoding for the information-extraction workload.

@@ -1,18 +1,31 @@
-"""Gradient-descent linear models: logistic, softmax, and linear regression.
+"""Linear models: logistic, softmax, and linear regression.
 
 All learners share the same interface: ``fit(X, y)`` then ``predict(X)`` (and
-``predict_proba`` where meaningful).  Optimization is plain full-batch gradient
-descent with L2 regularization; it is deterministic given the inputs, which
-matters for reproducible workflow signatures.
+``predict_proba`` where meaningful).  Logistic and softmax regression minimize
+the mean log-loss plus an L2 penalty on every weight but the bias, through one
+full-batch L-BFGS routine (:func:`_minimize`); linear regression is solved in
+closed form.  Every fit is deterministic given the inputs, which matters for
+reproducible workflow signatures.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import MLError, NotFittedError
+
+#: Curvature pairs L-BFGS keeps.
+_MEMORY = 10
+#: Armijo sufficient-decrease constant.
+_ARMIJO = 1e-4
+#: Backtracking halvings before the line search gives up: the objective no
+#: longer decreases in floating point along the search direction.
+_MAX_HALVINGS = 50
+
+Loss = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -27,12 +40,10 @@ def _add_bias(X: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    # exp of a non-positive argument never overflows; both branches divide by
+    # the same 1 + e, so the result is the stable two-sided formula.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -41,17 +52,108 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _logistic_loss(z: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean log-loss of scores ``z`` against 0/1 labels, and its gradient in ``z`` (× n)."""
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)), _sigmoid(z) - y
+
+
+def _softmax_loss(z: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy of score rows ``z`` against one-hot ``targets``, and its gradient (× n)."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    value = float(np.mean(np.log(total[:, 0]) - (targets * shifted).sum(axis=1)))
+    return value, exp / total - targets
+
+
+def _minimize(
+    X: np.ndarray, targets: np.ndarray, loss: Loss, reg_param: float, step: float, max_iter: int, tol: float
+) -> Tuple[np.ndarray, int]:
+    """L-BFGS on ``loss(X @ w, targets) + 0.5·reg·‖w[:-1]‖²`` from ``w = 0``.
+
+    ``X`` carries the bias column last, and the bias is not penalized.  Each
+    iteration takes the two-loop direction over the last ``_MEMORY`` curvature
+    pairs and backtracks (halving) until the Armijo condition holds; without
+    pairs — the first iteration, or after a direction that does not descend —
+    the direction is the negative gradient and the trial step is ``step``, the
+    gradient-descent step.
+
+    The stop rule is gradient descent's: stop after ``max_iter`` iterations, or
+    after the iteration whose starting gradient was below ``tol`` in every
+    component — that last step is near-Newton and costs one evaluation.  A
+    line search that cannot decrease the objective any more (the
+    floating-point floor) also stops.  Returns the weights and the iterations
+    run.
+    """
+    n_samples = X.shape[0]
+
+    def objective(weights: np.ndarray) -> Tuple[float, np.ndarray]:
+        value, residual = loss(X @ weights, targets)
+        gradient = X.T @ residual / n_samples
+        gradient[:-1] += reg_param * weights[:-1]  # do not regularize the bias
+        return value + 0.5 * reg_param * float(np.vdot(weights[:-1], weights[:-1])), gradient
+
+    weights = np.zeros((X.shape[1],) + targets.shape[1:])
+    value, gradient = objective(weights)
+    pairs: deque = deque(maxlen=_MEMORY)  # (s, y, 1 / y·s), oldest first
+    n_iter = 0
+    for iteration in range(max_iter):
+        direction = -gradient
+        if pairs:
+            alphas = []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * np.vdot(s, direction))
+                direction -= alphas[-1] * y
+            s, y, rho = pairs[-1]
+            direction /= rho * np.vdot(y, y)  # initial Hessian scale s·y / y·y
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                direction += (alpha - rho * np.vdot(y, direction)) * s
+        slope = np.vdot(gradient, direction)
+        if slope >= 0:
+            pairs.clear()
+            direction, slope = -gradient, -np.vdot(gradient, gradient)
+        trial = 1.0 if pairs else step
+        for _ in range(_MAX_HALVINGS):
+            candidate = weights + trial * direction
+            new_value, new_gradient = objective(candidate)
+            if new_value <= value + _ARMIJO * trial * slope:
+                break
+            trial *= 0.5
+        else:
+            break
+        s, y = candidate - weights, new_gradient - gradient
+        curvature = np.vdot(s, y)
+        if curvature > 0:
+            pairs.append((s, y, 1.0 / curvature))
+        converged = np.abs(gradient).max() < tol
+        weights, value, gradient = candidate, new_value, new_gradient
+        n_iter = iteration + 1
+        if converged:
+            break
+    return weights, n_iter
+
+
+def _fit_linear(model, X: np.ndarray, targets: np.ndarray, loss: Loss) -> None:
+    # The first trial step is the gradient-descent step, capped so strong
+    # regularization cannot make it expansive (|1 - lr*reg| stays below 1).
+    step = min(model.learning_rate, 0.95 / (1.0 + model.reg_param))
+    model.weights_, model.n_iter_ = _minimize(X, targets, loss, model.reg_param, step, model.max_iter, model.tol)
+
+
 class LogisticRegression:
-    """Binary logistic regression trained with full-batch gradient descent.
+    """Binary logistic regression trained with full-batch L-BFGS.
 
     Parameters
     ----------
     reg_param:
         L2 regularization strength (the ``regParam`` hyperparameter that the
         paper's Census workflow iterates on).
-    learning_rate, max_iter, tol:
-        Gradient-descent controls.  Training stops early when the max absolute
-        gradient component falls below ``tol``.
+    learning_rate:
+        The first iteration's trial step along the negative gradient (capped
+        at ``0.95 / (1 + reg_param)``); later steps come from the line search.
+    max_iter, tol:
+        Training stops after ``max_iter`` iterations, or early once the max
+        absolute gradient component falls below ``tol``.
     """
 
     def __init__(
@@ -77,20 +179,7 @@ class LogisticRegression:
             raise MLError("LogisticRegression expects 0/1 labels")
         if X.shape[0] != y.shape[0]:
             raise MLError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-        n_samples = X.shape[0]
-        weights = np.zeros(X.shape[1])
-        # Cap the step size so strong regularization cannot make the update
-        # operator expansive (|1 - lr*reg| must stay below 1 for convergence).
-        step = min(self.learning_rate, 0.95 / (1.0 + self.reg_param))
-        for iteration in range(self.max_iter):
-            probabilities = _sigmoid(X @ weights)
-            gradient = X.T @ (probabilities - y) / n_samples
-            gradient[:-1] += self.reg_param * weights[:-1]  # do not regularize the bias
-            weights -= step * gradient
-            self.n_iter_ = iteration + 1
-            if np.abs(gradient).max() < self.tol:
-                break
-        self.weights_ = weights
+        _fit_linear(self, X, y, _logistic_loss)
         return self
 
     def decision_function(self, X) -> np.ndarray:
@@ -114,7 +203,11 @@ class LogisticRegression:
 
 
 class SoftmaxRegression:
-    """Multinomial logistic regression for multi-class targets."""
+    """Multinomial logistic regression for multi-class targets.
+
+    Trained with the same L-BFGS routine and hyperparameters as
+    :class:`LogisticRegression`, over one weight column per class.
+    """
 
     def __init__(
         self,
@@ -141,18 +234,7 @@ class SoftmaxRegression:
         targets = np.zeros((len(labels), len(self.classes_)))
         for row, label in enumerate(labels):
             targets[row, class_index[label]] = 1.0
-        n_samples = X.shape[0]
-        weights = np.zeros((X.shape[1], len(self.classes_)))
-        step = min(self.learning_rate, 0.95 / (1.0 + self.reg_param))
-        for iteration in range(self.max_iter):
-            probabilities = _softmax(X @ weights)
-            gradient = X.T @ (probabilities - targets) / n_samples
-            gradient[:-1, :] += self.reg_param * weights[:-1, :]
-            weights -= step * gradient
-            self.n_iter_ = iteration + 1
-            if np.abs(gradient).max() < self.tol:
-                break
-        self.weights_ = weights
+        _fit_linear(self, X, targets, _softmax_loss)
         return self
 
     def predict_proba(self, X) -> np.ndarray:

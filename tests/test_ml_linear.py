@@ -1,4 +1,4 @@
-"""Tests for the gradient-descent linear models."""
+"""Tests for the linear models (the L-BFGS contract is in test_linear_reference.py)."""
 
 import numpy as np
 import pytest
