@@ -6,9 +6,12 @@ Prints the table recorded in ``CostDefaults``' docstring and ``docs/storage.md``
 decode milliseconds (min of ``--repeats`` calls, one warm-up), payload bytes,
 and decode throughput in payload MB/s — the quantity
 ``CostDefaults.codec_read_bandwidth`` models.  The values are ledger-sized
-(5000 train + 1250 test rows): a one-hot extractor block, a one-column numeric
-block, a ``DenseFeaturizer`` block, one of its 16-way partition chunks, and a
-prediction set.
+(5000 train + 1250 test rows, 45 + 15 news documents): a one-hot extractor
+block, a one-column numeric block, a ``DenseFeaturizer`` block, one of its
+16-way partition chunks (all four columnar: a key tuple plus CSR arrays per
+split), a prediction set, and the pickled Python objects the rest of the
+engine stores — the census ``Dataset``, a fitted census model, the tokenized
+news corpus and its assembled ``SequenceFeatureBlock``.
 """
 
 import argparse
@@ -22,7 +25,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 sys.path.insert(0, SRC)
 
 from repro.dataflow.features import FeatureBlock, PredictionSet  # noqa: E402
+from repro.datagen.census import CensusConfig  # noqa: E402
+from repro.datagen.news import NewsConfig  # noqa: E402
 from repro.storage.codecs import default_registry  # noqa: E402
+from repro.workloads.census_workload import CensusVariant, build_census_workflow  # noqa: E402
+from repro.workloads.ie_workload import IEVariant, build_ie_workflow  # noqa: E402
 
 N_TRAIN, N_TEST = 5000, 1250
 
@@ -38,7 +45,20 @@ def best_ms(fn, repeats):
 
 
 def feature_block(name, rows, n_train):
-    return FeatureBlock(name=name, train=rows[:n_train], test=rows[n_train:])
+    return FeatureBlock.from_rows(name, rows[:n_train], rows[n_train:])
+
+
+def node_values(workflow, names):
+    """The named nodes' values, each operator applied to its inputs' values."""
+    operators, computed = workflow.declarations(), {}
+
+    def evaluate(name):
+        if name not in computed:
+            operator = operators[name]
+            computed[name] = operator.apply({parent: evaluate(parent) for parent in operator.dependencies()})
+        return computed[name]
+
+    return [evaluate(name) for name in names]
 
 
 def values(rng):
@@ -65,6 +85,19 @@ def values(rng):
     }
 
 
+def engine_values(seed):
+    census = build_census_workflow(CensusVariant(data_config=CensusConfig(n_train=N_TRAIN, n_test=N_TEST, seed=seed)))
+    news = build_ie_workflow(IEVariant(data_config=NewsConfig(n_train_docs=45, n_test_docs=15, seed=seed)))
+    rows, model = node_values(census, ["rows", "incPred"])
+    corpus, examples = node_values(news, ["corpus", "examples"])
+    return {
+        "census dataset 6250": rows,
+        "census model": model,
+        "news corpus 60 docs": corpus,
+        "sequence block 60 docs": examples,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=20)
@@ -74,7 +107,8 @@ def main() -> int:
     header = f"{'value':22s} {'codec':12s} {'enc ms':>7s} {'dec ms':>7s} {'bytes':>7s} {'dec MB/s':>9s}"
     print(header)
     print("-" * len(header))
-    for name, value in values(np.random.default_rng(args.seed)).items():
+    measured = {**values(np.random.default_rng(args.seed)), **engine_values(args.seed)}
+    for name, value in measured.items():
         _, auto_id = registry.encode_value(value)
         for codec in registry.ids():
             if not registry.by_id(codec).handles(value):

@@ -8,8 +8,10 @@ types in this package mirror that design:
   raw records (dicts) with an optional schema; the output of scanners.
 * :class:`~repro.dataflow.collection.Dataset` — a train/test pair of
   ``DataCollection`` objects; the output of data sources.
-* :class:`~repro.dataflow.features.FeatureBlock` — per-record dictionaries of
-  named feature values produced by extractor operators.
+* :class:`~repro.dataflow.features.FeatureBlock` — named feature values per
+  record, produced by extractor operators.  Human-readable keys, columnar
+  storage: a sorted key table plus one CSR triple per split, rendered as one
+  dict per record by ``rows()``.
 * :class:`~repro.dataflow.features.ExampleCollection` — assembled (features,
   label) examples, the input of learners.
 * :class:`~repro.dataflow.sequences.SequenceCorpus` and

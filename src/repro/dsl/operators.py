@@ -12,16 +12,18 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import asdict, dataclass, is_dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataflow.collection import DataCollection, Dataset, Schema
 from repro.dataflow.features import (
+    Csr,
     ExampleCollection,
     FeatureBlock,
     LabelBlock,
     PredictionSet,
+    cross_feature_blocks,
     merge_feature_blocks,
 )
 from repro.datagen.census import CensusConfig, generate_census_dataset
@@ -248,21 +250,34 @@ class FieldExtractor(Operator):
     def params(self) -> Dict[str, Any]:
         return {"field": self.field, "numeric": self.numeric}
 
-    def _featurize(self, value: Any) -> Dict[str, float]:
+    def _entry(self, value: Any, table: Dict[str, int]) -> Tuple[int, float]:
+        """``(key code in table, value)``: numeric values under ``value``,
+        others one-hot as ``<field>=<value>`` → 1.0."""
         is_numeric = self.numeric
         if is_numeric is None:
             is_numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
         if is_numeric:
-            return {"value": float(value)}
-        return {f"{self.field}={value}": 1.0}
+            return table.setdefault("value", len(table)), float(value)
+        return table.setdefault(f"{self.field}={value}", len(table)), 1.0
+
+    def _featurize(self, values: List[Any], table: Dict[str, int]) -> Csr:
+        """One entry per record, each distinct value featurized once."""
+        if set(map(type, values)) in ({str}, {int}, {bool}):
+            entry_of = {value: self._entry(value, table) for value in dict.fromkeys(values)}
+            entries = list(map(entry_of.__getitem__, values))
+        else:  # equal values may featurize apart: 1 == 1.0 == True, -0.0 == 0.0
+            entries = [self._entry(value, table) for value in values]
+        ones = np.ones(len(values), dtype=np.int64)
+        return Csr.build(ones, [code for code, _ in entries], [datum for _, datum in entries])
 
     def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
         dataset: Dataset = self._input(inputs, self.rows)
-        return FeatureBlock(
-            name=self.field,
-            train=[self._featurize(record[self.field]) for record in dataset.train],
-            test=[self._featurize(record[self.field]) for record in dataset.test],
-        )
+        table: Dict[str, int] = {}
+        splits = [
+            self._featurize([record[self.field] for record in split], table)
+            for split in (dataset.train, dataset.test)
+        ]
+        return FeatureBlock.build(self.field, list(table), *splits)
 
 
 class LabelExtractor(Operator):
@@ -317,28 +332,29 @@ class Bucketizer(Operator):
     def params(self) -> Dict[str, Any]:
         return {"bins": self.bins}
 
-    def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
-        block: FeatureBlock = self._input(inputs, self.source)
-        train_values = [row.get("value", 0.0) for row in block.train]
-        if not train_values:
-            raise ExecutionError("Bucketizer received an empty train split")
-        low, high = min(train_values), max(train_values)
+    def edges(self, low: float, high: float) -> np.ndarray:
         if high == low:
             high = low + 1.0
-        edges = np.linspace(low, high, self.bins + 1)
-        keys = [f"bucket={index}" for index in range(self.bins)]
+        return np.linspace(low, high, self.bins + 1)
 
-        def bucket(values: List[float]) -> List[Dict[str, float]]:
-            # One searchsorted per split, not one per row.
-            column = np.array(values, dtype=np.float64)
+    def bucketize(self, block: FeatureBlock, edges: np.ndarray) -> FeatureBlock:
+        """One-hot ``bucket=<i>`` block of the ``value`` column under ``edges``."""
+        def bucket(split: str) -> Csr:
+            column = block.column(split, "value")
             indices = np.clip(np.searchsorted(edges, column, side="right") - 1, 0, self.bins - 1)
-            return [{keys[index]: 1.0} for index in indices.tolist()]
+            ones = np.ones(len(column), dtype=np.int64)
+            return Csr.build(ones, indices, ones)
 
-        return FeatureBlock(
-            name=f"{block.name}_bucket",
-            train=bucket(train_values),
-            test=bucket([row.get("value", 0.0) for row in block.test]),
-        )
+        keys = [f"bucket={index}" for index in range(self.bins)]
+        return FeatureBlock.build(f"{block.name}_bucket", keys, bucket("train"), bucket("test"))
+
+    def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
+        block: FeatureBlock = self._input(inputs, self.source)
+        # Python min / max, as the per-chunk partials use: NaN order matters.
+        values = block.column("train", "value").tolist()
+        if not values:
+            raise ExecutionError("Bucketizer received an empty train split")
+        return self.bucketize(block, self.edges(min(values), max(values)))
 
 
 class InteractionFeature(Operator):
@@ -357,28 +373,8 @@ class InteractionFeature(Operator):
     def params(self) -> Dict[str, Any]:
         return {"arity": len(self.sources)}
 
-    @staticmethod
-    def _cross(left: Mapping[str, float], right: Mapping[str, float]) -> Dict[str, float]:
-        return {
-            f"{left_key}&{right_key}": left_value * right_value
-            for left_key, left_value in left.items()
-            for right_key, right_value in right.items()
-        }
-
     def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
-        blocks: List[FeatureBlock] = [self._input(inputs, name) for name in self.sources]
-
-        def cross_split(split: str) -> List[Dict[str, float]]:
-            rows = [dict(row) for row in blocks[0].split(split)]
-            for block in blocks[1:]:
-                rows = [self._cross(left, right) for left, right in zip(rows, block.split(split))]
-            return rows
-
-        return FeatureBlock(
-            name="x".join(block.name for block in blocks),
-            train=cross_split("train"),
-            test=cross_split("test"),
-        )
+        return cross_feature_blocks([self._input(inputs, name) for name in self.sources])
 
 
 class UDFFeatureExtractor(Operator):
@@ -401,10 +397,10 @@ class UDFFeatureExtractor(Operator):
 
     def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
         dataset: Dataset = self._input(inputs, self.rows)
-        return FeatureBlock(
-            name=self.udf.name,
-            train=[dict(self.udf(record)) for record in dataset.train],
-            test=[dict(self.udf(record)) for record in dataset.test],
+        return FeatureBlock.from_rows(
+            self.udf.name,
+            [dict(self.udf(record)) for record in dataset.train],
+            [dict(self.udf(record)) for record in dataset.test],
         )
 
 
@@ -475,7 +471,7 @@ class DenseFeaturizer(Operator):
     def _weights(self) -> tuple:
         return _dense_weights(self.seed, len(self.fields), self.embed_dim)
 
-    def _embed(self, collection: DataCollection) -> List[Dict[str, float]]:
+    def _embed(self, collection: DataCollection) -> Csr:
         projection, hidden = self._weights()
         matrix = np.array(
             [[float(record[field]) for field in self.fields] for record in collection],
@@ -484,16 +480,15 @@ class DenseFeaturizer(Operator):
         state = np.tanh(matrix @ projection)
         for _ in range(self.passes):
             state = np.tanh(state @ hidden)
-        keys = [f"emb{j}" for j in range(self.out_features)]
-        return [dict(zip(keys, row)) for row in state[:, : self.out_features].tolist()]
+        width = self.out_features
+        return Csr.build(
+            np.full(len(collection), width), np.tile(np.arange(width), len(collection)), state[:, :width].ravel()
+        )
 
     def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
         dataset: Dataset = self._input(inputs, self.rows)
-        return FeatureBlock(
-            name=f"dense{self.embed_dim}",
-            train=self._embed(dataset.train),
-            test=self._embed(dataset.test),
-        )
+        keys = [f"emb{j}" for j in range(self.out_features)]
+        return FeatureBlock.build(f"dense{self.embed_dim}", keys, self._embed(dataset.train), self._embed(dataset.test))
 
 
 class GroupByAggregate(Operator):
@@ -597,14 +592,15 @@ class TrainedModel:
     model: Any
     hyperparams: Dict[str, Any]
 
-    def transform(self, feature_dicts: Sequence[Mapping[str, float]]) -> np.ndarray:
-        matrix = self.vectorizer.transform(feature_dicts)
+    def transform(self, features: FeatureBlock, split: str) -> np.ndarray:
+        """The model's input matrix for ``split`` of a feature block."""
+        matrix = self.vectorizer.transform(features, split)
         if self.scaler is not None:
             matrix = self.scaler.transform(matrix)
         return matrix
 
-    def predict(self, feature_dicts: Sequence[Mapping[str, float]]) -> List[Any]:
-        predictions = self.model.predict(self.transform(feature_dicts))
+    def predict(self, features: FeatureBlock, split: str) -> List[Any]:
+        predictions = self.model.predict(self.transform(features, split))
         # One bulk conversion to Python scalars: a list of ``np.int64`` objects
         # pickles and compares an order of magnitude slower than ints.
         return predictions.tolist() if isinstance(predictions, np.ndarray) else list(predictions)
@@ -657,15 +653,14 @@ class Learner(Operator):
 
     def apply(self, inputs: Dict[str, Any]) -> TrainedModel:
         examples: ExampleCollection = self._input(inputs, self.examples)
-        train_features, train_labels = examples.split("train")
         vectorizer = DictVectorizer()
-        matrix = vectorizer.fit_transform(train_features)
+        matrix = vectorizer.fit_transform(examples.features, "train")
         scaler = None
         if self.standardize and self.model_type != "naive_bayes":
             scaler = StandardScaler()
             matrix = scaler.fit_transform(matrix)
         model = self._build_model()
-        model.fit(matrix, train_labels)
+        model.fit(matrix, examples.labels.train)
         return TrainedModel(
             model_type=self.model_type,
             vectorizer=vectorizer,
@@ -710,9 +705,8 @@ class ClusterLearner(Operator):
 
     def apply(self, inputs: Dict[str, Any]) -> TrainedModel:
         examples: ExampleCollection = self._input(inputs, self.examples)
-        train_features, _train_labels = examples.split("train")
         vectorizer = DictVectorizer()
-        matrix = vectorizer.fit_transform(train_features)
+        matrix = vectorizer.fit_transform(examples.features, "train")
         scaler = None
         if self.standardize:
             scaler = StandardScaler()
@@ -743,14 +737,12 @@ class ClusterAssigner(Operator):
     def apply(self, inputs: Dict[str, Any]) -> PredictionSet:
         model: TrainedModel = self._input(inputs, self.model)
         examples: ExampleCollection = self._input(inputs, self.examples)
-        train_features, train_labels = examples.split("train")
-        test_features, test_labels = examples.split("test")
         return PredictionSet(
             name="cluster_assignments",
-            train_predictions=model.predict(train_features),
-            train_labels=list(train_labels),
-            test_predictions=model.predict(test_features),
-            test_labels=list(test_labels),
+            train_predictions=model.predict(examples.features, "train"),
+            train_labels=list(examples.labels.train),
+            test_predictions=model.predict(examples.features, "test"),
+            test_labels=list(examples.labels.test),
         )
 
 
@@ -769,14 +761,12 @@ class Predictor(Operator):
     def apply(self, inputs: Dict[str, Any]) -> PredictionSet:
         model: TrainedModel = self._input(inputs, self.model)
         examples: ExampleCollection = self._input(inputs, self.examples)
-        train_features, train_labels = examples.split("train")
-        test_features, test_labels = examples.split("test")
         return PredictionSet(
             name="predictions",
-            train_predictions=model.predict(train_features),
-            train_labels=list(train_labels),
-            test_predictions=model.predict(test_features),
-            test_labels=list(test_labels),
+            train_predictions=model.predict(examples.features, "train"),
+            train_labels=list(examples.labels.train),
+            test_predictions=model.predict(examples.features, "test"),
+            test_labels=list(examples.labels.test),
         )
 
 

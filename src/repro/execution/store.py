@@ -47,7 +47,7 @@ from repro.storage.catalog import (  # noqa: F401  (re-exported schema surface)
     refuse_legacy_root,
     sqlite_catalog_path,
 )
-from repro.storage.codecs import DEFAULT_CODEC_ID, CodecRegistry, default_registry
+from repro.storage.codecs import DEFAULT_CODEC_ID, RETIRED_CODECS, CodecRegistry, default_registry
 from repro.storage.tiered import TieredStore
 
 #: Buffered access-metadata touches are written to the catalog in batches of
@@ -382,12 +382,17 @@ class ArtifactStore(ChunkStoreOps):
     def _reconcile(self) -> None:
         """Purge rows whose payload is gone (wiped directory, memory backend
         from a previous process, a crash between a backend delete and its
-        catalog delete) so the planner never plans a LOAD that cannot succeed."""
-        stale = [
-            meta.signature
-            for meta in self._db.all_artifacts()
-            if not self._backend.contains(meta.filename)
-        ]
+        catalog delete) so the planner never plans a LOAD that cannot succeed.
+        Rows written with a retired codec go too, payload and all: the planner
+        then recomputes those nodes instead of planning a LOAD :meth:`get`
+        would refuse."""
+        stale = []
+        for meta in self._db.all_artifacts():
+            if meta.codec in RETIRED_CODECS:
+                self._backend.delete(meta.filename)
+            elif self._backend.contains(meta.filename):
+                continue
+            stale.append(meta.signature)
         if stale:
             self._db.delete_artifacts(stale)
 
@@ -661,6 +666,11 @@ class ArtifactStore(ChunkStoreOps):
         the catalog per read.
         """
         meta = self.meta(signature)
+        if meta.codec in RETIRED_CODECS:
+            raise StorageError(
+                f"artifact {signature} was written with the retired codec {meta.codec!r}, "
+                "which this version cannot decode; reopen the store to drop it"
+            )
         started = time.perf_counter()
         with self._lock:
             hot = self._hot_values.get(meta.filename)

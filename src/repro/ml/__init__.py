@@ -5,7 +5,8 @@ this reproduction implements the learners it needs directly so the whole stack
 runs offline:
 
 * :class:`~repro.ml.vectorizer.DictVectorizer` / :class:`~repro.ml.vectorizer.FeatureHasher`
-  — convert human-readable feature dictionaries to numeric matrices.
+  — convert human-readable features (feature blocks, or dictionaries) to
+  numeric matrices.
 * :class:`~repro.ml.scaler.StandardScaler` — feature standardization.
 * :class:`~repro.ml.linear.LogisticRegression`, :class:`~repro.ml.linear.SoftmaxRegression`,
   :class:`~repro.ml.linear.LinearRegression` — L2-regularized linear learners

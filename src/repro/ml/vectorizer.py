@@ -1,68 +1,69 @@
-"""Converters from feature dictionaries to numeric matrices."""
+"""Converters from feature blocks (or feature dictionaries) to numeric matrices."""
 
 from __future__ import annotations
 
 import hashlib
-from itertools import chain, repeat
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.dataflow.features import Csr, FeatureBlock
 from repro.errors import MLError, NotFittedError
+
+#: What :class:`DictVectorizer` reads: one split of a feature block, or a
+#: list of feature dicts (converted through :meth:`FeatureBlock.from_rows`).
+Rows = Union[FeatureBlock, Sequence[Mapping[str, float]]]
+
+
+def _split_of(rows: Rows, split: str) -> Tuple[Tuple[str, ...], Csr]:
+    if not isinstance(rows, FeatureBlock):
+        rows, split = FeatureBlock.from_rows("rows", rows, []), "train"
+    return rows.keys, rows.split(split)
 
 
 class DictVectorizer:
-    """Map feature dictionaries to dense numpy matrices.
+    """Map feature blocks to dense numpy matrices.
 
     Feature names observed during :meth:`fit` define the columns; unseen
     features at transform time are ignored (the standard behaviour for
     iterative ML development, where new features only take effect after the
-    learner node is re-fit).
+    learner node is re-fit).  Every method reads ``split`` of a
+    :class:`~repro.dataflow.features.FeatureBlock`, or a list of feature
+    dicts (``split`` then names nothing: the list is the split).
     """
 
     def __init__(self, sort_features: bool = True) -> None:
         self.sort_features = sort_features
         self.vocabulary_: Optional[Dict[str, int]] = None
 
-    def fit(self, rows: Sequence[Mapping[str, float]]) -> "DictVectorizer":
-        names: List[str] = []
-        seen = set()
-        for row in rows:
-            for key in row:
-                if key not in seen:
-                    seen.add(key)
-                    names.append(key)
+    def fit(self, rows: Rows, split: str) -> "DictVectorizer":
+        keys, csr = _split_of(rows, split)
+        used, first = np.unique(csr.indices, return_index=True)
         if self.sort_features:
-            names = sorted(names)
+            names = sorted(keys[index] for index in used.tolist())
+        else:  # first-appearance order
+            names = [keys[index] for index in used[np.argsort(first)].tolist()]
         self.vocabulary_ = {name: index for index, name in enumerate(names)}
         return self
 
-    def transform(self, rows: Sequence[Mapping[str, float]]) -> np.ndarray:
+    def transform(self, rows: Rows, split: str) -> np.ndarray:
         if self.vocabulary_ is None:
             raise NotFittedError("DictVectorizer.transform called before fit")
-        matrix = np.zeros((len(rows), len(self.vocabulary_)), dtype=np.float64)
-        # One pass each for row lengths, column indices (-1 = unseen key) and
-        # values, then a single scatter: the rows cross into NumPy once per
-        # batch, not once per feature value.
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        total = int(lengths.sum())
-        columns = np.fromiter(
-            map(self.vocabulary_.get, chain.from_iterable(rows), repeat(-1)),
-            dtype=np.intp,
-            count=total,
-        )
-        values = np.fromiter(
-            chain.from_iterable(row.values() for row in rows), dtype=np.float64, count=total
-        )
-        row_indices = np.repeat(np.arange(len(rows)), lengths)
-        if total and columns.min() < 0:
+        keys, csr = _split_of(rows, split)
+        matrix = np.zeros((len(csr), len(self.vocabulary_)), dtype=np.float64)
+        # One scatter of the block's (row, column, value) triples; -1 marks a
+        # key outside the vocabulary.
+        column_of = np.fromiter(map(self.vocabulary_.get, keys, [-1] * len(keys)), dtype=np.intp, count=len(keys))
+        columns = column_of[csr.indices]
+        row_indices, values = csr.row_ids(), csr.data
+        if len(columns) and columns.min() < 0:
             seen = columns >= 0
             row_indices, columns, values = row_indices[seen], columns[seen], values[seen]
         matrix[row_indices, columns] = values
         return matrix
 
-    def fit_transform(self, rows: Sequence[Mapping[str, float]]) -> np.ndarray:
-        return self.fit(rows).transform(rows)
+    def fit_transform(self, rows: Rows, split: str) -> np.ndarray:
+        return self.fit(rows, split).transform(rows, split)
 
     def feature_names(self) -> List[str]:
         if self.vocabulary_ is None:

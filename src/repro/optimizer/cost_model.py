@@ -130,31 +130,39 @@ class CostDefaults:
 
         value                  codec         enc ms  dec ms   bytes  dec MB/s
         ---------------------------------------------------------------------
-        one-hot block 6250x1   pickle          0.48    0.80   87783     110.1
-        one-hot block 6250x1   pickle+zlib*    0.73    0.84    8167       9.8
-        numeric block 6250x1   dense-block     2.28    2.51   50076      20.0
-        numeric block 6250x1   pickle          0.47    0.75   87624     117.2
-        numeric block 6250x1   pickle+zlib*    1.78    1.13   51573      45.6
-        dense block 6250x6     dense-block     3.87    4.79  300115      62.7
-        dense block 6250x6     pickle          1.29    2.49  437697     176.0
-        dense block 6250x6     pickle+zlib*   10.31    4.85  334673      69.0
-        dense chunk 390x6      dense-block     0.24    0.28   18834      67.6
-        dense chunk 390x6      pickle*         0.07    0.15   27433     181.4
-        dense chunk 390x6      pickle+zlib     0.54    0.28   20951      74.3
-        prediction set 6250    pickle*         0.19    0.12   25200     212.9
-        prediction set 6250    pickle+zlib     0.34    0.17    4001      23.9
-        ndarray 6250x6         numpy-raw*      0.02    0.01  300022   30400.4
-        ndarray 6250x6         pickle          0.01    0.01  300139   26307.2
-        ndarray 6250x6         pickle+zlib     8.29    1.70  289402     170.3
+        one-hot block 6250x1   pickle          0.03    0.02  125689    6070.2
+        one-hot block 6250x1   pickle+zlib*    0.62    0.30   18392      61.5
+        numeric block 6250x1   pickle          0.03    0.02  125507    6477.8
+        numeric block 6250x1   pickle+zlib*    1.77    0.50   58844     117.5
+        dense block 6250x6     pickle          0.04    0.03  500564   15774.2
+        dense block 6250x6     pickle+zlib*   13.90    2.56  300634     117.5
+        dense chunk 390x6      pickle*         0.05    0.03   31736     965.0
+        dense chunk 390x6      pickle+zlib     0.67    0.18   19279     108.5
+        prediction set 6250    pickle*         0.36    0.20   25200     123.5
+        prediction set 6250    pickle+zlib     0.58    0.29    4001      13.8
+        ndarray 6250x6         numpy-raw*      0.02    0.02  300022   19466.8
+        ndarray 6250x6         pickle          0.02    0.02  300139   16518.4
+        ndarray 6250x6         pickle+zlib     9.62    1.90  289402     151.9
+        census dataset 6250    pickle         10.52   14.72 1046879      71.1
+        census dataset 6250    pickle+zlib*   11.53   11.22  131299      11.7
+        census model           pickle*         0.03    0.03    8327     301.5
+        census model           pickle+zlib     0.10    0.05    3064      57.7
+        news corpus 60 docs    pickle          0.62    0.65   45295      69.8
+        news corpus 60 docs    pickle+zlib*    1.45    1.33    7525       5.7
+        sequence block 60 docs pickle          3.72    5.53  750258     135.7
+        sequence block 60 docs pickle+zlib*    7.39    7.10   78700      11.1
         (* = what codec=auto picks for that value)
 
-    and each row-dict codec's entry is Σ payload bytes / Σ decode seconds over
-    its row-dict rows above (``pickle`` 154, ``pickle+zlib`` 58,
-    ``dense-block`` 49 MB/s), rounded down to a multiple of 5.  ``pickle`` is
-    the fastest decoder of row-dict values; ``dense-block`` pays one Python
-    ``dict`` per row on top of its buffer read.  An ndarray decode is a
-    memcpy, so ``numpy-raw`` is bounded by the file read instead: 1.2-1.3
-    GB/s through ``ArtifactStore.get`` on a disk store (0.3-3.2 MB arrays).
+    and each pickled codec's entry is Σ payload bytes / Σ decode seconds over
+    the rows ``auto`` writes with that codec (marked ``*``: ``pickle`` 251,
+    ``pickle+zlib`` 26 MB/s), rounded down to a multiple of 5.  One codec
+    serves very different values, so it is priced by the values it actually
+    stores: a columnar feature block inflates and copies buffers (60-120 MB/s
+    of payload), while a ``Dataset``, a news corpus or a
+    ``SequenceFeatureBlock`` rebuilds Python objects (6-12 MB/s), and all of
+    them are written ``pickle+zlib``.  An ndarray decode is a memcpy, so
+    ``numpy-raw`` is bounded by the file read instead: 1.2-1.3 GB/s through
+    ``ArtifactStore.get`` on a disk store (0.3-3.2 MB arrays).
     Artifacts resident in a memory tier skip the disk entirely: their loads
     are priced at ``memory_read_overhead`` plus a memory-bandwidth copy —
     effectively zero next to any compute — which is exactly what widens the
@@ -178,10 +186,9 @@ class CostDefaults:
     memory_bandwidth: float = 8e9
     codec_read_bandwidth: Mapping[str, float] = field(
         default_factory=lambda: {
-            "pickle": 150e6,
-            "pickle+zlib": 55e6,
+            "pickle": 250e6,
+            "pickle+zlib": 25e6,
             "numpy-raw": 1.2e9,
-            "dense-block": 45e6,
         }
     )
 

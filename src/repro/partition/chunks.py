@@ -24,10 +24,17 @@ Two invariants make the scheme correct:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.collection import DataCollection, Dataset
-from repro.dataflow.features import ExampleCollection, FeatureBlock, LabelBlock, PredictionSet
+from repro.dataflow.features import (
+    ExampleCollection,
+    FeatureBlock,
+    LabelBlock,
+    PredictionSet,
+    concat_feature_blocks,
+)
 from repro.dataflow.sequences import (
     SequenceCorpus,
     SequenceExampleSet,
@@ -93,47 +100,50 @@ class PartitionedValue:
 Shape = Tuple[Tuple[int, ...], ...]
 
 
+def _cuts(n_rows: int, counts: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of each chunk of ``counts`` rows."""
+    if sum(counts) != n_rows:
+        raise DataError(f"shape wants {sum(counts)} rows but value has {n_rows}")
+    stops = list(accumulate(counts))
+    return list(zip([0] + stops[:-1], stops))
+
+
 def _split_list(rows: Sequence[Any], counts: Sequence[int]) -> List[List[Any]]:
-    if sum(counts) != len(rows):
-        raise DataError(f"shape wants {sum(counts)} rows but value has {len(rows)}")
-    out = []
-    start = 0
-    for count in counts:
-        out.append(list(rows[start:start + count]))
-        start += count
-    return out
+    return [list(rows[start:stop]) for start, stop in _cuts(len(rows), counts)]
 
 
 def _block_counts(n_items: int, n_parts: int) -> Tuple[int, ...]:
     return tuple(end - start for start, end in block_slices(n_items, n_parts))
 
 
-def _two_axis(value: Any) -> Optional[Tuple[List[Any], List[Any]]]:
-    """(train rows, test rows) for split-carrying values, else ``None``."""
+def _two_axis(value: Any) -> Optional[Tuple[Sequence[Any], Sequence[Any]]]:
+    """(train, test) row axes for split-carrying values, else ``None``; not
+    copied (a feature block answers its :class:`~repro.dataflow.features.Csr`
+    splits, whose ``len`` is the row count)."""
     if isinstance(value, (Dataset, FeatureBlock, LabelBlock, SequenceCorpus, SequenceFeatureBlock)):
-        return list(value.train), list(value.test)
-    if isinstance(value, ExampleCollection):
-        return list(value.features.train), list(value.features.test)
-    if isinstance(value, SequenceExampleSet):
-        return list(value.features.train), list(value.features.test)
-    if isinstance(value, PredictionSet):
-        return list(value.train_predictions), list(value.test_predictions)
-    if isinstance(value, SequencePredictions):
-        return list(value.train_predictions), list(value.test_predictions)
+        return value.train, value.test
+    if isinstance(value, (ExampleCollection, SequenceExampleSet)):
+        return value.features.train, value.features.test
+    if isinstance(value, (PredictionSet, SequencePredictions)):
+        return value.train_predictions, value.test_predictions
     return None
 
 
 def axis_rows(value: Any) -> Optional[List[List[Any]]]:
     """The value's rows, one list per row axis, or ``None`` if not row-shaped.
 
-    Split-carrying values answer ``[train rows, test rows]``; flat
-    collections answer a single axis.  This is the row view the incremental
-    delta detector fingerprints: hashing axis-by-axis in this order matches
-    exactly how :func:`split_value` slices the value into chunks.
+    Split-carrying values answer ``[train rows, test rows]`` (feature blocks
+    as their row dicts); flat collections answer a single axis.  This is the
+    row view the incremental delta detector fingerprints: hashing
+    axis-by-axis in this order matches exactly how :func:`split_value`
+    slices the value into chunks.
     """
+    block = value.features if isinstance(value, ExampleCollection) else value
+    if isinstance(block, FeatureBlock):
+        return [block.rows("train"), block.rows("test")]
     two = _two_axis(value)
     if two is not None:
-        return [two[0], two[1]]
+        return [list(two[0]), list(two[1])]
     if isinstance(value, PartitionedCollection):
         return [list(value.coalesce())]
     if isinstance(value, DataCollection):
@@ -241,10 +251,16 @@ def _split(value: Any, n: int, shape: Optional[Shape]) -> Optional[List[Any]]:
     if isinstance(value, DataCollection):
         parts = _split_list(value.records(), _axis_counts(len(value), n, shape, 0))
         return [DataCollection(part, schema=value.schema, name=value.name) for part in parts]
-    if isinstance(value, (FeatureBlock, SequenceFeatureBlock)):
+    if isinstance(value, FeatureBlock):
+        trains, tests = (
+            [csr.slice(start, stop) for start, stop in _cuts(len(csr), _axis_counts(len(csr), n, shape, axis))]
+            for axis, csr in enumerate((value.train, value.test))
+        )
+        return [FeatureBlock(value.name, value.keys, trains[i], tests[i]) for i in range(n)]
+    if isinstance(value, SequenceFeatureBlock):
         trains = _split_list(value.train, _axis_counts(len(value.train), n, shape, 0))
         tests = _split_list(value.test, _axis_counts(len(value.test), n, shape, 1))
-        return [type(value)(name=value.name, train=trains[i], test=tests[i]) for i in range(n)]
+        return [SequenceFeatureBlock(name=value.name, train=trains[i], test=tests[i]) for i in range(n)]
     if isinstance(value, LabelBlock):
         trains = _split_list(value.train, _axis_counts(len(value.train), n, shape, 0))
         tests = _split_list(value.test, _axis_counts(len(value.test), n, shape, 1))
@@ -322,8 +338,10 @@ def merge_value(chunks: Sequence[Any]) -> Any:
             schema=first.schema,
             name=first.name,
         )
-    if isinstance(first, (FeatureBlock, SequenceFeatureBlock)):
-        return type(first)(
+    if isinstance(first, FeatureBlock):
+        return concat_feature_blocks(chunks)
+    if isinstance(first, SequenceFeatureBlock):
+        return SequenceFeatureBlock(
             name=first.name,
             train=[row for c in chunks for row in c.train],
             test=[row for c in chunks for row in c.test],

@@ -132,7 +132,7 @@ class BucketizerCombiner(Combiner):
 
     def partial(self, operator: Bucketizer, inputs: Dict[str, Any]) -> Dict[str, float]:
         block: FeatureBlock = inputs[operator.source]
-        values = [row.get("value", 0.0) for row in block.train]
+        values = block.column("train", "value").tolist()
         if not values:
             return {"count": 0, "low": float("inf"), "high": float("-inf")}
         return {"count": len(values), "low": min(values), "high": max(values)}
@@ -142,24 +142,10 @@ class BucketizerCombiner(Combiner):
             raise ExecutionError("Bucketizer received an empty train split")
         low = min(partial["low"] for partial in partials)
         high = max(partial["high"] for partial in partials)
-        if high == low:
-            high = low + 1.0
-        return np.linspace(low, high, operator.bins + 1)
+        return operator.edges(low, high)
 
     def finalize_chunk(self, operator: Bucketizer, state: np.ndarray, inputs: Dict[str, Any]) -> FeatureBlock:
-        block: FeatureBlock = inputs[operator.source]
-        edges = state
-
-        def bucket(row: Mapping[str, float]) -> Dict[str, float]:
-            value = row.get("value", 0.0)
-            index = int(np.clip(np.searchsorted(edges, value, side="right") - 1, 0, operator.bins - 1))
-            return {f"bucket={index}": 1.0}
-
-        return FeatureBlock(
-            name=f"{block.name}_bucket",
-            train=[bucket(row) for row in block.train],
-            test=[bucket(row) for row in block.test],
-        )
+        return operator.bucketize(inputs[operator.source], state)
 
 
 class PartialApply:

@@ -12,10 +12,8 @@ here:
 * :class:`TieredStore` — memory over disk: write-through on put,
   promote-on-read, demote-coldest-first when the memory tier fills;
 * :class:`CodecRegistry` — per-artifact serialization (``pickle``,
-  ``pickle+zlib``, a raw-buffer fast path for NumPy arrays, and a dense
-  matrix encoding for :class:`~repro.dsl.operators.DenseFeaturizer` feature
-  blocks), with the chosen codec id recorded in the artifact catalog so
-  reads self-describe;
+  ``pickle+zlib`` and a raw-buffer fast path for NumPy arrays), with the
+  chosen codec id recorded in the artifact catalog so reads self-describe;
 * :class:`CatalogDB` — the workspace metadata plane: one WAL-mode SQLite
   database holding the artifact catalog, chunk inventory, cache-ownership
   tables, trace-run index, and input fingerprints, shared safely by
@@ -38,7 +36,6 @@ from repro.storage.catalog import (
 from repro.storage.codecs import (
     Codec,
     CodecRegistry,
-    DenseBlockCodec,
     PickleCodec,
     NumpyRawCodec,
     ZlibPickleCodec,
@@ -52,7 +49,6 @@ __all__ = [
     "CatalogDB",
     "Codec",
     "CodecRegistry",
-    "DenseBlockCodec",
     "DiskBackend",
     "MemoryBackend",
     "NumpyRawCodec",

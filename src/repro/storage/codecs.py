@@ -6,7 +6,7 @@ artifacts paid pickle's per-object overhead on every reuse.  A :class:`Codec`
 encapsulates one encoding; the :class:`CodecRegistry` picks the codec for a
 value by one rule (``"auto"``), and the chosen codec *id* is recorded next to
 the artifact in the catalog so reads self-describe — a workspace written by
-an older version, whatever codec it picked, reads fine.
+an older version reads fine unless its codec is retired (below).
 
 Built-in codecs:
 
@@ -19,14 +19,11 @@ Built-in codecs:
 ``numpy-raw``
     C-contiguous :class:`numpy.ndarray` values as a tiny header plus the raw
     buffer — decode is one ``frombuffer`` with no object reconstruction.
-``dense-block``
-    :class:`~repro.dataflow.features.FeatureBlock` values whose rows all
-    share one feature-key tuple of floats — exactly what
-    :class:`~repro.dsl.operators.DenseFeaturizer` emits.  Rows are packed
-    into one float64 matrix, which is the smallest uncompressed payload but
-    not the fastest: pickle decodes the same rows quicker (see the measured
-    table in ``docs/storage.md``), so ``"auto"`` never picks it.  It stays a
-    decoder for stores that already hold it.
+
+A feature block is pickled like any other value: it is a key tuple plus
+NumPy arrays (see :mod:`repro.dataflow.features`), so pickle already copies
+its buffers whole.  Catalog rows naming a codec in :data:`RETIRED_CODECS`
+are refused on read with a typed error.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,6 +39,9 @@ from repro.errors import StorageError
 
 #: Catalog codec id every pre-storage-layer workspace implicitly used.
 DEFAULT_CODEC_ID = "pickle"
+
+#: Codec ids earlier versions wrote that this one no longer decodes.
+RETIRED_CODECS = frozenset({"dense-block"})
 
 
 class Codec:
@@ -122,77 +121,6 @@ class NumpyRawCodec(Codec):
             raise StorageError(f"corrupt numpy-raw payload: {exc}") from exc
 
 
-class DenseBlockCodec(Codec):
-    """Matrix encoding for feature blocks with one uniform float schema.
-
-    :class:`~repro.dsl.operators.DenseFeaturizer` emits one ``emb0..embN``
-    float dict per record — the same keys for every row — so the whole block
-    is really one dense matrix plus a key list.  Encoding packs exactly
-    that; rows with heterogenous keys (one-hot extractors) are not handled.
-    Never chosen by ``"auto"`` — see the module docstring.
-    """
-
-    id = "dense-block"
-
-    @staticmethod
-    def _schema(value: Any) -> Optional[Tuple[str, ...]]:
-        """The key tuple that every row of both splits shares, all values
-        being floats — else ``None``."""
-        from repro.dataflow.features import FeatureBlock
-
-        if not isinstance(value, FeatureBlock) or not len(value):
-            return None
-        rows = (*value.train, *value.test)
-        keys = tuple(rows[0])
-        if not all(map(keys.__eq__, map(tuple, rows))):
-            return None
-        if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {float}:
-            return None
-        return keys
-
-    def handles(self, value: Any) -> bool:
-        return self._schema(value) is not None
-
-    def encode(self, value: Any) -> bytes:
-        keys = self._schema(value)
-        if keys is None:
-            raise StorageError(
-                f"dense-block codec cannot encode {type(value).__name__}: "
-                "it needs a feature block whose rows share one uniform float schema"
-            )
-        header = pickle.dumps(
-            {
-                "name": value.name,
-                "keys": list(keys),
-                "n_train": len(value.train),
-                "n_test": len(value.test),
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        # Rows share ``keys`` in order, so their values are the matrix rows.
-        matrix = np.fromiter(
-            chain.from_iterable(row.values() for row in (*value.train, *value.test)),
-            dtype=np.float64,
-            count=len(value) * len(keys),
-        )
-        return struct.pack("<I", len(header)) + header + matrix.tobytes()
-
-    def decode(self, payload: bytes) -> Any:
-        from repro.dataflow.features import FeatureBlock
-
-        try:
-            (header_len,) = struct.unpack_from("<I", payload, 0)
-            header = pickle.loads(payload[4 : 4 + header_len])
-            keys = header["keys"]
-            n_train, n_test = header["n_train"], header["n_test"]
-            matrix = np.frombuffer(payload, dtype=np.float64, offset=4 + header_len)
-            matrix = matrix.reshape(n_train + n_test, len(keys))
-            rows = [dict(zip(keys, row)) for row in matrix.tolist()]
-        except (struct.error, ValueError, KeyError, pickle.UnpicklingError) as exc:
-            raise StorageError(f"corrupt dense-block payload: {exc}") from exc
-        return FeatureBlock(name=header["name"], train=rows[:n_train], test=rows[n_train:])
-
-
 class CodecRegistry:
     """Maps codec ids to codecs and picks one per artifact value.
 
@@ -206,7 +134,7 @@ class CodecRegistry:
         self.compress_threshold = compress_threshold
         self.compress_ratio = compress_ratio
         self._codecs: Dict[str, Codec] = {}
-        for codec in (PickleCodec(), ZlibPickleCodec(), NumpyRawCodec(), DenseBlockCodec()):
+        for codec in (PickleCodec(), ZlibPickleCodec(), NumpyRawCodec()):
             self.register(codec)
 
     def register(self, codec: Codec) -> None:

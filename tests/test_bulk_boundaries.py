@@ -1,95 +1,48 @@
 """Rows cross into NumPy once per batch — and nothing NumPy-typed leaks back.
 
-Four row<->array boundaries were rewritten from per-element loops to one bulk
+Row<->array boundaries were rewritten from per-element loops to one bulk
 call each (``TrainedModel.predict``, ``DictVectorizer.transform``,
-``Bucketizer.apply``, the ``dense-block`` codec).  The per-element
-implementations they replaced live on here as references; the bulk ones must
-equal them bit for bit.  The contract that makes the first of them stick:
-no node of the example workflows outputs a ``numpy.generic`` scalar, which
-pickles and compares an order of magnitude slower than the Python value.
+``Bucketizer.apply``); the per-element implementations they replaced live on
+in ``reference_features.py``, and the bulk ones must equal them bit for bit.
+The contract that makes the first of them stick: no node of the example
+workflows outputs a ``numpy.generic`` scalar, which pickles and compares an
+order of magnitude slower than the Python value.  Feature blocks have since
+become columnar, so the ``dense-block`` codec that packed their dict rows is
+retired: a store drops such rows when it opens, and refuses to decode one.
 """
 
 import contextlib
 import os
-import pickle
-import struct
 from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_features as ref
 from reference_interpreter import interpret
+from repro.core.session import HelixSession
 from repro.dataflow.features import FeatureBlock, PredictionSet
 from repro.datagen.census import CensusConfig
 from repro.datagen.news import NewsConfig
 from repro.dsl.operators import Bucketizer, TrainedModel
+from repro.errors import StorageError
 from repro.execution.store import ArtifactStore
+from repro.graph.dag import NodeState
 from repro.ml.vectorizer import DictVectorizer
 from repro.optimizer.cost_model import CostDefaults
-from repro.storage.codecs import DenseBlockCodec, ZlibPickleCodec, default_registry
+from repro.storage.codecs import ZlibPickleCodec, default_registry
 from repro.workloads.census_workload import (
     CensusVariant,
     build_census_workflow,
     build_dense_census_workflow,
 )
 from repro.workloads.ie_workload import IEVariant, build_ie_workflow
-from test_storage_properties import dense_blocks
 
 SMOKE_CENSUS = CensusConfig(n_train=240, n_test=60, seed=7)
 SMOKE_NEWS = NewsConfig(n_train_docs=6, n_test_docs=3, seed=7)
-
-
-# ---------------------------------------------------------------------------
-# References: the per-element implementations the bulk ones replaced
-# ---------------------------------------------------------------------------
-def reference_transform(vectorizer, rows):
-    matrix = np.zeros((len(rows), len(vectorizer.vocabulary_)), dtype=np.float64)
-    for row_index, row in enumerate(rows):
-        for key, value in row.items():
-            column = vectorizer.vocabulary_.get(key)
-            if column is not None:
-                matrix[row_index, column] = float(value)
-    return matrix
-
-
-def reference_bucketize(block, bins):
-    train_values = [row.get("value", 0.0) for row in block.train]
-    low, high = min(train_values), max(train_values)
-    if high == low:
-        high = low + 1.0
-    edges = np.linspace(low, high, bins + 1)
-
-    def bucket(row):
-        value = row.get("value", 0.0)
-        index = int(np.clip(np.searchsorted(edges, value, side="right") - 1, 0, bins - 1))
-        return {f"bucket={index}": 1.0}
-
-    return FeatureBlock(
-        name=f"{block.name}_bucket",
-        train=[bucket(row) for row in block.train],
-        test=[bucket(row) for row in block.test],
-    )
-
-
-def reference_dense_block_encode(value):
-    keys = tuple(value.train[0]) if value.train else tuple(value.test[0])
-    header = pickle.dumps(
-        {
-            "name": value.name,
-            "keys": list(keys),
-            "n_train": len(value.train),
-            "n_test": len(value.test),
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    matrix = np.array(
-        [[row[key] for key in keys] for row in (*value.train, *value.test)],
-        dtype=np.float64,
-    )
-    return struct.pack("<I", len(header)) + header + matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +147,21 @@ class TestBulkDictVectorizer:
     @given(fit_rows=feature_rows, rows=feature_rows, sort_features=st.booleans(), proxy=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_transform_equals_the_double_loop(self, fit_rows, rows, sort_features, proxy):
-        vectorizer = DictVectorizer(sort_features=sort_features).fit(fit_rows)
+        vectorizer = DictVectorizer(sort_features=sort_features).fit(fit_rows, "train")
         if proxy:
             rows = [MappingProxyType(row) for row in rows]
-        bulk = vectorizer.transform(rows)
-        reference = reference_transform(vectorizer, rows)
+        bulk = vectorizer.transform(rows, "train")
+        reference = ref.transform_per_element(vectorizer.vocabulary_, rows)
         assert bulk.dtype == reference.dtype and bulk.shape == reference.shape
         assert bulk.tobytes() == reference.tobytes()
 
     def test_edges(self):
-        vectorizer = DictVectorizer().fit([{"a": 1.0, "b": 2.0}])
-        assert vectorizer.transform([]).shape == (0, 2)
-        assert vectorizer.transform([{}, {}]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert vectorizer.transform([{"zzz": 9.0}]).tolist() == [[0.0, 0.0]]  # all keys unseen
-        assert vectorizer.transform([{"b": True, "a": 3}]).tolist() == [[3.0, 1.0]]
-        assert DictVectorizer().fit([]).transform([{"a": 1.0}]).shape == (1, 0)
+        vectorizer = DictVectorizer().fit([{"a": 1.0, "b": 2.0}], "train")
+        assert vectorizer.transform([], "train").shape == (0, 2)
+        assert vectorizer.transform([{}, {}], "train").tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert vectorizer.transform([{"zzz": 9.0}], "train").tolist() == [[0.0, 0.0]]  # all keys unseen
+        assert vectorizer.transform([{"b": True, "a": 3}], "train").tolist() == [[3.0, 1.0]]
+        assert DictVectorizer().fit([], "train").transform([{"a": 1.0}], "train").shape == (1, 0)
 
 
 bucket_values = st.one_of(
@@ -225,22 +178,25 @@ bucket_rows = st.lists(
 )
 
 
+def reference_bucketize(block, bins):
+    return ref.bucketize(block.rows("train"), block.rows("test"), bins)
+
+
 class TestBulkBucketizer:
     @given(train=bucket_rows.filter(bool), test=bucket_rows, bins=st.integers(1, 12))
     @settings(max_examples=300, deadline=None)
     def test_apply_equals_the_per_row_reference(self, train, test, bins):
-        block = FeatureBlock(name="age", train=train, test=test)
+        block = FeatureBlock.from_rows("age", train, test)
         bulk = Bucketizer("age", bins=bins).apply({"age": block})
-        reference = reference_bucketize(block, bins)
-        assert bulk.name == reference.name
-        assert bulk.train == reference.train and bulk.test == reference.test
+        assert bulk.name == "age_bucket"
+        assert (bulk.rows("train"), bulk.rows("test")) == reference_bucketize(block, bins)
 
     def test_edges(self):
         def bucket(train, test, bins=4):
-            block = FeatureBlock("x", [{"value": v} for v in train], [{"value": v} for v in test])
+            block = FeatureBlock.from_rows("x", [{"value": v} for v in train], [{"value": v} for v in test])
             result = Bucketizer("x", bins=bins).apply({"x": block})
-            assert result == reference_bucketize(block, bins)
-            return [next(iter(row)) for row in result.test]
+            assert (result.rows("train"), result.rows("test")) == reference_bucketize(block, bins)
+            return [next(iter(row)) for row in result.rows("test")]
 
         # On an edge, below and above the train range, and a constant column.
         assert bucket([0.0, 4.0], [0.0, 1.0, 2.0, 4.0, -3.0, 9.0]) == [
@@ -250,57 +206,80 @@ class TestBulkBucketizer:
         assert bucket([0.0, 1.0], [float("nan")]) == ["bucket=3"]
 
     def test_rows_are_distinct_dicts(self):
-        block = FeatureBlock("x", [{"value": 1.0}, {"value": 1.0}], [])
-        first, second = Bucketizer("x", bins=2).apply({"x": block}).train
+        block = FeatureBlock.from_rows("x", [{"value": 1.0}, {"value": 1.0}], [])
+        first, second = Bucketizer("x", bins=2).apply({"x": block}).rows("train")
         assert first == second and first is not second
 
 
 # ---------------------------------------------------------------------------
-# (c) dense-block: same bytes out, old stores still read
+# (c) dense-block is retired: its rows are dropped and recomputed, old pickles load
 # ---------------------------------------------------------------------------
-class TestDenseBlockCodec:
-    @given(dense_blocks())
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_bulk_encode_is_byte_identical_and_round_trips(self, block):
-        codec = DenseBlockCodec()
-        payload = codec.encode(block)
-        assert payload == reference_dense_block_encode(block)
-        loaded = codec.decode(payload)
-        assert loaded == block
-        assert {type(v) for row in (*loaded.train, *loaded.test) for v in row.values()} <= {float}
+def dict_layout_block(name, train, test):
+    """A ``FeatureBlock`` as the one-dict-per-row layout pickled it."""
+    block = FeatureBlock.__new__(FeatureBlock)
+    block.__dict__.update(name=name, train=train, test=test)
+    return block
 
-    def test_store_written_under_the_previous_auto_rule_still_loads(self, tmp_path):
-        """Before this change ``auto`` wrote uniform float blocks as
-        ``dense-block`` and large compressible values as ``pickle+zlib``; a
-        store holding such rows reads back bit-identically."""
-        rng = np.random.default_rng(5)
-        keys = [f"emb{index}" for index in range(6)]
-        rows = [dict(zip(keys, row)) for row in rng.standard_normal((400, 6)).tolist()]
-        dense = FeatureBlock(name="dense64", train=rows[:320], test=rows[320:])
-        one_hot = FeatureBlock(
-            name="occupation",
-            train=[{f"occupation={index % 7}": 1.0} for index in range(6000)],
-            test=[],
-        )
+
+class TestRetiredDenseBlockCodec:
+    def test_a_dense_block_row_is_refused_by_name(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        store.put_bytes("dense-sig", "dense", b"\x00" * 64, codec="dense-block")
+        with pytest.raises(StorageError, match=r"dense-sig.*retired codec 'dense-block'"):
+            store.get("dense-sig")
+        assert "dense-block" not in default_registry().ids()
+
+    def test_reopening_drops_dense_block_rows_and_payloads(self, tmp_path):
         root = str(tmp_path / "store")
         writer = ArtifactStore(root)
-        writer.put_bytes("dense", "dense", reference_dense_block_encode(dense), codec="dense-block")
-        writer.put_bytes("onehot", "occ", ZlibPickleCodec().encode(one_hot), codec="pickle+zlib")
+        writer.put_bytes("dense-sig", "dense", b"\x00" * 64, codec="dense-block")
+        writer.put_bytes("kept-sig", "kept", default_registry().by_id("pickle").encode([1]), codec="pickle")
+        payload = writer.meta("dense-sig").filename
         writer.close()
+        reader = ArtifactStore(root)
+        assert reader.codecs_by_signature() == {"kept-sig": "pickle"}
+        assert not reader.backend.contains(payload)
+        assert reader.get("kept-sig")[0] == [1]
 
-        reader = ArtifactStore(root)  # reads follow the catalog's codec ids
-        assert reader.codecs_by_signature() == {"dense": "dense-block", "onehot": "pickle+zlib"}
-        loaded, _ = reader.get("dense")
-        assert loaded == dense
-        assert pickle.dumps(loaded) == pickle.dumps(dense)
-        assert reader.get("onehot")[0] == one_hot
+    def test_a_session_recomputes_a_dense_block_artifact(self, tmp_path):
+        """A node whose stored artifact names the retired codec is recomputed,
+        not LOADed, and the run's metrics are those of the run that stored it."""
+        workflow = EXAMPLE_WORKFLOWS["census"]()
+        workspace = str(tmp_path / "ws")
+        session = HelixSession(workspace=workspace)
+        first = session.run(workflow)
+        plan = session.plan(workflow)
+        loaded = [name for name in plan.compiled.nodes() if plan.state_of(name) is NodeState.LOAD]
+        assert loaded  # control: without the retired row the rerun would LOAD these
+        for name in loaded:
+            session.store.put_bytes(plan.compiled.signature_of(name), name, b"\x00" * 64, codec="dense-block")
+        session.close()
 
-    def test_auto_never_scans_feature_blocks_for_dense_block(self):
-        block = FeatureBlock(name="d", train=[{"emb0": 1.0}], test=[])
-        with mock.patch.object(DenseBlockCodec, "handles", side_effect=AssertionError("scanned")):
-            _, codec_id = default_registry().encode_value(block)
+        session = HelixSession(workspace=workspace)
+        result = session.run(workflow)
+        assert "dense-block" not in session.store.codecs_by_signature().values()
+        session.close()
+        assert result.metrics == first.metrics
+        for name in loaded:
+            assert result.report.node_stats[name].state is NodeState.COMPUTE
+
+    def test_a_pickled_dict_layout_block_still_loads(self, tmp_path):
+        """Before this change ``auto`` wrote large compressible blocks as
+        ``pickle+zlib`` of their row dicts; such a store reads back as the
+        equal columnar block."""
+        rows = [{f"occupation={index % 7}": 1.0} for index in range(6000)]
+        root = str(tmp_path / "store")
+        writer = ArtifactStore(root)
+        writer.put_bytes("onehot", "occ", ZlibPickleCodec().encode(dict_layout_block("occupation", rows, [])), codec="pickle+zlib")
+        writer.close()
+        loaded, _ = ArtifactStore(root).get("onehot")
+        assert loaded == FeatureBlock.from_rows("occupation", rows, [])
+        assert loaded.rows("train") == rows and len(loaded.keys) == 7
+
+    def test_auto_pickles_feature_blocks(self):
+        block = FeatureBlock.from_rows("d", [{"emb0": 1.0}], [])
+        _, codec_id = default_registry().encode_value(block)
         assert codec_id == "pickle"
-        assert default_registry().by_id("dense-block").handles(block)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +290,7 @@ class TestCodecCostTable:
         table = CostDefaults().codec_read_bandwidth
         assert sorted(table) == default_registry().ids()
         # The ordering the clock shows (scripts/measure_codecs.py).
-        assert table["numpy-raw"] > table["pickle"] > table["pickle+zlib"] >= table["dense-block"]
+        assert table["numpy-raw"] > table["pickle"] > table["pickle+zlib"]
 
     def test_docs_print_the_docstring_measurement(self):
         lines = CostDefaults.__doc__.splitlines()

@@ -14,30 +14,33 @@ from repro.errors import DataError
 
 @pytest.fixture
 def block_a():
-    return FeatureBlock(name="a", train=[{"x": 1.0}, {"x": 2.0}], test=[{"x": 3.0}])
+    return FeatureBlock.from_rows("a", [{"x": 1.0}, {"x": 2.0}], [{"x": 3.0}])
 
 
 @pytest.fixture
 def block_b():
-    return FeatureBlock(name="b", train=[{"y": 5.0}, {}], test=[{"y": 7.0}])
+    return FeatureBlock.from_rows("b", [{"y": 5.0}, {}], [{"y": 7.0}])
 
 
 class TestFeatureBlock:
     def test_split_access(self, block_a):
-        assert block_a.split("train") == [{"x": 1.0}, {"x": 2.0}]
-        assert block_a.split("test") == [{"x": 3.0}]
+        assert block_a.rows("train") == [{"x": 1.0}, {"x": 2.0}]
+        assert block_a.rows("test") == [{"x": 3.0}]
+        assert block_a.split("train").indptr.tolist() == [0, 1, 2]
+        assert block_a.split("test").data.tolist() == [3.0]
 
     def test_split_unknown_raises(self, block_a):
         with pytest.raises(DataError):
             block_a.split("validation")
+        with pytest.raises(DataError):
+            block_a.rows("validation")
 
     def test_feature_names_union(self, block_b):
         assert block_b.feature_names() == ["y"]
 
-    def test_map_values(self, block_a):
-        doubled = block_a.map_values(lambda name, value: value * 2)
-        assert doubled.train[0] == {"x": 2.0}
-        assert block_a.train[0] == {"x": 1.0}
+    def test_column_defaults_missing_keys(self, block_b):
+        assert block_b.column("train", "y").tolist() == [5.0, 0.0]
+        assert block_b.column("test", "nope").tolist() == [0.0]
 
     def test_len_counts_both_splits(self, block_a):
         assert len(block_a) == 3
@@ -46,20 +49,20 @@ class TestFeatureBlock:
 class TestMergeFeatureBlocks:
     def test_merge_namespaces_keys(self, block_a, block_b):
         merged = merge_feature_blocks([block_a, block_b])
-        assert merged.train[0] == {"a.x": 1.0, "b.y": 5.0}
-        assert merged.train[1] == {"a.x": 2.0}
-        assert merged.test[0] == {"a.x": 3.0, "b.y": 7.0}
+        assert merged.rows("train") == [{"a.x": 1.0, "b.y": 5.0}, {"a.x": 2.0}]
+        assert merged.rows("test") == [{"a.x": 3.0, "b.y": 7.0}]
 
-    def test_merge_without_prefix(self, block_a, block_b):
-        merged = merge_feature_blocks([block_a, block_b], prefix_with_block_name=False)
-        assert merged.train[0] == {"x": 1.0, "y": 5.0}
+    def test_merge_rejects_duplicate_block_names(self, block_a):
+        other = FeatureBlock.from_rows("a", [{"y": 1.0}, {"y": 2.0}], [{"y": 3.0}])
+        with pytest.raises(DataError, match="two feature blocks are named 'a'"):
+            merge_feature_blocks([block_a, other])
 
     def test_merge_empty_list_raises(self):
         with pytest.raises(DataError):
             merge_feature_blocks([])
 
     def test_merge_misaligned_blocks_raises(self, block_a):
-        short = FeatureBlock(name="short", train=[{"z": 1.0}], test=[{"z": 1.0}])
+        short = FeatureBlock.from_rows("short", [{"z": 1.0}], [{"z": 1.0}])
         with pytest.raises(DataError):
             merge_feature_blocks([block_a, short])
 
@@ -69,7 +72,7 @@ class TestExampleCollection:
         labels = LabelBlock(name="target", train=[0, 1], test=[1])
         examples = ExampleCollection(features=block_a, labels=labels)
         features, gold = examples.split("train")
-        assert features == block_a.train
+        assert features == block_a.rows("train")
         assert gold == [0, 1]
         assert examples.n_train() == 2
         assert examples.n_test() == 1

@@ -91,17 +91,17 @@ class TestSources:
 class TestExtractors:
     def test_field_extractor_numeric(self, rows_dataset):
         block = FieldExtractor("rows", field="age").apply({"rows": rows_dataset})
-        assert block.train[0] == {"value": 25.0}
+        assert block.rows("train")[0] == {"value": 25.0}
         assert len(block.test) == 2
 
     def test_field_extractor_categorical_one_hot(self, rows_dataset):
         block = FieldExtractor("rows", field="occupation").apply({"rows": rows_dataset})
-        assert block.train[0] == {"occupation=Sales": 1.0}
-        assert block.train[1] == {"occupation=Exec": 1.0}
+        assert block.rows("train")[0] == {"occupation=Sales": 1.0}
+        assert block.rows("train")[1] == {"occupation=Exec": 1.0}
 
     def test_field_extractor_forced_categorical(self, rows_dataset):
         block = FieldExtractor("rows", field="age", numeric=False).apply({"rows": rows_dataset})
-        assert block.train[0] == {"age=25.0": 1.0}
+        assert block.rows("train")[0] == {"age=25.0": 1.0}
 
     def test_label_extractor_produces_labels(self, rows_dataset):
         labels = LabelExtractor("rows", field="target").apply({"rows": rows_dataset})
@@ -115,19 +115,19 @@ class TestExtractors:
     def test_bucketizer_buckets_train_and_test_consistently(self, rows_dataset):
         age = FieldExtractor("rows", field="age").apply({"rows": rows_dataset})
         buckets = Bucketizer("age", bins=3).apply({"age": age})
-        assert all(len(row) == 1 and list(row.values()) == [1.0] for row in buckets.train)
+        assert all(len(row) == 1 and list(row.values()) == [1.0] for row in buckets.rows("train"))
         # min age (25) goes to bucket 0, max age (52) to the last bucket.
-        assert "bucket=0" in buckets.train[0]
-        assert "bucket=2" in buckets.train[3]
+        assert "bucket=0" in buckets.rows("train")[0]
+        assert "bucket=2" in buckets.rows("train")[3]
         # test-split values outside the train range are clipped into valid buckets.
-        assert all(list(row)[0].startswith("bucket=") for row in buckets.test)
+        assert all(list(row)[0].startswith("bucket=") for row in buckets.rows("test"))
 
     def test_bucketizer_invalid_bins_rejected(self):
         with pytest.raises(WorkflowError):
             Bucketizer("age", bins=0)
 
     def test_bucketizer_empty_train_raises(self):
-        empty = FeatureBlock(name="age", train=[], test=[])
+        empty = FeatureBlock.from_rows("age", [], [])
         with pytest.raises(ExecutionError):
             Bucketizer("age", bins=2).apply({"age": empty})
 
@@ -135,7 +135,7 @@ class TestExtractors:
         edu = FieldExtractor("rows", field="education").apply({"rows": rows_dataset})
         occ = FieldExtractor("rows", field="occupation").apply({"rows": rows_dataset})
         crossed = InteractionFeature(["edu", "occ"]).apply({"edu": edu, "occ": occ})
-        assert crossed.train[0] == {"education=HS&occupation=Sales": 1.0}
+        assert crossed.rows("train")[0] == {"education=HS&occupation=Sales": 1.0}
 
     def test_interaction_feature_requires_two_sources(self):
         with pytest.raises(WorkflowError):
@@ -146,7 +146,7 @@ class TestExtractors:
             return {"age_sq": record["age"] ** 2}
 
         block = UDFFeatureExtractor("rows", udf=age_squared).apply({"rows": rows_dataset})
-        assert block.train[0] == {"age_sq": 625.0}
+        assert block.rows("train")[0] == {"age_sq": 625.0}
         assert UDFFeatureExtractor("rows", udf=age_squared).udf_sources()[0].find("** 2") > 0
 
 
@@ -162,8 +162,8 @@ class TestAssemblerAndLearning:
         examples = self.build_examples(rows_dataset)
         assert isinstance(examples, ExampleCollection)
         assert examples.n_train() == 4 and examples.n_test() == 2
-        assert "age.value" in examples.features.train[0]
-        assert "occupation.occupation=Sales" in examples.features.train[0]
+        assert "age.value" in examples.features.rows("train")[0]
+        assert "occupation.occupation=Sales" in examples.features.rows("train")[0]
 
     def test_feature_assembler_requires_extractors(self):
         with pytest.raises(WorkflowError):
@@ -182,7 +182,7 @@ class TestAssemblerAndLearning:
         examples = self.build_examples(rows_dataset)
         model = Learner("examples", model_type="naive_bayes", alpha=0.5).apply({"examples": examples})
         assert model.scaler is None
-        assert len(model.predict(examples.features.test)) == 2
+        assert len(model.predict(examples.features, "test")) == 2
 
     def test_learner_unknown_model_type_rejected(self):
         with pytest.raises(WorkflowError):

@@ -73,7 +73,7 @@ class TestClusterOperators:
     def examples(self):
         X, labels = three_blobs(n_per_cluster=20, seed=3)
         rows = [{"x": float(point[0]), "y": float(point[1])} for point in X]
-        features = FeatureBlock(name="coords", train=rows[:45], test=rows[45:])
+        features = FeatureBlock.from_rows("coords", rows[:45], rows[45:])
         gold = LabelBlock(name="blob", train=labels[:45], test=labels[45:])
         return ExampleCollection(features=features, labels=gold)
 

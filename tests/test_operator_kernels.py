@@ -1,20 +1,23 @@
 """The operators' own fast kernels: weight memo, row emission, key memo.
 
 ``DenseFeaturizer`` memoises its seed-derived weights per process and
-``merge_feature_blocks`` memoises prefixed key tuples; both must stay
-bit-identical to the straightforward formulas they replaced, which are
-inlined here as the reference.
+``merge_feature_blocks`` interleaves CSR rows; both must stay bit-identical
+to the straightforward formulas they replaced (the embedding is inlined
+here, the dict-row merge lives in ``reference_features.py``).
 """
 
 import pickle
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.collection import DataCollection, Dataset
+import reference_features as ref
 from repro.dataflow.features import FeatureBlock, merge_feature_blocks
+from repro.errors import DataError
 from repro.dsl.operators import DenseFeaturizer, _dense_weights
 
 
@@ -43,16 +46,6 @@ def reference_embed(op, rows):
     return [
         {f"emb{j}": float(state[i, j]) for j in range(op.out_features)} for i in range(len(rows))
     ]
-
-
-def reference_merge(blocks, prefix_with_block_name):
-    merged = {"train": [{} for _ in blocks[0].train], "test": [{} for _ in blocks[0].test]}
-    for block in blocks:
-        for split, rows in (("train", block.train), ("test", block.test)):
-            for out_row, in_row in zip(merged[split], rows):
-                for key, value in in_row.items():
-                    out_row[f"{block.name}.{key}" if prefix_with_block_name else key] = value
-    return merged["train"], merged["test"]
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +126,8 @@ class TestDenseEmbedEqualsReference:
         op, (train, test) = case
         block = op.apply({"rows": Dataset(train=train, test=test)})
         assert block.name == f"dense{op.embed_dim}"
-        assert bits(block.train) == bits(reference_embed(op, train))
-        assert bits(block.test) == bits(reference_embed(op, test))
+        assert bits(block.rows("train")) == bits(reference_embed(op, train))
+        assert bits(block.rows("test")) == bits(reference_embed(op, test))
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +136,32 @@ class TestDenseEmbedEqualsReference:
 @st.composite
 def block_lists(draw):
     n_train, n_test = draw(st.integers(0, 4)), draw(st.integers(0, 3))
-    # Few names and few keys: blocks share names, rows share and miss keys.
-    feature_row = st.dictionaries(st.sampled_from(["x", "y", "a.x", "emb0"]), finite, max_size=4)
+    # Few names and few keys: names whose namespaced keys collide ("a" + "x.y"
+    # and "a.x" + "y"), rows that share and miss keys.
+    feature_row = st.dictionaries(st.sampled_from(["x", "y", "x.y", "emb0"]), finite, max_size=4)
+    names = draw(st.lists(st.sampled_from(["a", "b", "a.x"]), min_size=1, max_size=3, unique=True))
     return [
-        FeatureBlock(
-            name=draw(st.sampled_from(["a", "b", "a.x"])),
-            train=draw(st.lists(feature_row, min_size=n_train, max_size=n_train)),
-            test=draw(st.lists(feature_row, min_size=n_test, max_size=n_test)),
+        FeatureBlock.from_rows(
+            name,
+            draw(st.lists(feature_row, min_size=n_train, max_size=n_train)),
+            draw(st.lists(feature_row, min_size=n_test, max_size=n_test)),
         )
-        for _ in range(draw(st.integers(1, 3)))
+        for name in names
     ]
 
 
 class TestMergeEqualsReference:
-    @given(block_lists(), st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_merge_is_bit_identical(self, blocks, prefix_with_block_name):
-        merged = merge_feature_blocks(blocks, prefix_with_block_name=prefix_with_block_name)
-        train, test = reference_merge(blocks, prefix_with_block_name)
+    @given(block_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_merge_is_bit_identical(self, blocks):
+        merged = merge_feature_blocks(blocks)
         assert merged.name == "+".join(block.name for block in blocks)
-        assert bits(merged.train) == bits(train)
-        assert bits(merged.test) == bits(test)
+        for split in ("train", "test"):
+            reference = ref.merge([(block.name, block.rows(split)) for block in blocks])
+            assert bits(merged.rows(split)) == bits(reference)
+
+    def test_duplicate_names_raise_instead_of_overwriting(self):
+        first = FeatureBlock.from_rows("<lambda>", [{"v": 1.0}], [])
+        second = FeatureBlock.from_rows("<lambda>", [{"v": 5.0}], [])
+        with pytest.raises(DataError, match="<lambda>"):
+            merge_feature_blocks([first, second])

@@ -8,7 +8,6 @@ from repro.errors import StorageError
 from repro.execution.store import ArtifactStore
 from repro.storage.codecs import (
     CodecRegistry,
-    DenseBlockCodec,
     NumpyRawCodec,
     PickleCodec,
     ZlibPickleCodec,
@@ -18,10 +17,10 @@ from repro.storage.codecs import (
 
 def dense_block(n_train=5, n_test=3, width=4):
     keys = [f"emb{j}" for j in range(width)]
-    return FeatureBlock(
-        name="dense",
-        train=[{k: float(i * width + j) for j, k in enumerate(keys)} for i in range(n_train)],
-        test=[{k: float(-(i * width + j)) for j, k in enumerate(keys)} for i in range(n_test)],
+    return FeatureBlock.from_rows(
+        "dense",
+        [{k: float(i * width + j) for j, k in enumerate(keys)} for i in range(n_train)],
+        [{k: float(-(i * width + j)) for j, k in enumerate(keys)} for i in range(n_test)],
     )
 
 
@@ -61,30 +60,6 @@ class TestIndividualCodecs:
         with pytest.raises(StorageError):
             NumpyRawCodec().decode(b"\x00")
 
-    def test_dense_block_roundtrip(self):
-        codec = DenseBlockCodec()
-        block = dense_block()
-        assert codec.handles(block)
-        back = codec.decode(codec.encode(block))
-        assert back.name == block.name
-        assert back.train == block.train and back.test == block.test
-
-    def test_dense_block_empty_test_split(self):
-        codec = DenseBlockCodec()
-        block = FeatureBlock(name="d", train=[{"emb0": 1.0}], test=[])
-        assert codec.handles(block)
-        back = codec.decode(codec.encode(block))
-        assert back.train == block.train and back.test == []
-
-    def test_dense_block_rejects_ragged_rows(self):
-        codec = DenseBlockCodec()
-        ragged = FeatureBlock(name="onehot", train=[{"a=1": 1.0}, {"a=2": 1.0}], test=[])
-        assert not codec.handles(ragged)
-        non_float = FeatureBlock(name="ints", train=[{"a": 1}], test=[])
-        assert not codec.handles(non_float)
-        assert not codec.handles({"not": "a block"})
-        assert not codec.handles(FeatureBlock(name="empty", train=[], test=[]))
-
 
 class TestRegistry:
     def test_auto_picks_specialized_codecs(self):
@@ -121,7 +96,7 @@ class TestRegistry:
             default_registry().by_id("msgpack")
 
     def test_ids(self):
-        assert default_registry().ids() == ["dense-block", "numpy-raw", "pickle", "pickle+zlib"]
+        assert default_registry().ids() == ["numpy-raw", "pickle", "pickle+zlib"]
 
 
 class TestSelfDescribingReads:
@@ -138,7 +113,7 @@ class TestSelfDescribingReads:
         arr, _ = reader.get("arr")
         assert np.array_equal(arr, np.arange(10, dtype=np.float64))
         block, _ = reader.get("block")
-        assert block.train == dense_block().train
+        assert block == dense_block()
 
     def test_scheduler_writes_record_their_codec(self, tmp_path):
         # End to end: a session materializes through the async writer; the
@@ -151,4 +126,4 @@ class TestSelfDescribingReads:
         session.run(build_dense_census_workflow(CensusConfig(n_train=200, n_test=50, seed=3)))
         codecs = set(session.store.codecs_by_signature().values())
         assert codecs, "expected materialized artifacts"
-        assert codecs <= {"pickle", "pickle+zlib"}, f"auto pickles row-dict values, got {codecs}"
+        assert codecs <= {"pickle", "pickle+zlib"}, f"auto pickles feature blocks, got {codecs}"

@@ -18,7 +18,7 @@ from repro.storage.backends import MemoryBackend
 from repro.storage.codecs import default_registry
 
 BACKENDS = ["disk", "memory", "tiered"]
-CODEC_IDS = ["pickle", "pickle+zlib", "numpy-raw", "dense-block"]
+CODEC_IDS = ["pickle", "pickle+zlib", "numpy-raw"]
 
 #: JSON-ish values the pickle codecs (and ``auto``) must survive.
 json_values = st.recursive(
@@ -60,15 +60,13 @@ def dense_blocks(draw):
             for _ in range(n)
         ]
 
-    return FeatureBlock(name=draw(st.text(max_size=8)), train=rows(n_train), test=rows(n_test))
+    return FeatureBlock.from_rows(draw(st.text(max_size=8)), rows(n_train), rows(n_test))
 
 
 def values_for(codec):
     """Values ``codec`` can represent (``auto``: any of them)."""
     if codec == "numpy-raw":
         return ndarrays()
-    if codec == "dense-block":
-        return dense_blocks()
     if codec == "auto":
         return ndarrays() | dense_blocks() | json_values
     return json_values
@@ -87,8 +85,7 @@ def assert_equal_value(loaded, value):
         assert loaded.dtype == value.dtype and loaded.shape == value.shape
         assert np.array_equal(loaded, value)
     elif isinstance(value, FeatureBlock):
-        assert loaded.name == value.name
-        assert loaded.train == value.train and loaded.test == value.test
+        assert loaded == value
     else:
         assert loaded == value
 
