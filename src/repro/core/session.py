@@ -296,7 +296,7 @@ class HelixSession:
             return None  # fingerprinting is advisory; run proceeds full
 
     def _estimate_costs(
-        self, compiled: CompiledWorkflow, delta_plan=None, catalog=None
+        self, compiled: CompiledWorkflow, delta_plan=None, catalog=None, chunk_count=None
     ) -> Dict[str, NodeCosts]:
         # One catalog scan (O(history)) feeds every view the estimator needs.
         if catalog is None:
@@ -307,7 +307,7 @@ class HelixSession:
             materialized_sizes=self.store.sizes_by_signature(catalog),
             measured_load_costs=self.store.load_costs_by_signature(catalog),
             chunk_inventory=self.store.chunk_inventory(catalog),
-            recoverable_partitions=self.config.n_partitions,
+            recoverable_partitions=chunk_count or self.config.n_partitions,
             codecs_by_signature=self.store.codecs_by_signature(catalog),
             memory_resident=self.store.memory_resident_signatures(catalog),
             delta_hints=delta_plan.hints() if delta_plan is not None else None,
@@ -434,7 +434,10 @@ class HelixSession:
         compiled = self._plan_cache.compile_sliced(workflow)
         catalog = self.store.catalog()
         delta_plan = self._plan_deltas(compiled, iteration_index, catalog)
-        costs = self._estimate_costs(compiled, delta_plan, catalog)
+        # A delta run executes at its inputs' chunk count (frozen chunks plus
+        # the appended ones); every other run at the configured partitions.
+        chunk_count = delta_plan.n_partitions if delta_plan is not None else self.config.n_partitions
+        costs = self._estimate_costs(compiled, delta_plan, catalog, chunk_count)
         if delta_plan is not None and self.metrics_registry.enabled:
             self._record_delta_verdicts(costs)
         states, explanation = self._plan_states(compiled, costs)
@@ -454,7 +457,7 @@ class HelixSession:
             self.store,
             policy,
             backend=self.backend,
-            partitions=self.config.n_partitions,
+            partitions=chunk_count,
             partition_planner=self._partition_planner,
             metrics=self.metrics_registry,
             partition_modes=partition_modes,
@@ -585,6 +588,8 @@ class HelixSession:
                     dirty_chunks=sum(1 for s in delta.statuses if s == "dirty"),
                     new_chunks=sum(1 for s in delta.statuses if s == "new"),
                     removed_chunks=delta.removed_chunks,
+                    frozen_chunks=delta.frozen_chunks,
+                    rebalanced_chunks=delta.chunk_count if delta.rebalanced else 0,
                 ))
         output_set = set(compiled.outputs)
         for name in compiled.dag.topological_order():

@@ -429,9 +429,10 @@ class DenseFeaturizer(Operator):
     first ``out_features`` embedding dimensions per record.  All weights are
     derived deterministically from ``seed``, and every transform is row-wise,
     so the features are identical whether the split is processed whole or in
-    partition chunks — which is exactly how the partitioned scheduler runs
-    it: each chunk is one NumPy batch, and NumPy's kernels release the GIL,
-    so chunks run truly in parallel even on the thread backend.
+    partition chunks; the partitioned scheduler runs one NumPy batch per
+    chunk.  The chunks do not run in parallel on the thread backend: a fused
+    chain of partition-wise nodes is one task, a wave's lone task runs on
+    the calling thread, and BLAS already spreads one batch over the cores.
     """
 
     category = ChangeCategory.DATA_PREP

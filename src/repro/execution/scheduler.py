@@ -297,11 +297,12 @@ class AsyncMaterializer:
 
     Payloads are already encoded when they arrive (serialization happens
     synchronously so budget accounting stays deterministic); the writer thread
-    only pays the disk write.  A node's carried chunks arrive as one job of
-    links — no payload at all.  The queue is *bounded*: when it fills, the
-    producing thread blocks instead of dropping the write, so every accepted
-    decision is eventually persisted.  Writer-side failures are stashed and
-    re-raised by :meth:`drain`.
+    only pays the disk write.  A node's encoded chunks arrive as one job (the
+    payloads, then one catalog transaction), and its carried chunks as one
+    job of links — no payload at all.  The queue is *bounded*: when it fills,
+    the producing thread blocks instead of dropping the write, so every
+    accepted decision is eventually persisted.  Writer-side failures are
+    stashed and re-raised by :meth:`drain`.
     """
 
     _SENTINEL = object()
@@ -332,14 +333,13 @@ class AsyncMaterializer:
             self._thread.start()
 
     def submit(
-        self, signature: str, node_name: str, payload: bytes, stats: NodeRunStats,
-        codec: str,
+        self, node_name: str, puts: List[Tuple[str, bytes, str]], stats: NodeRunStats
     ) -> None:
-        """Enqueue one encoded artifact for persistence (blocks when the queue is full).
-
-        ``payload`` and ``codec`` are what the store's ``encode`` returned.
+        """Enqueue one node's encoded artifacts — ``(signature, payload, codec)``
+        each, as the store's ``encode`` returned them — as a single job: the
+        payloads, then one catalog transaction (blocks when the queue is full).
         """
-        self._enqueue(self._put, stats, signature, node_name, payload, codec)
+        self._enqueue(self._put, stats, node_name, puts)
 
     def submit_links(
         self, node_name: str, links: List[Tuple[str, str, float]], stats: NodeRunStats
@@ -357,10 +357,10 @@ class AsyncMaterializer:
         self._queue_gauge.set(self._queue.qsize())
 
     def _put(
-        self, stats: NodeRunStats, signature: str, node_name: str, payload: bytes, codec: str
+        self, stats: NodeRunStats, node_name: str, puts: List[Tuple[str, bytes, str]]
     ) -> None:
-        meta = self.store.put_bytes(signature, node_name, payload, codec=codec)
-        self._landed(stats, float(len(payload)), meta)
+        for (_signature, payload, _codec), meta in zip(puts, self.store.put_many(puts, node_name)):
+            self._landed(stats, float(len(payload)), meta)
 
     def _link(
         self, stats: NodeRunStats, node_name: str, links: List[Tuple[str, str, float]]
@@ -377,7 +377,7 @@ class AsyncMaterializer:
         A store may decline a write (the shared service cache enforces size
         limits against exact payload sizes here); the node's value stays in
         memory, it just isn't durable.  Sizes accumulate because a partitioned
-        node submits one payload per chunk against the same stats record.
+        node lands one artifact per chunk against the same stats record.
         """
         stats.output_size += size
         if meta is not None:
@@ -984,7 +984,7 @@ class WavefrontScheduler:
         """
         trace.backend = trace.backend or self.backend.name
         trace.parallelism = self.backend.parallelism
-        trace.partitions = self.n_partitions
+        trace.chunk_count = self.n_partitions
         trace.wall_clock_seconds = wall_clock
         backend_name = getattr(getattr(self.store, "backend", None), "name", "")
         if backend_name and not trace.store_backend:
@@ -1163,6 +1163,11 @@ class WavefrontScheduler:
             name=name, operator=operator, stats=stats, kind="chunks",
             n_chunks=n, chunk_inputs=chunk_inputs,
         )
+        # A delta plan's chunks are unequal: weigh them by input rows, so the
+        # cost history scales this partial compute by rows, not chunks.
+        weights = delta_plan.chunk_rows() if delta_plan is not None else ()
+        if len(weights) == n:
+            stats.rows_total = sum(weights)
         node_costs = costs.get(name)
         recoverable: Sequence[int] = ()
         if (
@@ -1189,6 +1194,8 @@ class WavefrontScheduler:
                 stats.chunks_loaded += 1
                 stats.chunks_carried += 1
                 continue
+            if stats.rows_total:
+                stats.rows_computed += weights[index]
             entry.task_chunks.append(index)
             entry.task_indices.append(len(tasks))
             tasks.append((f"{name}[{index}]", operator, chunk_inputs[index]))
@@ -1350,31 +1357,28 @@ class WavefrontScheduler:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
-    def _encode_and_submit(
+    def _encode_checked(
         self,
         key: str,
-        name: str,
         label: str,
         what: str,
         value: Any,
         stats: NodeRunStats,
-        writer: AsyncMaterializer,
         logical_budget: float,
         pending_signatures: set,
-    ) -> float:
-        """Encode ``value``, check it against the logical budget, queue the write.
+    ) -> Tuple[str, bytes, str]:
+        """Encode ``value`` and check it against the logical budget.
 
-        Returns the payload size the caller debits.  ``what`` names the
-        artifact in the budget error (a node, or one chunk of a node).
+        Returns the ``(key, payload, codec)`` put to queue; the caller
+        debits ``len(payload)``.  ``what`` names the artifact in the budget
+        error (a node, or one chunk of a node).
         """
         serialize_started = time.perf_counter()
         payload, codec = self.store.encode(label, value)
         stats.materialize_time += time.perf_counter() - serialize_started
-        size = float(len(payload))
-        self._check_budget(size, what, logical_budget)
+        self._check_budget(float(len(payload)), what, logical_budget)
         pending_signatures.add(key)
-        writer.submit(key, name, payload, stats, codec=codec)
-        return size
+        return key, payload, codec
 
     @staticmethod
     def _check_budget(size: float, what: str, logical_budget: float) -> None:
@@ -1405,10 +1409,11 @@ class WavefrontScheduler:
         decisions[name] = decision
         already = signature in pending_signatures or self.store.has(signature)
         if decision.materialize and not already:
-            logical_budget -= self._encode_and_submit(
-                signature, name, name, repr(name), value,
-                stats, writer, logical_budget, pending_signatures,
+            put = self._encode_checked(
+                signature, name, repr(name), value, stats, logical_budget, pending_signatures
             )
+            writer.submit(name, [put], stats)
+            logical_budget -= len(put[1])
         else:
             stats.output_size = costs[name].output_size if name in costs else 0.0
         return logical_budget
@@ -1452,6 +1457,7 @@ class WavefrontScheduler:
         first: Optional[MaterializationDecision] = None
         any_write = False
         links: List[Tuple[str, str, float]] = []
+        puts: List[Tuple[str, bytes, str]] = []
         for index in range(n):
             decision = self.materialization_policy.decide(
                 node=name, dag=dag, costs=view, remaining_budget=logical_budget
@@ -1471,11 +1477,14 @@ class WavefrontScheduler:
                 links.append((carried.source_key, chunk_key, carried.size))
                 logical_budget -= carried.size
             else:
-                logical_budget -= self._encode_and_submit(
-                    chunk_key, name, f"{name}[{index}]", what, value.chunks[index],
-                    stats, writer, logical_budget, pending_signatures,
-                )
+                puts.append(self._encode_checked(
+                    chunk_key, f"{name}[{index}]", what, value.chunks[index],
+                    stats, logical_budget, pending_signatures,
+                ))
+                logical_budget -= len(puts[-1][1])
             any_write = True
+        if puts:
+            writer.submit(name, puts, stats)
         if links:
             writer.submit_links(name, links, stats)
         decisions[name] = replace(first, materialize=any_write or first.materialize)

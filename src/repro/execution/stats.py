@@ -58,6 +58,9 @@ class NodeRunStats:
         previous signature (delta reuse), and how many of those something
         actually read, forcing a decode.  A carried chunk nobody reads costs
         one link and no I/O.
+    rows_computed / rows_total:
+        Input rows of the computed chunks and of all chunks, when a delta
+        plan weighs the chunks (0 otherwise, and chunks are then balanced).
     """
 
     node: str
@@ -75,6 +78,8 @@ class NodeRunStats:
     chunks_loaded: int = 0
     chunks_carried: int = 0
     chunks_decoded: int = 0
+    rows_computed: int = 0
+    rows_total: int = 0
 
     def total_time(self) -> float:
         """Cumulative work attributed to this node (compute + load + materialize)."""
@@ -211,10 +216,11 @@ class RunHistory:
         refresh the size (which the store knows exactly) without touching the
         historical compute cost.  A node that computed only some of its
         chunks (delta reuse, partial-hit recovery) records the
-        *full-equivalent* cost — what all of its chunks would have taken at
-        the measured per-chunk rate — because that is what prices the next
-        full recompute of its operator type; the partial time would make the
-        operator look cheaper after every incremental run.
+        *full-equivalent* cost — what all of its rows would have taken at the
+        measured per-row rate (per-chunk when rows are unknown) — because that
+        is what prices the next full recompute of its operator type; the
+        partial time would make the operator look cheaper after every
+        incremental run.
         """
         self.reports.append(report)
         for stats in report.node_stats.values():
@@ -223,9 +229,12 @@ class RunHistory:
                 if stats.chunks_loaded:
                     if not stats.chunks_computed:
                         continue  # every chunk came from the store: nothing measured
-                    compute_cost *= (
-                        stats.chunks_computed + stats.chunks_loaded
-                    ) / stats.chunks_computed
+                    if stats.rows_computed:
+                        compute_cost *= stats.rows_total / stats.rows_computed
+                    else:
+                        compute_cost *= (
+                            stats.chunks_computed + stats.chunks_loaded
+                        ) / stats.chunks_computed
                 self._records[stats.signature] = CostRecord(
                     compute_cost=compute_cost,
                     output_size=stats.output_size or self._records.get(stats.signature, CostRecord(0, 0)).output_size,

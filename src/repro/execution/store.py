@@ -34,7 +34,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import BudgetExceededError, StorageError
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -539,6 +539,7 @@ class ArtifactStore(ChunkStoreOps):
         payload: bytes,
         started_at: Optional[float] = None,
         codec: str = DEFAULT_CODEC_ID,
+        batch: Optional[Mapping[str, ArtifactMeta]] = None,
     ) -> ArtifactMeta:
         """Persist an already-serialized artifact; returns the catalog entry.
 
@@ -553,14 +554,19 @@ class ArtifactStore(ChunkStoreOps):
         at most an orphan payload file, never a dangling row.  (With several
         concurrent writers the pre-write budget check can transiently race;
         the wavefront scheduler prevents that by debiting its logical budget
-        before submitting.)
+        before submitting.)  ``batch`` is :meth:`put_many`'s: the catalog rows
+        it read and checked the budget against; the row is then left for it
+        to commit with the rest of the batch.
         """
         started = started_at if started_at is not None else time.perf_counter()
         size = float(len(payload))
-        with self._lock:
-            existing = self._get_meta(signature)
-            self._require_room(node_name, size, existing.size if existing else 0.0)
-            previous_filename = existing.filename if existing else None
+        if batch is None:
+            with self._lock:
+                existing = self._get_meta(signature)
+                self._require_room(node_name, size, existing.size if existing else 0.0)
+        else:
+            existing = batch.get(signature)
+        previous_filename = existing.filename if existing else None
         filename = f"{signature}.pkl"
         self._backend.put_bytes(filename, payload)
         if previous_filename is not None and previous_filename != filename:
@@ -580,9 +586,10 @@ class ArtifactStore(ChunkStoreOps):
             last_access_at=created,
             codec=codec,
         )
-        with self._lock:
-            self._touches.pop(signature, None)
-            self._db.upsert_artifact(meta)
+        if batch is None:
+            with self._lock:
+                self._touches.pop(signature, None)
+                self._db.upsert_artifact(meta)
         self.metrics.histogram(
             "repro_store_write_seconds",
             help="Artifact write latency (serialize time included when the caller folds it in).",
@@ -593,6 +600,33 @@ class ArtifactStore(ChunkStoreOps):
             codec=codec,
         ).inc(size)
         return meta
+
+    def put_many(
+        self, puts: Sequence[Tuple[str, bytes, str]], node_name: str
+    ) -> List[ArtifactMeta]:
+        """Persist one node's already-serialized ``(signature, payload, codec)``
+        triples with one catalog read and one catalog transaction.
+
+        The budget is checked once for the whole batch; every payload is then
+        written by :meth:`put_bytes` and all rows commit together, after the
+        last payload landed — a row still always names readable bytes.
+        """
+        with self._lock:
+            rows = self._db.get_artifacts([signature for signature, _payload, _codec in puts])
+            self._require_room(
+                node_name,
+                sum(float(len(payload)) for _signature, payload, _codec in puts),
+                sum(rows[signature].size for signature, _p, _c in puts if signature in rows),
+            )
+        metas = [
+            self.put_bytes(signature, node_name, payload, codec=codec, batch=rows)
+            for signature, payload, codec in puts
+        ]
+        with self._lock:
+            for meta in metas:
+                self._touches.pop(meta.signature, None)
+            self._db.upsert_artifacts(metas)
+        return metas
 
     def link_many(
         self, pairs: Iterable[Tuple[str, str]], node_name: str

@@ -11,21 +11,21 @@ recorded for the previous run.
 
 Two properties make the classification usable downstream:
 
-* **Stable boundaries.**  Balanced ``block_slices`` boundaries shift when a
-  single row is appended, which would mark every chunk dirty.  The detector
-  therefore re-uses the *previous* run's per-chunk row counts for chunks
-  ``0..n-2`` and stretches only the tail chunk — append-mostly feeds keep
-  their prefix chunks byte-stable.  Shrunk inputs fall back to balanced
-  boundaries (everything dirty), which is always safe.
+* **Frozen boundaries.**  A cut chunk keeps its rows.  When no axis shrank,
+  every previous chunk keeps its per-axis counts and the appended rows open
+  new chunks of at most ``target`` rows, the largest previous chunk on that
+  axis; a previous tail under ``target / 2`` on every axis first absorbs
+  rows up to ``target``, and an axis that did not grow pads with 0-row
+  chunks.  An append thus dirties at most its own rows plus ``target / 2``
+  per axis, whatever the feed's history.  A shrunk input, or a count past
+  ``2 × n_partitions``, re-cuts balanced into ``n_partitions`` chunks
+  (everything dirty, one full recompute).
 * **Content, not position.**  A chunk is clean when its digest matches *any*
   previous chunk's digest, recorded as a ``remap`` (new index → old index).
   Rolling windows that advance by exactly one chunk therefore re-use
   ``n - 1`` chunks shifted by one, not zero.
 
-The append fast path keeps one streaming digest over all prefix chunks: when
-it matches the stored ``prefix_digest``, the per-chunk digests for the prefix
-are copied from the previous fingerprint and only the tail chunk is hashed
-chunk-wise.
+Every chunk digest is computed from that chunk's own rows, once per run.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class InputFingerprint:
     input_key: str
     signature: str
     chunks: List[ChunkFingerprint]
-    prefix_digest: str = ""
     run_iteration: int = 0
 
     @property
@@ -86,7 +85,12 @@ class InputFingerprint:
 
 @dataclass
 class InputDelta:
-    """Chunk-wise diff of one input against its previous fingerprint."""
+    """Chunk-wise diff of one input against its previous fingerprint.
+
+    ``remap`` indexes the previous fingerprint's ``old_chunk_count``
+    chunks, ``frozen_chunks`` of which kept their rows (none if
+    ``rebalanced``: re-cut balanced).
+    """
 
     input_key: str
     node: str
@@ -97,6 +101,9 @@ class InputDelta:
     boundaries: Shape
     mode: str
     removed_chunks: int = 0
+    old_chunk_count: int = 0
+    frozen_chunks: int = 0
+    rebalanced: bool = False
     fingerprint: Optional[InputFingerprint] = field(default=None, repr=False)
 
     @property
@@ -111,11 +118,10 @@ class InputDelta:
     def dirty_chunks(self) -> int:
         return self.chunk_count - self.clean_chunks
 
-    @property
-    def dirty_fraction(self) -> float:
-        if not self.statuses:
-            return 1.0
-        return self.dirty_chunks / self.chunk_count
+
+#: A run re-cuts an input balanced once frozen and new chunks would exceed
+#: this multiple of ``n_partitions``.
+MAX_CHUNKS_PER_PARTITION = 2
 
 
 class DeltaDetector:
@@ -127,30 +133,45 @@ class DeltaDetector:
         self.n_partitions = n_partitions
 
     # -- boundary selection -------------------------------------------------
+    def _balanced(self, axes: List[List[Any]]) -> Shape:
+        return tuple(_block_counts(len(rows), self.n_partitions) for rows in axes)
+
     def _stable_boundaries(
         self, axes: List[List[Any]], previous: Optional[InputFingerprint]
-    ) -> Shape:
-        """Chunk boundaries for the new value.
+    ) -> Tuple[Shape, bool]:
+        """Chunk boundaries for the new value, and whether they were re-cut.
 
-        Keeps the previous run's counts for chunks ``0..n-2`` whenever each
-        axis is at least as long as that prefix (append-mostly and equal-size
-        rolling feeds), so prefix chunks stay byte-stable.  Otherwise falls
-        back to balanced blocks.
+        Freezes every previous chunk and opens new chunks for the appended
+        rows (see the module docstring); re-cuts balanced when an axis
+        shrank or the count would exceed ``2 × n_partitions``.
         """
-        n = self.n_partitions
-        if previous is not None and previous.chunk_count == n and n > 0:
-            old = previous.boundaries()
-            if len(old) == len(axes):
-                stretched: List[Tuple[int, ...]] = []
-                for axis_index, rows in enumerate(axes):
-                    prefix = old[axis_index][:-1]
-                    tail = len(rows) - sum(prefix)
-                    if tail < 0:
-                        break
-                    stretched.append(tuple(prefix) + (tail,))
-                else:
-                    return tuple(stretched)
-        return tuple(_block_counts(len(rows), n) for rows in axes)
+        if previous is None:
+            return self._balanced(axes), False
+        old = previous.boundaries()
+        if len(old) != len(axes) or any(len(rows) < sum(c) for rows, c in zip(axes, old)):
+            return self._balanced(axes), True
+        targets = [
+            max(counts) or -(-len(rows) // self.n_partitions) for rows, counts in zip(axes, old)
+        ]
+        # The tail absorbs only when it is small on every axis, so an
+        # absorbing tail never drags a full chunk of another axis along.
+        absorb = all(counts[-1] < target / 2 for counts, target in zip(old, targets))
+        grown: List[List[int]] = []
+        for rows, counts, target in zip(axes, old, targets):
+            counts = list(counts)
+            extra = len(rows) - sum(counts)
+            if absorb:
+                take = min(extra, target - counts[-1])
+                counts[-1] += take
+                extra -= take
+            while extra > 0:
+                counts.append(min(extra, target))
+                extra -= counts[-1]
+            grown.append(counts)
+        width = max(len(counts) for counts in grown)
+        if width > MAX_CHUNKS_PER_PARTITION * self.n_partitions:
+            return self._balanced(axes), True
+        return tuple(tuple(counts) + (0,) * (width - len(counts)) for counts in grown), False
 
     # -- fingerprinting -----------------------------------------------------
     def _chunk_digest(self, axes: List[List[Any]], starts: List[int], counts: Sequence[int]) -> str:
@@ -160,63 +181,6 @@ class DeltaDetector:
             _hash_rows(hasher, rows[start:start + counts[axis_index]])
             hasher.update(_AXIS_SEP)
         return hasher.hexdigest()
-
-    def _prefix_digest(self, axes: List[List[Any]], boundaries: Shape) -> str:
-        """One streaming digest over all rows of chunks ``0..n-2``."""
-        hasher = hashlib.sha256()
-        for axis_index, rows in enumerate(axes):
-            prefix = sum(boundaries[axis_index][:-1])
-            _hash_rows(hasher, rows[:prefix])
-            hasher.update(_AXIS_SEP)
-        return hasher.hexdigest()
-
-    def fingerprint(
-        self,
-        input_key: str,
-        value: Any,
-        signature: str,
-        previous: Optional[InputFingerprint] = None,
-        run_iteration: int = 0,
-    ) -> Optional[InputFingerprint]:
-        """Per-chunk fingerprint of ``value``, or ``None`` if not row-shaped."""
-        axes = axis_rows(value)
-        if axes is None:
-            return None
-        boundaries = self._stable_boundaries(axes, previous)
-        n = self.n_partitions
-        prefix_digest = self._prefix_digest(axes, boundaries)
-
-        chunks: List[ChunkFingerprint] = []
-        starts = [0 for _ in axes]
-        fast_prefix = (
-            previous is not None
-            and previous.prefix_digest == prefix_digest
-            and previous.chunk_count == n
-            and all(
-                tuple(boundaries[a][:-1]) == tuple(previous.boundaries()[a][:-1])
-                for a in range(len(axes))
-            )
-        )
-        for index in range(n):
-            counts = [boundaries[a][index] for a in range(len(axes))]
-            if fast_prefix and index < n - 1 and previous is not None:
-                chunks.append(previous.chunks[index])
-            else:
-                chunks.append(
-                    ChunkFingerprint(
-                        axis_counts=tuple(counts),
-                        digest=self._chunk_digest(axes, starts, counts),
-                    )
-                )
-            for axis_index in range(len(axes)):
-                starts[axis_index] += counts[axis_index]
-        return InputFingerprint(
-            input_key=input_key,
-            signature=signature,
-            chunks=chunks,
-            prefix_digest=prefix_digest,
-            run_iteration=run_iteration,
-        )
 
     # -- classification -----------------------------------------------------
     @staticmethod
@@ -228,7 +192,7 @@ class DeltaDetector:
         if len(clean) == n:
             return "unchanged"
         shifts = {remap[i] - i for i in clean}
-        if shifts == {0} and clean == list(range(n - 1)):
+        if shifts == {0} and clean == list(range(len(clean))):
             return "append"
         if len(shifts) == 1 and next(iter(shifts)) > 0:
             return "rolling"
@@ -242,17 +206,27 @@ class DeltaDetector:
         new_signature: str,
         previous: Optional[InputFingerprint],
         run_iteration: int = 0,
+        rebalance: bool = False,
     ) -> Optional[InputDelta]:
         """Diff ``value`` against ``previous``; ``None`` if not row-shaped.
 
         With no previous fingerprint every chunk is ``new`` (mode
         ``initial``) — callers still get the fresh fingerprint to record.
+        ``rebalance`` forces a balanced re-cut into ``n_partitions`` chunks.
         """
-        fingerprint = self.fingerprint(
-            input_key, value, new_signature, previous=previous, run_iteration=run_iteration
-        )
-        if fingerprint is None:
+        axes = axis_rows(value)
+        if axes is None:
             return None
+        if rebalance:
+            boundaries, rebalanced = self._balanced(axes), previous is not None
+        else:
+            boundaries, rebalanced = self._stable_boundaries(axes, previous)
+        chunks: List[ChunkFingerprint] = []
+        starts = [0 for _ in axes]
+        for counts in zip(*boundaries):
+            chunks.append(ChunkFingerprint(counts, self._chunk_digest(axes, starts, counts)))
+            starts = [start + count for start, count in zip(starts, counts)]
+        fingerprint = InputFingerprint(input_key, new_signature, chunks, run_iteration)
         n = fingerprint.chunk_count
         if previous is None:
             return InputDelta(
@@ -262,7 +236,7 @@ class DeltaDetector:
                 new_signature=new_signature,
                 statuses=[NEW] * n,
                 remap={},
-                boundaries=fingerprint.boundaries(),
+                boundaries=boundaries,
                 mode="initial",
                 fingerprint=fingerprint,
             )
@@ -273,13 +247,16 @@ class DeltaDetector:
         remap: Dict[int, int] = {}
         claimed: set = set()
         for index, chunk in enumerate(fingerprint.chunks):
-            old_index = old_by_digest.get(chunk.digest)
-            if old_index is None:
-                statuses.append(DIRTY)
-            else:
+            # A chunk that kept its rows maps to itself even when an earlier
+            # old chunk has the same content (empty chunks, repeated rows).
+            kept = index < previous.chunk_count and previous.chunks[index].digest == chunk.digest
+            old_index = index if kept else old_by_digest.get(chunk.digest)
+            if old_index is not None:
                 statuses.append(CLEAN)
                 remap[index] = old_index
                 claimed.add(old_index)
+            else:
+                statuses.append(NEW if index >= previous.chunk_count else DIRTY)
         # An unclaimed old chunk only counts as *removed* when its position
         # wasn't simply rewritten in place (a dirty new chunk at the same
         # index supersedes it); rolled-off window chunks do count.
@@ -288,6 +265,10 @@ class DeltaDetector:
             for index in range(previous.chunk_count)
             if index not in claimed and (index >= n or statuses[index] == CLEAN)
         )
+        frozen = 0 if rebalanced else sum(
+            1 for old, new in zip(previous.chunks, fingerprint.chunks)
+            if old.axis_counts == new.axis_counts
+        )
         return InputDelta(
             input_key=input_key,
             node=node,
@@ -295,8 +276,11 @@ class DeltaDetector:
             new_signature=new_signature,
             statuses=statuses,
             remap=remap,
-            boundaries=fingerprint.boundaries(),
+            boundaries=boundaries,
             mode=self._classify_mode(statuses, remap),
             removed_chunks=removed,
+            old_chunk_count=previous.chunk_count,
+            frozen_chunks=frozen,
+            rebalanced=rebalanced,
             fingerprint=fingerprint,
         )

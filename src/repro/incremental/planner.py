@@ -13,7 +13,8 @@ estimation:
 3. For every chunk-scope node the planner checks which clean chunks actually
    have an old-signature chunk artifact in the store, producing a
    :class:`NodeDeltaPlan` (reusable chunk map + byte totals) — or widening
-   the node to full recompute when nothing is reusable.
+   the node to full recompute when nothing is reusable.  A seeded root's
+   stored clean chunks ride on its seed, to be linked rather than encoded.
 
 The result feeds three consumers: :class:`~repro.optimizer.cost_model.
 CostEstimator` prices delta-vs-full from :meth:`DeltaPlan.hints`; the
@@ -53,7 +54,6 @@ class NodeDeltaPlan:
     old_signature: str
     new_signature: str
     chunk_count: int
-    statuses: List[str]
     #: new chunk index -> the old-signature chunk artifact that stands in for it
     reuse: Dict[int, CarriedChunk]
     reusable_bytes: float
@@ -67,7 +67,11 @@ class NodeDeltaPlan:
 
 @dataclass
 class DeltaPlan:
-    """Everything the session, optimizer, and scheduler need for one run."""
+    """Everything the session, optimizer, and scheduler need for one run.
+
+    ``n_partitions`` is the run's chunk count, the seeded inputs' count: up
+    to twice the session's ``partitions`` once appends open new chunks.
+    """
 
     n_partitions: int
     inputs: Dict[str, InputDelta] = field(default_factory=dict)
@@ -76,8 +80,14 @@ class DeltaPlan:
     seeds: Dict[str, PartitionedValue] = field(default_factory=dict)
     seed_times: Dict[str, float] = field(default_factory=dict)
 
+    def chunk_rows(self) -> List[int]:
+        """The seeded inputs' rows per chunk: what a partial compute is priced by."""
+        axes = [axis for delta in self.inputs.values() for axis in delta.boundaries]
+        return [sum(counts) for counts in zip(*axes)]
+
     def hints(self) -> Dict[str, DeltaHint]:
         """Per-node pricing inputs for :meth:`CostEstimator.estimate`."""
+        rows = self.chunk_rows()
         return {
             name: DeltaHint(
                 chunk_count=plan.chunk_count,
@@ -86,18 +96,19 @@ class DeltaPlan:
                 reusable_bytes=plan.reusable_bytes,
                 old_signature=plan.old_signature,
                 memory_resident=plan.memory_resident,
+                dirty_rows=sum(rows[i] for i in plan.dirty_indices),
+                total_rows=sum(rows),
             )
             for name, plan in self.candidates.items()
         }
 
     def source_keys(self) -> List[str]:
-        """Catalog keys every candidate would carry forward (the session pins
-        them for the run: a carried chunk is only as durable as its source)."""
-        return [
-            carried.source_key
-            for plan in self.candidates.values()
-            for carried in plan.reuse.values()
-        ]
+        """Catalog keys every candidate and seeded root would carry forward (the
+        session pins them for the run: a carried chunk is only as durable as
+        its source)."""
+        reuses = [plan.reuse for plan in self.candidates.values()]
+        reuses += [seed.carried for seed in self.seeds.values()]
+        return [carried.source_key for reuse in reuses for carried in reuse.values()]
 
     def reuse_for(self, name: str, costs: Dict[str, Any]) -> Optional[NodeDeltaPlan]:
         """The node's reuse plan iff the optimizer chose the delta strategy."""
@@ -118,7 +129,6 @@ def _fingerprint_from_row(input_key: str, raw: Dict[str, Any]) -> InputFingerpri
             ChunkFingerprint(axis_counts=tuple(counts), digest=digest)
             for counts, digest in raw["chunks"]
         ],
-        prefix_digest=raw.get("prefix_digest", ""),
         run_iteration=raw.get("run_iteration", 0),
     )
 
@@ -159,7 +169,7 @@ class DeltaPlanner:
         changed.  ``catalog`` is the run's ``store.catalog()`` snapshot when
         the caller already took one."""
         db = store.catalog_db
-        plan = DeltaPlan(n_partitions=self.n_partitions)
+        detected = []
         for root in compiled.dag.topological_order():
             if compiled.dag.parents(root):
                 continue
@@ -181,16 +191,27 @@ class DeltaPlanner:
             delta = self.detector.detect(
                 input_key, root, value, signature, previous, run_iteration=run_iteration
             )
-            if delta is None or delta.fingerprint is None:
-                continue  # not row-shaped: nothing chunk-wise to say
+            if delta is not None:
+                detected.append((root, value, elapsed, previous, delta))
+        # One chunk count per run: changed roots that disagree on it re-cut
+        # balanced, which puts them all at ``n_partitions``.
+        if len({delta.chunk_count for *_, previous, delta in detected if previous}) > 1:
+            detected = [
+                (root, value, elapsed, previous, self.detector.detect(
+                    delta.input_key, root, value, delta.new_signature, previous,
+                    run_iteration=run_iteration, rebalance=True,
+                ))
+                for root, value, elapsed, previous, delta in detected
+            ]
+        plan = DeltaPlan(n_partitions=self.n_partitions)
+        for root, value, elapsed, previous, delta in detected:
             try:
                 db.record_input_fingerprint(
-                    input_key,
-                    signature,
+                    delta.input_key,
+                    delta.new_signature,
                     run_iteration,
                     recorded_at,
                     [(chunk.axis_counts, chunk.digest) for chunk in delta.fingerprint.chunks],
-                    prefix_digest=delta.fingerprint.prefix_digest,
                 )
             except StorageError:
                 pass  # fingerprinting is advisory; never fail the run
@@ -199,9 +220,10 @@ class DeltaPlanner:
                 # for the next run to diff against, but the run itself stays
                 # byte-for-byte the non-incremental execution (no seeding).
                 continue
-            chunks = split_value(value, self.n_partitions, shape=delta.boundaries)
+            chunks = split_value(value, delta.chunk_count, shape=delta.boundaries)
             if chunks is None:
                 continue
+            plan.n_partitions = delta.chunk_count
             plan.seeds[root] = PartitionedValue(chunks)
             plan.seed_times[root] = elapsed
             plan.inputs[root] = delta
@@ -213,6 +235,12 @@ class DeltaPlanner:
                 "repro_incremental_plans_total",
                 help="Delta plans produced (at least one changed root detected).",
             ).inc()
+            rebalances = sum(1 for delta in plan.inputs.values() if delta.rebalanced)
+            if rebalances:
+                self.metrics.counter(
+                    "repro_incremental_rebalances_total",
+                    help="Changed inputs whose chunks were re-cut balanced (a full recompute).",
+                ).inc(rebalances)
             if plan.candidates:
                 self.metrics.counter(
                     "repro_incremental_candidates_total",
@@ -236,12 +264,7 @@ class DeltaPlanner:
         plan: DeltaPlan,
         catalog: Optional[Mapping[str, Any]],
     ) -> None:
-        diffable = {
-            name: delta for name, delta in plan.inputs.items() if delta.old_signature
-        }
-        if not diffable:
-            return
-        node_deltas = self.propagator.propagate(compiled, diffable, self.n_partitions)
+        node_deltas = self.propagator.propagate(compiled, plan.inputs, plan.n_partitions)
         if catalog is None:
             try:
                 catalog = store.catalog()
@@ -250,22 +273,22 @@ class DeltaPlanner:
         resident_probe = getattr(store, "memory_resident_signatures", None)
         resident = resident_probe(catalog) if callable(resident_probe) else set()
         for name, delta in node_deltas.items():
-            if name in plan.seeds:
-                continue  # the seeded root itself needs no reuse
             if delta.scope == NODE_SCOPE:
                 plan.widened[name] = delta.reason
                 continue
             reuse: Dict[int, CarriedChunk] = {}
-            reusable_bytes = 0.0
-            statuses = list(delta.statuses)
             for index in delta.clean_indices:
-                key = chunk_signature(delta.old_signature, delta.remap[index], self.n_partitions)
+                key = chunk_signature(
+                    delta.old_signature, delta.remap[index], delta.old_chunk_count
+                )
                 meta = catalog.get(key)
-                if meta is None:
-                    statuses[index] = "dirty"  # clean but nothing stored to carry
-                    continue
-                reuse[index] = CarriedChunk(key, float(meta.size), meta.codec)
-                reusable_bytes += float(meta.size)
+                if meta is not None:  # else clean but nothing stored to carry: dirty
+                    reuse[index] = CarriedChunk(key, float(meta.size), meta.codec)
+            if name in plan.seeds:
+                # A seeded root holds every chunk's value already; its frozen
+                # chunks are linked from the previous run's, not re-encoded.
+                plan.seeds[name].carried.update(reuse)
+                continue
             if not reuse:
                 plan.widened[name] = "no stored chunks under previous signature"
                 continue
@@ -273,10 +296,9 @@ class DeltaPlanner:
                 node=name,
                 old_signature=delta.old_signature,
                 new_signature=delta.new_signature,
-                chunk_count=self.n_partitions,
-                statuses=statuses,
+                chunk_count=plan.n_partitions,
                 reuse=reuse,
-                reusable_bytes=reusable_bytes,
+                reusable_bytes=sum(carried.size for carried in reuse.values()),
                 reason=delta.reason,
                 memory_resident=all(c.source_key in resident for c in reuse.values()),
             )

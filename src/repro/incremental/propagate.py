@@ -37,7 +37,10 @@ NODE_SCOPE = "node"
 
 @dataclass
 class NodeDelta:
-    """Dirtiness of one DAG node, chunk-wise where the mode allows it."""
+    """Dirtiness of one DAG node, chunk-wise where the mode allows it.
+
+    ``remap`` indexes the previous run's ``old_chunk_count``-way split.
+    """
 
     node: str
     old_signature: str
@@ -46,6 +49,7 @@ class NodeDelta:
     remap: Dict[int, int]
     scope: str
     reason: str
+    old_chunk_count: int = 0
 
     @property
     def chunk_count(self) -> int:
@@ -54,10 +58,6 @@ class NodeDelta:
     @property
     def clean_indices(self) -> List[int]:
         return [i for i, status in enumerate(self.statuses) if status == CLEAN]
-
-    @property
-    def dirty_chunks(self) -> int:
-        return sum(1 for status in self.statuses if status != CLEAN)
 
 
 class DirtyPropagator:
@@ -94,7 +94,8 @@ class DirtyPropagator:
         input_deltas: Dict[str, InputDelta],
         n_partitions: int,
     ) -> Dict[str, NodeDelta]:
-        """Chunk-wise dirtiness for every node whose signature changed.
+        """Chunk-wise dirtiness for every node whose signature changed, over
+        the run's ``n_partitions`` chunks.
 
         Nodes untouched by the input change (shadow signature == current
         signature) are *not* reported — the ordinary same-signature reuse
@@ -124,36 +125,27 @@ class DirtyPropagator:
                     remap=dict(source.remap),
                     scope=CHUNK_SCOPE,
                     reason=f"input delta ({source.mode})",
+                    old_chunk_count=source.old_chunk_count,
                 )
                 continue
             parents = compiled.dag.parents(name)
-            merged = self._merge_parents(name, parents, shadows, compiled, deltas, n_partitions)
-            if merged is None:
-                continue
-            statuses, remap, widen_reason = merged
+            statuses, remap, widen_reason, old_chunk_count = self._merge_parents(
+                name, parents, shadows, compiled, deltas, n_partitions
+            )
             mode = self.planner.mode_for(compiled.operator(name))
             if widen_reason is None and mode != PartitionMode.PARTITIONWISE:
                 widen_reason = f"{mode.value} mode widens to whole node"
-            if widen_reason is not None:
-                deltas[name] = NodeDelta(
-                    node=name,
-                    old_signature=old_signature,
-                    new_signature=new_signature,
-                    statuses=[DIRTY] * n_partitions,
-                    remap={},
-                    scope=NODE_SCOPE,
-                    reason=widen_reason,
-                )
-            else:
-                deltas[name] = NodeDelta(
-                    node=name,
-                    old_signature=old_signature,
-                    new_signature=new_signature,
-                    statuses=statuses,
-                    remap=remap,
-                    scope=CHUNK_SCOPE,
-                    reason="partitionwise",
-                )
+            widened = widen_reason is not None
+            deltas[name] = NodeDelta(
+                node=name,
+                old_signature=old_signature,
+                new_signature=new_signature,
+                statuses=[DIRTY] * n_partitions if widened else statuses,
+                remap={} if widened else remap,
+                scope=NODE_SCOPE if widened else CHUNK_SCOPE,
+                reason=widen_reason or "partitionwise",
+                old_chunk_count=old_chunk_count,
+            )
         return deltas
 
     @staticmethod
@@ -165,13 +157,13 @@ class DirtyPropagator:
         deltas: Dict[str, NodeDelta],
         n_partitions: int,
     ):
-        """Fold parent dirtiness into ``(statuses, remap, widen_reason)``.
+        """Fold parent dirtiness into ``(statuses, remap, widen_reason,
+        old_chunk_count)``.
 
-        Returns ``None`` when nothing upstream changed (cannot happen when
-        this node's signature changed, but kept as a guard).  A clean chunk
-        must be clean in *every* delta-carrying parent and all parents must
-        agree on its old-index remap; parents that kept their signature are
-        clean everywhere with an identity remap.
+        A clean chunk must be clean in *every* delta-carrying parent and all parents must
+        agree on its old-index remap (and on the previous chunk count it
+        indexes); parents that kept their signature are clean everywhere with
+        an identity remap.
         """
         statuses = [CLEAN] * n_partitions
         # Old chunk index each clean output chunk must come from; None means
@@ -180,19 +172,19 @@ class DirtyPropagator:
         # parent pins it to its clean-chunk remap.  Disagreement means the
         # merged input rows are not any old chunk's rows: recompute.
         required: List[Optional[int]] = [None] * n_partitions
-        saw_delta = False
+        old_counts = set()
         for parent in parents:
             delta = deltas.get(parent)
             if delta is None:
                 if shadows.get(parent) != compiled.signature_of(parent):
-                    return statuses, {}, f"parent {parent!r} changed without chunk delta"
+                    return statuses, {}, f"parent {parent!r} changed without chunk delta", 0
                 constraints = {i: i for i in range(n_partitions)}
             else:
-                saw_delta = True
+                old_counts.add(delta.old_chunk_count)
                 if delta.scope == NODE_SCOPE:
-                    return statuses, {}, f"parent {parent!r} dirty node-wide ({delta.reason})"
-                if delta.chunk_count != n_partitions:
-                    return statuses, {}, f"parent {parent!r} chunk count mismatch"
+                    return statuses, {}, f"parent {parent!r} dirty node-wide ({delta.reason})", 0
+                if delta.chunk_count != n_partitions or len(old_counts) > 1:
+                    return statuses, {}, f"parent {parent!r} chunk count mismatch", 0
                 constraints = {
                     i: delta.remap[i]
                     for i in range(n_partitions)
@@ -208,8 +200,8 @@ class DirtyPropagator:
                     required[index] = old_index
                 elif required[index] != old_index:
                     statuses[index] = DIRTY
-        if not saw_delta:
-            return statuses, {}, "operator params changed"
+        if not old_counts:
+            return statuses, {}, "operator params changed", 0
         remap = {
             index: required[index]
             for index in range(n_partitions)
@@ -218,4 +210,4 @@ class DirtyPropagator:
         for index in range(n_partitions):
             if statuses[index] == CLEAN and index not in remap:
                 statuses[index] = DIRTY  # never constrained: nothing to reuse
-        return statuses, remap, None
+        return statuses, remap, None, old_counts.pop()

@@ -140,13 +140,20 @@ class ExplainRenderer:
             summary += f"  wall={_seconds(trace.wall_clock_seconds)}"
         lines.append(summary)
         if trace.deltas:
-            lines.append("input deltas:")
+            heading = "input deltas:"
+            if trace.chunk_count:
+                heading += f"  run chunks={trace.chunk_count} (partitions={trace.partitions})"
+            lines.append(heading)
             for delta in trace.deltas:
                 parts = [f"  Δ {delta.node or delta.input_key}: {delta.mode or '?'}"]
                 parts.append(
                     f"{delta.clean_chunks} clean / {delta.dirty_chunks} dirty / "
                     f"{delta.new_chunks} new of {delta.chunk_count} chunks"
                 )
+                if delta.frozen_chunks:
+                    parts.append(f"{delta.frozen_chunks} frozen")
+                if delta.rebalanced_chunks:
+                    parts.append(f"re-balanced into {delta.rebalanced_chunks}")
                 if delta.removed_chunks:
                     parts.append(f"{delta.removed_chunks} removed")
                 lines.append("  ".join(parts))

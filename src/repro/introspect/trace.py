@@ -198,6 +198,10 @@ class DeltaTrace:
     dirty_chunks: int = 0
     new_chunks: int = 0
     removed_chunks: int = 0
+    #: Previous chunks that kept their rows (an append's frozen prefix).
+    frozen_chunks: int = 0
+    #: Chunks re-cut balanced (a shrunk input, or a count over 2 × partitions).
+    rebalanced_chunks: int = 0
 
 
 @dataclass
@@ -214,6 +218,9 @@ class RunTrace:
     backend: str = ""
     parallelism: int = 1
     partitions: int = 1
+    #: The run's chunk count: ``partitions``, or a delta run's input chunk
+    #: count (up to twice ``partitions``); 0 = not recorded (older traces).
+    chunk_count: int = 0
     store_backend: str = ""
     recomputation_policy: str = ""
     materialization_policy: str = ""

@@ -91,7 +91,9 @@ class DeltaHint:
     Produced by :class:`repro.incremental.DeltaPlanner` (kept here so the
     optimizer does not import the incremental package): ``reusable_chunks``
     old-signature chunk artifacts, totalling ``reusable_bytes``, can stand in
-    for clean chunks of this run's ``chunk_count``-way split.
+    for clean chunks of this run's ``chunk_count``-way split.  Chunks need
+    not be equal, so the dirty share is ``dirty_rows / total_rows`` of the
+    input; the chunk ratio stands in only when no rows are known.
     """
 
     chunk_count: int
@@ -103,6 +105,14 @@ class DeltaHint:
     #: then priced at memory bandwidth, the same way ``estimate`` prices
     #: memory-resident whole artifacts.
     memory_resident: bool = False
+    dirty_rows: int = 0
+    total_rows: int = 0
+
+    @property
+    def dirty_fraction(self) -> float:
+        if self.total_rows > 0:
+            return self.dirty_rows / self.total_rows
+        return self.dirty_chunks / self.chunk_count
 
 
 @dataclass
@@ -374,7 +384,8 @@ class CostEstimator:
     ) -> None:
         """Price delta-vs-full for one node and record the verdict in place.
 
-        ``delta = full × dirty_fraction + carry_overhead × reusable_chunks``:
+        ``delta = full × dirty_fraction + carry_overhead × reusable_chunks``
+        (the dirty fraction counts rows, :attr:`DeltaHint.dirty_fraction`):
         clean chunks are linked under the new signature, not loaded.  Only
         when something reads the whole value (``whole_value_reader``) are
         the carried chunks decoded, and their load cost added.  The full
@@ -382,8 +393,7 @@ class CostEstimator:
         of this node forces on parents that could otherwise just carry.
         """
         full = node_costs.compute_cost
-        dirty_fraction = hint.dirty_chunks / hint.chunk_count
-        delta_cost = full * dirty_fraction + self.defaults.carry_overhead * hint.reusable_chunks
+        delta_cost = full * hint.dirty_fraction + self.defaults.carry_overhead * hint.reusable_chunks
         if whole_value_reader:
             delta_cost += self.defaults.load_cost_for_size(
                 hint.reusable_bytes, memory_resident=hint.memory_resident

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfig
 from repro.execution.store import ArtifactMeta, ArtifactStore, ChunkStoreOps
@@ -531,6 +531,15 @@ class TenantStoreView(ChunkStoreOps):
         return self.cache.put_bytes_for(
             self.tenant, signature, node_name, payload, started_at=started_at, codec=codec
         )
+
+    def put_many(
+        self, puts: Sequence[Tuple[str, bytes, str]], node_name: str
+    ) -> List[Optional[ArtifactMeta]]:
+        """Each payload is admitted (or declined) on its own, as by :meth:`put_bytes`."""
+        return [
+            self.put_bytes(signature, node_name, payload, codec=codec)
+            for signature, payload, codec in puts
+        ]
 
     def link_many(
         self, pairs: Iterable[Tuple[str, str]], node_name: str

@@ -180,10 +180,10 @@ _SCHEMA_STATEMENTS = (
     )
     """,
     # Per-chunk input fingerprints for incremental (delta-driven) runs: one
-    # row per chunk, keyed by workflow-scoped input key.  ``chunk_index`` -1
-    # is the prefix row (the streaming digest over chunks 0..n-2 that powers
-    # the append fast path).  Only the latest run's fingerprint is kept per
-    # key — delta detection is one indexed range query.
+    # row per chunk, keyed by workflow-scoped input key.  A ``chunk_index``
+    # -1 row is a retired prefix digest that older versions wrote; reads skip
+    # it.  Only the latest run's fingerprint is kept per key — delta
+    # detection is one indexed range query.
     """
     CREATE TABLE IF NOT EXISTS input_deltas (
         input_key     TEXT NOT NULL,
@@ -586,13 +586,12 @@ class CatalogDB:
         run_iteration: int,
         recorded_at: float,
         chunks: List[Tuple[Tuple[int, ...], str]],
-        prefix_digest: str = "",
     ) -> None:
         """Replace the stored fingerprint of one input with this run's.
 
-        ``chunks`` is ``[(axis_counts, digest), ...]`` in chunk order; the
-        prefix digest is stored as the ``chunk_index = -1`` row.  Replacement
-        is transactional so a reader never sees a half-written fingerprint.
+        ``chunks`` is ``[(axis_counts, digest), ...]`` in chunk order.
+        Replacement is transactional so a reader never sees a half-written
+        fingerprint.
         """
         chunk_count = len(chunks)
         rows = [
@@ -602,11 +601,6 @@ class CatalogDB:
             )
             for index, (axis_counts, digest) in enumerate(chunks)
         ]
-        if prefix_digest:
-            rows.append(
-                (input_key, -1, chunk_count, "[]", prefix_digest, signature,
-                 int(run_iteration), float(recorded_at))
-            )
 
         def work(conn: sqlite3.Connection) -> None:
             conn.execute("DELETE FROM input_deltas WHERE input_key = ?", (input_key,))
@@ -622,7 +616,7 @@ class CatalogDB:
     def input_fingerprint(self, input_key: str) -> Optional[Dict[str, Any]]:
         """The stored fingerprint of one input, or ``None``.
 
-        Returns ``{"signature", "run_iteration", "prefix_digest",
+        Returns ``{"signature", "run_iteration",
         "chunks": [(axis_counts, digest), ...]}`` — the detector's
         :class:`~repro.incremental.detector.InputFingerprint` wire shape,
         kept as plain tuples so the storage layer stays import-light.
@@ -633,7 +627,6 @@ class CatalogDB:
         ).fetchall()
         if not rows:
             return None
-        prefix_digest = ""
         chunks: List[Tuple[Tuple[int, ...], str]] = []
         signature = ""
         run_iteration = 0
@@ -641,19 +634,17 @@ class CatalogDB:
             signature = row["signature"]
             run_iteration = int(row["run_iteration"])
             if int(row["chunk_index"]) < 0:
-                prefix_digest = row["digest"]
-            else:
-                try:
-                    axis_counts = tuple(int(c) for c in json.loads(row["axis_counts"]))
-                except (ValueError, TypeError):
-                    return None  # unreadable fingerprint: treat as absent
-                chunks.append((axis_counts, row["digest"]))
+                continue  # a retired prefix-digest row
+            try:
+                axis_counts = tuple(int(c) for c in json.loads(row["axis_counts"]))
+            except (ValueError, TypeError):
+                return None  # unreadable fingerprint: treat as absent
+            chunks.append((axis_counts, row["digest"]))
         if not chunks:
             return None
         return {
             "signature": signature,
             "run_iteration": run_iteration,
-            "prefix_digest": prefix_digest,
             "chunks": chunks,
         }
 

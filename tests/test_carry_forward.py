@@ -318,29 +318,54 @@ def test_append_run_encodes_dirty_chunks_and_never_reads_unneeded_clean_ones(tmp
 
     stats = run.report.node_stats
     trace = run.trace.nodes
+    # The previous run's PARTS chunks froze; the appended rows opened one more.
+    count = run.trace.chunk_count
+    assert count == PARTS + 1
     for name in ROW_WISE:
         assert trace[name].delta_strategy == "delta", name
-        assert (stats[name].chunks_computed, stats[name].chunks_loaded) == (1, PARTS - 1)
-        assert stats[name].chunks_carried == trace[name].chunks_carried == PARTS - 1
+        assert (stats[name].chunks_computed, stats[name].chunks_loaded) == (1, PARTS)
+        assert stats[name].chunks_carried == trace[name].chunks_carried == PARTS
     # Encodes: one per dirty chunk of a delta node, every chunk (or the one
     # monolithic value) of a node that is not delta.  ``data`` is seeded by
     # the delta planner and re-encoded whole.
     assert dict(store.encoded) == {
-        "data": PARTS, "rows": 1, "dense": 1, "target": 1, "examples": 1,
-        "model": 1, "predictions": PARTS, "checked": 1,
+        "data": count, "rows": 1, "dense": 1, "target": 1, "examples": 1,
+        "model": 1, "predictions": count, "checked": 1,
     }
     # Reads: ``model`` coalesces ``examples`` — its carried chunks decode, once
     # each.  Clean chunks of rows/dense/target feed only clean chunks: no read.
     read_nodes = Counter(
         store.meta(key).node_name for key in store.read if parse_chunk_signature(key)
     )
-    assert dict(read_nodes) == {"examples": PARTS - 1}
-    assert len(store.read) == PARTS - 1
-    assert [stats[name].chunks_decoded for name in ROW_WISE] == [0, 0, 0, PARTS - 1]
+    assert dict(read_nodes) == {"examples": PARTS}
+    assert len(store.read) == PARTS
+    assert [stats[name].chunks_decoded for name in ROW_WISE] == [0, 0, 0, PARTS]
     assert run.report.metrics  # the declared outputs were still produced
     # Every carried chunk is in the store under the new signature.
     for name in ROW_WISE:
-        assert store.chunk_families(stats[name].signature) == {PARTS: list(range(PARTS))}
+        assert store.chunk_families(stats[name].signature) == {count: list(range(count))}
+
+
+def test_a_seeded_root_links_its_frozen_chunks_instead_of_encoding_them(tmp_path):
+    feed = Feed(tmp_path)
+    store = CountingStore(str(tmp_path / "artifacts"))
+    session = _session(tmp_path / "ws", store=store)
+    session.run(feed.workflow())
+    first = session.run(feed.grow())  # the base run stored ``data`` whole
+    store.encoded.clear()
+    second = session.run(feed.grow())
+    # The second append grows the first one's small tail chunk: that is the
+    # one chunk of ``data`` encoded; its PARTS frozen chunks are links.
+    assert store.encoded["data"] == 1
+    old, new = (run.report.node_stats["data"].signature for run in (first, second))
+    count = second.trace.chunk_count
+    assert store.chunk_families(new) == {count: list(range(count))}
+    catalog = store.catalog()
+    for index in range(PARTS):
+        carried = catalog[chunk_signature(new, index, count)]
+        source = catalog[chunk_signature(old, index, count)]
+        assert (carried.size, carried.codec) == (source.size, source.codec)
+    assert second.report.metrics
 
 
 def test_planning_scans_the_catalog_once_per_run(tmp_path):
@@ -366,33 +391,48 @@ def test_three_append_runs_price_each_node_the_same(tmp_path):
     session = HelixSession(str(tmp_path / "ws"), partitions=PARTS)
     session.run(feed.workflow())
     verdicts = []
-    for _ in range(3):
+    for step in range(1, 4):
         run = session.run(feed.grow())
         verdicts.append({name: run.trace.nodes[name].delta_strategy for name in ("rows", "dense")})
         dense = run.report.node_stats["dense"]
-        assert (dense.chunks_computed, dense.chunks_loaded) == (1, PARTS - 1)
+        # The first append opens a tail chunk; it is under half a frozen
+        # chunk, so the next appends grow it: one dirty chunk every time.
+        assert (dense.chunks_computed, dense.chunks_loaded) == (1, PARTS)
+        assert (dense.rows_computed, dense.rows_total) == (
+            step * feed.step, feed.rows + len(feed.test)
+        )
         recorded = session.history.cost_records()[dense.signature].compute_cost
-        assert recorded == pytest.approx(dense.compute_time * PARTS)
+        assert recorded == pytest.approx(
+            dense.compute_time * dense.rows_total / dense.rows_computed
+        )
     assert verdicts == [{"rows": "delta", "dense": "delta"}] * 3
 
 
 def test_history_scales_a_partial_compute_to_all_chunks():
-    def report(computed, loaded, seconds):
+    def report(computed, loaded, seconds, rows=(0, 0)):
         stats = NodeRunStats(
-            node="dense", signature=f"sig-{computed}-{loaded}", operator_type="DenseFeaturizer",
-            category="purple", state=NodeState.COMPUTE, compute_time=seconds,
-            chunks_computed=computed, chunks_loaded=loaded,
+            node="dense", signature=f"sig-{computed}-{loaded}-{rows[0]}",
+            operator_type="DenseFeaturizer", category="purple", state=NodeState.COMPUTE,
+            compute_time=seconds, chunks_computed=computed, chunks_loaded=loaded,
+            rows_computed=rows[0], rows_total=rows[1],
         )
         return IterationReport(iteration=0, workflow_name="w", node_stats={"dense": stats})
 
     history = RunHistory()
-    history.update_from_report(report(16, 0, 1.6))
-    history.update_from_report(report(1, 15, 0.1))
+    history.update_from_report(report(16, 0, 1.6, rows=(1600, 1600)))
+    history.update_from_report(report(1, 15, 0.1, rows=(100, 1600)))
     history.update_from_report(report(0, 16, 0.0))  # nothing measured: no record
+    # Unequal chunks: one 40-row chunk beside four frozen 200-row ones took
+    # 0.04 s.  Scaled by rows that is 0.84 s; by chunks it would be 0.2 s.
+    history.update_from_report(report(1, 4, 0.04, rows=(40, 840)))
+    # No row weights (a balanced partial-hit recovery): chunks stand in.
+    history.update_from_report(report(1, 3, 0.1))
     records = history.cost_records()
-    assert records["sig-16-0"].compute_cost == pytest.approx(1.6)
-    assert records["sig-1-15"].compute_cost == pytest.approx(1.6)
-    assert "sig-0-16" not in records
+    assert records["sig-16-0-1600"].compute_cost == pytest.approx(1.6)
+    assert records["sig-1-15-100"].compute_cost == pytest.approx(1.6)
+    assert "sig-0-16-0" not in records
+    assert records["sig-1-4-40"].compute_cost == pytest.approx(0.84)
+    assert records["sig-1-3-0"].compute_cost == pytest.approx(0.4)
 
 
 def test_tight_budget_debits_exact_sizes_and_carries_a_deterministic_prefix(tmp_path):
@@ -427,14 +467,18 @@ def test_tight_budget_debits_exact_sizes_and_carries_a_deterministic_prefix(tmp_
     # what fits is a prefix of each node's chunks, and a carried chunk took
     # exactly its source's catalog size out of the budget.
     catalog = session.store.catalog()
+    # The first run cut PARTS chunks; the append run froze them and opened one.
+    count = second.trace.chunk_count
+    assert (first.trace.chunk_count, count) == (PARTS, PARTS + 1)
     some_carried = False
     for name in ROW_WISE:
         old, new = (run.report.node_stats[name].signature for run in (first, second))
-        present = session.store.chunk_families(new).get(PARTS, [])
+        present = session.store.chunk_families(new).get(count, [])
         assert present == list(range(len(present))), name
-        for index in present[:PARTS - 1]:
+        for index in present[:PARTS]:
             some_carried = True
-            carried, source = (catalog[chunk_signature(sig, index, PARTS)] for sig in (new, old))
+            carried = catalog[chunk_signature(new, index, count)]
+            source = catalog[chunk_signature(old, index, PARTS)]
             assert (carried.size, carried.codec) == (source.size, source.codec)
     assert some_carried
 

@@ -388,7 +388,7 @@ class TestAsyncMaterialization:
         stats_probe = []
 
         class FailingStore:
-            def put_bytes(self, signature, node_name, payload, codec):
+            def put_many(self, puts, node_name):
                 stats_probe.append(node_name)
                 raise OSError("disk on fire")
 
@@ -396,7 +396,7 @@ class TestAsyncMaterialization:
         from repro.execution.stats import NodeRunStats
 
         stats = NodeRunStats("n", "sig", "Op", "purple", NodeState.COMPUTE)
-        writer.submit("sig", "n", b"payload", stats, codec="pickle")
+        writer.submit("n", [("sig", b"payload", "pickle")], stats)
         with pytest.raises(OSError, match="disk on fire"):
             writer.drain()
         assert stats_probe == ["n"]
@@ -408,7 +408,7 @@ class TestAsyncMaterialization:
         writer = AsyncMaterializer(store, queue_size=1)
         for index in range(3):
             stats = NodeRunStats(f"n{index}", f"sig{index}", "Op", "purple", NodeState.COMPUTE)
-            writer.submit(f"sig{index}", f"n{index}", pickle.dumps([index]), stats, codec="pickle")
+            writer.submit(f"n{index}", [(f"sig{index}", pickle.dumps([index]), "pickle")], stats)
         assert writer.drain() == 3
         assert sorted(store.signatures()) == ["sig0", "sig1", "sig2"]
 

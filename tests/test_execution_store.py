@@ -376,3 +376,66 @@ class TestChunkedArtifacts:
         assert len(store.chunk_signatures("sig")) == 2
         assert store.delete_chunks("sig") == 2
         assert store.chunk_families("sig") == {}
+
+
+class TestPutMany:
+    """One node's encoded chunks: one catalog read, one catalog transaction."""
+
+    def _puts(self, store, n=4, size=200):
+        values = [list(range(size * index, size * (index + 1))) for index in range(n)]
+        return [
+            (chunk_signature("sig", index, n), *store.encode("n", value))
+            for index, value in enumerate(values)
+        ]
+
+    def test_writes_every_payload_with_one_read_and_one_commit(self, store):
+        from unittest import mock
+
+        puts = self._puts(store)
+        db = store.catalog_db
+        with mock.patch.object(db, "get_artifacts", wraps=db.get_artifacts) as reads, \
+                mock.patch.object(db, "upsert_artifacts", wraps=db.upsert_artifacts) as commits, \
+                mock.patch.object(db, "upsert_artifact", wraps=db.upsert_artifact) as single:
+            metas = store.put_many(puts, "n")
+        assert (reads.call_count, commits.call_count, single.call_count) == (1, 1, 0)
+        assert [meta.size for meta in metas] == [float(len(payload)) for _s, payload, _c in puts]
+        assert store.chunk_families("sig") == {4: [0, 1, 2, 3]}
+        assert store.get_chunk("sig", 2, 4)[0] == list(range(400, 600))
+
+    def test_over_budget_batch_writes_nothing(self, tmp_path):
+        probe = ArtifactStore(str(tmp_path / "probe"))
+        puts = self._puts(probe)
+        total = sum(len(payload) for _s, payload, _c in puts)
+        store = ArtifactStore(str(tmp_path / "store"), budget_bytes=total - 1)
+        with pytest.raises(BudgetExceededError):
+            store.put_many(puts, "n")
+        assert store.catalog() == {} and store.backend.keys() == []
+
+    def test_no_row_commits_before_every_payload_landed(self, store):
+        puts = self._puts(store)
+        real_put = store.backend.put_bytes
+        written = []
+
+        def flaky(key, payload):
+            if len(written) == 2:
+                raise StorageError("disk full")
+            written.append(key)
+            real_put(key, payload)
+
+        store.backend.put_bytes = flaky
+        with pytest.raises(StorageError):
+            store.put_many(puts, "n")
+        assert len(written) == 2 and store.catalog() == {}
+
+    def test_tenant_view_admits_each_payload_on_its_own(self, tmp_path):
+        from repro.service.cache import CacheConfig, SharedArtifactCache
+
+        small = ("small", *ArtifactStore(str(tmp_path / "p")).encode("n", [1]))
+        big = ("big", *ArtifactStore(str(tmp_path / "q")).encode("n", list(range(5000))))
+        cache = SharedArtifactCache(
+            str(tmp_path / "cache"), CacheConfig(tenant_quota_bytes=len(big[1]) / 2)
+        )
+        metas = cache.view("bob").put_many([small, big], "n")
+        assert metas[0] is not None and metas[1] is None
+        assert cache.has("small") and not cache.has("big")
+        assert cache.stats.admission_rejections == 1

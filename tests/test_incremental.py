@@ -65,19 +65,28 @@ class TestDeltaDetector:
         base = detector.detect("k", "data", rows(40), "sig1", previous=None)
         delta = detector.detect("k", "data", rows(43), "sig2", base.fingerprint)
         assert delta.mode == "append"
-        assert delta.statuses == [CLEAN] * (PARTS - 1) + [DIRTY]
-        assert delta.remap == {i: i for i in range(PARTS - 1)}
+        # Every previous chunk froze (clean under the identity remap); the
+        # appended rows opened a new tail chunk, the only one to compute.
+        assert delta.statuses == [CLEAN] * PARTS + [NEW]
+        assert delta.remap == {i: i for i in range(PARTS)}
         assert delta.removed_chunks == 0
-        # The stretched tail carries the appended rows; the prefix kept the
-        # previous run's boundaries so its chunks stayed byte-stable.
-        assert delta.boundaries == ((10, 10, 10, 13),)
+        assert (delta.old_chunk_count, delta.frozen_chunks) == (PARTS, PARTS)
+        assert not delta.rebalanced
+        assert delta.boundaries == ((10, 10, 10, 10, 3),)
+        # The next append finds a 3-row tail, under half the 10-row target:
+        # it absorbs the appended rows instead of freezing.
+        again = detector.detect("k", "data", rows(45), "sig3", delta.fingerprint)
+        assert again.mode == "append"
+        assert again.statuses == [CLEAN] * PARTS + [DIRTY]
+        assert again.boundaries == ((10, 10, 10, 10, 5),)
+        assert again.frozen_chunks == PARTS
 
-    def test_append_fast_path_reuses_prefix_chunk_digests(self):
+    def test_append_keeps_every_previous_chunk_digest(self):
         detector = DeltaDetector(PARTS)
-        base = detector.fingerprint("k", rows(40), "sig1")
-        appended = detector.fingerprint("k", rows(41), "sig2", previous=base)
-        assert appended.chunks[: PARTS - 1] == base.chunks[: PARTS - 1]
-        assert appended.chunks[-1] != base.chunks[-1]
+        base = detector.detect("k", "data", rows(40), "sig1", previous=None).fingerprint
+        appended = detector.detect("k", "data", rows(41), "sig2", base).fingerprint
+        assert appended.chunks[:PARTS] == base.chunks
+        assert appended.chunk_count == PARTS + 1
 
     def test_rolling_window_remaps_shifted_chunks(self):
         detector = DeltaDetector(PARTS)
@@ -297,12 +306,16 @@ class TestCatalogFingerprints:
     def test_record_and_read_round_trip(self, tmp_path):
         db = CatalogDB(str(tmp_path / "catalog.sqlite"))
         chunks = [((30, 10), "d0"), ((30, 10), "d1"), ((33, 11), "d2")]
-        db.record_input_fingerprint("feed:data", "sig1", 2, 123.0, chunks, prefix_digest="pf")
+        db.record_input_fingerprint("feed:data", "sig1", 2, 123.0, chunks)
+        # A prefix-digest row (chunk_index -1) that older versions wrote is
+        # skipped on read.
+        db._transaction(lambda conn: conn.execute(
+            "INSERT INTO input_deltas (input_key, chunk_index, chunk_count, axis_counts, "
+            "digest, signature, run_iteration, recorded_at) "
+            "VALUES ('feed:data', -1, 3, '[]', 'pf', 'sig1', 2, 123.0)"
+        ))
         row = db.input_fingerprint("feed:data")
-        assert row["signature"] == "sig1"
-        assert row["run_iteration"] == 2
-        assert row["prefix_digest"] == "pf"
-        assert row["chunks"] == [((30, 10), "d0"), ((30, 10), "d1"), ((33, 11), "d2")]
+        assert row == {"signature": "sig1", "run_iteration": 2, "chunks": chunks}
         db.close()
 
     def test_rerecording_replaces_previous_fingerprint(self, tmp_path):
@@ -413,7 +426,9 @@ class TestSessionIncremental:
         trace = delta_run.trace
         assert trace.incremental
         assert trace.deltas and trace.deltas[0].mode == "append"
-        assert trace.deltas[0].dirty_chunks == 1
+        # The appended rows opened one new chunk; no previous chunk is dirty.
+        assert (trace.deltas[0].dirty_chunks, trace.deltas[0].new_chunks) == (0, 1)
+        assert trace.chunk_count == PARTS + 1 and trace.deltas[0].frozen_chunks == PARTS
         delta_nodes = [e for e in trace.nodes.values() if e.delta_strategy == "delta"]
         assert delta_nodes, "at least one node must run the delta strategy"
         for entry in delta_nodes:
@@ -427,8 +442,8 @@ class TestSessionIncremental:
 
         text = render_trace(delta_run.trace)
         assert "incremental=on" in text
-        assert "input deltas:" in text
-        assert "append" in text
+        assert "input deltas:  run chunks=5 (partitions=4)" in text
+        assert "append" in text and "4 frozen" in text
         assert "Δ=delta" in text
         # The cost numbers that justified the verdict are on the node line.
         assert "saves~" in text
@@ -499,3 +514,40 @@ class TestCliVerbs:
         limited = capsys.readouterr().out
         assert limited.count("census") == 1
         assert "2 older runs hidden" in limited
+
+
+def test_changed_roots_that_disagree_on_the_chunk_count_re_cut_balanced(tmp_path):
+    """One chunk count per run: an appended root would run 3 chunks and an
+    edited-in-place root 2, so both re-cut balanced into ``partitions``."""
+    parts = 2
+    train, test = census_lines(240, 40)
+    paths = {name: (str(tmp_path / f"{name}-train.csv"), str(tmp_path / f"{name}-test.csv"))
+             for name in ("a", "b")}
+
+    def workflow(a_rows, b_train):
+        wf = Workflow("two_feeds")
+        outputs = []
+        for name, lines in (("a", train[:a_rows]), ("b", b_train)):
+            train_path, test_path = paths[name]
+            version = write_feed(train_path, lines) + write_feed(test_path, test)
+            data = wf.add(name, FileSource(train=train_path, test=test_path, version=version))
+            outputs.append(wf.add(f"{name}_rows", CsvScanner(
+                data, fields=CENSUS_FIELDS, numeric_fields=NUMERIC_FIELDS)))
+        wf.mark_output(*outputs)
+        return wf
+
+    session = HelixSession(str(tmp_path / "ws"), partitions=parts)
+    session.run(workflow(160, train[:160]))
+    edited = list(train[:160])
+    edited[0], edited[1] = edited[1], edited[0]
+    run = session.run(workflow(240, edited))
+    deltas = {delta.node: delta for delta in run.trace.deltas}
+    assert set(deltas) == {"a", "b"}
+    assert run.trace.chunk_count == parts
+    for delta in deltas.values():
+        assert (delta.chunk_count, delta.rebalanced_chunks, delta.frozen_chunks) == (parts, parts, 0)
+    assert session.metrics_registry.counter("repro_incremental_rebalances_total").value == 2
+    cold = HelixSession(str(tmp_path / "cold"), partitions=parts, incremental=False)
+    cold_run = cold.run(workflow(240, edited))
+    for name in ("a_rows", "b_rows"):
+        assert run.outputs[name].train.records() == cold_run.outputs[name].train.records()
