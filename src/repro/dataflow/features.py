@@ -14,6 +14,7 @@ predictions next to gold labels for the evaluation operators.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -71,14 +72,6 @@ class Csr:
         return Csr(self.indptr[start:stop + 1] - low, self.indices[low:high], self.data[low:high])
 
 
-def _dedupe(csr: Csr) -> Csr:
-    """Collapse keys a row names twice exactly as a dict does: the entry stays
-    where the key first appeared and takes the last value."""
-    bounds, indices, values = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
-    rows = [dict(zip(indices[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
-    return Csr.build(list(map(len, rows)), list(chain.from_iterable(rows)), [v for row in rows for v in row.values()])
-
-
 def _require_aligned(blocks: Sequence["FeatureBlock"]) -> None:
     for block in blocks[1:]:
         for split in ("train", "test"):
@@ -123,22 +116,23 @@ class FeatureBlock:
 
     @classmethod
     def build(cls, name: str, keys: Sequence[str], train: Csr, test: Csr) -> "FeatureBlock":
-        """The block over key table ``keys`` in any order, possibly repeated.
+        """The block over key table ``keys`` in any order.
 
         Sorting the table makes the layout canonical: a block built whole and
         one merged from chunks that each built their own table hold equal
-        arrays.  Equal strings become one key; a row that then names it twice
-        keeps it where it first appeared, with the last value, as a dict would.
+        arrays.  Two keys that format to one string (``1`` and ``"1"``, or
+        block ``a``'s ``b.c`` and block ``a.b``'s ``c`` once namespaced) would
+        become one feature, so they raise :class:`DataError` instead.
         """
         table = sorted(set(keys))
+        if len(table) < len(keys):
+            colliding = sorted(key for key, count in Counter(keys).items() if count > 1)
+            raise DataError(f"feature block {name!r} has distinct keys that format alike: {colliding[:5]!r}")
         if table == list(keys):
             return cls(name, tuple(table), train, test)
         position = {key: index for index, key in enumerate(table)}
         remap = np.array([position[key] for key in keys], dtype=np.int32)
-        splits = [Csr(csr.indptr, remap[csr.indices], csr.data) for csr in (train, test)]
-        if len(table) < len(keys):
-            splits = [_dedupe(csr) for csr in splits]
-        return cls(name, tuple(table), *splits)
+        return cls(name, tuple(table), *(Csr(csr.indptr, remap[csr.indices], csr.data) for csr in (train, test)))
 
     @classmethod
     def from_rows(

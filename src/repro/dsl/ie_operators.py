@@ -17,6 +17,7 @@ from repro.dataflow.sequences import (
     SequenceFeatureBlock,
     SequencePredictions,
     Sentence,
+    concat_splits,
     merge_sequence_blocks,
 )
 from repro.datagen.names import FIRST_NAMES, LAST_NAMES
@@ -77,7 +78,12 @@ class Tokenizer(Operator):
 
 
 class _TokenFeatureOperator(Operator):
-    """Shared machinery for per-token feature extractors."""
+    """Shared machinery for per-token feature extractors.
+
+    A subclass answers one feature dict per token; ``apply`` interns every
+    split's dicts once, into a columnar block
+    (:meth:`~repro.dataflow.sequences.SequenceFeatureBlock.from_rows`).
+    """
 
     category = ChangeCategory.DATA_PREP
 
@@ -102,9 +108,7 @@ class _TokenFeatureOperator(Operator):
                 for sentence in sentences
             ]
 
-        return SequenceFeatureBlock(
-            name=self._block_name(), train=process(corpus.train), test=process(corpus.test)
-        )
+        return SequenceFeatureBlock.from_rows(self._block_name(), process(corpus.train), process(corpus.test))
 
 
 class TokenShapeExtractor(_TokenFeatureOperator):
@@ -244,7 +248,7 @@ class SequenceLearner(Operator):
         examples: SequenceExampleSet = self._input(inputs, self.examples)
         features, sentences = examples.split("train")
         model = StructuredPerceptron(epochs=self.epochs, averaged=self.averaged, seed=self.seed)
-        model.fit(features, _gold_tags(sentences))
+        model.fit(examples.features.keys, features, _gold_tags(sentences))
         return model
 
 
@@ -267,7 +271,7 @@ class SequencePredictor(Operator):
         test_features, test_sentences = examples.split("test")
         # Sentences decode independently: one batch over both splits equals
         # one per split.
-        predictions = model.predict(list(train_features) + list(test_features))
+        predictions = model.predict(examples.features.keys, concat_splits([train_features, test_features]))
         return SequencePredictions(
             name="sequence_predictions",
             train_predictions=predictions[: len(train_features)],

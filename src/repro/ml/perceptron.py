@@ -1,11 +1,17 @@
 """Structured (averaged) perceptron for sequence tagging with Viterbi decoding.
 
 This is the learner behind the information-extraction workload: it tags each
-token with a BIO label (``O``, ``B-PER``, ``I-PER``) using per-token feature
-dictionaries plus a learned tag-transition matrix, exactly the shape of model
-DeepDive-style person-mention extraction pipelines train.
+token with a BIO label (``O``, ``B-PER``, ``I-PER``) using per-token features
+plus a learned tag-transition matrix, exactly the shape of model DeepDive-style
+person-mention extraction pipelines train.
 
-Feature names are interned to integer rows once per ``fit`` / ``predict`` call.
+``fit`` and ``predict`` read one split of a columnar
+:class:`~repro.dataflow.sequences.SequenceFeatureBlock` — its token rows and
+sentence bounds — together with the block's key table.  Features were interned
+once, when the extractors built their blocks: ``fit`` takes the key table as its
+vocabulary, and ``predict`` maps the model's vocabulary onto a block's table
+with one lookup per key.
+
 Decoding works on batches of sentences: their emission scores are padded to one
 ``(sentences, length, tags)`` array, and one NumPy Viterbi recursion runs over
 the whole batch, one step per token position.  ``predict`` decodes every
@@ -21,57 +27,41 @@ equal it bit for bit (``tests/reference_perceptron.py``).
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dataflow.sequences import SequenceSplit
 from repro.errors import MLError, NotFittedError
 
-TokenFeatures = Mapping[str, float]
-
-#: A corpus as flat occurrence arrays: feature row, value, and position within
+#: A split as flat occurrence arrays: feature row, value, and position within
 #: the sentence of every (token, feature) pair in dict order, plus the offsets
 #: delimiting each sentence's occurrences and each sentence's tokens.
 _Encoded = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _intern(sentences: Sequence[Sequence[TokenFeatures]]) -> Dict[str, int]:
-    """Feature name -> row, in order of first occurrence."""
-    vocabulary = dict.fromkeys(chain.from_iterable(chain.from_iterable(sentences)), 0)
-    for row, name in enumerate(vocabulary):
-        vocabulary[name] = row
-    return vocabulary
-
-
-def _encode(sentences: Sequence[Sequence[TokenFeatures]], vocabulary: Mapping[str, int]) -> _Encoded:
-    """Every feature occurrence as a row of ``vocabulary``; names it lacks are
-    dropped (a feature the model never saw scores zero).  A NaN or infinite
-    value is refused: no decoder has a defined answer for it."""
-    tokens = list(chain.from_iterable(sentences))
-    per_token = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
-    n_occurrences = int(per_token.sum())
-    ids = np.fromiter(
-        map(vocabulary.get, chain.from_iterable(tokens), repeat(-1)), dtype=np.intp, count=n_occurrences
-    )
-    values = np.fromiter(
-        chain.from_iterable(token.values() for token in tokens), dtype=np.float64, count=n_occurrences
-    )
-    token_positions = np.fromiter(
-        chain.from_iterable(map(range, map(len, sentences))), dtype=np.intp, count=len(tokens)
-    )
-    positions = np.repeat(token_positions, per_token)
-    token_bounds = np.cumsum([0, *map(len, sentences)])
-    bounds = np.concatenate(([0], np.cumsum(per_token)))[token_bounds]
+def _occurrences(keys: Sequence[str], sentences: SequenceSplit, rows: Optional[np.ndarray] = None) -> _Encoded:
+    """Every feature occurrence of ``sentences`` at row ``rows[key index]`` of
+    the weights (the key index itself without ``rows``).  A key mapped to -1 is
+    dropped: a feature the model never saw scores zero.  A NaN or infinite
+    value is refused, by name, since no decoder has a defined answer for it."""
+    tokens, token_bounds = sentences.tokens, sentences.bounds
+    values = tokens.data
+    token_positions = np.arange(len(tokens)) - np.repeat(token_bounds[:-1], sentences.lengths())
+    positions = np.repeat(token_positions, tokens.lengths())
+    bounds = tokens.indptr[token_bounds]
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
-        name = next(islice(chain.from_iterable(tokens), bad, None))
         sentence = int(np.searchsorted(bounds, bad, side="right")) - 1
         raise MLError(
-            f"feature {name!r} has non-finite value {values[bad]} "
+            f"feature {keys[tokens.indices[bad]]!r} has non-finite value {values[bad]} "
             f"(sentence {sentence}, token {positions[bad]})"
         )
+    if rows is None:
+        return tokens.indices.astype(np.intp), values, positions, bounds, token_bounds
+    ids = rows[tokens.indices]
     known = ids >= 0
     if not known.all():
         ids, values, positions = ids[known], values[known], positions[known]
@@ -141,7 +131,7 @@ def _decode(emissions: np.ndarray, lengths: np.ndarray, transitions: np.ndarray)
 
 
 class StructuredPerceptron:
-    """Averaged structured perceptron over token feature dictionaries.
+    """Averaged structured perceptron over columnar token features.
 
     Parameters
     ----------
@@ -188,10 +178,10 @@ class StructuredPerceptron:
     # Training
     # ------------------------------------------------------------------
     def fit(
-        self,
-        sentences: Sequence[Sequence[TokenFeatures]],
-        tag_sequences: Sequence[Sequence[str]],
+        self, keys: Sequence[str], sentences: SequenceSplit, tag_sequences: Sequence[Sequence[str]]
     ) -> "StructuredPerceptron":
+        """Train on one split of a sequence feature block whose key table is
+        ``keys`` (that table is the vocabulary)."""
         if len(sentences) != len(tag_sequences):
             raise MLError(
                 f"got {len(sentences)} feature sentences but {len(tag_sequences)} tag sequences"
@@ -202,17 +192,16 @@ class StructuredPerceptron:
         tag_index = {tag: index for index, tag in enumerate(tags)}
         n_tags = len(tags)
         golds = [[tag_index[tag] for tag in sequence] for sequence in tag_sequences]
-        if any(len(sentence) != len(gold) for sentence, gold in zip(sentences, golds)):
+        lengths = sentences.lengths()
+        if lengths.tolist() != list(map(len, golds)):
             raise MLError("token/tag length mismatch inside a sentence")
         self.tags_ = tags
 
-        vocabulary = _intern(sentences)
-        ids, values, positions, bounds, token_bounds = _encode(sentences, vocabulary)
-        lengths = np.diff(token_bounds)
+        ids, values, positions, bounds, token_bounds = _occurrences(keys, sentences)
         gold_tokens = np.fromiter(chain.from_iterable(golds), dtype=np.intp, count=int(token_bounds[-1]))
-        weights = np.zeros((len(vocabulary), n_tags))
+        weights = np.zeros((len(keys), n_tags))
         totals = np.zeros_like(weights)
-        stamps = np.zeros(len(vocabulary), dtype=np.int64)
+        stamps = np.zeros(len(keys), dtype=np.int64)
         transitions = np.zeros((n_tags + 1, n_tags))  # row n_tags is the start state
         transition_totals = np.zeros_like(transitions)
         transition_stamps = np.zeros(transitions.shape, dtype=np.int64)
@@ -297,8 +286,7 @@ class StructuredPerceptron:
             weights = (totals[kept] + weights * (step - stamps[kept])[:, None]) / step
             transitions = (transition_totals + transitions * (step - transition_stamps)) / step
 
-        names = list(vocabulary)
-        self.vocabulary_ = {names[row]: index for index, row in enumerate(kept.tolist())}
+        self.vocabulary_ = {keys[row]: index for index, row in enumerate(kept.tolist())}
         self.weights_ = weights
         self.transition_weights_ = transitions
         return self
@@ -306,7 +294,8 @@ class StructuredPerceptron:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def predict(self, sentences: Sequence[Sequence[TokenFeatures]]) -> List[List[str]]:
+    def predict(self, keys: Sequence[str], sentences: SequenceSplit) -> List[List[str]]:
+        """Tag every sentence of one split of a block whose key table is ``keys``."""
         if (
             self.tags_ is None
             or self.vocabulary_ is None
@@ -314,7 +303,9 @@ class StructuredPerceptron:
             or self.transition_weights_ is None
         ):
             raise NotFittedError("StructuredPerceptron.predict called before fit")
-        ids, values, positions, bounds, token_bounds = _encode(sentences, self.vocabulary_)
+        # The model's rows of the block's keys: one lookup per key, not per occurrence.
+        known = np.fromiter(map(self.vocabulary_.get, keys, [-1] * len(keys)), dtype=np.intp, count=len(keys))
+        ids, values, positions, bounds, token_bounds = _occurrences(keys, sentences, known)
         # The weights are fixed, so every sentence is decoded in one batch.
         lengths = np.diff(token_bounds)
         rows = np.repeat(np.arange(len(sentences)), np.diff(bounds))

@@ -159,18 +159,25 @@ class CostDefaults:
         census model           pickle+zlib     0.10    0.05    3064      57.7
         news corpus 60 docs    pickle          0.62    0.65   45295      69.8
         news corpus 60 docs    pickle+zlib*    1.45    1.33    7525       5.7
-        sequence block 60 docs pickle          3.72    5.53  750258     135.7
-        sequence block 60 docs pickle+zlib*    7.39    7.10   78700      11.1
+        sequence block 60 docs pickle          1.46    1.24  391548     314.8
+        sequence block 60 docs pickle+zlib*    2.69    1.49   40294      27.0
         (* = what codec=auto picks for that value)
 
     and each pickled codec's entry is Σ payload bytes / Σ decode seconds over
     the rows ``auto`` writes with that codec (marked ``*``: ``pickle`` 251,
-    ``pickle+zlib`` 26 MB/s), rounded down to a multiple of 5.  One codec
-    serves very different values, so it is priced by the values it actually
-    stores: a columnar feature block inflates and copies buffers (60-120 MB/s
-    of payload), while a ``Dataset``, a news corpus or a
-    ``SequenceFeatureBlock`` rebuilds Python objects (6-12 MB/s), and all of
-    them are written ``pickle+zlib``.  An ndarray decode is a memcpy, so
+    ``pickle+zlib`` 26 MB/s), rounded down to a multiple of 5.  The two
+    ``sequence block`` rows were measured again once sequence feature blocks
+    became columnar (the assembled example set: 78.7 KB decoding in 9.2 ms
+    before, 40.3 KB in 1.5 ms after, one run of each on one host).  Over the
+    rows above, ``pickle+zlib`` now derives to 32 MB/s, 30 rounded down; the
+    entry stays at 25 MB/s, so that plans on the workloads without sequence
+    blocks do not move until the cost model is re-priced as a whole.  One
+    codec serves very different values, so it is priced by the values it
+    actually stores: a columnar feature block inflates and copies buffers
+    (60-120 MB/s of payload), and a sequence example set — columnar token
+    features plus the corpus's Python sentences — about 27 MB/s, while a
+    ``Dataset`` or a news corpus rebuilds Python objects (6-12 MB/s), and all
+    of them are written ``pickle+zlib``.  An ndarray decode is a memcpy, so
     ``numpy-raw`` is bounded by the file read instead: 1.2-1.3 GB/s through
     ``ArtifactStore.get`` on a disk store (0.3-3.2 MB arrays).
     Artifacts resident in a memory tier skip the disk entirely: their loads

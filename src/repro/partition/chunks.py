@@ -40,6 +40,7 @@ from repro.dataflow.sequences import (
     SequenceExampleSet,
     SequenceFeatureBlock,
     SequencePredictions,
+    concat_sequence_blocks,
 )
 from repro.errors import DataError
 from repro.partition.partitioner import PartitionedCollection, block_slices
@@ -119,7 +120,9 @@ def _block_counts(n_items: int, n_parts: int) -> Tuple[int, ...]:
 def _two_axis(value: Any) -> Optional[Tuple[Sequence[Any], Sequence[Any]]]:
     """(train, test) row axes for split-carrying values, else ``None``; not
     copied (a feature block answers its :class:`~repro.dataflow.features.Csr`
-    splits, whose ``len`` is the row count)."""
+    splits, whose ``len`` is the row count, and a sequence block its
+    :class:`~repro.dataflow.sequences.SequenceSplit` splits, whose ``len`` is
+    the sentence count)."""
     if isinstance(value, (Dataset, FeatureBlock, LabelBlock, SequenceCorpus, SequenceFeatureBlock)):
         return value.train, value.test
     if isinstance(value, (ExampleCollection, SequenceExampleSet)):
@@ -133,13 +136,14 @@ def axis_rows(value: Any) -> Optional[List[List[Any]]]:
     """The value's rows, one list per row axis, or ``None`` if not row-shaped.
 
     Split-carrying values answer ``[train rows, test rows]`` (feature blocks
-    as their row dicts); flat collections answer a single axis.  This is the
-    row view the incremental delta detector fingerprints: hashing
-    axis-by-axis in this order matches exactly how :func:`split_value`
-    slices the value into chunks.
+    as their row dicts, sequence blocks as one list of dicts per sentence);
+    flat collections answer a single axis.  This is the row view the
+    incremental delta detector fingerprints: hashing axis-by-axis in this
+    order matches exactly how :func:`split_value` slices the value into
+    chunks.
     """
-    block = value.features if isinstance(value, ExampleCollection) else value
-    if isinstance(block, FeatureBlock):
+    block = value.features if isinstance(value, (ExampleCollection, SequenceExampleSet)) else value
+    if isinstance(block, (FeatureBlock, SequenceFeatureBlock)):
         return [block.rows("train"), block.rows("test")]
     two = _two_axis(value)
     if two is not None:
@@ -251,16 +255,13 @@ def _split(value: Any, n: int, shape: Optional[Shape]) -> Optional[List[Any]]:
     if isinstance(value, DataCollection):
         parts = _split_list(value.records(), _axis_counts(len(value), n, shape, 0))
         return [DataCollection(part, schema=value.schema, name=value.name) for part in parts]
-    if isinstance(value, FeatureBlock):
+    if isinstance(value, (FeatureBlock, SequenceFeatureBlock)):
+        # A Csr slices records, a SequenceSplit sentences; both keep the key table.
         trains, tests = (
-            [csr.slice(start, stop) for start, stop in _cuts(len(csr), _axis_counts(len(csr), n, shape, axis))]
-            for axis, csr in enumerate((value.train, value.test))
+            [rows.slice(start, stop) for start, stop in _cuts(len(rows), _axis_counts(len(rows), n, shape, axis))]
+            for axis, rows in enumerate((value.train, value.test))
         )
-        return [FeatureBlock(value.name, value.keys, trains[i], tests[i]) for i in range(n)]
-    if isinstance(value, SequenceFeatureBlock):
-        trains = _split_list(value.train, _axis_counts(len(value.train), n, shape, 0))
-        tests = _split_list(value.test, _axis_counts(len(value.test), n, shape, 1))
-        return [SequenceFeatureBlock(name=value.name, train=trains[i], test=tests[i]) for i in range(n)]
+        return [type(value)(value.name, value.keys, trains[i], tests[i]) for i in range(n)]
     if isinstance(value, LabelBlock):
         trains = _split_list(value.train, _axis_counts(len(value.train), n, shape, 0))
         tests = _split_list(value.test, _axis_counts(len(value.test), n, shape, 1))
@@ -341,11 +342,7 @@ def merge_value(chunks: Sequence[Any]) -> Any:
     if isinstance(first, FeatureBlock):
         return concat_feature_blocks(chunks)
     if isinstance(first, SequenceFeatureBlock):
-        return SequenceFeatureBlock(
-            name=first.name,
-            train=[row for c in chunks for row in c.train],
-            test=[row for c in chunks for row in c.test],
-        )
+        return concat_sequence_blocks(chunks)
     if isinstance(first, LabelBlock):
         return LabelBlock(
             name=first.name,

@@ -43,27 +43,28 @@ class TestSequenceCorpus:
 
 class TestSequenceFeatureBlock:
     def test_split_and_feature_names(self):
-        block = SequenceFeatureBlock(name="f", train=[[{"a": 1.0}]], test=[[{"b": 2.0}]])
-        assert block.split("train") == [[{"a": 1.0}]]
+        block = SequenceFeatureBlock.from_rows("f", [[{"a": 1.0}]], [[{"b": 2.0}]])
+        assert block.rows("train") == [[{"a": 1.0}]]
+        assert block.split("train").bounds.tolist() == [0, 1] and block.keys == ("a", "b")
         assert block.feature_names() == ["a", "b"]
         with pytest.raises(DataError):
             block.split("dev")
 
     def test_merge_namespaces_and_aligns(self):
-        left = SequenceFeatureBlock(name="l", train=[[{"x": 1.0}, {"x": 2.0}]], test=[[{"x": 3.0}]])
-        right = SequenceFeatureBlock(name="r", train=[[{"y": 4.0}, {}]], test=[[{"y": 5.0}]])
+        left = SequenceFeatureBlock.from_rows("l", [[{"x": 1.0}, {"x": 2.0}]], [[{"x": 3.0}]])
+        right = SequenceFeatureBlock.from_rows("r", [[{"y": 4.0}, {}]], [[{"y": 5.0}]])
         merged = merge_sequence_blocks([left, right])
-        assert merged.train[0][0] == {"l.x": 1.0, "r.y": 4.0}
-        assert merged.train[0][1] == {"l.x": 2.0}
+        assert merged.rows("train")[0][0] == {"l.x": 1.0, "r.y": 4.0}
+        assert merged.rows("train")[0][1] == {"l.x": 2.0}
 
     def test_merge_empty_raises(self):
         with pytest.raises(DataError):
             merge_sequence_blocks([])
 
     def test_merge_sentence_count_mismatch_raises(self):
-        left = SequenceFeatureBlock(name="l", train=[[{"x": 1.0}]], test=[])
-        right = SequenceFeatureBlock(name="r", train=[[{"y": 1.0}], [{"y": 2.0}]], test=[])
-        with pytest.raises(DataError):
+        left = SequenceFeatureBlock.from_rows("l", [[{"x": 1.0}]], [])
+        right = SequenceFeatureBlock.from_rows("r", [[{"y": 1.0}], [{"y": 2.0}]], [])
+        with pytest.raises(DataError, match="has 2 sentences"):
             merge_sequence_blocks([left, right])
 
     def test_merge_duplicate_block_names_raises(self, corpus):
@@ -77,27 +78,26 @@ class TestSequenceFeatureBlock:
             merge_sequence_blocks(blocks)
 
     def test_merge_token_count_mismatch_raises(self):
-        left = SequenceFeatureBlock(name="l", train=[[{"x": 1.0}]], test=[])
-        right = SequenceFeatureBlock(name="r", train=[[{"y": 1.0}, {"y": 2.0}]], test=[])
-        with pytest.raises(DataError):
+        left = SequenceFeatureBlock.from_rows("l", [[{"x": 1.0}]], [])
+        right = SequenceFeatureBlock.from_rows("r", [[{"y": 1.0}, {"y": 2.0}]], [])
+        with pytest.raises(DataError, match="token-length mismatch"):
             merge_sequence_blocks([left, right])
 
 
 class TestSequenceExampleSet:
     def test_alignment_enforced(self, corpus):
-        features = SequenceFeatureBlock(name="f", train=[[{"a": 1.0}] * 2], test=[[{"a": 1.0}] * 2])
+        features = SequenceFeatureBlock.from_rows("f", [[{"a": 1.0}] * 2], [[{"a": 1.0}] * 2])
         with pytest.raises(DataError):
             SequenceExampleSet(features=features, corpus=corpus)
 
     def test_split_returns_features_and_sentences(self, corpus):
-        features = SequenceFeatureBlock(
-            name="f",
-            train=[[{"a": 1.0}, {"a": 1.0}], [{"a": 1.0}]],
-            test=[[{"a": 1.0}, {"a": 1.0}]],
+        features = SequenceFeatureBlock.from_rows(
+            "f", [[{"a": 1.0}, {"a": 1.0}], [{"a": 1.0}]], [[{"a": 1.0}, {"a": 1.0}]]
         )
         examples = SequenceExampleSet(features=features, corpus=corpus)
         feats, sents = examples.split("test")
         assert len(feats) == len(sents) == 1
+        assert feats.lengths().tolist() == [len(sents[0])]
 
 
 class TestSequencePredictions:

@@ -51,14 +51,14 @@ class TestTokenFeatureExtractors:
 
         block = TokenShapeExtractor("corpus").apply({"corpus": tiny_corpus})
         assert len(block.train) == len(tiny_corpus.train)
-        assert all(len(f) == len(s) for f, s in zip(block.train, tiny_corpus.train))
+        assert all(len(f) == len(s) for f, s in zip(block.rows("train"), tiny_corpus.train))
         assert block.name == "shape"
 
     def test_context_extractor_window_parameter(self, tiny_corpus):
         narrow = ContextWindowExtractor("corpus", window=1).apply({"corpus": tiny_corpus})
         wide = ContextWindowExtractor("corpus", window=2).apply({"corpus": tiny_corpus})
-        narrow_keys = {key for sentence in narrow.train for token in sentence for key in token}
-        wide_keys = {key for sentence in wide.train for token in sentence for key in token}
+        narrow_keys = {key for sentence in narrow.rows("train") for token in sentence for key in token}
+        wide_keys = {key for sentence in wide.rows("train") for token in sentence for key in token}
         assert any(key.startswith("ctx[2]") or key.startswith("ctx[-2]") for key in wide_keys)
         assert not any(key.startswith("ctx[2]") for key in narrow_keys)
 
@@ -68,12 +68,12 @@ class TestTokenFeatureExtractors:
 
     def test_gazetteer_extractor_hits_known_names(self, tiny_corpus):
         block = GazetteerExtractor("corpus").apply({"corpus": tiny_corpus})
-        all_features = {key for sentence in block.train for token in sentence for key in token}
+        all_features = {key for sentence in block.rows("train") for token in sentence for key in token}
         assert "in_first_name_gazetteer" in all_features or "in_last_name_gazetteer" in all_features
 
     def test_char_ngram_extractor_features(self, tiny_corpus):
         block = CharNGramExtractor("corpus", n=3).apply({"corpus": tiny_corpus})
-        some_token = block.train[0][0]
+        some_token = block.rows("train")[0][0]
         assert all(key.startswith("cng=") for key in some_token)
 
     def test_char_ngram_invalid_n(self):
@@ -108,7 +108,7 @@ class TestSequenceLearning:
         for split in ("train", "test"):
             features, sentences = examples.split(split)
             gold = [sentence.tags or ["O"] * len(sentence) for sentence in sentences]
-            assert predictions.split(split) == (model.predict(features), gold)
+            assert predictions.split(split) == (model.predict(examples.features.keys, features), gold)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_feature_value_is_refused_by_name(self, pipeline, tiny_corpus, bad):
@@ -118,12 +118,13 @@ class TestSequenceLearning:
             return {"poison": bad} if position == 1 else {"fine": 1.0}
 
         block = UDFTokenFeatureExtractor("corpus", udf=poisoned).apply({"corpus": tiny_corpus})
-        assert any(len(sentence) > 1 for sentence in block.train)
+        assert any(len(sentence) > 1 for sentence in block.rows("train"))
         train_tags = [sentence.tags for sentence in tiny_corpus.train]
+        first = [len(sentence) > 1 for sentence in tiny_corpus.train].index(True)
+        with pytest.raises(MLError, match=rf"feature 'poison' has non-finite value .*\(sentence {first}, token 1\)"):
+            StructuredPerceptron(epochs=1).fit(block.keys, block.train, train_tags)
         with pytest.raises(MLError, match="feature 'poison' has non-finite value"):
-            StructuredPerceptron(epochs=1).fit(block.train, train_tags)
-        with pytest.raises(MLError, match="feature 'poison' has non-finite value"):
-            model.predict(block.test)
+            model.predict(block.keys, block.test)
 
     def test_assembler_requires_extractors(self):
         with pytest.raises(WorkflowError):

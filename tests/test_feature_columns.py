@@ -93,18 +93,34 @@ left_rows = st.lists(st.dictionaries(st.sampled_from(["a", "a&b", "x"]), finite,
 right_rows = st.lists(st.dictionaries(st.sampled_from(["c", "b&c", "y"]), finite, max_size=3), min_size=3, max_size=3)
 
 
+def formats_apart(sources):
+    """False when, at some crossing step, two distinct key combinations that
+    occur in a row format to one ``&``-joined string."""
+    rows = [[(key,) for key in row] for row in sources[0]]
+    for other in sources[1:]:
+        rows = [[left + (right,) for left in row for right in other_row] for row, other_row in zip(rows, other)]
+        combos = {combo for row in rows for combo in row}
+        if len({"&".join(combo) for combo in combos}) < len(combos):
+            return False
+    return True
+
+
 class TestInteractionFeature:
     @given(left=left_rows, right=right_rows, third=right_rows, arity=st.integers(2, 3), split_at=st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_the_reference(self, left, right, third, arity, split_at):
-        """Keys with ``&`` make distinct pairs format to one key ("a" & "b&c"
-        and "a&b" & "c"): the row keeps it where it first appeared, with the
-        last value, as the reference dict comprehension does."""
+        """Keys with ``&`` can make distinct pairs format to one key ("a" &
+        "b&c" and "a&b" & "c"): that is a ``DataError`` naming the key, where
+        the reference dict comprehension silently kept one of the two values."""
         sources = [left, right, third][:arity]
         blocks = {
             f"s{index}": FeatureBlock.from_rows(f"s{index}", rows[:split_at], rows[split_at:])
             for index, rows in enumerate(sources)
         }
+        if not formats_apart(sources):
+            with pytest.raises(DataError, match="distinct keys that format alike: .*&"):
+                InteractionFeature(list(blocks)).apply(blocks)
+            return
         crossed = InteractionFeature(list(blocks)).apply(blocks)
         assert crossed.name == "x".join(blocks)
         for split, cut in (("train", slice(None, split_at)), ("test", slice(split_at, None))):
@@ -254,10 +270,21 @@ class TestLayoutContract:
         assert {type(key) for key in block.keys} == {str}
         assert block.rows("test") == [{"b": 3.0}] and type(block.rows("test")[0]["b"]) is float
 
-    def test_keys_that_format_alike_collapse_like_a_dict(self):
-        block = FeatureBlock.from_rows("f", [{1: 2.0, "x": 0.5, "1": 3.0}], [])
-        assert block.keys == ("1", "x")
-        assert block.rows("train") == [{"1": 3.0, "x": 0.5}]
+    def test_keys_that_format_alike_raise(self):
+        """``1`` and ``"1"`` are distinct dict keys but one key string: the
+        block refuses them instead of keeping one value (in one row or across
+        rows)."""
+        with pytest.raises(DataError, match=r"distinct keys that format alike: \['1'\]"):
+            FeatureBlock.from_rows("f", [{1: 2.0, "x": 0.5, "1": 3.0}], [])
+        with pytest.raises(DataError, match=r"format alike: \['1'\]"):
+            FeatureBlock.from_rows("f", [{1: 2.0}], [{"1": 3.0}])
+
+    def test_namespaced_keys_colliding_across_blocks_raise(self):
+        """Block ``a``'s ``b.c`` and block ``a.b``'s ``c`` both namespace to
+        ``a.b.c``; merged, block ``a``'s feature used to be lost."""
+        blocks = [FeatureBlock.from_rows("a", [{"b.c": 1.0}], []), FeatureBlock.from_rows("a.b", [{"c": 2.0}], [])]
+        with pytest.raises(DataError, match=r"format alike: \['a\.b\.c'\]"):
+            merge_feature_blocks(blocks)
 
     def test_non_numeric_values_raise_a_data_error(self):
         with pytest.raises(DataError, match="feature values must be numbers"):

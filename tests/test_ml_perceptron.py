@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_perceptron import StructuredPerceptron as ReferencePerceptron
+from repro.dataflow.sequences import SequenceFeatureBlock
 from repro.errors import MLError, NotFittedError
 from repro.ml.perceptron import StructuredPerceptron, _decode
+
+
+def columns(sentences):
+    """``(key table, split)`` of sentences of feature dicts: the tagger's input."""
+    block = SequenceFeatureBlock.from_rows("f", sentences, [])
+    return block.keys, block.train
 
 
 def toy_corpus(n_sentences=80, seed=0):
@@ -34,34 +41,34 @@ def toy_corpus(n_sentences=80, seed=0):
 class TestTraining:
     def test_learns_toy_tagging_task(self):
         sentences, tags = toy_corpus()
-        model = StructuredPerceptron(epochs=5, seed=1).fit(sentences, tags)
-        predictions = model.predict(sentences)
+        model = StructuredPerceptron(epochs=5, seed=1).fit(*columns(sentences), tags)
+        predictions = model.predict(*columns(sentences))
         correct = sum(p == t for ps, ts in zip(predictions, tags) for p, t in zip(ps, ts))
         total = sum(len(ts) for ts in tags)
         assert correct / total > 0.95
 
     def test_averaging_changes_weights(self):
         sentences, tags = toy_corpus(30)
-        averaged = StructuredPerceptron(epochs=2, averaged=True, seed=0).fit(sentences, tags)
-        raw = StructuredPerceptron(epochs=2, averaged=False, seed=0).fit(sentences, tags)
+        averaged = StructuredPerceptron(epochs=2, averaged=True, seed=0).fit(*columns(sentences), tags)
+        raw = StructuredPerceptron(epochs=2, averaged=False, seed=0).fit(*columns(sentences), tags)
         assert not np.array_equal(averaged.transition_weights_, raw.transition_weights_)
 
     def test_tags_discovered_from_training_data(self):
         sentences, tags = toy_corpus(10)
-        model = StructuredPerceptron(epochs=1).fit(sentences, tags)
+        model = StructuredPerceptron(epochs=1).fit(*columns(sentences), tags)
         assert set(model.tags_) == {"B-PER", "O"}
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(MLError):
-            StructuredPerceptron().fit([[{"a": 1.0}]], [])
+            StructuredPerceptron().fit(*columns([[{"a": 1.0}]]), [])
 
     def test_token_tag_mismatch_rejected(self):
         with pytest.raises(MLError):
-            StructuredPerceptron(epochs=1).fit([[{"a": 1.0}, {"b": 1.0}]], [["O"]])
+            StructuredPerceptron(epochs=1).fit(*columns([[{"a": 1.0}, {"b": 1.0}]]), [["O"]])
 
     def test_empty_tagset_rejected(self):
         with pytest.raises(MLError):
-            StructuredPerceptron().fit([], [])
+            StructuredPerceptron().fit(*columns([]), [])
 
     def test_invalid_epochs_rejected(self):
         with pytest.raises(MLError):
@@ -69,12 +76,12 @@ class TestTraining:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            StructuredPerceptron().predict([[{"a": 1.0}]])
+            StructuredPerceptron().predict(*columns([[{"a": 1.0}]]))
 
     def test_deterministic_given_seed(self):
         sentences, tags = toy_corpus(20)
-        first = StructuredPerceptron(epochs=2, seed=7).fit(sentences, tags).predict(sentences)
-        second = StructuredPerceptron(epochs=2, seed=7).fit(sentences, tags).predict(sentences)
+        first = StructuredPerceptron(epochs=2, seed=7).fit(*columns(sentences), tags).predict(*columns(sentences))
+        second = StructuredPerceptron(epochs=2, seed=7).fit(*columns(sentences), tags).predict(*columns(sentences))
         assert first == second
 
 
@@ -188,7 +195,7 @@ class TestViterbi:
 
     def test_empty_sentence_predicts_empty(self):
         sentences, tags = toy_corpus(10)
-        model = StructuredPerceptron(epochs=1).fit(sentences, tags)
-        assert model.predict([[]]) == [[]]
-        assert model.predict([]) == []
-        assert model.predict([[], sentences[0], []]) == [[], model.predict([sentences[0]])[0], []]
+        model = StructuredPerceptron(epochs=1).fit(*columns(sentences), tags)
+        assert model.predict(*columns([[]])) == [[]]
+        assert model.predict(*columns([])) == []
+        assert model.predict(*columns([[], sentences[0], []])) == [[], model.predict(*columns([sentences[0]]))[0], []]

@@ -154,6 +154,14 @@ class TestMergeEqualsReference:
     @given(block_lists())
     @settings(max_examples=150, deadline=None)
     def test_merge_is_bit_identical(self, blocks):
+        """Namespaced keys that collide ("a" + "x.y" and "a.x" + "y") raise a
+        ``DataError`` naming the key, where the reference silently kept the
+        later block's value."""
+        strings = [f"{block.name}.{key}" for block in blocks for key in block.keys]
+        if len(set(strings)) < len(strings):
+            with pytest.raises(DataError, match="distinct keys that format alike: .*a\\.x\\."):
+                merge_feature_blocks(blocks)
+            return
         merged = merge_feature_blocks(blocks)
         assert merged.name == "+".join(block.name for block in blocks)
         for split in ("train", "test"):

@@ -1,7 +1,10 @@
-"""The interned perceptron equals the dict-walking one it replaced, bit for bit.
+"""The columnar perceptron equals the dict-walking one it replaced, bit for bit.
 
-``reference_perceptron.StructuredPerceptron`` is the previous implementation,
-verbatim.  On IE corpora — several seeds, every extractor combination of
+``reference_perceptron.StructuredPerceptron`` is the dict-walking
+implementation, verbatim.  It reads the dicts that the dict-layout merge
+(``reference_sequences.py``) assembles from the extractor blocks' ``rows()``,
+while the current one reads the columnar merge's split and key table, so the
+token rows must list their features in the dict merge's order.  On IE corpora — several seeds, every extractor combination of
 ``build_ie_workflow``, averaged and raw, plus a UDF block with non-unit and
 negative values, empty token dicts and empty sentences — both must predict
 the same tags on both splits and hold the same transition matrix and the same
@@ -15,9 +18,10 @@ import pickle
 import numpy as np
 import pytest
 
+import reference_sequences
 from reference_interpreter import interpret
 from reference_perceptron import StructuredPerceptron as ReferencePerceptron
-from repro.dataflow.sequences import Sentence, SequenceCorpus
+from repro.dataflow.sequences import Sentence, SequenceCorpus, SequenceFeatureBlock
 from repro.datagen.news import NewsConfig
 from repro.dsl.ie_operators import UDFTokenFeatureExtractor
 from repro.errors import NotFittedError
@@ -34,20 +38,45 @@ EXTRACTORS = {
 }
 
 
-def fit_both(features, tags, epochs, averaged, seed=0):
-    model = StructuredPerceptron(epochs=epochs, averaged=averaged, seed=seed).fit(features, tags)
-    reference = ReferencePerceptron(epochs=epochs, averaged=averaged, seed=seed).fit(features, tags)
+def bits(sentences):
+    """Sentences with key order and every float's exact bit pattern."""
+    return [[[(key, value.hex()) for key, value in token.items()] for token in sentence] for sentence in sentences]
+
+
+def dict_layout(block):
+    """A columnar block's rows in the one-dict-per-token layout."""
+    return reference_sequences.SequenceFeatureBlock(block.name, block.rows("train"), block.rows("test"))
+
+
+def assembled(workflow):
+    """``(examples, reference)``: the workflow's columnar ``examples`` and the
+    dict-layout block the dict merge assembles from the same extractor blocks."""
+    values = interpret(workflow)
+    extractors = workflow.declarations()["examples"].extractors
+    reference = reference_sequences.merge_sequence_blocks([dict_layout(values[name]) for name in extractors])
+    return values["examples"], reference
+
+
+def fit_both(block, reference_block, tags, epochs, averaged, seed=0):
+    """Both taggers fit on the train split: the columnar split and key table
+    of ``block`` on the new side, ``reference_block``'s dicts on the other."""
+    model = StructuredPerceptron(epochs=epochs, averaged=averaged, seed=seed).fit(block.keys, block.train, tags)
+    reference = ReferencePerceptron(epochs=epochs, averaged=averaged, seed=seed).fit(reference_block.train, tags)
     return model, reference
 
 
-def assert_same_model(model, reference, splits):
+def assert_same_model(model, reference, block, reference_block):
+    for split in ("train", "test"):
+        # The emission sums are bit-identical only while every token lists
+        # its features in the dict merge's order.
+        assert bits(block.rows(split)) == bits(reference_block.split(split))
     assert model.tags_ == reference.tags_
     assert np.array_equal(model.transition_weights_, reference.transition_weights_)
     assert set(model.vocabulary_) == set(reference.feature_weights_)
     for name, vector in reference.feature_weights_.items():
         assert np.array_equal(model.weights_[model.vocabulary_[name]], vector), name
-    for features in splits:
-        assert model.predict(features) == reference.predict(features)
+    for split in ("train", "test"):
+        assert model.predict(block.keys, block.split(split)) == reference.predict(reference_block.split(split))
 
 
 def gold_tags(sentences):
@@ -62,8 +91,7 @@ def ie_examples():
         key = (seed, extractors)
         if key not in cache:
             config = NewsConfig(n_train_docs=8, n_test_docs=3, seed=seed)
-            workflow = build_ie_workflow(IEVariant(data_config=config, **EXTRACTORS[extractors]))
-            cache[key] = interpret(workflow)["examples"]
+            cache[key] = assembled(build_ie_workflow(IEVariant(data_config=config, **EXTRACTORS[extractors])))
         return cache[key]
 
     return build
@@ -73,11 +101,10 @@ def ie_examples():
 @pytest.mark.parametrize("extractors", list(EXTRACTORS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ie_corpora_bit_identical(ie_examples, seed, extractors, averaged):
-    examples = ie_examples(seed, extractors)
-    train_features, train_sentences = examples.split("train")
-    test_features, _ = examples.split("test")
-    model, reference = fit_both(train_features, gold_tags(train_sentences), epochs=4, averaged=averaged, seed=seed)
-    assert_same_model(model, reference, [train_features, test_features])
+    examples, reference_block = ie_examples(seed, extractors)
+    tags = gold_tags(examples.corpus.train)
+    model, reference = fit_both(examples.features, reference_block, tags, epochs=4, averaged=averaged, seed=seed)
+    assert_same_model(model, reference, examples.features, reference_block)
 
 
 def test_ledger_size_fit_decodes_whole_epochs(monkeypatch):
@@ -85,9 +112,7 @@ def test_ledger_size_fit_decodes_whole_epochs(monkeypatch):
     late epochs have no mistakes, so a decode batch spans a whole epoch."""
     config = NewsConfig(n_train_docs=45, n_test_docs=15, seed=7)
     variant = IEVariant(data_config=config, use_gazetteer=True, use_char_ngrams=True, context_window=2)
-    examples = interpret(build_ie_workflow(variant))["examples"]
-    train_features, train_sentences = examples.split("train")
-    test_features, _ = examples.split("test")
+    examples, reference_block = assembled(build_ie_workflow(variant))
     batch_sizes = []
     decode = perceptron._decode
 
@@ -96,9 +121,10 @@ def test_ledger_size_fit_decodes_whole_epochs(monkeypatch):
         return decode(emissions, lengths, transitions)
 
     monkeypatch.setattr(perceptron, "_decode", recording_decode)
-    model, reference = fit_both(train_features, gold_tags(train_sentences), epochs=8, averaged=True)
-    assert max(batch_sizes) == sum(map(bool, train_features))
-    assert_same_model(model, reference, [train_features, test_features])
+    tags = gold_tags(examples.corpus.train)
+    model, reference = fit_both(examples.features, reference_block, tags, epochs=8, averaged=True)
+    assert max(batch_sizes) == np.count_nonzero(examples.features.train.lengths())
+    assert_same_model(model, reference, examples.features, reference_block)
 
 
 def weighted_features(tokens, position):
@@ -121,15 +147,16 @@ def with_empty_sentences(sentences):
 
 @pytest.mark.parametrize("averaged", [True, False], ids=["averaged", "raw"])
 def test_udf_values_empty_tokens_and_empty_sentences(ie_examples, averaged):
-    base = ie_examples(7, "shape+context").corpus
+    base = ie_examples(7, "shape+context")[0].corpus
     corpus = SequenceCorpus(
         name="corpus", train=with_empty_sentences(base.train), test=with_empty_sentences(base.test)
     )
     block = UDFTokenFeatureExtractor("corpus", weighted_features).apply({"corpus": corpus})
-    assert any(not sentence for sentence in block.train)
-    assert any(not token for sentence in block.train for token in sentence)
-    model, reference = fit_both(block.train, gold_tags(corpus.train), epochs=5, averaged=averaged, seed=1)
-    assert_same_model(model, reference, [block.train, block.test])
+    assert any(not sentence for sentence in block.rows("train"))
+    assert any(not token for sentence in block.rows("train") for token in sentence)
+    reference_block = dict_layout(block)
+    model, reference = fit_both(block, reference_block, gold_tags(corpus.train), epochs=5, averaged=averaged, seed=1)
+    assert_same_model(model, reference, block, reference_block)
 
 
 class TestLegacyPickles:
@@ -149,31 +176,29 @@ class TestLegacyPickles:
         return Unpickler(io.BytesIO(pickle.dumps(reference))).load()
 
     def test_fitted_state_upgrades_and_predicts_identically(self, ie_examples):
-        examples = ie_examples(11, "+gazetteer")
-        train_features, train_sentences = examples.split("train")
-        test_features, _ = examples.split("test")
-        reference = ReferencePerceptron(epochs=3).fit(train_features, gold_tags(train_sentences))
+        examples, reference_block = ie_examples(11, "+gazetteer")
+        reference = ReferencePerceptron(epochs=3).fit(reference_block.train, gold_tags(examples.corpus.train))
 
         restored = StructuredPerceptron.__new__(StructuredPerceptron)
         restored.__setstate__(dict(vars(reference)))
-        assert_same_model(restored, reference, [train_features, test_features])
+        assert_same_model(restored, reference, examples.features, reference_block)
 
         loaded = self.load_as_current(reference)
         assert type(loaded) is StructuredPerceptron
         assert not hasattr(loaded, "feature_weights_")
-        assert_same_model(loaded, reference, [train_features, test_features])
+        assert_same_model(loaded, reference, examples.features, reference_block)
 
     def test_unfitted_state_still_refuses_to_predict(self):
         loaded = self.load_as_current(ReferencePerceptron(epochs=2))
         assert loaded.vocabulary_ is None and loaded.weights_ is None
         with pytest.raises(NotFittedError):
-            loaded.predict([[{"a": 1.0}]])
+            loaded.predict(("a",), SequenceFeatureBlock.from_rows("f", [[{"a": 1.0}]], []).train)
 
     def test_current_state_round_trips(self, ie_examples):
-        examples = ie_examples(3, "shape+context")
-        train_features, train_sentences = examples.split("train")
-        model = StructuredPerceptron(epochs=2).fit(train_features, gold_tags(train_sentences))
+        examples = ie_examples(3, "shape+context")[0]
+        keys, (train_features, train_sentences) = examples.features.keys, examples.split("train")
+        model = StructuredPerceptron(epochs=2).fit(keys, train_features, gold_tags(train_sentences))
         loaded = pickle.loads(pickle.dumps(model))
         assert loaded.vocabulary_ == model.vocabulary_
         assert np.array_equal(loaded.weights_, model.weights_)
-        assert loaded.predict(train_features) == model.predict(train_features)
+        assert loaded.predict(keys, train_features) == model.predict(keys, train_features)
