@@ -1,90 +1,65 @@
-"""Ablation ABL-MAT: materialization policies and storage budgets.
+"""Ablation ABL-MAT: materialization policies and storage budgets, on real runs.
 
-Sweeps the materialization policy (the paper's online cost model,
-materialize-all, materialize-none, and the offline knapsack oracle) and the
-storage budget on the Census workload, reporting cumulative runtime and peak
-storage — the trade-off at the heart of the materialization problem.
+Runs the census sequence at ``repro run``'s default size (``--scale 1000``)
+under each materialization policy: the paper's online rule, materialize-all,
+materialize-none and the offline knapsack oracle, all with the optimal reuse
+plan.  Then it runs the online rule and the oracle under storage budgets set
+as fractions of the unbounded online run's final ``store_bytes``.  Each row
+gives measured cumulative seconds and the peak bytes stored.  Every run must
+report the same per-iteration metrics, and no budgeted run may store more
+than its budget.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines.strategies import ExecutionStrategy
-from repro.bench.harness import run_simulated_comparison
+from repro.bench.harness import run_real_comparison
 from repro.bench.reporting import format_table
-from repro.workloads.simulated import census_sim_workload, sim_defaults
+from repro.cli import workload_spec
+from repro.core.config import RunConfig
 
-GB = 1e9
-
+ONLINE = ExecutionStrategy(name="helix_online", recomputation="optimal", materialization="helix_online")
+ORACLE = ExecutionStrategy(name="knapsack_oracle", recomputation="optimal", materialization="knapsack_oracle")
 POLICY_STRATEGIES = [
-    ExecutionStrategy(name="helix_online", recomputation="optimal", materialization="helix_online"),
+    ONLINE,
     ExecutionStrategy(name="materialize_all", recomputation="optimal", materialization="all"),
     ExecutionStrategy(name="materialize_none", recomputation="optimal", materialization="none"),
-    ExecutionStrategy(name="knapsack_oracle", recomputation="optimal", materialization="knapsack_oracle"),
+    ORACLE,
 ]
+#: Storage budgets as multiples of the unbounded online run's final store_bytes.
+BUDGET_FRACTIONS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.0)
 
 
-def sweep_policies(storage_budget=float("inf")):
-    result = run_simulated_comparison(
-        "materialization_policies",
-        census_sim_workload(),
-        POLICY_STRATEGIES,
-        storage_budget=storage_budget,
-        defaults=sim_defaults(),
-    )
-    rows = []
-    for system, reports in result.reports_by_system.items():
-        rows.append(
-            {
-                "policy": system,
-                "cumulative_s": round(sum(r.total_runtime for r in reports), 1),
-                "peak_storage_GB": round(max(r.storage_used for r in reports) / GB, 2),
-            }
-        )
-    return rows
+def _row(result, system, budget="unbounded"):
+    reports = result.reports_by_system[system]
+    return {
+        "policy": system,
+        "budget_B": budget,
+        "cumulative_s": round(result.cumulative(system), 3),
+        "peak_store_B": int(max(report.storage_used for report in reports)),
+    }
 
 
-def test_materialization_policy_comparison(write_result):
-    rows = sweep_policies()
-    write_result("ablation_materialization_policies", format_table(rows))
+def test_materialization_policies_and_budgets(write_result, tmp_path):
+    spec = workload_spec("census", 1000)
+    policies = run_real_comparison(spec, POLICY_STRATEGIES, workspace_root=str(tmp_path / "policies"))
+    assert policies.metric_mismatches() == []
+    rows = [_row(policies, strategy.name) for strategy in POLICY_STRATEGIES]
     by_policy = {row["policy"]: row for row in rows}
+    assert by_policy["helix_online"]["peak_store_B"] <= by_policy["materialize_all"]["peak_store_B"]
+    assert by_policy["materialize_none"]["peak_store_B"] == 0
 
-    # Never materializing forfeits all reuse; the online policy beats it by a lot.
-    assert by_policy["helix_online"]["cumulative_s"] < 0.5 * by_policy["materialize_none"]["cumulative_s"]
-    # The online policy never stores more than materialize-all.
-    assert by_policy["helix_online"]["peak_storage_GB"] <= by_policy["materialize_all"]["peak_storage_GB"] + 1e-9
-
-
-def test_storage_budget_sweep(write_result):
-    """Cumulative runtime of the online policy as the storage budget shrinks."""
-
-    budgets = [float("inf"), 8 * GB, 4 * GB, 2 * GB, 1 * GB, 0.25 * GB, 0.0]
-
-    rows = []
-    for budget in budgets:
-        result = run_simulated_comparison(
-            "budget_sweep",
-            census_sim_workload(),
-            [ExecutionStrategy(name="helix", recomputation="optimal", materialization="helix_online")],
-            storage_budget=budget,
-            defaults=sim_defaults(),
+    unbounded = policies.reports_by_system["helix_online"][-1].storage_used
+    expected = policies.metrics("helix_online")
+    for fraction in BUDGET_FRACTIONS:
+        budget = fraction * unbounded
+        result = run_real_comparison(
+            spec, [ONLINE, ORACLE], workspace_root=str(tmp_path / f"budget_{fraction}"),
+            config=RunConfig(storage_budget=budget),
         )
-        reports = result.reports_by_system["helix"]
-        rows.append(
-            {
-                "budget_GB": "unlimited" if budget == float("inf") else round(budget / GB, 2),
-                "cumulative_s": round(sum(r.total_runtime for r in reports), 1),
-                "peak_storage_GB": round(max(r.storage_used for r in reports) / GB, 2),
-            }
-        )
-    write_result("ablation_storage_budget_sweep", format_table(rows))
-
-    cumulative = [row["cumulative_s"] for row in rows]
-    storage = [row["peak_storage_GB"] for row in rows]
-    # Peak storage tracks the budget downward.
-    assert all(later <= earlier + 1e-6 for earlier, later in zip(storage, storage[1:]))
-    # A zero budget degenerates to no reuse at all: far slower than unlimited.
-    # (Intermediate budgets are not strictly monotone — skipping a large artifact
-    # also skips its write cost — which is itself a finding worth reporting.)
-    assert cumulative[-1] > 2.0 * cumulative[0]
+        for strategy in (ONLINE, ORACLE):
+            assert result.metrics(strategy.name) == expected
+            row = _row(result, strategy.name, budget=f"{fraction:g}x = {int(budget)}")
+            assert row["peak_store_B"] <= budget
+            rows.append(row)
+    write_result("ablation_materialization_policies", format_table(rows))

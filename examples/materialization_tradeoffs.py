@@ -1,19 +1,21 @@
 """Exploring the materialization trade-off and the comparison systems.
 
-Uses the paper-scale cost-annotated workloads and the virtual-clock simulator
-to answer two questions interactively:
+Every number below is measured: each system runs the workload as a real
+``HelixSession`` over small synthetic data, one session per system.  Three
+questions:
 
-1. How do HELIX, DeepDive, KeystoneML, and unoptimized HELIX compare on the
-   Figure 2 workloads (cumulative runtime per iteration)?
+1. How do HELIX, DeepDive and KeystoneML compare on the Figure 2 workloads
+   (cumulative run time per iteration), and do they all compute the same
+   metrics?
 2. How does the storage budget change the picture for HELIX's online
-   materialization policy?
+   materialization rule, next to the offline knapsack oracle?
+3. What did the online rule decide, node by node?  A real two-iteration
+   session under a tight budget prints ``session.explain()``: the ``r_i``
+   scores, what fit the budget, and where each artifact landed (see
+   docs/explain.md for the notation).
 
-A final section runs a *real* (small) session under a tight storage budget
-and prints ``session.explain()``, so you can see the online materialization
-verdicts — the ``r_i`` scores, what fit the budget, and where each artifact
-landed — on actual operators (see docs/explain.md for the notation).
-
-Everything here runs in a couple of seconds.
+At these sizes a run takes a fraction of a second, so the ratios are noisy;
+``repro reproduce fig2a|fig2b`` and docs/figure2.md give larger sizes.
 
 Run with:  python examples/materialization_tradeoffs.py
 """
@@ -22,52 +24,56 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.baselines import DEEPDIVE, HELIX, HELIX_UNOPTIMIZED, KEYSTONEML, ExecutionStrategy
-from repro.bench.harness import run_simulated_comparison
+from repro.baselines import DEEPDIVE, HELIX, KEYSTONEML, ExecutionStrategy
+from repro.bench.harness import run_real_comparison
 from repro.bench.reporting import format_table
+from repro.cli import workload_spec
+from repro.core.config import RunConfig
 from repro.core.session import HelixSession
 from repro.datagen.census import CensusConfig
 from repro.workloads.census_workload import CensusVariant, build_census_workflow
-from repro.workloads.simulated import census_sim_workload, ie_sim_workload, sim_defaults
 
-GB = 1e9
+ORACLE = ExecutionStrategy(name="knapsack_oracle", recomputation="optimal", materialization="knapsack_oracle")
 
 
 def figure2_comparisons() -> None:
-    print("== Figure 2(a): information extraction, HELIX vs DeepDive (simulated, paper scale) ==")
-    ie = run_simulated_comparison("ie", ie_sim_workload(), [HELIX, DEEPDIVE], defaults=sim_defaults())
+    print("== Figure 2(a): information extraction, HELIX vs DeepDive (real sessions) ==")
+    ie = run_real_comparison(workload_spec("ie", 100), [HELIX, DEEPDIVE])
     print(ie.render())
     reduction = 1.0 - ie.cumulative("helix") / ie.cumulative("deepdive")
-    print(f"HELIX cumulative runtime is {reduction:.0%} lower than DeepDive's (paper: ~60%).\n")
+    print(f"HELIX cumulative runtime is {reduction:.0%} lower than DeepDive's (paper: ~60%).")
+    print(f"Metrics identical across systems: {not ie.metric_mismatches()}\n")
 
-    print("== Figure 2(b): Census classification, HELIX vs KeystoneML vs unoptimized ==")
-    census = run_simulated_comparison(
-        "census", census_sim_workload(), [HELIX, KEYSTONEML, HELIX_UNOPTIMIZED], defaults=sim_defaults()
-    )
+    print("== Figure 2(b): Census classification, HELIX vs DeepDive vs KeystoneML ==")
+    census = run_real_comparison(workload_spec("census", 100), [HELIX, DEEPDIVE, KEYSTONEML])
     print(census.render())
     print(f"KeystoneML pays {census.speedup_over('keystoneml'):.1f}x HELIX's cumulative runtime "
-          "(paper: nearly an order of magnitude).\n")
+          "(paper: nearly an order of magnitude).")
+    print(f"Metrics identical across systems: {not census.metric_mismatches()}\n")
 
 
 def storage_budget_sweep() -> None:
-    print("== HELIX online materialization under shrinking storage budgets (Census workload) ==")
+    print("== Online rule vs knapsack oracle under storage budgets (Census, 4 iterations) ==")
+    spec = workload_spec("census", 200, iterations=4)
+    unbounded = run_real_comparison(spec, [HELIX]).reports_by_system["helix"][-1].storage_used
     rows = []
-    for budget in (float("inf"), 8 * GB, 4 * GB, 2 * GB, 1 * GB, 0.0):
-        strategy = ExecutionStrategy(name="helix", recomputation="optimal", materialization="helix_online")
-        result = run_simulated_comparison(
-            "budget", census_sim_workload(), [strategy], storage_budget=budget, defaults=sim_defaults()
-        )
-        reports = result.reports_by_system["helix"]
-        rows.append(
-            {
-                "budget": "unlimited" if budget == float("inf") else f"{budget / GB:.2g} GB",
-                "cumulative_runtime_s": round(sum(r.total_runtime for r in reports), 1),
-                "peak_storage_GB": round(max(r.storage_used for r in reports) / GB, 2),
-            }
-        )
+    # Budgets are multiples of what the unbounded online run stored in the end.
+    for fraction in (8.0, 1.0, 0.0):
+        budget = fraction * unbounded
+        result = run_real_comparison(spec, [HELIX, ORACLE], config=RunConfig(storage_budget=budget))
+        for system in result.systems():
+            rows.append(
+                {
+                    "budget": f"{fraction:g}x = {budget / 1e3:.0f} KB",
+                    "policy": system,
+                    "cumulative_runtime_s": round(result.cumulative(system), 3),
+                    "peak_storage_KB": round(max(r.storage_used for r in result.reports_by_system[system]) / 1e3),
+                }
+            )
     print(format_table(rows))
-    print("\nWith no storage at all the session degenerates to recompute-everything;")
-    print("a few GB already buys back most of the benefit of unlimited storage.")
+    print(f"\nThe unbounded online run stored {unbounded / 1e3:.0f} KB.  Both policies check a")
+    print("node against its *estimated* size, and a node never stored is estimated at")
+    print("1 MB (CostDefaults.default_output_size), so budgets under 1 MB admit nothing.")
 
 
 def explain_materialization_decisions() -> None:

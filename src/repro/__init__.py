@@ -8,7 +8,7 @@ Public API overview
 * :mod:`repro.compiler` — DSL → DAG lowering, program slicing, change tracking.
 * :mod:`repro.optimizer` — recomputation (project-selection/max-flow) and
   materialization (online cost model) optimizers.
-* :mod:`repro.execution` — execution engine, artifact store, virtual-clock simulator.
+* :mod:`repro.execution` — execution engine, wavefront scheduler, artifact store.
 * :mod:`repro.storage` — byte backends (flat disk, memory, and a
   write-through memory tier over disk) and the codec-aware serialization
   registry.
@@ -31,7 +31,7 @@ Public API overview
 from repro.baselines import DEEPDIVE, HELIX, HELIX_UNOPTIMIZED, KEYSTONEML, ExecutionStrategy
 from repro.core import HelixSession, RunConfig, SessionRunResult
 from repro.dsl import Workflow
-from repro.execution import ArtifactStore, WorkflowSimulator
+from repro.execution import ArtifactStore
 from repro.incremental import DeltaDetector, DeltaPlanner, DirtyPropagator
 from repro.introspect import ExplainRenderer, RunTrace
 from repro.obs import MetricsRegistry, get_registry
@@ -44,7 +44,6 @@ __all__ = [
     "SessionRunResult",
     "Workflow",
     "ArtifactStore",
-    "WorkflowSimulator",
     "RunTrace",
     "ExplainRenderer",
     "DeltaDetector",

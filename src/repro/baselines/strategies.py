@@ -11,20 +11,20 @@ The paper compares HELIX against:
 * **HELIX (unoptimized)** — the demo's own ablation: the same engine with
   optimization disabled (compute everything, materialize nothing).
 
-A strategy is purely declarative; :meth:`ExecutionStrategy.simulator` and the
-:class:`~repro.core.session.HelixSession` turn it into runnable components.
+A strategy is purely declarative; :class:`~repro.core.session.HelixSession`
+turns it into runnable components, so every arm runs on the same engine and
+the same clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import Callable, Dict, FrozenSet, Mapping, Tuple
 
 from repro.dsl.operators import ChangeCategory
 from repro.errors import OptimizerError
-from repro.execution.simulator import PolicyFactory, WorkflowSimulator
 from repro.graph.dag import Dag
-from repro.optimizer.cost_model import CostDefaults, NodeCosts
+from repro.optimizer.cost_model import NodeCosts
 from repro.optimizer.materialization import (
     HelixOnlineMaterializer,
     KnapsackOracleMaterializer,
@@ -32,6 +32,9 @@ from repro.optimizer.materialization import (
     MaterializeAll,
     MaterializeNone,
 )
+
+#: Signature of materialization-policy factories: (dag, costs, budget) -> policy.
+PolicyFactory = Callable[[Dag, Mapping[str, NodeCosts], float], MaterializationPolicy]
 
 #: Materialization policy registry keyed by the names used in strategy configs.
 _MATERIALIZATION_FACTORIES: Dict[str, PolicyFactory] = {
@@ -44,26 +47,14 @@ _MATERIALIZATION_FACTORIES: Dict[str, PolicyFactory] = {
 
 @dataclass(frozen=True)
 class ExecutionStrategy:
-    """A named combination of recomputation + materialization behaviour.
-
-    ``category_cost_multipliers`` (pairs of ``(category, factor)``) model a
-    comparator system whose own implementation of a pipeline stage is
-    intrinsically slower than HELIX's — most importantly DeepDive, whose ML
-    stage grounds and learns a factor graph rather than training a
-    purpose-built model.  The multipliers only affect the virtual-clock
-    simulator; real-engine comparisons always measure actual operator times.
-    """
+    """A named combination of recomputation + materialization behaviour."""
 
     name: str
     recomputation: str
     materialization: str
     always_recompute_categories: FrozenSet[str] = frozenset()
     cross_iteration_reuse: bool = True
-    category_cost_multipliers: Tuple[Tuple[str, float], ...] = ()
     description: str = ""
-
-    def multipliers(self) -> Dict[str, float]:
-        return dict(self.category_cost_multipliers)
 
     def policy_factory(self) -> PolicyFactory:
         if self.materialization not in _MATERIALIZATION_FACTORIES:
@@ -77,25 +68,6 @@ class ExecutionStrategy:
         self, dag: Dag, costs: Mapping[str, NodeCosts], budget: float
     ) -> MaterializationPolicy:
         return self.policy_factory()(dag, costs, budget)
-
-    def simulator(
-        self,
-        storage_budget: float = float("inf"),
-        defaults: CostDefaults = CostDefaults(),
-        parallelism: int = 1,
-    ) -> WorkflowSimulator:
-        """Build a :class:`WorkflowSimulator` configured for this strategy."""
-        return WorkflowSimulator(
-            recomputation=self.recomputation,
-            policy_factory=self.policy_factory(),
-            storage_budget=storage_budget,
-            defaults=defaults,
-            always_recompute_categories=self.always_recompute_categories,
-            cross_iteration_reuse=self.cross_iteration_reuse,
-            category_cost_multipliers=self.multipliers(),
-            system=self.name,
-            parallelism=parallelism,
-        )
 
 
 HELIX = ExecutionStrategy(
@@ -127,10 +99,6 @@ DEEPDIVE = ExecutionStrategy(
     always_recompute_categories=frozenset(
         {ChangeCategory.ML.value, ChangeCategory.POSTPROCESS.value}
     ),
-    # DeepDive's ML stage grounds + learns + infers over a factor graph, which
-    # on these workloads is substantially more expensive than HELIX's
-    # purpose-built learners; 2.5x is a conservative stand-in for that gap.
-    category_cost_multipliers=((ChangeCategory.ML.value, 2.5),),
     description=(
         "DeepDive-style: materialize every intermediate and reuse unchanged feature "
         "extraction, but always rerun the (non-configurable, factor-graph based) ML "

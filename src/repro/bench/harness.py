@@ -1,10 +1,11 @@
 """Experiment runner: one workload, several systems, cumulative-runtime comparison.
 
-``run_simulated_comparison`` replays a cost-annotated workload through the
-virtual-clock simulator once per strategy; ``run_real_comparison`` executes a
-real workload end to end through one :class:`~repro.core.session.HelixSession`
-per strategy (each with its own workspace, so systems never share artifacts).
-Both return a :class:`ComparisonResult` that renders the Figure-2-style table.
+``run_real_comparison`` executes a workload end to end through one
+:class:`~repro.core.session.HelixSession` per strategy (each with its own
+workspace, so systems never share artifacts) and returns a
+:class:`ComparisonResult` that renders the Figure-2-style table.  Runtimes are
+measured seconds: ``total_runtime`` sums node times, ``wall_clock_runtime`` is
+elapsed time.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import zip_longest
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.strategies import ExecutionStrategy
 from repro.bench.reporting import cumulative_table, format_table, ratio_summary
 from repro.core.config import RunConfig
 from repro.core.session import HelixSession
-from repro.execution.simulator import SimIteration
 from repro.execution.stats import IterationReport
-from repro.optimizer.cost_model import CostDefaults
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -78,6 +78,23 @@ class ComparisonResult:
     def metrics(self, system: str) -> List[Dict[str, float]]:
         return [dict(report.metrics) for report in self.reports_by_system[system]]
 
+    def metric_mismatches(self) -> List[Tuple[str, int]]:
+        """``(system, iteration)`` pairs whose metrics differ from the first system's.
+
+        Reuse must be safe: every strategy runs the same workflows, so every
+        arm's per-iteration metrics must be bit-identical.  Empty when they are.
+        """
+        systems = self.systems()
+        if not systems:
+            return []
+        reference = self.metrics(systems[0])
+        return [
+            (system, index)
+            for system in systems[1:]
+            for index, (expected, metrics) in enumerate(zip_longest(reference, self.metrics(system)))
+            if metrics != expected
+        ]
+
     # -- rendering -------------------------------------------------------
     def table_rows(self) -> List[Dict[str, object]]:
         return cumulative_table(self.runtimes_by_system(), categories=self.categories, descriptions=self.descriptions)
@@ -87,43 +104,17 @@ class ComparisonResult:
         lines.append(format_table(self.table_rows()))
         lines.append("")
         lines.append("Cumulative runtime (s): " + ", ".join(
-            f"{system}={total:.1f}" for system, total in self.cumulative_by_system().items()
+            f"{system}={total:.3f}" for system, total in self.cumulative_by_system().items()
         ))
         if "helix" in self.reports_by_system:
             ratios = self.ratios("helix")
             lines.append("Ratio to HELIX: " + ", ".join(
                 f"{system}={ratio:.2f}x" for system, ratio in ratios.items() if system != "helix"
             ))
+        lines.append("Wall clock (s): " + ", ".join(
+            f"{system}={self.cumulative_wall_clock(system):.3f}" for system in self.systems()
+        ))
         return "\n".join(lines)
-
-
-def run_simulated_comparison(
-    workload_name: str,
-    iterations: Sequence[SimIteration],
-    strategies: Sequence[ExecutionStrategy],
-    storage_budget: float = float("inf"),
-    defaults: CostDefaults = CostDefaults(),
-    parallelism: int = 1,
-) -> ComparisonResult:
-    """Replay ``iterations`` once per strategy through the virtual-clock simulator.
-
-    ``parallelism`` models the wavefront scheduler's worker count: the
-    simulator reports a per-iteration ``wall_clock_runtime`` packed onto that
-    many virtual workers while ``total_runtime`` (the paper's metric) stays
-    the serial cumulative cost.
-    """
-    result = ComparisonResult(
-        workload=workload_name,
-        categories=[iteration.category for iteration in iterations],
-        descriptions=[iteration.description for iteration in iterations],
-    )
-    for strategy in strategies:
-        simulator = strategy.simulator(
-            storage_budget=storage_budget, defaults=defaults, parallelism=parallelism
-        )
-        simulation = simulator.run(list(iterations))
-        result.reports_by_system[strategy.name] = simulation.reports
-    return result
 
 
 def run_real_comparison(

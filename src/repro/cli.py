@@ -2,8 +2,8 @@
 
 Entry points::
 
-    python -m repro reproduce fig2a            # Figure 2(a), simulated, prints the table
-    python -m repro reproduce fig2b            # Figure 2(b)
+    python -m repro reproduce fig2a            # Figure 2(a): real sessions, one per arm
+    python -m repro reproduce fig2b --scale 300  # Figure 2(b) at a smaller size
     python -m repro run census --iterations 5  # real engine, synthetic data
     python -m repro run ie --strategy keystoneml
     python -m repro serve --tenants 4          # multi-tenant service, shared cache
@@ -39,7 +39,7 @@ from dataclasses import fields
 from typing import Optional, Sequence
 
 from repro.baselines.strategies import ALL_STRATEGIES, DEEPDIVE, HELIX, KEYSTONEML, strategy_by_name
-from repro.bench.harness import run_real_comparison, run_simulated_comparison
+from repro.bench.harness import run_real_comparison
 from repro.bench.reporting import format_table
 from repro.core.config import RunConfig
 from repro.core.suggestions import suggest_modifications
@@ -57,7 +57,6 @@ from repro.versioning.metrics_tracker import MetricsTracker
 from repro.versioning.persistence import load_version_store
 from repro.workloads.census_workload import CensusVariant, build_census_workflow, census_workload
 from repro.workloads.ie_workload import IEVariant, build_ie_workflow, ie_workload
-from repro.workloads.simulated import census_sim_workload, ie_sim_workload, sim_defaults
 
 
 def _positive(number_type):
@@ -71,6 +70,13 @@ def _positive(number_type):
 
     parse.__name__ = number_type.__name__  # argparse prints it for unparsable text
     return parse
+
+
+#: Each Figure 2 panel: its workload and the systems the paper compares on it.
+FIGURES = {
+    "fig2a": ("ie", (HELIX, DEEPDIVE)),
+    "fig2b": ("census", (HELIX, DEEPDIVE, KEYSTONEML)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,18 +96,21 @@ def _build_parser() -> argparse.ArgumentParser:
             help="keep a memory tier of this many MB over the on-disk store (default: disk only)",
         )
 
-    reproduce = subparsers.add_parser("reproduce", help="regenerate a paper figure (simulated, paper scale)")
-    reproduce.add_argument("figure", choices=["fig2a", "fig2b"], help="which figure to regenerate")
-    reproduce.add_argument(
-        "--parallelism", type=int, default=None,
-        help=f"virtual {parallelism_help}: also report modeled wall-clock time on this many workers",
+    # ``run`` and ``reproduce`` size their workloads the same way (``workload_spec``).
+    scale_help = "training-set size (rows or documents x10)"
+
+    reproduce = subparsers.add_parser(
+        "reproduce",
+        help="regenerate a paper figure: one real session per arm; exits 1 if any arm's metrics differ",
     )
+    reproduce.add_argument("figure", choices=sorted(FIGURES), help="which figure to regenerate")
+    reproduce.add_argument("--scale", type=int, default=1000, help=scale_help)
 
     run = subparsers.add_parser("run", help="run an evaluation workload with the real engine")
     run.add_argument("workload", choices=["census", "ie"], help="which application to run")
     run.add_argument("--strategy", default="helix", choices=[s.name for s in ALL_STRATEGIES])
     run.add_argument("--iterations", type=int, default=10, help="number of workflow iterations")
-    run.add_argument("--scale", type=int, default=1000, help="training-set size (rows or documents x10)")
+    run.add_argument("--scale", type=int, default=1000, help=scale_help)
     run.add_argument("--workspace", default=None, help="workspace directory (default: a fresh temp dir)")
     run.add_argument(
         "--backend", default="serial", choices=sorted(BACKENDS),
@@ -302,42 +311,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**given)
 
 
-def _command_reproduce(figure: str, parallelism: Optional[int] = None, out=None) -> int:
-    out = out or sys.stdout
-    # The figure sizes a *virtual* pool: same None-means-one-per-CPU rule.
-    parallelism = RunConfig(backend="thread", parallelism=parallelism).workers
-    defaults = sim_defaults()
-    if figure == "fig2a":
-        result = run_simulated_comparison(
-            "figure2a_ie", ie_sim_workload(), [HELIX, DEEPDIVE], defaults=defaults, parallelism=parallelism
-        )
-        reduction = 1.0 - result.cumulative("helix") / result.cumulative("deepdive")
-        print(result.render(), file=out)
-        print(f"HELIX reduction vs DeepDive: {reduction:.0%} (paper: ~60%)", file=out)
-    else:
-        result = run_simulated_comparison(
-            "figure2b_census", census_sim_workload(), [HELIX, KEYSTONEML], defaults=defaults, parallelism=parallelism
-        )
-        print(result.render(), file=out)
-        print(
-            f"KeystoneML / HELIX cumulative: {result.speedup_over('keystoneml'):.1f}x "
-            "(paper: nearly an order of magnitude)",
-            file=out,
-        )
-    if parallelism > 1:
-        print(
-            f"modeled wall clock on {parallelism} workers: " + ", ".join(
-                f"{system}={result.cumulative_wall_clock(system):.1f}s "
-                f"({result.parallel_speedup(system):.2f}x)"
-                for system in result.systems()
-            ),
-            file=out,
-        )
-    return 0
+def workload_spec(workload: str, scale: int, iterations: Optional[int] = None):
+    """The named workload's iteration sequence at ``--scale`` ``scale``.
 
-
-def _workload_spec(workload: str, scale: int, iterations: Optional[int] = None):
-    """Build the named workload's iteration sequence at the requested scale."""
+    The one sizing rule of ``run``, ``reproduce``, ``serve`` and ``submit``:
+    census gets ``scale`` training rows, IE ``scale // 20`` training
+    documents (at least 20).
+    """
     if workload == "census":
         return census_workload(
             CensusConfig(n_train=scale, n_test=max(100, scale // 5), seed=11), n_iterations=iterations
@@ -351,6 +331,42 @@ def _workload_spec(workload: str, scale: int, iterations: Optional[int] = None):
     )
 
 
+def _command_reproduce(figure: str, scale: int, out=None) -> int:
+    """Run one real session per arm of ``figure``; 1 if any arm's metrics differ."""
+    out = out or sys.stdout
+    workload, arms = FIGURES[figure]
+    workspace = tempfile.mkdtemp(prefix=f"helix_{figure}_")
+    # One small untimed iteration first, so that the first arm does not pay
+    # the process's first-call costs (imports, lazily built tables) alone.
+    run_real_comparison(
+        workload_spec(workload, 100, iterations=1), arms[:1],
+        workspace_root=os.path.join(workspace, "warmup"),
+    )
+    result = run_real_comparison(workload_spec(workload, scale), arms, workspace_root=workspace)
+    print(result.render(), file=out)
+    if figure == "fig2a":
+        reduction = 1.0 - result.cumulative("helix") / result.cumulative("deepdive")
+        print(f"HELIX reduction vs DeepDive: {reduction:.0%} (paper: ~60%)", file=out)
+    else:
+        print(
+            f"KeystoneML / HELIX cumulative: {result.speedup_over('keystoneml'):.1f}x "
+            "(paper: nearly an order of magnitude)",
+            file=out,
+        )
+    print(f"workspace: {workspace}", file=out)
+    mismatches = result.metric_mismatches()
+    if mismatches:
+        print(
+            f"error: metrics differ from {arms[0].name}'s: " + ", ".join(
+                f"{system} iteration {index + 1}" for system, index in mismatches
+            ),
+            file=out,
+        )
+        return 1
+    print(f"metrics: identical across {len(arms)} arms", file=out)
+    return 0
+
+
 def _command_run(
     workload: str,
     iterations: int,
@@ -362,7 +378,7 @@ def _command_run(
     out = out or sys.stdout
     strategy = config.strategy
     workspace = workspace or tempfile.mkdtemp(prefix=f"helix_cli_{workload}_")
-    spec = _workload_spec(workload, scale, iterations)
+    spec = workload_spec(workload, scale, iterations)
     result = run_real_comparison(spec, [strategy], workspace_root=workspace, config=config)
     reports = result.reports_by_system[strategy.name]
     rows = [
@@ -425,7 +441,7 @@ def _command_serve(
     # The workload sequences are finite; clamp rather than crash when asked
     # for more.  Every build callable constructs a fresh Workflow, so one
     # spec safely serves every tenant.
-    spec = _workload_spec(workload, scale)
+    spec = workload_spec(workload, scale)
     iterations = min(iterations, len(spec.iterations))
     with WorkflowService(workspace, service_config) as service:
         if service.obs_server is not None:
@@ -492,7 +508,7 @@ def _command_submit(
     out = out or sys.stdout
     from repro.service import CacheConfig, ServiceConfig, WorkflowService
 
-    spec = _workload_spec(workload, scale)
+    spec = workload_spec(workload, scale)
     if not 0 <= iteration < len(spec.iterations):
         print(
             f"error: --iteration {iteration} out of range (workload has {len(spec.iterations)} iterations)",
@@ -992,7 +1008,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "reproduce":
-            return _command_reproduce(args.figure, parallelism=args.parallelism)
+            return _command_reproduce(args.figure, args.scale)
         if args.command == "run":
             return _command_run(
                 args.workload, args.iterations, args.scale, args.workspace, _run_config(args)

@@ -45,7 +45,6 @@ from repro.execution.engine import ExecutionEngine, ExecutionResult
 from repro.execution.scheduler import backend_by_name
 from repro.execution.stats import IterationReport, RunHistory
 from repro.execution.store import ArtifactStore
-from repro.execution.simulator import RECOMPUTATION_POLICIES
 from repro.graph.dag import NodeState
 from repro.introspect.explain import ExplainRenderer
 from repro.introspect.trace import RunTrace, finite_or_none
@@ -59,7 +58,12 @@ from repro.obs.events import (
 )
 from repro.obs.registry import MetricsRegistry, get_registry, resolve_registry
 from repro.optimizer.cost_model import CostDefaults, CostEstimator, NodeCosts
-from repro.optimizer.recomputation import PlanExplanation, optimal_plan_explained, plan_cost
+from repro.optimizer.recomputation import (
+    RECOMPUTATION_POLICIES,
+    PlanExplanation,
+    optimal_plan_explained,
+    plan_cost,
+)
 from repro.versioning.metrics_tracker import MetricsTracker
 from repro.versioning.version_store import WorkflowVersion
 

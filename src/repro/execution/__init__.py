@@ -1,4 +1,4 @@
-"""Execution layer: artifact store, runtime statistics, scheduler, engine, simulator.
+"""Execution layer: artifact store, runtime statistics, scheduler, engine.
 
 The :class:`~repro.execution.engine.ExecutionEngine` interprets a physical
 plan produced by the compiler + recomputation optimizer: it computes, loads,
@@ -13,10 +13,6 @@ With a partition count > 1 the scheduler additionally runs intra-operator
 data parallelism over the :mod:`repro.partition` subsystem: waves contain
 node × partition tasks and partitioned outputs persist as *chunked
 artifacts* (one chunk per partition) with partial-hit recovery.
-
-The :mod:`~repro.execution.simulator` executes *cost-annotated* DAGs against a
-virtual clock using the exact same optimizer code, which lets the benchmark
-harness replay paper-scale multi-hour workloads deterministically in seconds.
 """
 
 from repro.execution.engine import ExecutionEngine, ExecutionResult
@@ -32,7 +28,6 @@ from repro.execution.scheduler import (
     wave_decomposition,
     wave_levels,
 )
-from repro.execution.simulator import SimIteration, SimNode, SimulationResult, WorkflowSimulator, sim_dag
 from repro.execution.stats import IterationReport, NodeRunStats, RunHistory
 from repro.execution.store import (
     ArtifactMeta,
@@ -63,9 +58,4 @@ __all__ = [
     "backend_by_name",
     "wave_decomposition",
     "wave_levels",
-    "SimNode",
-    "SimIteration",
-    "SimulationResult",
-    "WorkflowSimulator",
-    "sim_dag",
 ]

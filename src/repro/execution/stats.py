@@ -26,7 +26,7 @@ class NodeRunStats:
     signature:
         Content hash identifying the computation (the artifact-store key).
     operator_type:
-        Class name of the operator (``"SimNode"`` for simulated runs).
+        Class name of the operator.
     category:
         Iteration-change category color (``purple``/``orange``/``green``/``source``).
     state:
@@ -46,8 +46,7 @@ class NodeRunStats:
         True once the node's artifact is durably in the store.
     wave:
         Index of the dependency wave the scheduler ran this node in
-        (-1 when the node never went through the wavefront scheduler,
-        e.g. simulated runs).
+        (-1 when the node never went through the wavefront scheduler).
     chunks_computed / chunks_loaded:
         Partition-chunk accounting for partitioned runs: how many of the
         node's chunks were computed fresh versus served from the store
@@ -109,8 +108,7 @@ class IterationReport:
         is lower than ``total_runtime``; their ratio is the realized speedup
         (:meth:`parallel_speedup`).  0.0 when unknown (hand-built reports).
     backend / parallelism:
-        Worker backend name and its worker count (``serial``/1 by default,
-        ``virtual`` for simulated runs).
+        Worker backend name and its worker count (``serial``/1 by default).
     partitions:
         Intra-operator partition count the scheduler ran with (1 = no data
         parallelism; waves then contain node × partition tasks).

@@ -5,8 +5,7 @@ optimizers (recomputation and materialization) and the execution engine all
 operate on this structure, so it lives in its own dependency-free module.
 
 Nodes are identified by unique string names.  Each node carries an arbitrary
-``payload`` (an operator in compiled workflow DAGs, a cost record in simulated
-workloads).  Edges point from a producer (parent) to a consumer (child):
+``payload`` (an operator in compiled workflow DAGs).  Edges point from a producer (parent) to a consumer (child):
 ``parent -> child`` means *child reads the parent's output*.
 """
 

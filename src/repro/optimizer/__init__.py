@@ -27,6 +27,7 @@ from repro.optimizer.materialization import (
 from repro.optimizer.maxflow import FlowNetwork
 from repro.optimizer.project_selection import ProjectSelectionInstance, solve_project_selection
 from repro.optimizer.recomputation import (
+    RECOMPUTATION_POLICIES,
     CutEdge,
     PlanExplanation,
     build_selection_instance,
@@ -56,6 +57,7 @@ __all__ = [
     "compute_all_plan",
     "reuse_all_plan",
     "exhaustive_plan",
+    "RECOMPUTATION_POLICIES",
     "plan_cost",
     "MaterializationPolicy",
     "MaterializationDecision",

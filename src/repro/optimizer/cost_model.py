@@ -128,10 +128,10 @@ class CostRecord:
 class CostDefaults:
     """Fallbacks and the tier/codec-aware storage throughput model.
 
-    ``read_bandwidth`` / ``write_bandwidth`` are bytes per second; load and
-    write costs are modeled as ``overhead + size / bandwidth`` whenever no
-    measured value is available.  ``codec_read_bandwidth`` refines the read
-    model per serialization codec, in *payload* bytes per second —
+    ``read_bandwidth`` is bytes per second; a load is modeled as
+    ``overhead + size / bandwidth`` whenever no measured value is available.
+    ``codec_read_bandwidth`` refines the read model per serialization codec,
+    in *payload* bytes per second —
     deserialization, not the disk, dominates load time.  The entries are
     measured, not chosen: ``python scripts/measure_codecs.py`` (min of 20
     calls per cell, this host) printed
@@ -196,7 +196,6 @@ class CostDefaults:
     default_compute_cost: float = 1.0
     default_output_size: float = 1_000_000.0
     read_bandwidth: float = 200e6
-    write_bandwidth: float = 120e6
     io_overhead: float = 0.001
     carry_overhead: float = 0.00005
     memory_read_overhead: float = 0.0002
@@ -218,9 +217,6 @@ class CostDefaults:
         if codec is not None:
             bandwidth = self.codec_read_bandwidth.get(codec, self.read_bandwidth)
         return self.io_overhead + max(0.0, size) / bandwidth
-
-    def write_cost_for_size(self, size: float) -> float:
-        return self.io_overhead + max(0.0, size) / self.write_bandwidth
 
 
 class CostEstimator:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.errors import OptimizerError, PlanError
 from repro.graph.dag import Dag, NodeState
@@ -321,6 +321,16 @@ def greedy_plan(dag: Dag, costs: Mapping[str, NodeCosts], outputs: Sequence[str]
     states = _plan_from_load_set(dag, outputs, load_set)
     validate_states(dag, costs, outputs, states)
     return states
+
+
+#: Recomputation planners by the names strategies use
+#: (:attr:`~repro.baselines.strategies.ExecutionStrategy.recomputation`).
+RECOMPUTATION_POLICIES: Dict[str, Callable[..., Dict[str, NodeState]]] = {
+    "optimal": optimal_plan,
+    "greedy": greedy_plan,
+    "compute_all": compute_all_plan,
+    "reuse_all": reuse_all_plan,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,25 @@ VERSIONS_FILENAME = "versions.json"
 HISTORY_FILENAME = "cost_history.json"
 
 
+def _write_json(path: str, payload: object, what: str) -> str:
+    """Write ``payload`` to ``path`` atomically (temp file + ``os.replace``).
+
+    A dump that fails partway (full disk, a crash, an unserializable value)
+    leaves the previous file whole, so the workspace still opens.
+    """
+    tmp_path = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp_path, "w") as handle:
+            json.dump(payload, handle, indent=2)
+        os.replace(tmp_path, path)
+    except OSError as exc:
+        raise VersioningError(f"cannot write {what} to {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp_path):  # the dump or the rename failed
+            os.remove(tmp_path)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # Version store
 # ---------------------------------------------------------------------------
@@ -71,12 +90,7 @@ def save_version_store(store: VersionStore, workspace: str) -> str:
     """Write all versions to ``<workspace>/versions.json``; returns the path."""
     path = os.path.join(workspace, VERSIONS_FILENAME)
     payload = [version_to_dict(version) for version in store.all()]
-    try:
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-    except OSError as exc:
-        raise VersioningError(f"cannot write version store to {path}: {exc}") from exc
-    return path
+    return _write_json(path, payload, "version store")
 
 
 def load_version_store(workspace: str) -> VersionStore:
@@ -110,12 +124,7 @@ def save_cost_history(history: RunHistory, workspace: str) -> str:
         }
         for signature, record in history.cost_records().items()
     }
-    try:
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-    except OSError as exc:
-        raise VersioningError(f"cannot write cost history to {path}: {exc}") from exc
-    return path
+    return _write_json(path, payload, "cost history")
 
 
 def load_cost_history(workspace: str) -> Dict[str, CostRecord]:

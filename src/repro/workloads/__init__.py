@@ -2,27 +2,15 @@
 
 A *workload* is an ordered list of workflow iterations, each tagged with the
 paper's change-category color (purple = data pre-processing, orange = ML,
-green = post-processing).  Two families are provided:
-
-* **Real workloads** (:mod:`census_workload`, :mod:`ie_workload`) build actual
-  :class:`~repro.dsl.workflow.Workflow` objects over the synthetic datasets
-  and are executed by :class:`~repro.core.session.HelixSession` — used by the
-  examples, the integration tests, and the small-scale benchmark variants.
-* **Simulated workloads** (:mod:`simulated`) are cost-annotated DAG versions
-  of the same iteration sequences at paper scale, executed by
-  :class:`~repro.execution.simulator.WorkflowSimulator` — used by the
-  figure-reproduction benchmarks.
+green = post-processing).  :mod:`census_workload` and :mod:`ie_workload` build
+actual :class:`~repro.dsl.workflow.Workflow` objects over the synthetic
+datasets, executed by :class:`~repro.core.session.HelixSession` — in the
+examples, the integration tests, the ledger and the Figure 2 comparison.
 """
 
 from repro.workloads.spec import IterationSpec, WorkloadSpec
 from repro.workloads.census_workload import CensusVariant, build_census_workflow, census_workload
 from repro.workloads.ie_workload import IEVariant, build_ie_workflow, ie_workload
-from repro.workloads.simulated import (
-    SimWorkloadBuilder,
-    census_sim_workload,
-    ie_sim_workload,
-    sim_defaults,
-)
 
 __all__ = [
     "IterationSpec",
@@ -33,8 +21,4 @@ __all__ = [
     "IEVariant",
     "build_ie_workflow",
     "ie_workload",
-    "SimWorkloadBuilder",
-    "census_sim_workload",
-    "ie_sim_workload",
-    "sim_defaults",
 ]

@@ -13,9 +13,9 @@ from repro.baselines.strategies import (
     strategy_by_name,
 )
 from repro.errors import OptimizerError
-from repro.execution.simulator import WorkflowSimulator
 from repro.graph.dag import Dag
 from repro.optimizer.cost_model import NodeCosts
+from repro.optimizer.recomputation import RECOMPUTATION_POLICIES
 from repro.optimizer.materialization import (
     HelixOnlineMaterializer,
     KnapsackOracleMaterializer,
@@ -51,11 +51,18 @@ class TestStrategyDefinitions:
         assert DEEPDIVE.materialization == "all"
         assert "orange" in DEEPDIVE.always_recompute_categories
         assert "green" in DEEPDIVE.always_recompute_categories
-        assert DEEPDIVE.multipliers().get("orange", 1.0) > 1.0
 
     def test_unoptimized_helix_is_compute_all(self):
         assert HELIX_UNOPTIMIZED.recomputation == "compute_all"
         assert HELIX_UNOPTIMIZED.materialization == "none"
+
+    def test_every_strategy_names_a_known_planner_and_policy(self):
+        dag = Dag("d")
+        dag.add_node("a")
+        costs = {"a": NodeCosts(compute_cost=1.0, load_cost=0.1, output_size=10.0)}
+        for strategy in ALL_STRATEGIES:
+            assert strategy.recomputation in RECOMPUTATION_POLICIES
+            assert strategy.make_materialization_policy(dag, costs, 100.0) is not None
 
     def test_greedy_ablation_differs_only_in_recomputation(self):
         assert HELIX_GREEDY.recomputation == "greedy"
@@ -86,11 +93,3 @@ class TestPolicyFactories:
         broken = ExecutionStrategy(name="broken", recomputation="optimal", materialization="magnetic-tape")
         with pytest.raises(OptimizerError):
             broken.make_materialization_policy(dag, costs, 100.0)
-
-    def test_simulator_configured_from_strategy(self):
-        simulator = DEEPDIVE.simulator()
-        assert isinstance(simulator, WorkflowSimulator)
-        assert simulator.system == "deepdive"
-        assert simulator.recomputation == "reuse_all"
-        assert simulator.always_recompute_categories == {"orange", "green"}
-        assert simulator.category_cost_multipliers == DEEPDIVE.multipliers()

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.baselines.strategies import HELIX, HELIX_UNOPTIMIZED, KEYSTONEML
-from repro.bench.harness import run_real_comparison, run_simulated_comparison
+from repro.baselines.strategies import HELIX, HELIX_UNOPTIMIZED
+from repro.bench.harness import ComparisonResult, run_real_comparison
 from repro.bench.reporting import cumulative_table, format_table, ratio_summary
+from repro.execution.stats import IterationReport
 from repro.workloads.census_workload import census_workload
-from repro.workloads.simulated import census_sim_workload, sim_defaults
 
 
 class TestReporting:
@@ -46,23 +46,55 @@ class TestReporting:
         assert ratios["slow"] == float("inf")
 
 
-class TestSimulatedComparison:
-    def test_runs_all_strategies_over_all_iterations(self):
-        iterations = census_sim_workload(n_iterations=4)
-        result = run_simulated_comparison("census", iterations, [HELIX, KEYSTONEML], defaults=sim_defaults())
-        assert set(result.systems()) == {"helix", "keystoneml"}
-        assert len(result.runtimes("helix")) == 4
-        assert result.cumulative("keystoneml") > result.cumulative("helix")
-        assert result.speedup_over("keystoneml") > 1.0
+def _result(runtimes, metrics=None):
+    """A hand-built comparison: system -> per-iteration runtimes (and metrics)."""
+    metrics = metrics or {}
+    result = ComparisonResult(workload="census")
+    for system, values in runtimes.items():
+        result.reports_by_system[system] = [
+            IterationReport(
+                iteration=index, workflow_name="census", total_runtime=value,
+                metrics=metrics[system][index] if system in metrics else {},
+            )
+            for index, value in enumerate(values)
+        ]
+    return result
 
-    def test_table_and_render(self):
-        iterations = census_sim_workload(n_iterations=3)
-        result = run_simulated_comparison("census", iterations, [HELIX], defaults=sim_defaults())
+
+class TestComparisonResult:
+    def test_render_prints_totals_with_three_decimals(self):
+        rendered = _result({"helix": [0.125, 0.125], "keystoneml": [0.6, 0.6]}).render()
+        assert "Workload: census" in rendered
+        assert "Cumulative runtime (s): helix=0.250, keystoneml=1.200" in rendered
+        assert "Ratio to HELIX: keystoneml=4.80x" in rendered
+
+    def test_metric_mismatches_empty_when_every_arm_agrees(self):
+        metrics = {"helix": [{"acc": 0.5}, {"acc": 0.75}], "keystoneml": [{"acc": 0.5}, {"acc": 0.75}]}
+        assert _result({"helix": [1.0, 1.0], "keystoneml": [2.0, 2.0]}, metrics).metric_mismatches() == []
+
+    def test_metric_mismatches_name_arm_and_iteration(self):
+        metrics = {
+            "helix": [{"acc": 0.5}, {"acc": 0.75}],
+            "deepdive": [{"acc": 0.5}, {"acc": 0.75 + 1e-12}],
+            "keystoneml": [{"acc": 0.5}],
+        }
+        result = _result({"helix": [1.0, 1.0], "deepdive": [1.0, 1.0], "keystoneml": [2.0]}, metrics)
+        assert result.metric_mismatches() == [("deepdive", 1), ("keystoneml", 1)]
+
+    def test_cumulative_series_and_table_rows(self):
+        result = _result({"helix": [1.0, 0.25, 0.25], "keystoneml": [1.0, 1.0, 1.0]})
+        result.categories = ["initial", "purple", "green"]
+        assert result.cumulative_by_system() == {"helix": 1.5, "keystoneml": 3.0}
         rows = result.table_rows()
-        assert len(rows) == 3
-        assert "helix_cum" in rows[0]
-        rendered = result.render()
-        assert "Workload: census" in rendered and "Cumulative runtime" in rendered
+        assert [row["category"] for row in rows] == ["initial", "purple", "green"]
+        assert [row["helix_cum"] for row in rows] == [1.0, 1.25, 1.5]
+        assert [row["keystoneml_cum"] for row in rows] == [1.0, 2.0, 3.0]
+
+    def test_speedup_over_and_ratios(self):
+        result = _result({"helix": [1.0, 0.5], "keystoneml": [1.5, 1.5]})
+        assert result.speedup_over("keystoneml") == pytest.approx(2.0)
+        assert result.ratios()["keystoneml"] == pytest.approx(2.0)
+        assert _result({"helix": [0.0], "keystoneml": [1.0]}).speedup_over("keystoneml") == float("inf")
 
 
 class TestRealComparison:

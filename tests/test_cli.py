@@ -1,25 +1,59 @@
 """Tests for the command-line interface."""
 
+import tempfile
+
 import pytest
 
+from repro.bench.harness import ComparisonResult
 from repro.cli import main
 from repro.core.session import HelixSession
 from repro.datagen.census import CensusConfig
+from repro.execution.stats import IterationReport
 from repro.workloads.census_workload import CensusVariant, build_census_workflow
 
 
 class TestReproduceCommand:
+    """``reproduce`` runs real sessions; each arm's workspace lands under ``tmp_path``."""
+
+    @pytest.fixture(autouse=True)
+    def _temp_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
     def test_fig2a_prints_table_and_reduction(self, capsys):
-        assert main(["reproduce", "fig2a"]) == 0
+        assert main(["reproduce", "fig2a", "--scale", "100"]) == 0
         output = capsys.readouterr().out
         assert "deepdive" in output
         assert "reduction vs DeepDive" in output
+        assert "metrics: identical across 2 arms" in output
 
     def test_fig2b_prints_table_and_ratio(self, capsys):
-        assert main(["reproduce", "fig2b"]) == 0
+        assert main(["reproduce", "fig2b", "--scale", "200"]) == 0
         output = capsys.readouterr().out
-        assert "keystoneml" in output
+        assert "keystoneml" in output and "deepdive" in output
         assert "order of magnitude" in output
+        assert "metrics: identical across 3 arms" in output
+
+    def test_differing_metrics_exit_nonzero(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def diverging(workload, strategies, workspace_root=None):
+            result = ComparisonResult(workload=workload.name)
+            for offset, strategy in enumerate(strategies):
+                result.reports_by_system[strategy.name] = [
+                    IterationReport(iteration=index, workflow_name=workload.name, total_runtime=1.0,
+                                    metrics={"test_f1": 0.5 + (offset if index == 3 else 0)})
+                    for index in range(len(workload.iterations))
+                ]
+            return result
+
+        monkeypatch.setattr(cli, "run_real_comparison", diverging)
+        assert main(["reproduce", "fig2a", "--scale", "100"]) == 1
+        assert "error: metrics differ from helix's: deepdive iteration 4" in capsys.readouterr().out
+
+    def test_virtual_parallelism_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reproduce", "fig2a", "--parallelism", "4"])
+        assert excinfo.value.code == 2
 
 
 class TestRunCommand:

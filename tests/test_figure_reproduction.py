@@ -1,28 +1,31 @@
-"""Shape tests for the paper's figures (the fast versions of the benchmarks).
-
-These tests assert the qualitative claims of the evaluation section:
+"""Tests for the paper's figures (the fast versions of the benchmarks).
 
 * Figure 1(b): after the Census iteration that swaps an extractor, the
   optimized plan loads unchanged pre-processing results, computes only the
   affected operators, and prunes operators that no output needs.
-* Figure 2(a): on the IE workload HELIX's cumulative runtime is well below
-  DeepDive's (the paper reports ~60% lower).
-* Figure 2(b): on the Census workload HELIX is several times cheaper than
-  KeystoneML (the paper reports nearly an order of magnitude) and cheaper
-  than DeepDive; post-processing iterations are near-free, ML iterations are
-  cheaper than data-pre-processing iterations; KeystoneML stays flat-high.
+* Figure 2: every comparison arm runs the census and IE sequences as real
+  sessions.  Seconds are not asserted here (they belong to the ledger and
+  ``docs/figure2.md``); what is asserted is what each arm is: the same
+  metrics from every arm (reuse is safe), the arms without reuse never
+  loading, DeepDive recomputing ML and post-processing, and storage staying
+  within the budget.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.baselines.strategies import DEEPDIVE, HELIX, HELIX_GREEDY, KEYSTONEML
-from repro.bench.harness import run_simulated_comparison
+from repro.baselines.strategies import ALL_STRATEGIES, HELIX
+from repro.bench.harness import run_real_comparison
+from repro.compiler.codegen import compile_workflow
+from repro.core.config import RunConfig
 from repro.core.session import HelixSession
+from repro.datagen.census import CensusConfig
+from repro.datagen.news import NewsConfig
+from repro.dsl.operators import ChangeCategory
 from repro.graph.dag import NodeState
-from repro.workloads.census_workload import CensusVariant, build_census_workflow
-from repro.workloads.simulated import census_sim_workload, ie_sim_workload, sim_defaults
+from repro.workloads.census_workload import CensusVariant, build_census_workflow, census_workload
+from repro.workloads.ie_workload import ie_workload
 
 
 class TestFigure1Plan:
@@ -64,73 +67,97 @@ class TestFigure1Plan:
         assert "digraph" in dot
 
 
-@pytest.fixture(scope="module")
-def figure2a():
-    return run_simulated_comparison("ie", ie_sim_workload(), [HELIX, DEEPDIVE], defaults=sim_defaults())
+def _tiny_workload(name):
+    if name == "census":
+        return census_workload(CensusConfig(n_train=200, n_test=60, seed=3))
+    return ie_workload(NewsConfig(n_train_docs=8, n_test_docs=3, sentences_per_doc=5, seed=3))
 
 
-@pytest.fixture(scope="module")
-def figure2b():
-    return run_simulated_comparison(
-        "census", census_sim_workload(), [HELIX, DEEPDIVE, KEYSTONEML], defaults=sim_defaults()
-    )
+@pytest.fixture(scope="module", params=["census", "ie"])
+def figure2(request, tmp_path_factory):
+    """Every arm of ``ALL_STRATEGIES`` over one full 10-iteration sequence."""
+    spec = _tiny_workload(request.param)
+    root = tmp_path_factory.mktemp(f"figure2_{request.param}")
+    return spec, run_real_comparison(spec, ALL_STRATEGIES, workspace_root=str(root))
 
 
-class TestFigure2A:
-    def test_helix_substantially_cheaper_than_deepdive(self, figure2a):
-        reduction = 1.0 - figure2a.cumulative("helix") / figure2a.cumulative("deepdive")
-        assert reduction > 0.40  # paper: ~60% lower
+class TestFigure2Arms:
+    def test_every_arm_reports_identical_metrics(self, figure2):
+        _spec, result = figure2
+        assert result.systems() == [strategy.name for strategy in ALL_STRATEGIES]
+        assert all(len(result.runtimes(system)) == 10 for system in result.systems())
+        assert all(result.metrics("helix"))  # every iteration reports a metric
+        assert result.metric_mismatches() == []
 
-    def test_helix_cumulative_monotonically_below_deepdive(self, figure2a):
-        helix = figure2a.runtimes_by_system()["helix"]
-        deepdive = figure2a.runtimes_by_system()["deepdive"]
-        helix_cumulative, deepdive_cumulative = 0.0, 0.0
-        for h, d in zip(helix, deepdive):
-            helix_cumulative += h
-            deepdive_cumulative += d
-            assert helix_cumulative <= deepdive_cumulative + 1e-6
+    @pytest.mark.parametrize("arm", ["keystoneml", "helix_unopt"])
+    def test_no_reuse_arm_never_loads_or_stores(self, figure2, arm):
+        _spec, result = figure2
+        for report in result.reports_by_system[arm]:
+            assert NodeState.LOAD not in report.states.values()
+            assert report.storage_used == 0
 
-    def test_helix_green_iterations_nearly_free(self, figure2a):
-        reports = figure2a.reports_by_system["helix"]
-        green = [r.total_runtime for r in reports if r.change_category == "green"]
-        initial = reports[0].total_runtime
-        assert green and max(green) < 0.05 * initial
+    def test_deepdive_computes_every_ml_and_postprocess_node(self, figure2):
+        _spec, result = figure2
+        rerun = {ChangeCategory.ML.value, ChangeCategory.POSTPROCESS.value}
+        for report in result.reports_by_system["deepdive"]:
+            ml_and_post = [name for name, stats in report.node_stats.items() if stats.category in rerun]
+            assert ml_and_post
+            assert all(report.states[name] is NodeState.COMPUTE for name in ml_and_post)
 
+    def test_helix_reuses_and_stores_no_more_than_deepdive(self, figure2):
+        _spec, result = figure2
+        helix, deepdive = result.reports_by_system["helix"], result.reports_by_system["deepdive"]
+        assert any(NodeState.LOAD in report.states.values() for report in helix[1:])
+        for ours, theirs in zip(helix, deepdive):
+            assert 0 < ours.storage_used <= theirs.storage_used
 
-class TestFigure2B:
-    def test_helix_much_cheaper_than_keystoneml(self, figure2b):
-        assert figure2b.speedup_over("keystoneml") > 5.0  # paper: nearly an order of magnitude
+    def test_first_iteration_computes_every_node_in_every_arm(self, figure2):
+        _spec, result = figure2
+        for system in result.systems():
+            first = result.reports_by_system[system][0]
+            assert first.states
+            assert set(first.states.values()) == {NodeState.COMPUTE}
 
-    def test_helix_cheaper_than_deepdive(self, figure2b):
-        assert figure2b.speedup_over("deepdive") > 1.1
+    def test_never_seen_signatures_are_computed_in_every_arm(self, figure2):
+        # A node whose signature no earlier iteration produced has nothing to
+        # load: every arm must compute it, or reuse would serve a stale result.
+        spec, result = figure2
+        seen = set()
+        for index, iteration in enumerate(spec.iterations):
+            signatures = compile_workflow(iteration.build()).signatures
+            fresh = {name for name, signature in signatures.items() if signature not in seen}
+            assert fresh or index > 0
+            for system in result.systems():
+                states = result.reports_by_system[system][index].states
+                assert all(states[name] is NodeState.COMPUTE for name in fresh if name in states)
+            seen.update(signatures.values())
 
-    def test_iteration_type_ordering_for_helix(self, figure2b):
-        """green < orange < purple per-iteration runtime, as described in §2.4."""
-        reports = figure2b.reports_by_system["helix"]
-        by_category = {}
-        for report in reports[1:]:  # skip the initial full run
-            by_category.setdefault(report.change_category, []).append(report.total_runtime)
-        green = max(by_category["green"])
-        orange = max(by_category["orange"])
-        purple = min(by_category["purple"])
-        assert green < orange < purple
+    def test_helix_green_iterations_reuse_the_model(self, figure2):
+        # A post-processing-only change leaves the model's signature alone, so
+        # HELIX loads or prunes it where DeepDive recomputes it.
+        spec, result = figure2
+        ml = ChangeCategory.ML.value
+        green = [index for index, category in enumerate(spec.categories()) if category == "green"]
+        assert green
+        for index in green:
+            report = result.reports_by_system["helix"][index]
+            assert NodeState.LOAD in report.states.values()
+            assert all(
+                report.states[name] is not NodeState.COMPUTE
+                for name, stats in report.node_stats.items()
+                if stats.category == ml
+            )
 
-    def test_keystoneml_flat_high_regardless_of_change_type(self, figure2b):
-        runtimes = figure2b.runtimes_by_system()["keystoneml"]
-        assert min(runtimes) > 0.8 * max(runtimes)
-        assert min(runtimes) > 5 * max(
-            r.total_runtime for r in figure2b.reports_by_system["helix"] if r.change_category == "green"
+    def test_deepdive_reuses_across_iterations(self, figure2):
+        _spec, result = figure2
+        later = result.reports_by_system["deepdive"][1:]
+        assert any(NodeState.LOAD in report.states.values() for report in later)
+
+    def test_budgeted_helix_stays_within_budget(self, figure2, tmp_path):
+        spec, result = figure2
+        budget = 0.4 * result.reports_by_system["helix"][-1].storage_used
+        budgeted = run_real_comparison(
+            spec, [HELIX], workspace_root=str(tmp_path), config=RunConfig(storage_budget=budget)
         )
-
-    def test_helix_storage_grows_but_runtime_stays_low(self, figure2b):
-        reports = figure2b.reports_by_system["helix"]
-        assert reports[-1].storage_used >= reports[0].storage_used
-        assert reports[-1].total_runtime < reports[0].total_runtime
-
-
-class TestRecomputationAblation:
-    def test_optimal_reuse_never_worse_than_greedy_on_workloads(self):
-        defaults = sim_defaults()
-        for iterations in (census_sim_workload(), ie_sim_workload()):
-            result = run_simulated_comparison("ablation", iterations, [HELIX, HELIX_GREEDY], defaults=defaults)
-            assert result.cumulative("helix") <= result.cumulative("helix_greedy") + 1e-6
+        assert all(report.storage_used <= budget for report in budgeted.reports_by_system["helix"])
+        assert budgeted.metrics("helix") == result.metrics("helix")

@@ -109,11 +109,11 @@ class TestLoadEventCorrectness:
 
 
 # ---------------------------------------------------------------------------
-# Min-cut certificate (property-style over simulated workloads)
+# Min-cut certificate (property-style over random cost-annotated DAGs)
 # ---------------------------------------------------------------------------
 @st.composite
 def dag_and_costs(draw, max_nodes=9):
-    """Random DAGs with random cost annotations — simulated workload shapes."""
+    """Random DAGs with random cost annotations."""
     n_nodes = draw(st.integers(min_value=2, max_value=max_nodes))
     dag = Dag("sim")
     names = [f"n{i}" for i in range(n_nodes)]

@@ -20,10 +20,9 @@ class TestNodeCosts:
 
 
 class TestCostDefaults:
-    def test_load_and_write_costs_scale_with_size(self):
-        defaults = CostDefaults(read_bandwidth=100.0, write_bandwidth=50.0, io_overhead=1.0)
+    def test_load_cost_scales_with_size(self):
+        defaults = CostDefaults(read_bandwidth=100.0, io_overhead=1.0)
         assert defaults.load_cost_for_size(200.0) == pytest.approx(3.0)
-        assert defaults.write_cost_for_size(200.0) == pytest.approx(5.0)
 
     def test_negative_size_treated_as_zero(self):
         defaults = CostDefaults(io_overhead=0.5)

@@ -105,3 +105,48 @@ class TestCrossSessionBehaviour:
         assert os.path.exists(os.path.join(workspace, "versions.json"))
         assert os.path.exists(os.path.join(workspace, "cost_history.json"))
         assert os.path.isdir(os.path.join(workspace, "artifacts"))
+
+
+class TestInterruptedWrites:
+    """A save that dies partway leaves the previous file whole."""
+
+    @staticmethod
+    def _torn_dump(payload, handle, **kwargs):
+        text = json.dumps(payload, **kwargs)
+        handle.write(text[: len(text) // 2])
+        raise RuntimeError("killed mid-write")
+
+    def test_torn_dump_keeps_previous_files_and_workspace_reopens(self, tmp_path, variant, monkeypatch):
+        workspace = str(tmp_path)
+        session = HelixSession(workspace=workspace)
+        session.run(build_census_workflow(variant), description="v1")
+        # In memory the session moves on; on disk the saves of v2 die midway.
+        session.run(build_census_workflow(replace(variant, reg_param=0.01)), description="v2")
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dump", self._torn_dump)
+            with pytest.raises(RuntimeError):
+                save_version_store(session.versions, workspace)
+            with pytest.raises(RuntimeError):
+                save_cost_history(session.history, workspace)
+        assert not [name for name in os.listdir(workspace) if ".tmp." in name]
+
+        reopened = HelixSession(workspace=workspace)
+        assert [version.description for version in reopened.versions.all()] == ["v1", "v2"]
+        assert load_cost_history(workspace) == session.history.cost_records()
+
+    def test_failed_rename_raises_versioning_error_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        workspace = str(tmp_path)
+        history = RunHistory()
+        history.record("sig", CostRecord(compute_cost=1.0, output_size=2.0, operator_type="Op"))
+        save_cost_history(history, workspace)
+
+        def refuse(src, dst):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        history.record("other", CostRecord(compute_cost=3.0, output_size=4.0))
+        with pytest.raises(VersioningError, match="cannot write cost history"):
+            save_cost_history(history, workspace)
+        monkeypatch.undo()
+        assert os.listdir(workspace) == ["cost_history.json"]
+        assert set(load_cost_history(workspace)) == {"sig"}

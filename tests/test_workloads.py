@@ -1,14 +1,12 @@
-"""Tests for the evaluation workloads (real and simulated)."""
+"""Tests for the evaluation workloads."""
 
 import pytest
 
 from repro.compiler.codegen import compile_workflow
 from repro.compiler.change_tracker import diff_workflows
 from repro.datagen.news import NewsConfig
-from repro.execution.simulator import SimIteration
 from repro.workloads.census_workload import CensusVariant, build_census_workflow, census_workload
 from repro.workloads.ie_workload import IEVariant, build_ie_workflow, ie_workload
-from repro.workloads.simulated import SimWorkloadBuilder, census_sim_workload, ie_sim_workload
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -80,53 +78,44 @@ class TestIEWorkload:
         assert spec.categories().count("purple") >= 3
         assert spec.categories().count("orange") >= 3
 
-
-class TestSimulatedWorkloads:
-    def test_census_sim_has_ten_valid_iterations(self):
-        iterations = census_sim_workload()
-        assert len(iterations) == 10
-        assert all(isinstance(iteration, SimIteration) for iteration in iterations)
-
-    def test_ie_sim_has_ten_valid_iterations(self):
-        iterations = ie_sim_workload()
-        assert len(iterations) == 10
-
-    def test_unchanged_nodes_keep_signatures_across_iterations(self):
-        iterations = census_sim_workload()
-        # 'rows' is never edited, so its signature is stable throughout.
-        signatures = {iteration.signatures["rows"] for iteration in iterations}
-        assert len(signatures) == 1
-        # The learner is edited several times.
-        assert len({iteration.signatures["incPred"] for iteration in iterations}) > 2
-
-    def test_edits_propagate_to_descendants(self):
-        iterations = ie_sim_workload()
-        first, third = iterations[0], iterations[2]  # iteration 3 edits the tagger
-        assert first.signatures["tagger"] != third.signatures["tagger"]
-        assert first.signatures["predictions"] != third.signatures["predictions"]
-        assert first.signatures["corpus"] == third.signatures["corpus"]
-
-    def test_structural_additions_change_consumer_signatures(self):
-        iterations = census_sim_workload()
-        # Iteration 2 adds the marital-status extractor feeding 'income'.
-        assert iterations[0].signatures["income"] != iterations[1].signatures["income"]
-
-    def test_scale_multiplies_costs(self):
-        base = census_sim_workload(scale=1.0)[0]
-        doubled = census_sim_workload(scale=2.0)[0]
-        assert doubled.dag.payload("rows").compute_cost == pytest.approx(2 * base.dag.payload("rows").compute_cost)
-
     def test_truncation(self):
-        assert len(ie_sim_workload(n_iterations=4)) == 4
+        assert len(ie_workload(n_iterations=4)) == 4
 
-    def test_builder_rejects_editing_unknown_node(self):
-        from repro.errors import OptimizerError
-        from repro.execution.simulator import SimNode
+    def test_builders_are_deterministic(self, tiny_news_config):
+        spec = ie_workload(tiny_news_config, n_iterations=2)
+        first = compile_workflow(spec.iterations[1].build())
+        second = compile_workflow(spec.iterations[1].build())
+        assert first.signatures == second.signatures
 
-        builder = SimWorkloadBuilder("w")
-        with pytest.raises(OptimizerError):
-            builder.add_iteration("x", "purple", [SimNode("a", 1.0, 1.0)], [], ["a"], edited=["ghost"])
 
-    def test_category_labels_match_paper_colors(self):
-        iterations = census_sim_workload()
-        assert {iteration.category for iteration in iterations} <= {"initial", "purple", "orange", "green"}
+def _sequence(name, census_config, news_config):
+    if name == "census":
+        return census_workload(census_config)
+    return ie_workload(news_config)
+
+
+@pytest.mark.parametrize("name", ["census", "ie"])
+class TestWorkloadSequences:
+    def test_categories_are_the_paper_colors(self, name, tiny_census_config, tiny_news_config):
+        categories = _sequence(name, tiny_census_config, tiny_news_config).categories()
+        assert categories[0] == "initial"
+        assert set(categories[1:]) == {"purple", "orange", "green"}
+
+    def test_every_iteration_compiles_and_changes_the_workflow(self, name, tiny_census_config, tiny_news_config):
+        spec = _sequence(name, tiny_census_config, tiny_news_config)
+        compiled = [compile_workflow(item.build()) for item in spec]
+        assert len(compiled) == 10
+        for previous, current in zip(compiled, compiled[1:]):
+            diff = diff_workflows(previous, current)
+            assert diff.added or diff.changed or diff.removed
+
+    def test_edits_propagate_to_descendants(self, name, tiny_census_config, tiny_news_config):
+        # Signatures hash the transitive inputs, so a changed or added node
+        # changes the signature of every node that reads it.
+        spec = _sequence(name, tiny_census_config, tiny_news_config)
+        compiled = [compile_workflow(item.build()) for item in spec]
+        for previous, current in zip(compiled, compiled[1:]):
+            diff = diff_workflows(previous, current)
+            edited = set(diff.added) | set(diff.changed)
+            for name_ in edited:
+                assert set(current.dag.descendants(name_)) <= edited
