@@ -5,13 +5,13 @@ and converts them to a numeric format only when they reach a learner.  The
 types in this package mirror that design:
 
 * :class:`~repro.dataflow.collection.DataCollection` — an ordered collection of
-  raw records (dicts) with an optional schema; the output of scanners.
+  raw records, one typed :class:`~repro.dataflow.collection.Column` per field,
+  rendered as one dict per record by ``records()``; the output of scanners.
 * :class:`~repro.dataflow.collection.Dataset` — a train/test pair of
   ``DataCollection`` objects; the output of data sources.
 * :class:`~repro.dataflow.features.FeatureBlock` — named feature values per
-  record, produced by extractor operators.  Human-readable keys, columnar
-  storage: a sorted key table plus one CSR triple per split, rendered as one
-  dict per record by ``rows()``.
+  record, produced by extractor operators: a sorted key table plus one CSR
+  triple per split, rendered as one dict per record by ``rows()``.
 * :class:`~repro.dataflow.features.ExampleCollection` — assembled (features,
   label) examples, the input of learners.
 * :class:`~repro.dataflow.sequences.SequenceCorpus` and

@@ -26,6 +26,13 @@ from repro.errors import DataError
 FeatureDict = Dict[str, float]
 
 
+def pick_split(split_name: str, train: Any, test: Any) -> Any:
+    """``train`` or ``test``, by split name."""
+    if split_name not in ("train", "test"):
+        raise DataError(f"unknown split {split_name!r}")
+    return train if split_name == "train" else test
+
+
 def _require_same_length(kind: str, split: str, expected: int, actual: int) -> None:
     if expected != actual:
         raise DataError(f"{kind} for split {split!r} has {actual} rows, expected {expected}")
@@ -144,11 +151,7 @@ class FeatureBlock:
         return cls.build(name, [str(key) for key in table], *splits)
 
     def split(self, split_name: str) -> Csr:
-        if split_name == "train":
-            return self.train
-        if split_name == "test":
-            return self.test
-        raise DataError(f"unknown split {split_name!r}")
+        return pick_split(split_name, self.train, self.test)
 
     def rows(self, split_name: str) -> List[FeatureDict]:
         """One ``{key: value}`` dict per record of a split, built on each call."""
@@ -198,11 +201,7 @@ class LabelBlock:
     test: List[Any]
 
     def split(self, split_name: str) -> List[Any]:
-        if split_name == "train":
-            return self.train
-        if split_name == "test":
-            return self.test
-        raise DataError(f"unknown split {split_name!r}")
+        return pick_split(split_name, self.train, self.test)
 
 
 def _interleave(splits: Sequence[Csr], offsets: Iterable[int]) -> Csr:
@@ -334,8 +333,4 @@ class PredictionSet:
 
     def split(self, split_name: str) -> Tuple[List[Any], List[Any]]:
         """(predictions, gold labels) for one split."""
-        if split_name == "train":
-            return self.train_predictions, self.train_labels
-        if split_name == "test":
-            return self.test_predictions, self.test_labels
-        raise DataError(f"unknown split {split_name!r}")
+        return pick_split(split_name, (self.train_predictions, self.train_labels), (self.test_predictions, self.test_labels))

@@ -25,13 +25,11 @@ from repro.dataflow.features import (
     _indptr,
     concat_feature_blocks,
     merge_feature_blocks,
+    pick_split,
 )
 from repro.errors import DataError
 
 TokenFeatures = Dict[str, float]
-
-#: BIO tags used by the person-mention extraction task.
-BIO_TAGS = ("O", "B-PER", "I-PER")
 
 
 @dataclass
@@ -61,11 +59,7 @@ class SequenceCorpus:
     test: List[Sentence]
 
     def split(self, split_name: str) -> List[Sentence]:
-        if split_name == "train":
-            return self.train
-        if split_name == "test":
-            return self.test
-        raise DataError(f"unknown split {split_name!r}")
+        return pick_split(split_name, self.train, self.test)
 
     def n_tokens(self) -> int:
         return sum(len(s) for s in self.train) + sum(len(s) for s in self.test)
@@ -160,11 +154,7 @@ class SequenceFeatureBlock:
         return FeatureBlock(self.name, self.keys, self.train.tokens, self.test.tokens)
 
     def split(self, split_name: str) -> SequenceSplit:
-        if split_name == "train":
-            return self.train
-        if split_name == "test":
-            return self.test
-        raise DataError(f"unknown split {split_name!r}")
+        return pick_split(split_name, self.train, self.test)
 
     def rows(self, split_name: str) -> List[List[TokenFeatures]]:
         """One list of ``{key: value}`` dicts per sentence, built on each call."""
@@ -256,8 +246,4 @@ class SequencePredictions:
     scores: Dict[str, float] = field(default_factory=dict)
 
     def split(self, split_name: str) -> Tuple[List[List[str]], List[List[str]]]:
-        if split_name == "train":
-            return self.train_predictions, self.train_gold
-        if split_name == "test":
-            return self.test_predictions, self.test_gold
-        raise DataError(f"unknown split {split_name!r}")
+        return pick_split(split_name, (self.train_predictions, self.train_gold), (self.test_predictions, self.test_gold))

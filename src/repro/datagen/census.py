@@ -12,7 +12,7 @@ occupation) genuinely change model quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -82,7 +82,8 @@ def census_schema() -> Schema:
     )
 
 
-def _generate_record(rng: np.random.Generator, label_noise: float) -> Dict[str, object]:
+def _generate_record(rng: np.random.Generator, label_noise: float) -> Tuple[object, ...]:
+    """One record's values in :data:`CENSUS_FIELDS` order."""
     age = int(rng.integers(17, 80))
     workclass = WORKCLASSES[rng.integers(len(WORKCLASSES))]
     education, education_num = EDUCATIONS[rng.integers(len(EDUCATIONS))]
@@ -110,34 +111,24 @@ def _generate_record(rng: np.random.Generator, label_noise: float) -> Dict[str, 
     if rng.random() < label_noise:
         label = 1 - label
 
-    return {
-        "age": age,
-        "workclass": workclass,
-        "education": education,
-        "education_num": education_num,
-        "marital_status": marital_status,
-        "occupation": occupation,
-        "race": race,
-        "sex": sex,
-        "capital_gain": capital_gain,
-        "capital_loss": capital_loss,
-        "hours_per_week": hours_per_week,
-        "native_country": COUNTRIES[rng.integers(len(COUNTRIES))],
-        "target": label,
-    }
+    return (
+        age, workclass, education, education_num, marital_status, occupation, race, sex,
+        capital_gain, capital_loss, hours_per_week, COUNTRIES[rng.integers(len(COUNTRIES))], label,
+    )
 
 
 def generate_census_dataset(config: CensusConfig = CensusConfig()) -> Dataset:
     """Generate a seeded train/test :class:`~repro.dataflow.collection.Dataset`."""
     rng = np.random.default_rng(config.seed)
     schema = census_schema()
-    train = [_generate_record(rng, config.label_noise) for _ in range(config.n_train)]
-    test = [_generate_record(rng, config.label_noise) for _ in range(config.n_test)]
-    return Dataset(
-        train=DataCollection(train, schema=schema, name="census.train"),
-        test=DataCollection(test, schema=schema, name="census.test"),
-        name="census",
-    )
+
+    def split(n_rows: int, name: str) -> DataCollection:
+        rows = [_generate_record(rng, config.label_noise) for _ in range(n_rows)]
+        columns = zip(*rows) if rows else [()] * len(CENSUS_FIELDS)
+        return DataCollection(dict(zip(CENSUS_FIELDS, columns)), schema=schema, name=name, length=n_rows)
+
+    train = split(config.n_train, "census.train")
+    return Dataset(train=train, test=split(config.n_test, "census.test"), name="census")
 
 
 def write_census_csv(path_train: str, path_test: str, config: CensusConfig = CensusConfig()) -> None:

@@ -11,7 +11,7 @@ extraction → sequence learner → span evaluation) is exercised end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -78,7 +78,8 @@ def _mention_sentence(rng: np.random.Generator, mentions: List[str]) -> str:
     return f"According to {surface}, the plan {verb} {topic}."
 
 
-def _generate_document(rng: np.random.Generator, doc_id: str, sentences_per_doc: int) -> Dict[str, str]:
+def _generate_document(rng: np.random.Generator, doc_id: str, sentences_per_doc: int) -> Tuple[str, str, str]:
+    """One document's values in :data:`NEWS_FIELDS` order."""
     mentions: List[str] = []
     sentences: List[str] = []
     for _ in range(sentences_per_doc):
@@ -86,30 +87,21 @@ def _generate_document(rng: np.random.Generator, doc_id: str, sentences_per_doc:
             sentences.append(_mention_sentence(rng, mentions))
         else:
             sentences.append(FILLER_SENTENCES[rng.integers(len(FILLER_SENTENCES))])
-    return {
-        "doc_id": doc_id,
-        "text": " ".join(sentences),
-        "gold_mentions": ";".join(mentions),
-    }
+    return doc_id, " ".join(sentences), ";".join(mentions)
 
 
 def generate_news_dataset(config: NewsConfig = NewsConfig()) -> Dataset:
     """Generate a seeded train/test corpus of annotated news documents."""
     rng = np.random.default_rng(config.seed)
     schema = news_schema()
-    train = [
-        _generate_document(rng, f"train-{index:04d}", config.sentences_per_doc)
-        for index in range(config.n_train_docs)
-    ]
-    test = [
-        _generate_document(rng, f"test-{index:04d}", config.sentences_per_doc)
-        for index in range(config.n_test_docs)
-    ]
-    return Dataset(
-        train=DataCollection(train, schema=schema, name="news.train"),
-        test=DataCollection(test, schema=schema, name="news.test"),
-        name="news",
-    )
+
+    def split(n_docs: int, prefix: str) -> DataCollection:
+        docs = [_generate_document(rng, f"{prefix}-{index:04d}", config.sentences_per_doc) for index in range(n_docs)]
+        columns = zip(*docs) if docs else [()] * len(NEWS_FIELDS)
+        return DataCollection(dict(zip(NEWS_FIELDS, columns)), schema=schema, name=f"news.{prefix}", length=n_docs)
+
+    train = split(config.n_train_docs, "train")
+    return Dataset(train=train, test=split(config.n_test_docs, "test"), name="news")
 
 
 def gold_bio_tags(tokens: List[str], gold_mentions: List[str]) -> List[str]:

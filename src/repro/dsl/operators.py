@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import asdict, dataclass, is_dataclass
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.collection import DataCollection, Dataset, Schema
+from repro.dataflow.collection import Column, DataCollection, Dataset, Schema
 from repro.dataflow.features import (
     Csr,
     ExampleCollection,
@@ -30,7 +31,7 @@ from repro.datagen.census import CensusConfig, generate_census_dataset
 from repro.dsl.udf import UDF
 from repro.errors import ExecutionError, WorkflowError
 from repro.ml.linear import LogisticRegression, SoftmaxRegression
-from repro.ml.metrics import accuracy, precision_recall_f1
+from repro.ml.metrics import confusion_counts, metrics_from_counts
 from repro.ml.naive_bayes import BernoulliNaiveBayes
 from repro.ml.scaler import StandardScaler
 from repro.ml.vectorizer import DictVectorizer
@@ -111,8 +112,8 @@ class FileSource(Operator):
     """Reads raw text lines from a train file and a test file.
 
     Mirrors ``data refers_to new FileSource(train=..., test=...)`` in the
-    paper's Census program.  Each record is ``{"line": <raw text>}``; parsing
-    happens downstream in :class:`CsvScanner`.
+    paper's Census program.  Each split is one ``line`` column of raw text;
+    parsing happens downstream in :class:`CsvScanner`.
 
     ``version`` ties the node signature to the file *contents* rather than
     just the paths: callers that rewrite a file in place (append-mostly or
@@ -140,9 +141,11 @@ class FileSource(Operator):
 
     @staticmethod
     def _read_lines(path: str, name: str) -> DataCollection:
+        # Lines end at "\n" only (str.splitlines would also split on \x1c-\x1e,
+        # \x85, \u2028, ...); blank lines are dropped.
         with open(path, "r") as handle:
-            records = [{"line": line.rstrip("\n")} for line in handle if line.strip()]
-        return DataCollection(records, schema=Schema(["line"], {}), name=name)
+            lines = list(filter(str.strip, handle.read().split("\n")))
+        return DataCollection({"line": lines}, schema=Schema(["line"], {}), name=name)
 
     def apply(self, inputs: Dict[str, Any]) -> Dataset:
         return Dataset(
@@ -174,9 +177,9 @@ class SyntheticCensusSource(Operator):
         dataset = generate_census_dataset(self.config)
 
         def to_lines(_split: str, collection: DataCollection) -> DataCollection:
-            fields = list(collection.schema.fields)
-            records = [{"line": ",".join(str(record[field]) for field in fields)} for record in collection]
-            return DataCollection(records, schema=Schema(["line"], {}), name=f"{collection.name}.lines")
+            texts = [list(map(str, collection.column(field).values())) for field in collection.schema.fields]
+            lines = list(map(",".join, zip(*texts)))
+            return DataCollection({"line": lines}, schema=Schema(["line"], {}), name=f"{collection.name}.lines")
 
         return dataset.map_splits(to_lines, name="census.lines")
 
@@ -211,17 +214,23 @@ class CsvScanner(Operator):
     def apply(self, inputs: Dict[str, Any]) -> Dataset:
         dataset: Dataset = self._input(inputs, self.data)
         schema = Schema(self.fields, {name: float for name in self.numeric_fields})
+        width = len(self.fields)
 
         def parse(_split: str, collection: DataCollection) -> DataCollection:
-            records = []
-            for record in collection:
-                values = [piece.strip() for piece in record["line"].split(self.delimiter)]
-                if len(values) != len(self.fields):
-                    raise ExecutionError(
-                        f"CsvScanner expected {len(self.fields)} fields, got {len(values)}: {record['line']!r}"
-                    )
-                records.append(schema.convert(dict(zip(self.fields, values))))
-            return DataCollection(records, schema=schema, name=f"{collection.name}.parsed")
+            lines = collection.column("line").values()
+            delimiters = np.fromiter(map(str.count, lines, repeat(self.delimiter)), np.int64, len(lines))
+            bad = np.flatnonzero(delimiters != width - 1)
+            if len(bad):
+                raise ExecutionError(
+                    f"CsvScanner expected {width} fields, got {delimiters[bad[0]] + 1}: {lines[bad[0]]!r}"
+                )
+            # One split of the joined lines yields every line's pieces in order.
+            pieces = self.delimiter.join(lines).split(self.delimiter) if lines else []
+            columns = {
+                name: schema.convert_column(name, list(map(str.strip, pieces[index::width])))
+                for index, name in enumerate(self.fields)
+            }
+            return DataCollection(columns, schema=schema, name=f"{collection.name}.parsed", length=len(lines))
 
         return dataset.map_splits(parse, name="rows")
 
@@ -260,23 +269,18 @@ class FieldExtractor(Operator):
             return table.setdefault("value", len(table)), float(value)
         return table.setdefault(f"{self.field}={value}", len(table)), 1.0
 
-    def _featurize(self, values: List[Any], table: Dict[str, int]) -> Csr:
+    def _featurize(self, collection: DataCollection, table: Dict[str, int]) -> Csr:
         """One entry per record, each distinct value featurized once."""
-        if set(map(type, values)) in ({str}, {int}, {bool}):
-            entry_of = {value: self._entry(value, table) for value in dict.fromkeys(values)}
-            entries = list(map(entry_of.__getitem__, values))
-        else:  # equal values may featurize apart: 1 == 1.0 == True, -0.0 == 0.0
-            entries = [self._entry(value, table) for value in values]
-        ones = np.ones(len(values), dtype=np.int64)
-        return Csr.build(ones, [code for code, _ in entries], [datum for _, datum in entries])
+        distinct, inverse = collection.column(self.field).groups()
+        entries = [self._entry(value, table) for value in distinct]
+        codes = np.array([code for code, _ in entries], dtype=np.int32)
+        data = np.array([datum for _, datum in entries], dtype=np.float64)
+        return Csr.build(np.ones(len(inverse), dtype=np.int64), codes[inverse], data[inverse])
 
     def apply(self, inputs: Dict[str, Any]) -> FeatureBlock:
         dataset: Dataset = self._input(inputs, self.rows)
         table: Dict[str, int] = {}
-        splits = [
-            self._featurize([record[self.field] for record in split], table)
-            for split in (dataset.train, dataset.test)
-        ]
+        splits = [self._featurize(split, table) for split in (dataset.train, dataset.test)]
         return FeatureBlock.build(self.field, list(table), *splits)
 
 
@@ -303,13 +307,14 @@ class LabelExtractor(Operator):
             return int(value)
         return value
 
+    def _labels(self, collection: DataCollection) -> List[Any]:
+        distinct, inverse = collection.column(self.field).groups()
+        labels = np.fromiter(map(self._to_label, distinct), dtype=object, count=len(distinct))
+        return labels[inverse].tolist()
+
     def apply(self, inputs: Dict[str, Any]) -> LabelBlock:
         dataset: Dataset = self._input(inputs, self.rows)
-        return LabelBlock(
-            name=self.field,
-            train=[self._to_label(record[self.field]) for record in dataset.train],
-            test=[self._to_label(record[self.field]) for record in dataset.test],
-        )
+        return LabelBlock(name=self.field, train=self._labels(dataset.train), test=self._labels(dataset.test))
 
 
 class Bucketizer(Operator):
@@ -404,6 +409,14 @@ class UDFFeatureExtractor(Operator):
         )
 
 
+def _floats(column: Column) -> np.ndarray:
+    """``float(value)`` of every value of ``column``, as ``float64``."""
+    if column.table is None and column.data.dtype != object:
+        return column.data.astype(np.float64)
+    distinct, inverse = column.groups()
+    return np.fromiter(map(float, distinct), dtype=np.float64, count=len(distinct))[inverse]
+
+
 @functools.lru_cache(maxsize=4)
 def _dense_weights(seed: int, n_fields: int, embed_dim: int) -> tuple:
     """The seed-derived weights of a :class:`DenseFeaturizer`, generated once.
@@ -474,10 +487,9 @@ class DenseFeaturizer(Operator):
 
     def _embed(self, collection: DataCollection) -> Csr:
         projection, hidden = self._weights()
-        matrix = np.array(
-            [[float(record[field]) for field in self.fields] for record in collection],
-            dtype=np.float64,
-        ).reshape(len(collection), len(self.fields))
+        matrix = np.column_stack([_floats(collection.column(field)) for field in self.fields]).reshape(
+            len(collection), len(self.fields)
+        )
         state = np.tanh(matrix @ projection)
         for _ in range(self.passes):
             state = np.tanh(state @ hidden)
@@ -795,22 +807,25 @@ class Evaluator(Operator):
     def params(self) -> Dict[str, Any]:
         return {"metrics": self.metrics, "positive_label": _serializable(self.positive_label)}
 
-    def apply(self, inputs: Dict[str, Any]) -> Dict[str, float]:
-        predictions: PredictionSet = self._input(inputs, self.predictions)
-        results: Dict[str, float] = {}
+    def counts(self, predictions: PredictionSet) -> Dict[str, Dict[str, int]]:
+        """Per split, the confusion counts every metric is computed from."""
+        counts: Dict[str, Dict[str, int]] = {}
         for split in ("train", "test"):
             predicted, gold = predictions.split(split)
-            prf = precision_recall_f1(gold, predicted, positive_label=self.positive_label)
+            counts[split] = confusion_counts(gold, predicted, self.positive_label)
+        return counts
+
+    def metrics_from(self, counts: Mapping[str, Mapping[str, int]]) -> Dict[str, float]:
+        """The requested metrics from per-split confusion counts."""
+        results: Dict[str, float] = {}
+        for split in ("train", "test"):
+            scores = metrics_from_counts(counts[split])
             for metric in self.metrics:
-                if metric == "accuracy":
-                    results[f"{split}_accuracy"] = accuracy(gold, predicted)
-                elif metric == "f1":
-                    results[f"{split}_f1"] = prf["f1"]
-                elif metric == "precision":
-                    results[f"{split}_precision"] = prf["precision"]
-                elif metric == "recall":
-                    results[f"{split}_recall"] = prf["recall"]
+                results[f"{split}_{metric}"] = scores[metric]
         return results
+
+    def apply(self, inputs: Dict[str, Any]) -> Dict[str, float]:
+        return self.metrics_from(self.counts(self._input(inputs, self.predictions)))
 
 
 class Reducer(Operator):

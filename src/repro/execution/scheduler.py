@@ -1028,6 +1028,8 @@ class WavefrontScheduler:
         value = values[name]
         if not isinstance(value, PartitionedValue):
             return value
+        if name not in plain_cache and value.whole is not None:
+            plain_cache[name] = value.whole  # a seeded root: the value it was split from
         if name not in plain_cache:
             merge = getattr(compiled.operator(name), "merge_chunks", None)
             chunks = value.resolved()  # a whole-value read decodes what was carried
@@ -1458,21 +1460,29 @@ class WavefrontScheduler:
         any_write = False
         links: List[Tuple[str, str, float]] = []
         puts: List[Tuple[str, bytes, str]] = []
+        over_budget = False
         for index in range(n):
             decision = self.materialization_policy.decide(
                 node=name, dag=dag, costs=view, remaining_budget=logical_budget
             )
+            chunk_key = chunk_signature(signature, index, n)
+            already = monolithic or chunk_key in pending_signatures or index in stored
+            carried = value.carried.get(index)
+            if decision.materialize and not already and (
+                over_budget or (carried is not None and carried.size > logical_budget)
+            ):
+                # The policy priced the chunk at the node's mean chunk size; a
+                # carried chunk's exact size that does not fit ends the node's
+                # writes, so what is written stays a prefix of its chunks.
+                over_budget = True
+                decision = replace(decision, materialize=False, reason="over budget")
             if first is None:
                 first = decision
             decisions[f"{name}[{index}]"] = decision
-            chunk_key = chunk_signature(signature, index, n)
-            already = monolithic or chunk_key in pending_signatures or index in stored
             if not decision.materialize or already:
                 continue
             what = f"chunk {index}/{n} of {name!r}"
-            carried = value.carried.get(index)
             if carried is not None:
-                self._check_budget(carried.size, what, logical_budget)
                 pending_signatures.add(chunk_key)
                 links.append((carried.source_key, chunk_key, carried.size))
                 logical_budget -= carried.size

@@ -25,7 +25,11 @@ Two properties make the classification usable downstream:
   Rolling windows that advance by exactly one chunk therefore re-use
   ``n - 1`` chunks shifted by one, not zero.
 
-Every chunk digest is computed from that chunk's own rows, once per run.
+Every chunk digest is computed from that chunk's own rows, once per run: a
+:class:`~repro.dataflow.collection.DataCollection` axis (a dataset split)
+feeds its column slices, numbers as dtype and raw bytes and strings joined
+(:meth:`~repro.dataflow.collection.DataCollection.digest`), so no record is
+rendered; any other axis feeds the ``repr`` of each row.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.dataflow.collection import DataCollection
 from repro.partition.chunks import Shape, _block_counts, axis_rows
 
 #: Chunk classification statuses.
@@ -48,8 +53,11 @@ _ROW_SEP = b"\x1e"
 _AXIS_SEP = b"\x1d"
 
 
-def _hash_rows(hasher: "hashlib._Hash", rows: Sequence[Any]) -> None:
-    for row in rows:
+def _hash_rows(hasher: "hashlib._Hash", rows: Sequence[Any], start: int, stop: int) -> None:
+    if isinstance(rows, DataCollection):
+        rows.digest(hasher, start, stop)
+        return
+    for row in rows[start:stop]:
         hasher.update(repr(row).encode("utf-8", "backslashreplace"))
         hasher.update(_ROW_SEP)
 
@@ -77,10 +85,7 @@ class InputFingerprint:
 
     def boundaries(self) -> Shape:
         """Per-axis per-chunk row counts (the :data:`Shape` of this split)."""
-        n_axes = len(self.chunks[0].axis_counts) if self.chunks else 0
-        return tuple(
-            tuple(chunk.axis_counts[axis] for chunk in self.chunks) for axis in range(n_axes)
-        )
+        return tuple(zip(*(chunk.axis_counts for chunk in self.chunks)))
 
 
 @dataclass
@@ -178,7 +183,7 @@ class DeltaDetector:
         hasher = hashlib.sha256()
         for axis_index, rows in enumerate(axes):
             start = starts[axis_index]
-            _hash_rows(hasher, rows[start:start + counts[axis_index]])
+            _hash_rows(hasher, rows, start, start + counts[axis_index])
             hasher.update(_AXIS_SEP)
         return hasher.hexdigest()
 
@@ -228,20 +233,9 @@ class DeltaDetector:
             starts = [start + count for start, count in zip(starts, counts)]
         fingerprint = InputFingerprint(input_key, new_signature, chunks, run_iteration)
         n = fingerprint.chunk_count
-        if previous is None:
-            return InputDelta(
-                input_key=input_key,
-                node=node,
-                old_signature="",
-                new_signature=new_signature,
-                statuses=[NEW] * n,
-                remap={},
-                boundaries=boundaries,
-                mode="initial",
-                fingerprint=fingerprint,
-            )
+        old = previous or InputFingerprint(input_key, "", [])
         old_by_digest: Dict[str, int] = {}
-        for index, chunk in enumerate(previous.chunks):
+        for index, chunk in enumerate(old.chunks):
             old_by_digest.setdefault(chunk.digest, index)
         statuses: List[str] = []
         remap: Dict[int, int] = {}
@@ -249,37 +243,37 @@ class DeltaDetector:
         for index, chunk in enumerate(fingerprint.chunks):
             # A chunk that kept its rows maps to itself even when an earlier
             # old chunk has the same content (empty chunks, repeated rows).
-            kept = index < previous.chunk_count and previous.chunks[index].digest == chunk.digest
+            kept = index < old.chunk_count and old.chunks[index].digest == chunk.digest
             old_index = index if kept else old_by_digest.get(chunk.digest)
             if old_index is not None:
                 statuses.append(CLEAN)
                 remap[index] = old_index
                 claimed.add(old_index)
             else:
-                statuses.append(NEW if index >= previous.chunk_count else DIRTY)
+                statuses.append(NEW if index >= old.chunk_count else DIRTY)
         # An unclaimed old chunk only counts as *removed* when its position
         # wasn't simply rewritten in place (a dirty new chunk at the same
         # index supersedes it); rolled-off window chunks do count.
         removed = sum(
             1
-            for index in range(previous.chunk_count)
+            for index in range(old.chunk_count)
             if index not in claimed and (index >= n or statuses[index] == CLEAN)
         )
         frozen = 0 if rebalanced else sum(
-            1 for old, new in zip(previous.chunks, fingerprint.chunks)
-            if old.axis_counts == new.axis_counts
+            1 for old_chunk, new in zip(old.chunks, fingerprint.chunks)
+            if old_chunk.axis_counts == new.axis_counts
         )
         return InputDelta(
             input_key=input_key,
             node=node,
-            old_signature=previous.signature,
+            old_signature=old.signature,
             new_signature=new_signature,
             statuses=statuses,
             remap=remap,
             boundaries=boundaries,
-            mode=self._classify_mode(statuses, remap),
+            mode="initial" if previous is None else self._classify_mode(statuses, remap),
             removed_chunks=removed,
-            old_chunk_count=previous.chunk_count,
+            old_chunk_count=old.chunk_count,
             frozen_chunks=frozen,
             rebalanced=rebalanced,
             fingerprint=fingerprint,

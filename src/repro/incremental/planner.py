@@ -224,7 +224,7 @@ class DeltaPlanner:
             if chunks is None:
                 continue
             plan.n_partitions = delta.chunk_count
-            plan.seeds[root] = PartitionedValue(chunks)
+            plan.seeds[root] = PartitionedValue(chunks, whole=value)
             plan.seed_times[root] = elapsed
             plan.inputs[root] = delta
         if not plan.seeds:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from repro.errors import HelixError
@@ -291,10 +291,10 @@ class RunTrace:
         """The whole trace as one plain dictionary (stable key order)."""
         return {
             "run": {name: getattr(self, name) for name in self._header_fields()},
-            "nodes": [asdict(self.nodes[name]) for name in sorted(self.nodes)],
-            "cut_edges": [asdict(edge) for edge in self.cut_edges],
-            "waves": [asdict(wave) for wave in self.waves],
-            "deltas": [asdict(delta) for delta in self.deltas],
+            "nodes": [_record(self.nodes[name]) for name in sorted(self.nodes)],
+            "cut_edges": [_record(edge) for edge in self.cut_edges],
+            "waves": [_record(wave) for wave in self.waves],
+            "deltas": [_record(delta) for delta in self.deltas],
         }
 
     def to_jsonl(self) -> str:
@@ -376,6 +376,11 @@ class RunTrace:
         except OSError as exc:
             raise TraceError(f"cannot read trace at {path}: {exc}") from exc
         return cls.from_jsonl(text)
+
+
+def _record(entry: Any) -> Dict[str, Any]:
+    """A flat trace entry's fields as a dict (``asdict`` without its deep copy)."""
+    return {f.name: getattr(entry, f.name) for f in fields(entry)}
 
 
 def _known_fields(cls, record: Dict[str, Any]) -> Dict[str, Any]:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from collections import Counter
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -14,13 +15,33 @@ def _check_lengths(y_true: Sequence, y_pred: Sequence) -> None:
         raise MLError(f"y_true has {len(y_true)} items but y_pred has {len(y_pred)}")
 
 
+def confusion_counts(y_true: Sequence, y_pred: Sequence, positive_label=1) -> Dict[str, int]:
+    """``total``, ``correct``, ``tp``, ``fp`` and ``fn`` of a prediction list.
+
+    One count per distinct (gold, predicted) pair, under Python ``==``: pairs
+    that compare equal (``1``, ``1.0``, ``True``) count together, and a label
+    matches the positive label exactly when it ``==`` it.
+    """
+    _check_lengths(y_true, y_pred)
+    counts = {"total": len(y_true), "correct": 0, "tp": 0, "fp": 0, "fn": 0}
+    for (truth, pred), n in Counter(zip(y_true, y_pred)).items():
+        gold_positive, pred_positive = truth == positive_label, pred == positive_label
+        counts["correct"] += n if truth == pred else 0
+        counts["tp"] += n if gold_positive and pred_positive else 0
+        counts["fp"] += n if pred_positive and not gold_positive else 0
+        counts["fn"] += n if gold_positive and not pred_positive else 0
+    return counts
+
+
+def metrics_from_counts(counts: Mapping[str, int]) -> Dict[str, float]:
+    """Accuracy, precision, recall and F1 from :func:`confusion_counts` (or their sums)."""
+    accuracy = counts["correct"] / counts["total"] if counts["total"] else 0.0
+    return {"accuracy": accuracy, **prf_from_counts(counts["tp"], counts["fp"], counts["fn"])}
+
+
 def accuracy(y_true: Sequence, y_pred: Sequence) -> float:
     """Fraction of exactly-matching predictions."""
-    _check_lengths(y_true, y_pred)
-    if not y_true:
-        return 0.0
-    correct = sum(1 for truth, pred in zip(y_true, y_pred) if truth == pred)
-    return correct / len(y_true)
+    return metrics_from_counts(confusion_counts(y_true, y_pred))["accuracy"]
 
 
 def prf_from_counts(true_positive: int, false_positive: int, false_negative: int) -> Dict[str, float]:
@@ -39,11 +60,8 @@ def prf_from_counts(true_positive: int, false_positive: int, false_negative: int
 
 def precision_recall_f1(y_true: Sequence, y_pred: Sequence, positive_label=1) -> Dict[str, float]:
     """Precision, recall, and F1 for a designated positive class."""
-    _check_lengths(y_true, y_pred)
-    true_positive = sum(1 for t, p in zip(y_true, y_pred) if t == positive_label and p == positive_label)
-    false_positive = sum(1 for t, p in zip(y_true, y_pred) if t != positive_label and p == positive_label)
-    false_negative = sum(1 for t, p in zip(y_true, y_pred) if t == positive_label and p != positive_label)
-    return prf_from_counts(true_positive, false_positive, false_negative)
+    counts = confusion_counts(y_true, y_pred, positive_label)
+    return prf_from_counts(counts["tp"], counts["fp"], counts["fn"])
 
 
 def f1_score(y_true: Sequence, y_pred: Sequence, positive_label=1) -> float:

@@ -68,10 +68,7 @@ class DictVectorizer:
     def feature_names(self) -> List[str]:
         if self.vocabulary_ is None:
             raise NotFittedError("DictVectorizer.feature_names called before fit")
-        names = [""] * len(self.vocabulary_)
-        for name, index in self.vocabulary_.items():
-            names[index] = name
-        return names
+        return sorted(self.vocabulary_, key=self.vocabulary_.__getitem__)
 
     def n_features(self) -> int:
         if self.vocabulary_ is None:

@@ -140,44 +140,42 @@ class CostDefaults:
 
         value                  codec         enc ms  dec ms   bytes  dec MB/s
         ---------------------------------------------------------------------
-        one-hot block 6250x1   pickle          0.03    0.02  125689    6070.2
-        one-hot block 6250x1   pickle+zlib*    0.62    0.30   18392      61.5
-        numeric block 6250x1   pickle          0.03    0.02  125507    6477.8
-        numeric block 6250x1   pickle+zlib*    1.77    0.50   58844     117.5
-        dense block 6250x6     pickle          0.04    0.03  500564   15774.2
-        dense block 6250x6     pickle+zlib*   13.90    2.56  300634     117.5
-        dense chunk 390x6      pickle*         0.05    0.03   31736     965.0
-        dense chunk 390x6      pickle+zlib     0.67    0.18   19279     108.5
-        prediction set 6250    pickle*         0.36    0.20   25200     123.5
-        prediction set 6250    pickle+zlib     0.58    0.29    4001      13.8
-        ndarray 6250x6         numpy-raw*      0.02    0.02  300022   19466.8
-        ndarray 6250x6         pickle          0.02    0.02  300139   16518.4
-        ndarray 6250x6         pickle+zlib     9.62    1.90  289402     151.9
-        census dataset 6250    pickle         10.52   14.72 1046879      71.1
-        census dataset 6250    pickle+zlib*   11.53   11.22  131299      11.7
-        census model           pickle*         0.03    0.03    8327     301.5
-        census model           pickle+zlib     0.10    0.05    3064      57.7
-        news corpus 60 docs    pickle          0.62    0.65   45295      69.8
-        news corpus 60 docs    pickle+zlib*    1.45    1.33    7525       5.7
-        sequence block 60 docs pickle          1.46    1.24  391548     314.8
-        sequence block 60 docs pickle+zlib*    2.69    1.49   40294      27.0
+        one-hot block 6250x1   pickle          0.03    0.02  125689    5816.5
+        one-hot block 6250x1   pickle+zlib*    0.64    0.32   18392      56.6
+        numeric block 6250x1   pickle          0.03    0.02  125507    6081.6
+        numeric block 6250x1   pickle+zlib*    2.00    0.52   58844     112.8
+        dense block 6250x6     pickle          0.05    0.03  500564   15561.4
+        dense block 6250x6     pickle+zlib*   11.15    2.42  300634     124.2
+        dense chunk 390x6      pickle*         0.04    0.03   31736    1094.3
+        dense chunk 390x6      pickle+zlib     0.69    0.18   19279     107.2
+        prediction set 6250    pickle*         0.30    0.20   25200     123.2
+        prediction set 6250    pickle+zlib     0.46    0.28    4001      14.1
+        ndarray 6250x6         numpy-raw*      0.02    0.01  300022   22120.6
+        ndarray 6250x6         pickle          0.02    0.02  300139   18437.2
+        ndarray 6250x6         pickle+zlib    10.16    2.14  289402     135.0
+        census dataset 6250    pickle          0.29    0.18  478400    2656.0
+        census dataset 6250    pickle+zlib*    4.27    1.89   73033      38.6
+        census model           pickle*         0.04    0.04    8327     194.2
+        census model           pickle+zlib     0.18    0.08    3064      40.5
+        news corpus 60 docs    pickle          1.03    0.91   45295      49.9
+        news corpus 60 docs    pickle+zlib*    1.37    0.80    7525       9.4
+        sequence block 60 docs pickle          1.43    1.26  391548     310.3
+        sequence block 60 docs pickle+zlib*    3.06    1.68   40294      24.0
         (* = what codec=auto picks for that value)
 
-    and each pickled codec's entry is Σ payload bytes / Σ decode seconds over
-    the rows ``auto`` writes with that codec (marked ``*``: ``pickle`` 251,
-    ``pickle+zlib`` 26 MB/s), rounded down to a multiple of 5.  The two
-    ``sequence block`` rows were measured again once sequence feature blocks
-    became columnar (the assembled example set: 78.7 KB decoding in 9.2 ms
-    before, 40.3 KB in 1.5 ms after, one run of each on one host).  Over the
-    rows above, ``pickle+zlib`` now derives to 32 MB/s, 30 rounded down; the
-    entry stays at 25 MB/s, so that plans on the workloads without sequence
-    blocks do not move until the cost model is re-priced as a whole.  One
-    codec serves very different values, so it is priced by the values it
-    actually stores: a columnar feature block inflates and copies buffers
-    (60-120 MB/s of payload), and a sequence example set — columnar token
-    features plus the corpus's Python sentences — about 27 MB/s, while a
-    ``Dataset`` or a news corpus rebuilds Python objects (6-12 MB/s), and all
-    of them are written ``pickle+zlib``.  An ndarray decode is a memcpy, so
+    and each pickled codec's entry was Σ payload bytes / Σ decode seconds over
+    the rows ``auto`` writes with that codec (marked ``*``), rounded down to a
+    multiple of 5: ``pickle`` 250, ``pickle+zlib`` 25 MB/s when the census
+    ``Dataset`` was one dict per record (131 KB decoding in 11.2 ms).  The
+    table above is the run taken once it became columnar (73 KB in 1.9 ms);
+    over its rows the two entries derive to 240 and 65 MB/s.  They stay at 250
+    and 25 MB/s, so that plans do not move until the cost model is re-priced
+    as a whole (ROADMAP item 9).  One price per codec does not fit every
+    value type within 2×: ``pickle+zlib`` decodes a columnar feature block at
+    57-124 MB/s of payload, the columnar ``Dataset`` at 39, a sequence
+    example set (columnar token features plus the corpus's Python sentences)
+    at 24 and a news corpus of Python objects at 9; ``pickle`` ranges from
+    123 (prediction set) to 1094 MB/s (dense chunk).  An ndarray decode is a memcpy, so
     ``numpy-raw`` is bounded by the file read instead: 1.2-1.3 GB/s through
     ``ArtifactStore.get`` on a disk store (0.3-3.2 MB arrays).
     Artifacts resident in a memory tier skip the disk entirely: their loads

@@ -24,7 +24,7 @@ Two invariants make the scheme correct:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.collection import DataCollection, Dataset
@@ -67,11 +67,14 @@ class PartitionedValue:
     does.  ``carried`` keeps every slot's handle (resolved or not) for the
     materialization step, which links carried chunks instead of re-encoding
     them.  Read chunks through the accessors; ``chunks`` is the raw slots.
+    ``whole`` is the value the chunks were split from, when one exists: a
+    whole-value read takes it instead of merging the chunks.
     """
 
     chunks: List[Any]
     carried: Dict[int, CarriedChunk] = field(default_factory=dict)
     resolver: Optional[Callable[[int, CarriedChunk], Any]] = None
+    whole: Any = None
 
     @property
     def n_partitions(self) -> int:
@@ -109,12 +112,26 @@ def _cuts(n_rows: int, counts: Sequence[int]) -> List[Tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
-def _split_list(rows: Sequence[Any], counts: Sequence[int]) -> List[List[Any]]:
-    return [list(rows[start:stop]) for start, stop in _cuts(len(rows), counts)]
-
-
 def _block_counts(n_items: int, n_parts: int) -> Tuple[int, ...]:
     return tuple(end - start for start, end in block_slices(n_items, n_parts))
+
+
+#: Values whose row axes are plain fields: per axis (train, then test), the
+#: fields that carry its rows.
+_AXES: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    Dataset: (("train",), ("test",)),
+    LabelBlock: (("train",), ("test",)),
+    SequenceCorpus: (("train",), ("test",)),
+    PredictionSet: (("train_predictions", "train_labels"), ("test_predictions", "test_labels")),
+    SequencePredictions: (("train_predictions", "train_gold"), ("test_predictions", "test_gold")),
+}
+#: Values made of row-aligned parts, split and merged part by part.
+_PARTS: Dict[type, Tuple[str, str]] = {
+    ExampleCollection: ("features", "labels"),
+    SequenceExampleSet: ("features", "corpus"),
+}
+#: Key table plus per-split arrays; a chunk keeps the whole table.
+_BLOCKS = (FeatureBlock, SequenceFeatureBlock)
 
 
 def _two_axis(value: Any) -> Optional[Tuple[Sequence[Any], Sequence[Any]]]:
@@ -123,62 +140,39 @@ def _two_axis(value: Any) -> Optional[Tuple[Sequence[Any], Sequence[Any]]]:
     splits, whose ``len`` is the row count, and a sequence block its
     :class:`~repro.dataflow.sequences.SequenceSplit` splits, whose ``len`` is
     the sentence count)."""
-    if isinstance(value, (Dataset, FeatureBlock, LabelBlock, SequenceCorpus, SequenceFeatureBlock)):
+    if type(value) in _PARTS:
+        value = value.features
+    if isinstance(value, _BLOCKS):
         return value.train, value.test
-    if isinstance(value, (ExampleCollection, SequenceExampleSet)):
-        return value.features.train, value.features.test
-    if isinstance(value, (PredictionSet, SequencePredictions)):
-        return value.train_predictions, value.test_predictions
-    return None
+    axes = _AXES.get(type(value))
+    return None if axes is None else (getattr(value, axes[0][0]), getattr(value, axes[1][0]))
 
 
-def axis_rows(value: Any) -> Optional[List[List[Any]]]:
-    """The value's rows, one list per row axis, or ``None`` if not row-shaped.
+def axis_rows(value: Any) -> Optional[List[Sequence[Any]]]:
+    """The value's rows, one sequence per row axis, or ``None`` if not row-shaped.
 
-    Split-carrying values answer ``[train rows, test rows]`` (feature blocks
-    as their row dicts, sequence blocks as one list of dicts per sentence);
-    flat collections answer a single axis.  This is the row view the
-    incremental delta detector fingerprints: hashing axis-by-axis in this
-    order matches exactly how :func:`split_value` slices the value into
-    chunks.
+    Split-carrying values answer ``[train rows, test rows]`` (a dataset as
+    its two :class:`~repro.dataflow.collection.DataCollection` splits,
+    feature blocks as their row dicts, sequence blocks as one list of dicts
+    per sentence); flat collections answer a single axis.  This is the row
+    view the incremental delta detector fingerprints: hashing axis-by-axis
+    in this order matches exactly how :func:`split_value` slices the value
+    into chunks.
     """
-    block = value.features if isinstance(value, (ExampleCollection, SequenceExampleSet)) else value
-    if isinstance(block, (FeatureBlock, SequenceFeatureBlock)):
+    block = value.features if type(value) in _PARTS else value
+    if isinstance(block, _BLOCKS):
         return [block.rows("train"), block.rows("test")]
     two = _two_axis(value)
     if two is not None:
-        return [list(two[0]), list(two[1])]
+        return list(two)
     if isinstance(value, PartitionedCollection):
-        return [list(value.coalesce())]
-    if isinstance(value, DataCollection):
-        return [list(value.records())]
-    if isinstance(value, list):
-        return [list(value)]
-    return None
+        value = value.coalesce()
+    return [value] if isinstance(value, (DataCollection, list)) else None
 
 
 def is_splittable(value: Any) -> bool:
     """True when :func:`split_value` can chunk ``value`` row-wise."""
-    return (
-        isinstance(
-            value,
-            (
-                DataCollection,
-                Dataset,
-                FeatureBlock,
-                LabelBlock,
-                ExampleCollection,
-                PredictionSet,
-                SequenceCorpus,
-                SequenceFeatureBlock,
-                SequenceExampleSet,
-                SequencePredictions,
-                PartitionedCollection,
-                list,
-            ),
-        )
-        and not isinstance(value, str)
-    )
+    return isinstance(value, (DataCollection, PartitionedCollection, list, *_BLOCKS, *_PARTS, *_AXES))
 
 
 def shape_of(value: Any) -> Optional[Shape]:
@@ -188,29 +182,17 @@ def shape_of(value: Any) -> Optional[Shape]:
         return ((len(two[0]),), (len(two[1]),))
     if isinstance(value, PartitionedCollection):
         return (tuple(value.sizes()),)
-    if isinstance(value, DataCollection):
-        return ((len(value),),)
-    if isinstance(value, list):
+    if isinstance(value, (DataCollection, list)):
         return ((len(value),),)
     return None
 
 
 def shape_of_chunks(chunks: Sequence[Any]) -> Optional[Shape]:
     """Per-chunk row counts of an already-chunked value."""
-    axes: Optional[List[List[int]]] = None
-    for chunk in chunks:
-        chunk_shape = shape_of(chunk)
-        if chunk_shape is None:
-            return None
-        if axes is None:
-            axes = [[] for _ in chunk_shape]
-        if len(axes) != len(chunk_shape):
-            return None
-        for axis, counts in zip(axes, chunk_shape):
-            axis.extend(counts)
-    if axes is None:
+    shapes = [shape_of(chunk) for chunk in chunks]
+    if not shapes or None in shapes or len({len(shape) for shape in shapes}) != 1:
         return None
-    return tuple(tuple(axis) for axis in axes)
+    return tuple(tuple(chain.from_iterable(axis)) for axis in zip(*shapes))
 
 
 def split_value(value: Any, n_partitions: int, shape: Optional[Shape] = None) -> Optional[List[Any]]:
@@ -236,86 +218,35 @@ def _axis_counts(n_items: int, n_partitions: int, shape: Optional[Shape], axis: 
     return shape[axis]
 
 
+def _slices(rows: Any, n: int, shape: Optional[Shape], axis: int) -> List[Any]:
+    """``rows`` (a list, :class:`DataCollection`, ``Csr`` or ``SequenceSplit``) cut into ``n`` chunks."""
+    cuts = _cuts(len(rows), _axis_counts(len(rows), n, shape, axis))
+    if isinstance(rows, list):
+        return [rows[start:stop] for start, stop in cuts]
+    return [rows.slice(start, stop) for start, stop in cuts]
+
+
 def _split(value: Any, n: int, shape: Optional[Shape]) -> Optional[List[Any]]:
     if isinstance(value, PartitionedCollection):
         if value.n_partitions != n:
             return _split(value.coalesce(), n, shape)
         return list(value.parts)
-    if isinstance(value, Dataset):
-        trains = _split_list(value.train.records(), _axis_counts(len(value.train), n, shape, 0))
-        tests = _split_list(value.test.records(), _axis_counts(len(value.test), n, shape, 1))
-        return [
-            Dataset(
-                train=DataCollection(trains[i], schema=value.train.schema, name=value.train.name),
-                test=DataCollection(tests[i], schema=value.test.schema, name=value.test.name),
-                name=value.name,
-            )
-            for i in range(n)
-        ]
-    if isinstance(value, DataCollection):
-        parts = _split_list(value.records(), _axis_counts(len(value), n, shape, 0))
-        return [DataCollection(part, schema=value.schema, name=value.name) for part in parts]
-    if isinstance(value, (FeatureBlock, SequenceFeatureBlock)):
+    if isinstance(value, (DataCollection, list)):
+        return _slices(value, n, shape, 0)
+    if isinstance(value, _BLOCKS):
         # A Csr slices records, a SequenceSplit sentences; both keep the key table.
-        trains, tests = (
-            [rows.slice(start, stop) for start, stop in _cuts(len(rows), _axis_counts(len(rows), n, shape, axis))]
-            for axis, rows in enumerate((value.train, value.test))
-        )
+        trains, tests = (_slices(rows, n, shape, axis) for axis, rows in enumerate((value.train, value.test)))
         return [type(value)(value.name, value.keys, trains[i], tests[i]) for i in range(n)]
-    if isinstance(value, LabelBlock):
-        trains = _split_list(value.train, _axis_counts(len(value.train), n, shape, 0))
-        tests = _split_list(value.test, _axis_counts(len(value.test), n, shape, 1))
-        return [LabelBlock(name=value.name, train=trains[i], test=tests[i]) for i in range(n)]
-    if isinstance(value, ExampleCollection):
-        features = _split(value.features, n, shape)
-        labels = _split(value.labels, n, shape)
-        return [
-            ExampleCollection(features=features[i], labels=labels[i], name=value.name) for i in range(n)
-        ]
-    if isinstance(value, SequenceCorpus):
-        trains = _split_list(value.train, _axis_counts(len(value.train), n, shape, 0))
-        tests = _split_list(value.test, _axis_counts(len(value.test), n, shape, 1))
-        return [SequenceCorpus(name=value.name, train=trains[i], test=tests[i]) for i in range(n)]
-    if isinstance(value, SequenceExampleSet):
-        features = _split(value.features, n, shape)
-        corpus = _split(value.corpus, n, shape)
-        return [
-            SequenceExampleSet(features=features[i], corpus=corpus[i], name=value.name)
-            for i in range(n)
-        ]
-    if isinstance(value, PredictionSet):
-        train_p = _split_list(value.train_predictions, _axis_counts(len(value.train_predictions), n, shape, 0))
-        train_l = _split_list(value.train_labels, _axis_counts(len(value.train_labels), n, shape, 0))
-        test_p = _split_list(value.test_predictions, _axis_counts(len(value.test_predictions), n, shape, 1))
-        test_l = _split_list(value.test_labels, _axis_counts(len(value.test_labels), n, shape, 1))
-        return [
-            PredictionSet(
-                name=value.name,
-                train_predictions=train_p[i],
-                train_labels=train_l[i],
-                test_predictions=test_p[i],
-                test_labels=test_l[i],
-            )
-            for i in range(n)
-        ]
-    if isinstance(value, SequencePredictions):
-        train_p = _split_list(value.train_predictions, _axis_counts(len(value.train_predictions), n, shape, 0))
-        train_g = _split_list(value.train_gold, _axis_counts(len(value.train_gold), n, shape, 0))
-        test_p = _split_list(value.test_predictions, _axis_counts(len(value.test_predictions), n, shape, 1))
-        test_g = _split_list(value.test_gold, _axis_counts(len(value.test_gold), n, shape, 1))
-        return [
-            SequencePredictions(
-                name=value.name,
-                train_predictions=train_p[i],
-                train_gold=train_g[i],
-                test_predictions=test_p[i],
-                test_gold=test_g[i],
-            )
-            for i in range(n)
-        ]
-    if isinstance(value, list):
-        return _split_list(value, _axis_counts(len(value), n, shape, 0))
-    return None
+    if type(value) in _PARTS:
+        parts = {key: _split(getattr(value, key), n, shape) for key in _PARTS[type(value)]}
+    elif type(value) in _AXES:
+        parts = {
+            key: _slices(getattr(value, key), n, shape, axis)
+            for axis, keys in enumerate(_AXES[type(value)]) for key in keys
+        }
+    else:
+        return None
+    return [type(value)(name=value.name, **{key: part[i] for key, part in parts.items()}) for i in range(n)]
 
 
 def merge_value(chunks: Sequence[Any]) -> Any:
@@ -327,62 +258,15 @@ def merge_value(chunks: Sequence[Any]) -> Any:
     if not chunks:
         raise DataError("cannot merge an empty chunk list")
     first = chunks[0]
-    if isinstance(first, Dataset):
-        return Dataset(
-            train=merge_value([c.train for c in chunks]),
-            test=merge_value([c.test for c in chunks]),
-            name=first.name,
-        )
     if isinstance(first, DataCollection):
-        return DataCollection(
-            [record for chunk in chunks for record in chunk],
-            schema=first.schema,
-            name=first.name,
-        )
+        return DataCollection.concat(chunks)
     if isinstance(first, FeatureBlock):
         return concat_feature_blocks(chunks)
     if isinstance(first, SequenceFeatureBlock):
         return concat_sequence_blocks(chunks)
-    if isinstance(first, LabelBlock):
-        return LabelBlock(
-            name=first.name,
-            train=[row for c in chunks for row in c.train],
-            test=[row for c in chunks for row in c.test],
-        )
-    if isinstance(first, ExampleCollection):
-        return ExampleCollection(
-            features=merge_value([c.features for c in chunks]),
-            labels=merge_value([c.labels for c in chunks]),
-            name=first.name,
-        )
-    if isinstance(first, SequenceCorpus):
-        return SequenceCorpus(
-            name=first.name,
-            train=[s for c in chunks for s in c.train],
-            test=[s for c in chunks for s in c.test],
-        )
-    if isinstance(first, SequenceExampleSet):
-        return SequenceExampleSet(
-            features=merge_value([c.features for c in chunks]),
-            corpus=merge_value([c.corpus for c in chunks]),
-            name=first.name,
-        )
-    if isinstance(first, PredictionSet):
-        return PredictionSet(
-            name=first.name,
-            train_predictions=[p for c in chunks for p in c.train_predictions],
-            train_labels=[p for c in chunks for p in c.train_labels],
-            test_predictions=[p for c in chunks for p in c.test_predictions],
-            test_labels=[p for c in chunks for p in c.test_labels],
-        )
-    if isinstance(first, SequencePredictions):
-        return SequencePredictions(
-            name=first.name,
-            train_predictions=[p for c in chunks for p in c.train_predictions],
-            train_gold=[p for c in chunks for p in c.train_gold],
-            test_predictions=[p for c in chunks for p in c.test_predictions],
-            test_gold=[p for c in chunks for p in c.test_gold],
-        )
+    keys = _PARTS.get(type(first)) or [key for keys in _AXES.get(type(first), ()) for key in keys]
+    if keys:
+        return type(first)(name=first.name, **{key: merge_value([getattr(c, key) for c in chunks]) for key in keys})
     if isinstance(first, dict):
         merged: Dict[Any, Any] = {}
         for chunk in chunks:

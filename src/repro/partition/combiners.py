@@ -25,7 +25,7 @@ from typing import Any, Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.dataflow.features import FeatureBlock, PredictionSet
+from repro.dataflow.features import FeatureBlock
 from repro.dsl.ie_operators import SpanEvaluator
 from repro.dsl.operators import Bucketizer, Evaluator
 from repro.errors import ExecutionError
@@ -61,35 +61,13 @@ class EvaluatorCombiner(Combiner):
     """
 
     def partial(self, operator: Evaluator, inputs: Dict[str, Any]) -> Dict[str, Dict[str, int]]:
-        predictions: PredictionSet = inputs[operator.predictions]
-        counts: Dict[str, Dict[str, int]] = {}
-        positive = operator.positive_label
-        for split in ("train", "test"):
-            predicted, gold = predictions.split(split)
-            counts[split] = {
-                "total": len(gold),
-                "correct": sum(1 for t, p in zip(gold, predicted) if t == p),
-                "tp": sum(1 for t, p in zip(gold, predicted) if t == positive and p == positive),
-                "fp": sum(1 for t, p in zip(gold, predicted) if t != positive and p == positive),
-                "fn": sum(1 for t, p in zip(gold, predicted) if t == positive and p != positive),
-            }
-        return counts
+        return operator.counts(inputs[operator.predictions])
 
     def merge(self, operator: Evaluator, partials: Sequence[Mapping[str, Mapping[str, int]]]) -> Dict[str, float]:
-        results: Dict[str, float] = {}
-        for split in ("train", "test"):
-            totals = {key: sum(partial[split][key] for partial in partials) for key in ("total", "correct", "tp", "fp", "fn")}
-            prf = prf_from_counts(totals["tp"], totals["fp"], totals["fn"])
-            for metric in operator.metrics:
-                if metric == "accuracy":
-                    results[f"{split}_accuracy"] = totals["correct"] / totals["total"] if totals["total"] else 0.0
-                elif metric == "f1":
-                    results[f"{split}_f1"] = prf["f1"]
-                elif metric == "precision":
-                    results[f"{split}_precision"] = prf["precision"]
-                elif metric == "recall":
-                    results[f"{split}_recall"] = prf["recall"]
-        return results
+        return operator.metrics_from({
+            split: {key: sum(partial[split][key] for partial in partials) for key in partials[0][split]}
+            for split in ("train", "test")
+        })
 
 
 class SpanEvaluatorCombiner(Combiner):

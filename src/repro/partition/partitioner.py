@@ -87,7 +87,7 @@ class Partitioner:
             shards[target].append(record)
         return PartitionedCollection(
             [
-                DataCollection(records, schema=collection.schema, name=f"{collection.name}.p{i}")
+                DataCollection.from_records(records, schema=collection.schema, name=f"{collection.name}.p{i}")
                 for i, records in enumerate(shards)
             ],
             partitioner=self,
@@ -224,7 +224,7 @@ class PartitionedCollection:
     # -- transformations -------------------------------------------------
     def coalesce(self) -> DataCollection:
         """Concatenate the shards back into one collection."""
-        return DataCollection(self.records(), schema=self.schema, name=self.name)
+        return DataCollection(DataCollection.concat(self.parts).columns, self.schema, self.name, len(self))
 
     def repartition(
         self, partitioner: Partitioner, n_partitions: Optional[int] = None

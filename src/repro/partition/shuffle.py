@@ -49,8 +49,8 @@ def exchange_value(chunks: Sequence[Any], key_fn: KeyFn, n_partitions: int) -> L
         tests = exchange_records([c.test.records() for c in chunks], key_fn, n_partitions)
         return [
             Dataset(
-                train=DataCollection(trains[i], schema=first.train.schema, name=first.train.name),
-                test=DataCollection(tests[i], schema=first.test.schema, name=first.test.name),
+                train=DataCollection.from_records(trains[i], schema=first.train.schema, name=first.train.name),
+                test=DataCollection.from_records(tests[i], schema=first.test.schema, name=first.test.name),
                 name=first.name,
             )
             for i in range(n_partitions)
@@ -58,7 +58,7 @@ def exchange_value(chunks: Sequence[Any], key_fn: KeyFn, n_partitions: int) -> L
     if isinstance(first, DataCollection):
         shards = exchange_records([c.records() for c in chunks], key_fn, n_partitions)
         return [
-            DataCollection(shard, schema=first.schema, name=first.name) for shard in shards
+            DataCollection.from_records(shard, schema=first.schema, name=first.name) for shard in shards
         ]
     if isinstance(first, list):
         return [list(shard) for shard in exchange_records(chunks, key_fn, n_partitions)]

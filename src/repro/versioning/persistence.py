@@ -32,8 +32,10 @@ def _write_json(path: str, payload: object, what: str) -> str:
     """
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
+        # json.dump always runs the pure-Python encoder; dumps runs the C one.
+        text = json.dumps(payload)
         with open(tmp_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
+            handle.write(text)
         os.replace(tmp_path, path)
     except OSError as exc:
         raise VersioningError(f"cannot write {what} to {path}: {exc}") from exc

@@ -7,7 +7,9 @@ logical budget by exact sizes, and fails with a typed error when a source
 vanished.
 """
 
+import hashlib
 import os
+import pickle
 from collections import Counter
 from unittest import mock
 
@@ -15,6 +17,7 @@ import pytest
 
 from repro.baselines.strategies import ExecutionStrategy
 from repro.core.session import HelixSession
+from repro.dataflow.collection import DataCollection, Dataset, Schema
 from repro.datagen.census import CENSUS_FIELDS, CensusConfig, generate_census_dataset
 from repro.dsl.operators import (
     CsvScanner,
@@ -531,3 +534,82 @@ def test_smoke_workloads_that_must_not_move_carry_nothing(tmp_path):
             for step in workload.tenants[tenant][:4]:
                 run = client.run(build=step.build, description=step.label)
                 assert not any(s.chunks_carried for s in run.report.node_stats.values())
+
+
+# ---------------------------------------------------------------------------
+# (d) workspaces written by the one-dict-per-record layout
+# ---------------------------------------------------------------------------
+def _dict_layout(records, schema, name):
+    """A ``DataCollection`` as the one-dict-per-record layout pickled it."""
+    object.__setattr__(schema, "_converters", tuple((f, schema.types.get(f)) for f in schema.fields))
+    collection = DataCollection.__new__(DataCollection)
+    collection.__dict__.update(_records=records, schema=schema, name=name)
+    return collection
+
+
+def _legacy_digests(value, boundaries):
+    """Chunk digests as that layout recorded them: the ``repr`` of each row dict."""
+    axes = [value.train.records(), value.test.records()]
+    starts, digests = [0, 0], []
+    for counts in zip(*boundaries):
+        hasher = hashlib.sha256()
+        for axis, rows in enumerate(axes):
+            for row in rows[starts[axis]:starts[axis] + counts[axis]]:
+                hasher.update(repr(row).encode("utf-8", "backslashreplace") + b"\x1e")
+            hasher.update(b"\x1d")
+            starts[axis] += counts[axis]
+        digests.append((counts, hasher.hexdigest()))
+    return digests
+
+
+def test_dict_layout_data_and_rows_artifacts_load_as_the_cold_columns(tmp_path):
+    feed = Feed(tmp_path)
+    workflow = feed.workflow()
+    data = workflow.operator("data").apply({})
+    rows = workflow.operator("rows").apply({"data": data})
+    # The dict layout's own construction: a record per non-blank line, then
+    # Schema.convert over the stripped pieces of each.
+    old_data = Dataset(*(
+        _dict_layout([{"line": line} for line in lines], Schema(["line"], {}), name)
+        for lines, name in ((feed.train[:feed.rows], "train"), (feed.test, "test"))
+    ), name="file_source")
+    schema = rows.train.schema
+    old_rows = Dataset(*(
+        _dict_layout(
+            [schema.convert(dict(zip(CENSUS_FIELDS, map(str.strip, line.split(","))))) for line in lines],
+            Schema(schema.fields, dict(schema.types)), name,
+        )
+        for lines, name in ((feed.train[:feed.rows], "train.parsed"), (feed.test, "test.parsed"))
+    ), name="rows")
+    store = ArtifactStore(str(tmp_path / "store"))
+    for key, old, cold in (("data", old_data, data), ("rows", old_rows, rows)):
+        payload = pickle.dumps(old, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"_records" in payload
+        store.put_bytes(key, key, payload, codec="pickle")
+        loaded = store.get(key)[0]
+        assert loaded == cold, key
+        assert loaded.train.columns.keys() == cold.train.columns.keys()
+
+
+def test_fingerprints_of_the_dict_layout_take_one_full_recompute(tmp_path):
+    feed = Feed(tmp_path)
+    session = _session(tmp_path / "ws")
+    first = session.run(feed.workflow())
+    # Rewrite the recorded fingerprint as the dict layout digested it.
+    value = feed.workflow().operator("data").apply({})
+    db = session.store.catalog_db
+    recorded = db.input_fingerprint("feed:data")
+    boundaries = tuple(zip(*(counts for counts, _ in recorded["chunks"])))
+    db.record_input_fingerprint(
+        "feed:data", recorded["signature"], recorded["run_iteration"], 0.0,
+        _legacy_digests(value, boundaries),
+    )
+    upgraded = session.run(feed.grow())
+    (delta,) = upgraded.trace.deltas
+    assert (delta.mode, delta.clean_chunks) == ("full", 0)
+    assert all(upgraded.trace.nodes[name].delta_strategy != "delta" for name in ROW_WISE)
+    cold = HelixSession(str(tmp_path / "cold"), partitions=PARTS, incremental=False)
+    assert upgraded.report.metrics == cold.run(feed.workflow()).report.metrics
+    # The upgraded run recorded column digests: the next append is a delta again.
+    assert session.run(feed.grow()).trace.deltas[0].mode == "append"
+    assert first.report.metrics

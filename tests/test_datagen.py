@@ -16,7 +16,7 @@ class TestCensusGenerator:
 
     def test_records_have_full_schema(self, tiny_census_config):
         dataset = generate_census_dataset(tiny_census_config)
-        for record in dataset.train.head(10):
+        for record in dataset.train.records()[:10]:
             assert set(record) == set(CENSUS_FIELDS)
 
     def test_deterministic_given_seed(self, tiny_census_config):
@@ -31,7 +31,7 @@ class TestCensusGenerator:
 
     def test_labels_are_binary_and_mixed(self, tiny_census_config):
         dataset = generate_census_dataset(tiny_census_config)
-        labels = set(dataset.train.column("target"))
+        labels = set(dataset.train.column("target").values())
         assert labels == {0, 1}
 
     def test_planted_rule_is_learnable_signal(self):
@@ -44,8 +44,8 @@ class TestCensusGenerator:
 
     def test_numeric_ranges_sane(self, tiny_census_config):
         dataset = generate_census_dataset(tiny_census_config)
-        ages = dataset.train.column("age")
-        hours = dataset.train.column("hours_per_week")
+        ages = dataset.train.column("age").values()
+        hours = dataset.train.column("hours_per_week").values()
         assert min(ages) >= 17 and max(ages) < 80
         assert min(hours) >= 10 and max(hours) <= 90
 
@@ -76,7 +76,7 @@ class TestNewsGenerator:
 
     def test_gold_mentions_actually_appear_in_text(self, tiny_news_config):
         dataset = generate_news_dataset(tiny_news_config)
-        for record in dataset.train.head(20):
+        for record in dataset.train.records()[:20]:
             for mention in filter(None, record["gold_mentions"].split(";")):
                 # The full name, or at least the surname, must appear verbatim.
                 assert mention.split()[-1] in record["text"]

@@ -21,7 +21,7 @@ from repro.dsl.operators import (
     SyntheticCensusSource,
     UDFFeatureExtractor,
 )
-from repro.errors import ExecutionError, WorkflowError
+from repro.errors import DataError, ExecutionError, WorkflowError
 
 
 @pytest.fixture
@@ -39,8 +39,8 @@ def rows_dataset():
         {"age": 22.0, "occupation": "Sales", "education": "HS", "target": 0},
     ]
     return Dataset(
-        train=DataCollection(train, schema=schema),
-        test=DataCollection(test, schema=schema),
+        train=DataCollection.from_records(train, schema=schema),
+        test=DataCollection.from_records(test, schema=schema),
         name="rows",
     )
 
@@ -67,19 +67,47 @@ class TestSources:
         assert len(dataset.train) == 2 and len(dataset.test) == 1
         assert dataset.train[0]["line"] == "1,a"
 
+    def test_file_source_lines_equal_the_per_line_reference(self, tmp_path):
+        """Lines end at "\\n" only: \\x1c-\\x1e, \\x85 and \\u2028 stay inside a line,
+        and lines blank after strip() are dropped, as iterating the file did."""
+        text = "a\x1cb,1\n\n  \n\tc\x1d\x1e,2 \nd\x85e\u2028f,3\r\ng,4"
+        path = tmp_path / "feed.csv"
+        path.write_text(text, encoding="utf-8")
+        with open(path) as handle:
+            reference = [line.rstrip("\n") for line in handle if line.strip()]
+        dataset = FileSource(str(path), str(path)).apply({})
+        assert dataset.train.column("line").values() == reference == dataset.test.column("line").values()
+        assert len(reference) == 4
+
+    def test_csv_scanner_equals_the_per_record_reference(self):
+        fields, numeric = ["age", "occupation", "note"], ["age"]
+        lines = [" 39 , Sales,x", "44,Exec , y y", "1e3,Sales,", "-0.0,\tExec\t,z"]
+        schema = Schema(fields, {name: float for name in numeric})
+        reference = [schema.convert(dict(zip(fields, [piece.strip() for piece in line.split(",")]))) for line in lines]
+        data = Dataset(DataCollection({"line": lines}), DataCollection({"line": lines[:1]}))
+        parsed = CsvScanner("data", fields=fields, numeric_fields=numeric).apply({"data": data})
+        assert repr(parsed.train.records()) == repr(reference) and parsed.test.records() == reference[:1]
+        assert parsed.train.columns["age"].data.dtype.str == "<f8"
+
+    def test_csv_scanner_names_a_value_that_does_not_convert(self):
+        data = Dataset(DataCollection({"line": ["1,a", "x,b"]}), DataCollection({"line": []}))
+        scanner = CsvScanner("data", fields=["age", "occupation"], numeric_fields=["age"])
+        with pytest.raises(DataError, match="cannot convert field 'age'='x'"):
+            scanner.apply({"data": data})
+
     def test_csv_scanner_parses_and_types(self):
         lines = Dataset(
-            train=DataCollection([{"line": "39,Sales"}]),
-            test=DataCollection([{"line": "44,Exec"}]),
+            train=DataCollection.from_records([{"line": "39,Sales"}]),
+            test=DataCollection.from_records([{"line": "44,Exec"}]),
         )
         scanner = CsvScanner("data", fields=["age", "occupation"], numeric_fields=["age"])
         parsed = scanner.apply({"data": lines})
         assert parsed.train[0] == {"age": 39.0, "occupation": "Sales"}
 
     def test_csv_scanner_arity_mismatch_raises(self):
-        lines = Dataset(train=DataCollection([{"line": "1,2,3"}]), test=DataCollection([]))
+        lines = Dataset(train=DataCollection.from_records([{"line": "1,2,3"}]), test=DataCollection.from_records([]))
         scanner = CsvScanner("data", fields=["a", "b"])
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="expected 2 fields, got 3: '1,2,3'"):
             scanner.apply({"data": lines})
 
     def test_missing_input_raises(self):

@@ -43,8 +43,8 @@ def bits(rows):
 
 def dataset(field, train, test):
     return Dataset(
-        train=DataCollection([{field: value} for value in train]),
-        test=DataCollection([{field: value} for value in test]),
+        train=DataCollection.from_records([{field: value} for value in train]),
+        test=DataCollection.from_records([{field: value} for value in test]),
     )
 
 
@@ -180,8 +180,8 @@ class TestVectorizer:
     @settings(max_examples=50, deadline=None)
     def test_assembled_examples_vectorize_like_their_rows(self, age, occ):
         rows = Dataset(
-            train=DataCollection([{"age": a, "occ": o} for a, o in zip(age[:3], occ[:3])]),
-            test=DataCollection([{"age": age[3], "occ": occ[3]}]),
+            train=DataCollection.from_records([{"age": a, "occ": o} for a, o in zip(age[:3], occ[:3])]),
+            test=DataCollection.from_records([{"age": age[3], "occ": occ[3]}]),
         )
         blocks = [FieldExtractor("rows", field=field).apply({"rows": rows}) for field in ("occ", "age")]
         merged = merge_feature_blocks(blocks)

@@ -116,8 +116,8 @@ class TestDeltaDetector:
 
         def dataset(test_rows):
             return Dataset(
-                train=DataCollection(rows(40), name="train"),
-                test=DataCollection(test_rows, name="test"),
+                train=DataCollection.from_records(rows(40), name="train"),
+                test=DataCollection.from_records(test_rows, name="test"),
                 name="d",
             )
 

@@ -121,8 +121,8 @@ def test_append_dirties_only_the_tail_chunk(parts, base_rows, appended, salt):
 
 def two_axis(train, test):
     return Dataset(
-        train=DataCollection(distinct_rows(train, salt=0), name="train"),
-        test=DataCollection(distinct_rows(test, salt=1), name="test"),
+        train=DataCollection.from_records(distinct_rows(train, salt=0), name="train"),
+        test=DataCollection.from_records(distinct_rows(test, salt=1), name="test"),
         name="d",
     )
 

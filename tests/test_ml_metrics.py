@@ -7,11 +7,48 @@ from repro.ml.metrics import (
     accuracy,
     bio_span_f1,
     bio_spans,
+    confusion_counts,
     confusion_matrix,
     f1_score,
     mean_squared_error,
+    metrics_from_counts,
     precision_recall_f1,
 )
+
+
+def generator_counts(gold, predicted, positive):
+    """The four generator passes the counts replace, verbatim."""
+    return {
+        "total": len(gold),
+        "correct": sum(1 for t, p in zip(gold, predicted) if t == p),
+        "tp": sum(1 for t, p in zip(gold, predicted) if t == positive and p == positive),
+        "fp": sum(1 for t, p in zip(gold, predicted) if t != positive and p == positive),
+        "fn": sum(1 for t, p in zip(gold, predicted) if t == positive and p != positive),
+    }
+
+
+class TestConfusionCounts:
+    LABELS = {
+        "int": ([1, 0, 1, 1, 0, 2, 1], [1, 1, 0, 1, 0, 2, 2]),
+        "str": (["yes", "no", "yes", "no", "maybe"], ["yes", "yes", "no", "no", "yes"]),
+        "mixed": ([1, 1.0, True, 0, "1", None, 0.0, False], [True, 1, 1.0, 1, 1, 0, False, 0.0]),
+    }
+
+    @pytest.mark.parametrize("labels", sorted(LABELS))
+    @pytest.mark.parametrize("positive", [1, 1.0, True, "yes", "1"])
+    def test_counts_equal_the_generator_passes(self, labels, positive):
+        gold, predicted = self.LABELS[labels]
+        counts = confusion_counts(gold, predicted, positive)
+        assert counts == generator_counts(gold, predicted, positive)
+        scores = metrics_from_counts(counts)
+        assert accuracy(gold, predicted) == scores["accuracy"] == counts["correct"] / len(gold)
+        assert precision_recall_f1(gold, predicted, positive) == {
+            key: scores[key] for key in ("precision", "recall", "f1")
+        }
+
+    def test_equal_labels_of_different_types_count_together(self):
+        counts = confusion_counts([1, 1.0, True], [True, 1, 1.0], positive_label=1.0)
+        assert counts == {"total": 3, "correct": 3, "tp": 3, "fp": 0, "fn": 0}
 
 
 class TestClassificationMetrics:

@@ -22,7 +22,7 @@ from repro.dsl.operators import DenseFeaturizer, _dense_weights
 
 
 def collection(rows, fields):
-    return DataCollection([dict(zip(fields, row)) for row in rows])
+    return DataCollection.from_records([dict(zip(fields, row)) for row in rows])
 
 
 def bits(rows):

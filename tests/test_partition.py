@@ -32,7 +32,7 @@ def records(n, key_mod=5):
 
 
 def collection(n, key_mod=5):
-    return DataCollection(records(n, key_mod), schema=Schema(["id", "key", "value"], {}), name="data")
+    return DataCollection.from_records(records(n, key_mod), schema=Schema(["id", "key", "value"], {}), name="data")
 
 
 # ---------------------------------------------------------------------------

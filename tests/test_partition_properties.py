@@ -47,7 +47,7 @@ def test_hash_partitioner_balance_within_tolerance(n, parts):
     """Distinct keys spread across shards within 2x of the ideal share."""
     records = [{"id": i, "key": f"unique-{i}"} for i in range(n)]
     partitioned = HashPartitioner(["key"]).partition(
-        DataCollection(records, name="data"), parts
+        DataCollection.from_records(records, name="data"), parts
     )
     expected = n / parts
     assert max(partitioned.sizes()) <= 2 * expected + 5
@@ -77,7 +77,7 @@ def test_block_slices_partition_the_range(n, parts):
     partitioner_index=st.integers(min_value=0, max_value=2),
 )
 def test_repartition_preserves_multiset(n, key_mod, first_parts, second_parts, partitioner_index):
-    source = DataCollection(make_records(n, key_mod), name="data")
+    source = DataCollection.from_records(make_records(n, key_mod), name="data")
     first = PartitionedCollection.from_collection(source, first_parts, RoundRobinPartitioner())
     second_partitioner = [
         RoundRobinPartitioner(),
@@ -92,7 +92,7 @@ def test_repartition_preserves_multiset(n, key_mod, first_parts, second_parts, p
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=0, max_value=150), parts=st.integers(min_value=1, max_value=6))
 def test_split_merge_roundtrip_preserves_order(n, parts):
-    source = DataCollection(make_records(n, 7), name="data")
+    source = DataCollection.from_records(make_records(n, 7), name="data")
     merged = merge_value(split_value(source, parts))
     assert merged.records() == source.records()
 
@@ -109,7 +109,7 @@ def test_split_merge_roundtrip_preserves_order(n, parts):
 )
 def test_shuffle_colocates_equal_keys(n, key_mod, in_parts, out_parts):
     records = make_records(n, key_mod)
-    chunks = split_value(DataCollection(records, name="data"), in_parts)
+    chunks = split_value(DataCollection.from_records(records, name="data"), in_parts)
     exchanged = exchange_records([c.records() for c in chunks], lambda r: r["key"], out_parts)
     assert sorted(map(record_key, (r for shard in exchanged for r in shard))) == sorted(
         map(record_key, records)

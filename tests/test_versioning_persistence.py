@@ -10,6 +10,7 @@ from repro.core.session import HelixSession
 from repro.errors import VersioningError
 from repro.optimizer.cost_model import CostRecord
 from repro.execution.stats import RunHistory
+from repro.versioning import persistence
 from repro.versioning.persistence import (
     load_cost_history,
     load_version_store,
@@ -110,11 +111,21 @@ class TestCrossSessionBehaviour:
 class TestInterruptedWrites:
     """A save that dies partway leaves the previous file whole."""
 
-    @staticmethod
-    def _torn_dump(payload, handle, **kwargs):
-        text = json.dumps(payload, **kwargs)
-        handle.write(text[: len(text) // 2])
-        raise RuntimeError("killed mid-write")
+    class _TornFile:
+        """A file whose write lands half its text, then the process dies."""
+
+        def __init__(self, path, mode="r"):
+            self.handle = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise RuntimeError("killed mid-write")
 
     def test_torn_dump_keeps_previous_files_and_workspace_reopens(self, tmp_path, variant, monkeypatch):
         workspace = str(tmp_path)
@@ -123,7 +134,7 @@ class TestInterruptedWrites:
         # In memory the session moves on; on disk the saves of v2 die midway.
         session.run(build_census_workflow(replace(variant, reg_param=0.01)), description="v2")
         with monkeypatch.context() as patch:
-            patch.setattr(json, "dump", self._torn_dump)
+            patch.setattr(persistence, "open", self._TornFile, raising=False)
             with pytest.raises(RuntimeError):
                 save_version_store(session.versions, workspace)
             with pytest.raises(RuntimeError):
